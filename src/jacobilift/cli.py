@@ -223,6 +223,8 @@ def cmd_lift(args):
         if args.name not in ("Delta2", "Delta1"):
             raise ValidationError("lift arith needs --name Delta2 or Delta1")
         bound = args.bound if args.bound is not None else max(args.qmax, args.smax)
+        if bound < 1:
+            raise ValidationError(f"lift arith needs a bound of at least 1 order, got {bound}")
         ss = arithmetic_lift(args.name, 24 * bound + 1, 24 * bound + 1)
     else:  # pragma: no cover - argparse restricts choices
         raise ValidationError(f"unknown lift kind {args.kind!r}")
@@ -313,10 +315,20 @@ def build_parser():
     return parser
 
 
+def _check_windows(args):
+    """Window options count whole orders, so a negative one is invalid."""
+    for dest in ("qmax", "smax", "pmax", "bound", "qmax_opt"):
+        value = getattr(args, dest, None)
+        if value is not None and value < 0:
+            name = dest.removesuffix("_opt")
+            raise ValidationError(f"--{name} must be >= 0, got {value}")
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_windows(args)
         return args.fn(args)
     except PrecisionError as exc:
         print(f"precision error: {exc}", file=sys.stderr)

@@ -9,12 +9,12 @@ q: 1/24, y: 1/4; a coefficient f(n, l) of q**n y**l sits at the key
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import wraps
 from math import gcd, isqrt
 
 from .errors import PrecisionError, ValidationError
 from .genpoly import GeneratorPolynomial
-from .modular import eta_power, g2_series, kronecker, theta_constant
+from .modular import eta_power, g2_series, kronecker, sigma1
 from .rings import RING_Q, RING_Z, root_of_unity_sum_as_int
 from .series import DEN2, Series
 
@@ -217,38 +217,22 @@ def theta_jacobi_product(qprec, y_scale=1):
     return acc.shift((3, -2 * y_scale)).scale(-1)
 
 
-def theta_two_var(a, b, qprec):
-    """theta_{a,b}(tau, z) = sum_n (-1)**(b*n) q**((2n+a)**2/8) y**((2n+a)/2)."""
-    if (a, b) == (1, 1):
-        raise ValidationError("characteristic (1,1) is rejected (odd theta)")
-    if a not in (0, 1) or b not in (0, 1):
-        raise ValidationError("theta characteristics must be 0 or 1")
-    terms = {}
-    bound = isqrt(max(qprec, 0) // 3) + 2
-    for n in range(-bound, bound + 1):
-        m = 2 * n + a
-        nq = 3 * m * m
-        if nq >= qprec:
-            continue
-        sign = -1 if (b * n) % 2 else 1
-        key = (nq, 2 * m)
-        terms[key] = terms.get(key, 0) + sign
-    return Series(DEN2, terms, qprec)
-
-
-def xi_ab(a, b, qprec):
-    """xi_{a,b} = theta_{a,b}(tau, z) / theta_{a,b}(tau, 0), over Q."""
-    num = theta_two_var(a, b, qprec + 6).promote(RING_Q)
-    den = theta_constant(a, b, qprec + 6).promote(RING_Q)
-    return num.exact_div(den).truncate(qprec)
-
-
 def _phi01_series(qprec):
-    total = Series.zero(DEN2, qprec, RING_Q)
-    for a, b in ((0, 0), (1, 0), (0, 1)):
-        xi = xi_ab(a, b, qprec)
-        total = total + xi * xi
-    return total.scale(4).demote_to_int()
+    """phi01 = 12 phi_{-2,1} wp/(2 pi i)**2 over Z (Eichler-Zagier), where
+    phi_{-2,1} = (theta/eta**3)**2 and
+    wp/(2 pi i)**2 = 1/12 + y/(1-y)**2 + sum_n sum_{d|n} d (y**d - 2 + y**-d) q**n.
+    Since y/(1-y)**2 = 1/(y - 2 + 1/y), that term is an exact division."""
+    half = phi_weak_weight_minus1(qprec).series
+    phi_m21 = half * half
+    terms = {(0, 0): 1}
+    for n in range(1, (qprec + 23) // 24):
+        terms[(24 * n, 0)] = -24 * sigma1(n)
+        for d in range(1, n + 1):
+            if n % d == 0:
+                terms[(24 * n, 4 * d)] = terms[(24 * n, -4 * d)] = 12 * d
+    wp = Series(DEN2, terms, qprec, RING_Z, _clean=True)
+    pole = phi_m21.exact_div(Series(DEN2, {(0, 4): 1, (0, 0): -2, (0, -4): 1}, None))
+    return phi_m21 * wp + pole.scale(12)
 
 
 def _phi02_series(qprec):
@@ -299,20 +283,58 @@ def _xi06_series(qprec):
     return theta12.exact_div(eta_power(12, pad + 40)).truncate(qprec)
 
 
-@lru_cache(maxsize=None)
+def _form_store(build):
+    """Keep one form per key (the arguments before qprec), grown only in
+    precision.
+
+    A request is computed at whole q-orders, 24*ceil(qprec/24), which loses
+    nothing since Jacobi forms have integral q-exponents.  Only the highest
+    precision computed is kept, and every request is answered by truncation
+    to exactly its qprec.  qprec=None (exact) bypasses the store.
+    """
+    store = {}
+
+    @wraps(build)
+    def stored(*args, **kwargs):
+        if kwargs:
+            from inspect import signature  # keeps inspect out of the import
+
+            args = signature(build).bind(*args, **kwargs).args
+        *key, qprec = args
+        if qprec is None:
+            return build(*key, None)
+        key = tuple(key)
+        form = store.get(key)
+        if form is None or form.series.qprec < qprec:
+            whole = -(-qprec // 24) * 24
+            form = build(*key, whole)
+            if form.series.qprec < whole:
+                raise PrecisionError(
+                    f"{build.__name__}{key}: requested q-precision {qprec} "
+                    f"(built at {whole}), computed {form.series.qprec} "
+                    "(1/24 units)"
+                )
+            store[key] = form
+        return form.truncate(qprec)
+
+    stored.store = store
+    return stored
+
+
+@_form_store
 def phi_threehalf(qprec):
     """The index 3/2 weight 0 generator (odd theta quotient)."""
     return JacobiForm(_phi_threehalf_series(qprec), 0, 3, None)
 
 
-@lru_cache(maxsize=None)
+@_form_store
 def phi_weak_weight_minus1(qprec):
     """The index 1/2 weight -1 form theta(tau,z)/eta(tau)**3."""
     series = theta_jacobi(qprec + 6).exact_div(eta_power(3, qprec + 6))
     return JacobiForm(series.truncate(qprec), -2, 1, None)
 
 
-@lru_cache(maxsize=None)
+@_form_store
 def xi06(qprec):
     """The weight-0 index-6 form theta**12/eta**12 generating the ideal of
     forms that vanish at the centers of torsion specialization."""
@@ -328,7 +350,7 @@ def xi06(qprec):
     return JacobiForm(_xi06_series(qprec), 0, 12, poly)
 
 
-@lru_cache(maxsize=None)
+@_form_store
 def generator(m, qprec):
     """The canonical weight-0 generator of index m in {1,2,3,4,6,8,12}."""
     if m == 1:
@@ -349,30 +371,15 @@ def generator(m, qprec):
             _phi04_series(qprec), 0, 8, GeneratorPolynomial.generator(4)
         )
     if m == 6:
-        p2, p3, p4 = (generator(i, qprec + 6) for i in (2, 3, 4))
-        return (p2 * p4 - p3 * p3).truncate(qprec)
+        p2, p3, p4 = (generator(i, qprec) for i in (2, 3, 4))
+        return p2 * p4 - p3 * p3
     if m == 8:
-        p2, p4 = generator(2, qprec + 6), generator(4, qprec + 6)
-        p6 = generator(6, qprec + 6)
-        return (p2 * p6 - p4 * p4).truncate(qprec)
+        p2, p4, p6 = (generator(i, qprec) for i in (2, 4, 6))
+        return p2 * p6 - p4 * p4
     if m == 12:
-        p4 = generator(4, qprec + 6)
-        p6 = generator(6, qprec + 6)
-        p8 = generator(8, qprec + 6)
-        return (p4 * p8 - p6 * p6 * 2).truncate(qprec)
+        p4, p6, p8 = (generator(i, qprec) for i in (4, 6, 8))
+        return p4 * p8 - p6 * p6 * 2
     raise ValidationError(f"no canonical generator of index {m}")
-
-
-# ---- Fourier-row helpers --------------------------------------------------
-
-
-def q0_row_vector(form):
-    """The q**0 row as a dense list over y**index .. y**(-index) (1/4 units)."""
-    row = form.q_row(0)
-    top = form.index2 * 2  # index in 1/4 units
-    step = 4 if form.index2 % 2 == 0 else 4
-    exps = list(range(top, -top - 1, -step))
-    return [row.get(e, 0) for e in exps], exps
 
 
 # ---- the canonical basis (weight 0, integral index) ----------------------
@@ -385,39 +392,38 @@ def _psi_tilde(m, qprec):
 def _psi1_raw(m, qprec):
     if m in (1, 2, 3, 4, 6, 8, 12):
         return generator(m, qprec)
-    pad = qprec + 6
-    t2 = _psi_tilde(m - 2, pad)
-    t3 = _psi_tilde(m - 3, pad)
-    t4 = _psi_tilde(m - 4, pad)
-    p2 = generator(2, pad)
-    p3 = generator(3, pad)
-    p4 = generator(4, pad)
+    t2 = _psi_tilde(m - 2, qprec)
+    t3 = _psi_tilde(m - 3, qprec)
+    t4 = _psi_tilde(m - 4, qprec)
+    p2 = generator(2, qprec)
+    p3 = generator(3, qprec)
+    p4 = generator(4, qprec)
     variant_i = t4 * p4 + t2 * p2 - 2 * (t3 * p3)
     d = gcd(12, m)
     if d == 1:
-        return variant_i.truncate(qprec)
+        return variant_i
     if d == 2:
-        return variant_i.scale_div(2).truncate(qprec)
+        return variant_i.scale_div(2)
     if d in (3, 6):
-        t6 = _psi_tilde(m - 6, pad)
-        p6 = generator(6, pad)
+        t6 = _psi_tilde(m - 6, qprec)
+        p6 = generator(6, qprec)
         variant_iii = (2 * (t3 * p3) + t6 * p6).scale_div(3) - t4 * p4
         if d == 3:
-            return variant_iii.truncate(qprec)
-        return variant_iii.scale_div(2).truncate(qprec)
+            return variant_iii
+        return variant_iii.scale_div(2)
     if d == 4:
-        t12 = _psi_tilde(m - 12, pad)
-        t8 = _psi_tilde(m - 8, pad)
-        p12 = generator(12, pad)
-        p8 = generator(8, pad)
-        return (t12 * p12 + t4 * p4 - t8 * p8).scale_div(4).truncate(qprec)
+        t12 = _psi_tilde(m - 12, qprec)
+        t8 = _psi_tilde(m - 8, qprec)
+        p12 = generator(12, qprec)
+        p8 = generator(8, qprec)
+        return (t12 * p12 + t4 * p4 - t8 * p8).scale_div(4)
     # d == 12
-    t6 = _psi_tilde(m - 6, pad)
-    t12 = _psi_tilde(m - 12, pad)
-    p6 = generator(6, pad)
-    p12 = generator(12, pad)
+    t6 = _psi_tilde(m - 6, qprec)
+    t12 = _psi_tilde(m - 12, qprec)
+    p6 = generator(6, qprec)
+    p12 = generator(12, qprec)
     combo = 8 * (t3 * p3) - 6 * (t4 * p4) - 2 * (t6 * p6) + t12 * p12
-    return combo.scale_div(12).truncate(qprec)
+    return combo.scale_div(12)
 
 
 def psi2_variant(m, qprec, variant="B"):
@@ -433,22 +439,20 @@ def psi2_variant(m, qprec, variant="B"):
     if variant not in consts:
         raise ValidationError("variant must be 'A' or 'B'")
     c = consts[variant][m]
-    pad = qprec + 6
-    p1 = generator(1, pad)
-    other = generator(m - 1, pad) if m > 2 else p1
-    return (p1 * other - c * generator(m, pad)).truncate(qprec)
+    p1 = generator(1, qprec)
+    other = generator(m - 1, qprec) if m > 2 else p1
+    return p1 * other - c * generator(m, qprec)
 
 
 def _psi2_raw(m, qprec):
     if m in (2, 3, 4):
         return psi2_variant(m, qprec, "B")
-    pad = qprec + 6
-    t3 = _psi_tilde(m - 3, pad)
-    t4 = _psi_tilde(m - 4, pad)
-    tm = _psi_tilde(m, pad)
-    p3 = generator(3, pad)
-    p4 = generator(4, pad)
-    return (t3 * p3 - t4 * p4 - tm).truncate(qprec)
+    t3 = _psi_tilde(m - 3, qprec)
+    t4 = _psi_tilde(m - 4, qprec)
+    tm = _psi_tilde(m, qprec)
+    p3 = generator(3, qprec)
+    p4 = generator(4, qprec)
+    return t3 * p3 - t4 * p4 - tm
 
 
 def _psi_raw(m, n, qprec):
@@ -459,16 +463,13 @@ def _psi_raw(m, n, qprec):
     if n == 2:
         return _psi2_raw(m, qprec)
     if n == m:
-        return generator(1, qprec + 6) ** m
+        return generator(1, qprec) ** m
     if n == m - 1:
-        p1 = generator(1, qprec + 6)
-        return (p1 ** (m - 2)) * generator(2, qprec + 6)
-    return (generator(3, qprec + 6) * basis_psi(m - 3, n - 1, qprec + 6)).truncate(
-        qprec + 6
-    )
+        return generator(1, qprec) ** (m - 2) * generator(2, qprec)
+    return generator(3, qprec) * basis_psi(m - 3, n - 1, qprec)
 
 
-@lru_cache(maxsize=None)
+@_form_store
 def basis_psi(m, n, qprec):
     """Element n of the canonical basis of weight-0 index-m weak forms.
 
@@ -481,15 +482,14 @@ def basis_psi(m, n, qprec):
         raise ValidationError("basis index must be >= 1")
     raw = _psi_raw(m, n, qprec)
     if n < 3:
-        return raw.truncate(qprec)
+        return raw
     row = raw.q_row(0)
     if row.get(4 * n, 0) != 1:
         raise ValidationError(f"raw basis element ({m},{n}) is not monic")
     current = raw
     for j in range(n - 1, 0, -1):
         coeff = current.q_row(0).get(4 * j, 0)
-        lower = basis_psi(m, j, qprec if j >= 3 else current.series.qprec)
-        lower = lower.truncate(current.series.qprec)
+        lower = basis_psi(m, j, qprec)
         if j == 1:
             pivot = m // gcd(12, m)
             k = coeff // pivot
@@ -497,7 +497,7 @@ def basis_psi(m, n, qprec):
                 current = current - k * lower
         elif coeff:
             current = current - coeff * lower
-    return current.truncate(qprec)
+    return current
 
 
 # ---- Hecke operators -------------------------------------------------------
@@ -511,9 +511,8 @@ def hecke_tminus(form, m):
         raise ValidationError("T_-(m) needs a weight-0 form of integral index")
     if m < 1:
         raise ValidationError("Hecke parameter must be positive")
-    qin = form.series.qprec
     orders_in = form.qprec_orders()
-    orders_out = (orders_in - 1) // m + 1
+    orders_out = None if orders_in is None else (orders_in - 1) // m + 1
     divisors = [a for a in range(1, m + 1) if m % a == 0]
     out = {}
     for (nq, ly), c in form.series.terms.items():
@@ -524,7 +523,7 @@ def hecke_tminus(form, m):
             if na % m:
                 continue
             big_n = na // m
-            if big_n >= orders_out:
+            if orders_out is not None and big_n >= orders_out:
                 continue
             if big_n % a:
                 continue
@@ -534,7 +533,8 @@ def hecke_tminus(form, m):
                 out.pop(key, None)
             else:
                 out[key] = new
-    series = Series(DEN2, out, 24 * orders_out, RING_Z, _clean=True)
+    qprec = None if orders_out is None else 24 * orders_out
+    series = Series(DEN2, out, qprec, RING_Z, _clean=True)
     return JacobiForm(series, 0, form.index2 * m, None)
 
 
@@ -719,20 +719,6 @@ def decompose(form):
         current = divide_by_xi06(reduction)
         level += 1
     return Decomposition(form.index2, levels, poly)
-
-
-def halfint_factor(form):
-    """Split a half-integral-index form as (index 3/2 generator) * rest."""
-    if form.index2 % 2 == 0:
-        raise ValidationError("halfint_factor expects half-integral index")
-    base = phi_threehalf(form.series.qprec + 6)
-    quotient = form.series.exact_div(base.series)
-    return JacobiForm(
-        quotient.truncate(form.series.qprec),
-        form.weight2,
-        form.index2 - 3,
-        None,
-    )
 
 
 # ---- analytic-style invariants --------------------------------------------

@@ -412,10 +412,6 @@ def hodge_anomaly(inv, qprec, sprec, ywindow=None):
 # ---- assembled Siegel forms for Calabi-Yau data ---------------------------
 
 
-def genus_form(inv, qprec):
-    return elliptic_genus(inv, qprec=qprec)
-
-
 def e_form(inv, qprec, sprec, ywindow=None, genus_qprec=None):
     """The Siegel form attached to Calabi-Yau invariants: the exponential
     lift of minus the elliptic genus (with z doubled first when the
@@ -562,30 +558,6 @@ def delta_half_theta(qprec, sprec):
             terms[key] = terms.get(key, 0) + c
     terms = {k: c for k, c in terms.items() if c != 0}
     return SiegelSeries(Series(DEN3, terms, qprec, _clean=True), 1, 0, None)
-
-
-def delta_half_substitution_scan(qprec=60, sprec=60, jmax=4, kmax=8):
-    """Find (j, k) with exp_lift(phi_{0,4})(tau, z, omega) equal to the
-    explicit theta sum at (tau, j z, k omega)."""
-    form = generator(4, _lift_input_qprec(qprec, sprec, 4))
-    lifted = exp_lift(form, qprec, sprec)
-    theta = delta_half_theta(qprec, sprec * kmax)
-    matches = []
-    for j in range(1, jmax + 1):
-        for k in range(1, kmax + 1):
-            sub = theta.series.substitute(
-                [[1, 0, 0], [0, j, 0], [0, 0, k]], qprec
-            )
-            sub = Series(
-                DEN3,
-                {key: c for key, c in sub.terms.items() if key[2] < sprec},
-                qprec,
-                sub.ring,
-                _clean=True,
-            )
-            if sub.terms == lifted.series.terms:
-                matches.append((j, k))
-    return matches
 
 
 # ---- genus-2 theta constants ----------------------------------------------

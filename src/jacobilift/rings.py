@@ -13,8 +13,6 @@ RING_Z = "Z"
 RING_Q = "Q"
 RING_ZI = "Zi"
 
-KNOWN_RINGS = (RING_Z, RING_Q, RING_ZI)
-
 
 class GaussianInt:
     """A Gaussian integer a + b*i with exact arithmetic."""
@@ -90,10 +88,6 @@ GAUSS_I = GaussianInt(0, 1)
 def check_ring(ra, rb):
     if ra != rb:
         raise RingMismatchError(f"ring mismatch: {ra} vs {rb}")
-
-
-def ring_zero_ok(c):
-    return c == 0
 
 
 def ring_coerce(c, ring):

@@ -12,7 +12,7 @@ homomorphism, mirror inversion).
 import random
 from math import gcd
 
-from .errors import JacobiLiftError
+from .errors import JacobiLiftError, PrecisionError
 from .genpoly import GeneratorPolynomial
 from .genus import (
     CYInvariants,
@@ -74,6 +74,17 @@ def _check(name, ok, detail=None):
     return entry
 
 
+def _nonempty(qprec, name):
+    """The q-precision (1/24 units) of a compared window, which must hold
+    at least one exponent: an empty window would compare nothing."""
+    if qprec <= 0:
+        raise PrecisionError(
+            f"{name}: compared window is empty (q-precision {qprec}/24, "
+            "needs > 0); increase qmax"
+        )
+    return qprec
+
+
 def suite_ring(qmax=10):
     """Generator goldens, the two ring relations, and the special-value
     identities of the torsion specializations."""
@@ -86,24 +97,25 @@ def suite_ring(qmax=10):
     checks.append(
         _check("phi_01 q^1 row golden", generator(1, qp).q_row(1) == GOLDEN_PHI1_Q1)
     )
+    window = _nonempty(24 * qmax, "ring relations")
     p1, p2, p3, p4 = (generator(m, qp) for m in (1, 2, 3, 4))
-    rel = (p1 * p3 - p2 * p2).truncate(24 * qmax)
+    rel = (p1 * p3 - p2 * p2).truncate(window)
     checks.append(
         _check(
             f"4*phi_04 == phi_01*phi_03 - phi_02^2 ({qmax} q-orders)",
-            rel.same_terms((4 * p4).truncate(24 * qmax)),
+            rel.same_terms((4 * p4).truncate(window)),
         )
     )
-    xi = xi06(24 * qmax)
+    xi = xi06(window)
     poly_val = xi.poly.evaluate(tuple(generator(m, qp) for m in (1, 2, 3, 4)))
     checks.append(
         _check(
             f"xi_06 == -phi1^2 phi4 + 9 phi1 phi2 phi3 - 8 phi2^3 - 27 phi3^2"
             f" ({qmax} q-orders)",
-            poly_val.truncate(24 * qmax).series.same_terms(xi.series),
+            poly_val.truncate(window).series.same_terms(xi.series),
         )
     )
-    alpha = specialize_torsion(generator(1, qp), 2)
+    alpha = specialize_torsion(generator(1, 24 * len(ALPHA_COEFFS)), 2)
     got = [alpha.coeff((24 * n, 0)) for n in range(6)]
     checks.append(_check("alpha q^0..q^5 coefficients", got == ALPHA_COEFFS, got))
     for name, ok in special_value_suite(qp).items():
@@ -115,6 +127,8 @@ def suite_ring(qmax=10):
     h2 = specialize_center(generator(2, qp))
     h3 = specialize_center(generator(3, qp))
     h4 = specialize_center(generator(4, qp))
+    for m, h in ((1, h1), (2, h2), (3, h3), (4, h4)):
+        _nonempty(h.qprec, f"hat phi_0{m}")
     checks.append(_check("hat phi_03 == 0", not h3.terms))
     checks.append(
         _check("hat phi_04 == -1", dict(h4.terms) == {(0, 0): -1})
@@ -125,7 +139,7 @@ def suite_ring(qmax=10):
     sq = h1 * h1
     lhs = sq + Series.const(64, DEN2, sq.qprec)
     rhs = (theta_constant(0, 0, qp) ** 12).exact_div(eta_power(12, qp))
-    compare_to = min(lhs.qprec, 24 * qmax)
+    compare_to = _nonempty(min(lhs.qprec, window), "hat phi_01^2 + 64")
     checks.append(
         _check("hat phi_01^2 + 64 == (theta_00/eta)^12", lhs.same_terms(rhs, compare_to))
     )
@@ -360,7 +374,8 @@ def suite_lifts(qmax=3, smax=3):
     got = {k: v for k, v in rows.items() if k[0] <= 48}
     checks.append(
         _check("SQEG(K3) at y=1 == prod (1-p^n)^(-24): rows 1, 24, 324",
-               got == want, got)
+               got == want,
+               [[ms, nq, c] for (ms, nq), c in sorted(got.items())])
     )
     # Humbert multiplicities
     chi3 = -(phi_threehalf(24 * 12).double_z())

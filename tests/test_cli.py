@@ -109,6 +109,32 @@ def test_verify_hecke(capsys):
     assert "suite hecke: ok" in out
 
 
+def test_verify_lifts_json(capsys):
+    code, out, _ = run(capsys, "verify", "lifts", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["ok"] and data["suite"] == "lifts"
+    sqeg = [c for c in data["checks"] if c["name"].startswith("SQEG(K3) at y=1")]
+    assert sqeg[0]["detail"] == [[0, 0, 1], [24, 0, 24], [48, 0, 324]]
+
+
+def test_verify_empty_window_is_precision_error(capsys):
+    code, out, err = run(capsys, "verify", "ring", "--qmax", "0")
+    assert code == 4
+    assert "FAIL" not in out and "window is empty" in err
+
+
+def test_expand_negative_qmax_rejected(capsys):
+    code, out, err = run(capsys, "expand", "Phi1", "--qmax", "-1")
+    assert code == 2 and out == "" and "--qmax" in err
+
+
+def test_lift_arith_negative_bound_rejected(capsys):
+    code, out, err = run(capsys, "lift", "arith", "--name", "Delta2",
+                         "--bound", "-3")
+    assert code == 2 and out == "" and "--bound" in err
+
+
 def test_verify_json_shape(capsys):
     code, out, _ = run(capsys, "verify", "hecke", "--json")
     assert code == 0

@@ -1,6 +1,7 @@
 """Weak Jacobi forms: generators, basis, Hecke operators, decomposition."""
 
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from jacobilift.errors import PrecisionError, ValidationError
 from jacobilift.genpoly import GeneratorPolynomial, parse_generator_polynomial
 from jacobilift.jacobi import (
+    JacobiForm,
+    _form_store,
     basis_psi,
     decompose,
     divide_by_xi06,
@@ -17,15 +20,114 @@ from jacobilift.jacobi import (
     linear_residuals,
     norm_table,
     phi_threehalf,
+    phi_weak_weight_minus1,
     psi2_variant,
     specialize_torsion,
     taylor_coeffs,
     theta_jacobi,
     xi06,
 )
-from jacobilift.modular import eta_power
+from jacobilift.modular import eta_power, theta_constant
+from jacobilift.rings import RING_Q
+from jacobilift.series import DEN2, Series
 
 QP = 24 * 6
+GENERATOR_INDICES = (1, 2, 3, 4, 6, 8, 12)
+STORED = (phi_threehalf, phi_weak_weight_minus1, xi06, generator, basis_psi)
+
+
+def clear_stores():
+    for fn in STORED:
+        fn.store.clear()
+
+
+# ---- the rational route to phi01, kept as an independent oracle ----------
+
+
+def theta_two_var(a, b, qprec):
+    """theta_{a,b}(tau, z) = sum_n (-1)**(b*n) q**((2n+a)**2/8) y**((2n+a)/2)."""
+    terms = {}
+    bound = isqrt(max(qprec, 0) // 3) + 2
+    for n in range(-bound, bound + 1):
+        m = 2 * n + a
+        nq = 3 * m * m
+        if nq >= qprec:
+            continue
+        sign = -1 if (b * n) % 2 else 1
+        key = (nq, 2 * m)
+        terms[key] = terms.get(key, 0) + sign
+    return Series(DEN2, terms, qprec)
+
+
+def xi_ab(a, b, qprec):
+    """xi_{a,b} = theta_{a,b}(tau, z) / theta_{a,b}(tau, 0), over Q."""
+    num = theta_two_var(a, b, qprec + 6).promote(RING_Q)
+    den = theta_constant(a, b, qprec + 6).promote(RING_Q)
+    return num.exact_div(den).truncate(qprec)
+
+
+def phi01_oracle(qprec):
+    """phi01 = 4 * sum of xi_ab**2 over the three even characteristics."""
+    total = Series.zero(DEN2, qprec, RING_Q)
+    for a, b in ((0, 0), (1, 0), (0, 1)):
+        xi = xi_ab(a, b, qprec)
+        total = total + xi * xi
+    return total.scale(4).demote_to_int()
+
+
+@pytest.mark.parametrize("qprec", [24, 24 * 3 + 6, 24 * 5, 24 * 8 + 6, 24 * 12 + 13])
+def test_integer_phi01_matches_rational_oracle(qprec):
+    assert generator(1, qprec).series == phi01_oracle(qprec)
+
+
+# ---- the form store ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", GENERATOR_INDICES)
+def test_generator_lower_after_higher_is_fresh(m):
+    lo, hi = 24 * 3 + 6, 24 * 7
+    clear_stores()
+    fresh = generator.__wrapped__(m, lo)
+    clear_stores()
+    generator(m, hi)
+    again = generator(m, lo)
+    assert again.series.qprec == lo
+    assert again == fresh
+    assert generator.store[(m,)].series.qprec == hi
+
+
+@pytest.mark.parametrize("stored, key", [
+    (basis_psi, (5, 1)), (basis_psi, (7, 4)), (basis_psi, (12, 12)), (xi06, ()),
+])
+def test_store_lower_after_higher_is_fresh(stored, key):
+    lo, hi = 24 * 2 + 6, 24 * 5
+    clear_stores()
+    fresh = stored.__wrapped__(*key, lo)
+    clear_stores()
+    stored(*key, hi)
+    again = stored(*key, lo)
+    assert again.series.qprec == lo
+    assert again == fresh
+
+
+def test_store_keeps_one_form_per_key():
+    clear_stores()
+    for qprec in (48, 24 * 5, 30, 24 * 3 + 1):
+        generator(1, qprec)
+    generator(2, 48)
+    assert sorted(generator.store) == [(1,), (2,)]
+    assert generator.store[(1,)].series.qprec == 24 * 5
+    assert generator(1, qprec=24 * 4 + 1).series.qprec == 24 * 4 + 1
+    assert generator.store[(1,)].series.qprec == 24 * 5
+
+
+def test_store_raises_on_short_computation():
+    @_form_store
+    def short(qprec):
+        return JacobiForm(Series.zero(DEN2, qprec - 24), 0, 2)
+
+    with pytest.raises(PrecisionError, match=r"requested q-precision 40 \(built at 48\), computed 24"):
+        short(40)
 
 
 def test_generator_q0_rows():
@@ -118,6 +220,16 @@ def test_hecke_tminus2_identity():
 def test_hecke_tminus3_gives_psi33():
     lhs = hecke_tminus(generator(1, 24 * 19), 3) - 3 * generator(3, 24 * 6)
     assert lhs.truncate(24 * 6).same_terms(basis_psi(3, 3, 24 * 7).truncate(24 * 6))
+
+
+def test_hecke_tminus_on_exact_form():
+    phi1 = generator(1, 24 * 9)
+    exact = JacobiForm(Series(DEN2, phi1.series.terms, None), 0, 2)
+    out = hecke_tminus(exact, 3)
+    assert out.series.qprec is None
+    assert out.series.same_terms(hecke_tminus(phi1, 3).series)
+    const = hecke_tminus(JacobiForm(Series.const(1, DEN2), 0, 2), 6)
+    assert const.series == Series.const(12, DEN2)  # sigma_1(6)
 
 
 def test_hecke_t0_2_norm_determined():
