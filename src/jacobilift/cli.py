@@ -278,7 +278,8 @@ def build_parser():
 
     p = sub.add_parser("expand", help="expand a weak Jacobi form")
     p.add_argument("form", help="name (phi01..phi04, xi06) or Phi-polynomial"
-                   " such as 'Phi1*Phi3-Phi2^2'")
+                   " such as 'Phi1*Phi3-Phi2^2'; put a polynomial with a leading"
+                   " minus after '--': expand -- '-7*Phi4+Phi1*Phi3'")
     common(p)
     p.set_defaults(fn=cmd_expand)
 
@@ -292,7 +293,8 @@ def build_parser():
 
     p = sub.add_parser("lift", help="Siegel lifts and related series")
     p.add_argument("kind", choices=("explift", "sqeg", "eform", "arith"))
-    p.add_argument("--form", default=None, help="lift input (explift)")
+    p.add_argument("--form", default=None, help="lift input (explift); write"
+                   " one with a leading minus as --form=-Phi1")
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--chi", default=None)
     p.add_argument("--euler", type=int, default=None)

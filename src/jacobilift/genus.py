@@ -7,11 +7,11 @@ from fractions import Fraction
 from .errors import ValidationError
 from .jacobi import (
     JacobiForm,
+    _solve_row,
     basis_psi,
     generator,
     phi_threehalf,
     specialize_torsion,
-    unit_form,
 )
 from .modular import eta_power, theta_constant
 from .series import DEN2, Series
@@ -104,42 +104,6 @@ def _divide_row_by_halfint(row, d):
             "chi vector is incompatible with the half-integral index factor"
         )
     return quotient
-
-
-def _solve_row(row, m, qprec):
-    """Solve an integer symmetric row over the canonical index-m basis.
-
-    Returns coordinates {n: x}.  Raises ValidationError with a named reason
-    when the row is outside the rank-m lattice of weak-form q**0 rows.
-    """
-    work = dict(row)
-    coords = {}
-    import math
-
-    for n in range(m, 0, -1):
-        psi = basis_psi(m, n, qprec)
-        prow = psi.q_row(0)
-        lead = prow[4 * n]
-        c = work.get(4 * n, 0)
-        if c % lead:
-            raise ValidationError(
-                f"coefficient {c} at y**{n} must be divisible by {lead} "
-                f"(index {m} congruence)"
-            )
-        x = c // lead
-        coords[n] = x
-        if x:
-            for l4, pc in prow.items():
-                new = work.get(l4, 0) - x * pc
-                if new:
-                    work[l4] = new
-                else:
-                    work.pop(l4, None)
-    if work:
-        raise ValidationError(
-            f"q**0 row not realizable by a weak Jacobi form: residue {work}"
-        )
-    return coords
 
 
 _RELATION_NAMES = {

@@ -639,16 +639,16 @@ class Decomposition:
         return f"Decomposition(index={self.index2 // 2}, levels={self.levels})"
 
 
-def _solve_q0(form, qprec):
-    """Coordinates of form's q**0 row over the canonical basis at its index."""
-    m = form.index2 // 2
-    row = dict(form.q_row(0))
+def _solve_row(row, m, qprec):
+    """Coordinates {n: x} of an integer q**0 row over the canonical index-m
+    basis.  Raises ValidationError naming the failed pivot, or the residue,
+    when the row is not the q**0 row of a weak Jacobi form over Z."""
+    work = dict(row)
     coords = {}
     for n in range(m, 0, -1):
-        psi = basis_psi(m, n, qprec)
-        prow = psi.q_row(0)
+        prow = basis_psi(m, n, qprec).q_row(0)
         lead = prow[4 * n]
-        c = row.get(4 * n, 0)
+        c = work.get(4 * n, 0)
         if c % lead:
             raise ValidationError(
                 f"q**0 coefficient {c} at y**{n} is not divisible by the basis "
@@ -658,14 +658,14 @@ def _solve_q0(form, qprec):
         coords[n] = x
         if x:
             for l4, pc in prow.items():
-                new = row.get(l4, 0) - x * pc
+                new = work.get(l4, 0) - x * pc
                 if new:
-                    row[l4] = new
+                    work[l4] = new
                 else:
-                    row.pop(l4, None)
-    if any(v for k, v in row.items() if k >= 0):
+                    work.pop(l4, None)
+    if work:
         raise ValidationError(
-            f"q**0 row is not in the span of the canonical basis; residue {row}"
+            f"q**0 row is not that of a weak Jacobi form over Z: residue {work}"
         )
     return coords
 
@@ -699,7 +699,7 @@ def decompose(form):
             levels.append({0: c} if c else {})
             poly = poly + (xi_poly ** level) * c
             break
-        coords = _solve_q0(current, current.series.qprec)
+        coords = _solve_row(current.q_row(0), mm, current.series.qprec)
         levels.append({n: x for n, x in coords.items() if x})
         reduction = current
         for n, x in coords.items():

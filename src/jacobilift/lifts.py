@@ -17,7 +17,7 @@ from math import gcd, isqrt
 
 from .errors import IdentityError, PrecisionError, ValidationError
 from .genus import elliptic_genus
-from .jacobi import JacobiForm, generator, psi2_variant
+from .jacobi import generator, psi2_variant
 from .modular import eta_power, kronecker
 from .series import DEN2, DEN3, Series, product_expand, series_to_dict
 
@@ -744,25 +744,36 @@ def assembly_check_d8(inv):
 # ---- identity checks -------------------------------------------------------
 
 
+def _window_terms(series, qlimit, slimit, ybound=None):
+    """The terms of a triple series with nq <= qlimit, ms <= slimit and
+    (optionally) |ly| <= ybound."""
+    return {
+        k: c
+        for k, c in series.terms.items()
+        if k[0] <= qlimit and k[2] <= slimit and (ybound is None or abs(k[1]) <= ybound)
+    }
+
+
 def window_equal(s1, s2, qlimit, slimit, ybound=None):
     """Compare two triple series on all keys with nq <= qlimit,
-    ms <= slimit, and (optionally) |ly| <= ybound."""
+    ms <= slimit, and (optionally) |ly| <= ybound.
+
+    Raises PrecisionError when the window holds no term of either series:
+    such a comparison would hold without comparing anything."""
     if s1.ring != s2.ring:
         if s1.ring == "Z":
             s1 = s1.promote(s2.ring)
         elif s2.ring == "Z":
             s2 = s2.promote(s1.ring)
-
-    def window(series):
-        return {
-            k: c
-            for k, c in series.terms.items()
-            if k[0] <= qlimit
-            and k[2] <= slimit
-            and (ybound is None or abs(k[1]) <= ybound)
-        }
-
-    return window(s1) == window(s2)
+    w1 = _window_terms(s1, qlimit, slimit, ybound)
+    w2 = _window_terms(s2, qlimit, slimit, ybound)
+    if not w1 and not w2:
+        bound = "" if ybound is None else f", |ly| <= {ybound}/4"
+        raise PrecisionError(
+            f"compared window nq <= {qlimit}/24, ms <= {slimit}/24{bound} "
+            "holds no term of either series"
+        )
+    return w1 == w2
 
 
 def delta11_identity_check(qprec=97, sprec=97):
@@ -783,25 +794,18 @@ def delta11_identity_check(qprec=97, sprec=97):
 
     qlimit = min(lhs.qprec, rhs.qprec) - 1
     lhs = lhs.promote("Zi")
-    lw = {
-        k: c for k, c in lhs.terms.items() if k[0] <= qlimit and k[2] < sprec
-    }
-    rw = {
-        k: c for k, c in rhs.terms.items() if k[0] <= qlimit and k[2] < sprec
-    }
     # the omega -> omega + 1/2 factor scales its s**(1/2) prefactor by
     # exp(pi i / 2), so the two sides agree up to one Gaussian unit
     from .rings import GaussianInt
 
-    unit = None
-    for u in (GaussianInt(1), GaussianInt(-1), GaussianInt(0, 1), GaussianInt(0, -1)):
-        if rw == {k: c * u for k, c in lw.items()}:
-            unit = u
-            break
+    units = (GaussianInt(1), GaussianInt(-1), GaussianInt(0, 1), GaussianInt(0, -1))
+    unit = next(
+        (u for u in units if window_equal(rhs, lhs.scale(u), qlimit, sprec - 1)), None
+    )
     return {
         "proportional": unit is not None,
         "unit": str(unit) if unit is not None else None,
         "qlimit": qlimit,
         "slimit": sprec - 1,
-        "terms": len(lw),
+        "terms": len(_window_terms(lhs, qlimit, sprec - 1)),
     }

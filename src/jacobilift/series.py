@@ -19,7 +19,6 @@ from math import comb
 from .errors import (
     InexactDivisionError,
     PrecisionError,
-    RingMismatchError,
     ValidationError,
 )
 from .rings import (
@@ -221,11 +220,7 @@ class Series:
             for kb, cb in bitems:
                 nq = nqa + kb[0]
                 if qprec is not None and nq >= qprec:
-                    # later kb only grow in nq ordering? not guaranteed: sorted by
-                    # full key, but nq is the leading component, so once past the
-                    # bound every later kb has kb[0] >= this kb[0].
-                    if kb[0] + nqa >= qprec:
-                        continue
+                    break
                 if nvars == 2:
                     key = (nq, ka[1] + kb[1])
                 else:
@@ -235,8 +230,6 @@ class Series:
                     out.pop(key, None)
                 else:
                     out[key] = new
-        if qprec is not None:
-            out = {k: c for k, c in out.items() if k[0] < qprec}
         return Series(self.den, out, qprec, self.ring, _clean=True)
 
     __rmul__ = __mul__

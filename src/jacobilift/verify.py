@@ -2,23 +2,26 @@
 
 Each suite function returns a list of check dicts {"name", "ok", "detail"};
 run_suite wraps one suite (or "all") into a JSON-friendly report.  The
-suites encode the identities the library is built around: generator
-goldens and ring relations, the canonical-basis structure, Hecke
-identities, torsion-specialization congruences, and the Siegel-lift
-batteries (dual constructions, factorization, Humbert multiplicities,
-homomorphism, mirror inversion).
+suites are the one statement of the identities the library is built
+around: generator goldens and ring relations, the canonical-basis
+structure, Hecke identities, torsion-specialization congruences, the
+Calabi-Yau layer, and the Siegel-lift batteries (dual constructions,
+factorization, Humbert multiplicities, homomorphism, mirror inversion).
+The acceptance tests group these checks by name into thirteen criteria.
 """
 
 import random
 from math import gcd
 
-from .errors import JacobiLiftError, PrecisionError
+from .errors import JacobiLiftError, PrecisionError, ValidationError
 from .genpoly import GeneratorPolynomial
 from .genus import (
     CYInvariants,
+    ENRIQUES,
     K3,
     divisibility_report,
     elliptic_genus,
+    relation_check,
     special_value_suite,
     xi06_torsion_values,
 )
@@ -37,6 +40,7 @@ from .jacobi import (
     xi06,
 )
 from .lifts import (
+    _prefactor_key,
     arithmetic_lift,
     assembly_check_d4,
     assembly_check_d8,
@@ -55,6 +59,7 @@ from .lifts import (
     window_equal,
 )
 from .modular import eta_power, theta_constant
+from .rings import GaussianInt
 from .series import DEN2, Series
 
 GOLDEN_Q0_ROWS = {
@@ -63,7 +68,12 @@ GOLDEN_Q0_ROWS = {
     3: {4: 1, 0: 2, -4: 1},
     4: {4: 1, 0: 1, -4: 1},
 }
-GOLDEN_PHI1_Q1 = {-8: 10, -4: -64, 0: 108, 4: -64, 8: 10}
+GOLDEN_Q1_ROWS = {
+    1: {-8: 10, -4: -64, 0: 108, 4: -64, 8: 10},
+    2: {-12: 1, -8: -8, -4: -1, 0: 16, 4: -1, 8: -8, 12: 1},
+    3: {-12: -2, -8: -2, -4: 2, 0: 4, 4: 2, 8: -2, 12: -2},
+    4: {-16: -1, -12: -1, -4: 1, 0: 2, 4: 1, 12: -1, 16: -1},
+}
 ALPHA_COEFFS = [8, 2 ** 8, 2 ** 11, 11 * 2 ** 10, 3 * 2 ** 14, 359 * 2 ** 9]
 
 
@@ -90,13 +100,11 @@ def suite_ring(qmax=10):
     identities of the torsion specializations."""
     checks = []
     qp = 24 * (qmax + 2)
-    for m, row in GOLDEN_Q0_ROWS.items():
-        checks.append(
-            _check(f"phi_0{m} q^0 row golden", generator(m, qp).q_row(0) == row)
-        )
-    checks.append(
-        _check("phi_01 q^1 row golden", generator(1, qp).q_row(1) == GOLDEN_PHI1_Q1)
-    )
+    for n, goldens in enumerate((GOLDEN_Q0_ROWS, GOLDEN_Q1_ROWS)):
+        for m, row in goldens.items():
+            checks.append(
+                _check(f"phi_0{m} q^{n} row golden", generator(m, qp).q_row(n) == row)
+            )
     window = _nonempty(24 * qmax, "ring relations")
     p1, p2, p3, p4 = (generator(m, qp) for m in (1, 2, 3, 4))
     rel = (p1 * p3 - p2 * p2).truncate(window)
@@ -123,20 +131,13 @@ def suite_ring(qmax=10):
     for name, ok in xi06_torsion_values(qp).items():
         checks.append(_check(name, ok))
     # center specializations (hat series)
-    h1 = specialize_center(generator(1, qp))
-    h2 = specialize_center(generator(2, qp))
-    h3 = specialize_center(generator(3, qp))
-    h4 = specialize_center(generator(4, qp))
-    for m, h in ((1, h1), (2, h2), (3, h3), (4, h4)):
+    hat = {m: specialize_center(generator(m, qp)) for m in (1, 2, 3, 4)}
+    for m, h in hat.items():
         _nonempty(h.qprec, f"hat phi_0{m}")
-    checks.append(_check("hat phi_03 == 0", not h3.terms))
-    checks.append(
-        _check("hat phi_04 == -1", dict(h4.terms) == {(0, 0): -1})
-    )
-    checks.append(
-        _check("hat phi_02 == -2", dict(h2.terms) == {(0, 0): -2})
-    )
-    sq = h1 * h1
+    checks.append(_check("hat phi_03 == 0", not hat[3].terms))
+    checks.append(_check("hat phi_04 == -1", dict(hat[4].terms) == {(0, 0): -1}))
+    checks.append(_check("hat phi_02 == -2", dict(hat[2].terms) == {(0, 0): -2}))
+    sq = hat[1] * hat[1]
     lhs = sq + Series.const(64, DEN2, sq.qprec)
     rhs = (theta_constant(0, 0, qp) ** 12).exact_div(eta_power(12, qp))
     compare_to = _nonempty(min(lhs.qprec, window), "hat phi_01^2 + 64")
@@ -146,8 +147,10 @@ def suite_ring(qmax=10):
     return checks
 
 
-def _random_homogeneous_poly(rng, m):
-    """A random integer generator-polynomial, homogeneous of index m."""
+def random_form(rng, qprec):
+    """A random integer generator-polynomial of index 1..8, evaluated at
+    qprec; the polynomial is the form's ``poly``."""
+    m = rng.randint(1, 8)
     monomials = [
         (e1, e2, e3, e4)
         for e1 in range(m + 1)
@@ -162,11 +165,9 @@ def _random_homogeneous_poly(rng, m):
             key: rng.randint(-9, 9) for key in monomials if rng.random() < 0.7
         }
         terms = {k: c for k, c in terms.items() if c}
-    return GeneratorPolynomial(terms)
-
-
-def _poly_form(poly, qprec):
-    return poly.evaluate(tuple(generator(m, qprec) for m in (1, 2, 3, 4)))
+    return GeneratorPolynomial(terms).evaluate(
+        tuple(generator(i, qprec) for i in (1, 2, 3, 4))
+    )
 
 
 def suite_basis(qmax=3, random_count=100, seed=1259):
@@ -215,8 +216,7 @@ def suite_basis(qmax=3, random_count=100, seed=1259):
     rand_ok = True
     bad = None
     for _ in range(random_count):
-        m = rng.randint(1, 8)
-        form = _poly_form(_random_homogeneous_poly(rng, m), 72)
+        form = random_form(rng, 72)
         if linear_residuals(form) != (0, 0):
             rand_ok = False
             bad = str(form.poly)
@@ -234,7 +234,7 @@ def suite_hecke(qmax=6):
     """The index-raising Hecke identities and a structural check of the
     index-preserving operator."""
     checks = []
-    qp = 24 * qmax
+    qp = _nonempty(24 * qmax, "Hecke identities")
     lhs = hecke_tminus(generator(1, 24 * (2 * qmax + 1)), 2) - 2 * generator(
         2, qp
     ).truncate(qp)
@@ -270,16 +270,18 @@ def suite_hecke(qmax=6):
 
 def suite_congruences(count=200, seed=682, qmax=5):
     """The mod 2^k / 3^k congruence battery on random integral weight-0
-    forms of index 1..8, including the d*e = 0 mod 24 divisibility."""
+    forms of index 1..8, including the d*e = 0 mod 24 divisibility, and the
+    Calabi-Yau layer: K3 and Enriques genera, the forced relations and the
+    rejections for d = 4, 5 and 7."""
     rng = random.Random(seed)
     qp = 24 * qmax
+    # the q-tail checks compare the orders q^1 .. q^(qmax-1)
+    _nonempty(qp - 24, "q-tail divisibility")
     all_ok = True
     bad = None
     for _ in range(count):
-        m = rng.randint(1, 8)
-        form = _poly_form(_random_homogeneous_poly(rng, m), qp)
-        report = divisibility_report(form, d=2 * m)
-        for name, (ok, detail) in report.items():
+        form = random_form(rng, qp)
+        for name, (ok, detail) in divisibility_report(form, d=form.index2).items():
             if not ok:
                 all_ok = False
                 bad = (str(form.poly), name)
@@ -289,7 +291,67 @@ def suite_congruences(count=200, seed=682, qmax=5):
             all_ok,
             bad,
         )
+    ] + _cy_checks(qmax)
+
+
+def _rejected(fn, *args, **kwargs):
+    """Whether fn(*args, **kwargs) raises ValidationError."""
+    try:
+        fn(*args, **kwargs)
+    except ValidationError:
+        return True
+    return False
+
+
+def _cy_checks(qmax):
+    """K3 and Enriques genera, and the forced relations and rejections of
+    the Calabi-Yau layer for d = 4, 5 and 7."""
+    qp = 24 * qmax
+    phi1 = generator(1, qp).series
+    checks = [
+        _check(
+            f"genus(K3) == 2 phi_01 ({qmax} q-orders)",
+            elliptic_genus(K3, qprec=qp).series.same_terms(phi1.scale(2)),
+        ),
+        _check(
+            f"genus(Enriques) == phi_01 ({qmax} q-orders)",
+            elliptic_genus(ENRIQUES, qprec=qp).series.same_terms(phi1),
+        ),
     ]
+    d4 = "chi2 = 22*chi0 - 4*chi1"
+    good = relation_check(CYInvariants(4, (1, 4, 6, 4, 1)))
+    checks.append(_check(f"d=4: {d4} holds for chi (1,4,6,4,1)", good[d4][0]))
+    bad4 = CYInvariants(4, (1, 4, 7, 4, 1))
+    bad = relation_check(bad4)
+    checks.append(
+        _check(
+            f"d=4: chi (1,4,7,4,1) breaks {d4} and e mod 6, and has no genus",
+            not bad[d4][0]
+            and not bad["e(M4) mod 6 == 0"][0]
+            and _rejected(elliptic_genus, bad4, qprec=48),
+        )
+    )
+    inv5 = CYInvariants.from_euler(5, 24)
+    checks.append(
+        _check(
+            "d=5: e = 24 gives chi1 = -1, chi2 = 11 and every relation;"
+            " e = 23 is rejected",
+            (inv5.chi[1], inv5.chi[2]) == (-1, 11)
+            and all(ok for ok, _ in relation_check(inv5).values())
+            and _rejected(CYInvariants.from_euler, 5, 23),
+        )
+    )
+    d7 = "e(M7) = 12*(chi2 - 3*chi1)"
+    good = relation_check(CYInvariants(7, (0, 1, 3, 2, -2, -3, -1, 0)))
+    bad = relation_check(CYInvariants(7, (0, 1, 2, 3, -3, -2, -1, 0)))
+    checks.append(
+        _check(
+            f"d=7: {d7} holds for chi (0,1,3,2,-2,-3,-1,0),"
+            " fails for (0,1,2,3,-3,-2,-1,0)",
+            good[d7][0] and not bad[d7][0],
+        )
+    )
+    return checks
 
 
 def suite_lifts(qmax=3, smax=3):
@@ -297,18 +359,19 @@ def suite_lifts(qmax=3, smax=3):
     square, factorization, SQEG sanity, Humbert multiplicities, the
     exponential homomorphism, mirror inversion and the assemblies."""
     checks = []
-    # dual constructions
-    for name, idx in (("Delta2", 2), ("Delta1", 3)):
+    # dual constructions, with the weight and character of both sides
+    for name, idx, weight2, order in (("Delta2", 2, 4, 4), ("Delta1", 3, 2, 6)):
         f0 = generator(idx, 24)
         qp, sp, inq = lift_window_for(f0, qmax, smax)
         lifted = exp_lift(generator(idx, inq), qp, sp)
         summed = arithmetic_lift(name, qp, sp)
+        meta = {(f.weight2, f.character_order) for f in (lifted, summed)}
         checks.append(
             _check(
-                f"exp_lift(phi_0{idx}) == {name} arithmetic sum"
-                f" (q,s <= {qmax},{smax})",
-                lifted.series.same_terms(summed.series)
-                and lifted.weight2 == summed.weight2,
+                f"exp_lift(phi_0{idx}) == {name} arithmetic sum, weight2 {weight2},"
+                f" character order {order} (q,s <= {qmax},{smax})",
+                window_equal(lifted.series, summed.series, qp - 1, sp - 1)
+                and meta == {(weight2, order)},
             )
         )
     # smallest terms of Delta2: q^{1/4} s^{1/2} (y^{1/2} - y^{-1/2})
@@ -405,19 +468,17 @@ def suite_lifts(qmax=3, smax=3):
     # exponential homomorphism
     hom_ok = True
     bad = None
+    phi0 = generator(2, 97)
+    psi0 = psi2_variant(2, 97, variant="A")
     for a in (-2, -1, 0, 1, 2):
         for b in (-2, -1, 0, 1, 2):
             if a == 0 and b == 0:
                 continue
-            phi0 = generator(2, 97)
-            psi0 = psi2_variant(2, 97, variant="A")
             probe = JacobiForm(
                 phi0.series.scale(a) + psi0.series.scale(b), 0, 4
             )
             qp, sp, inq = lift_window_for(probe, 3, 3)
             inq = max(inq, 24 * 17)
-            from .lifts import _prefactor_key
-
             pref = _prefactor_key(probe)
             phi = generator(2, inq)
             psi = psi2_variant(2, inq, variant="A")
@@ -429,11 +490,7 @@ def suite_lifts(qmax=3, smax=3):
                 [(phi, a), (psi, b)], qp, sp, ywindow=80
             )
             ql, sl = pref[0] + 24, pref[2] + 24
-            nonempty = any(
-                k[0] <= ql and k[2] <= sl and abs(k[1]) <= 12
-                for k in lhs.series.terms
-            )
-            if not (nonempty and window_equal(lhs.series, rhs.series, ql, sl, ybound=12)):
+            if not window_equal(lhs.series, rhs.series, ql, sl, ybound=12):
                 hom_ok = False
                 bad = (a, b)
     checks.append(
@@ -450,12 +507,12 @@ def suite_lifts(qmax=3, smax=3):
             window_equal(prod, Series.const(1, prod.den, 49), 24, 24, ybound=16),
         )
     )
-    # Delta11 identity (projective: holds up to a Gaussian unit)
+    # Delta11 identity: the half-period shift contributes the unit i
     report = delta11_identity_check()
     checks.append(
         _check(
-            "Delta11 Delta2^2 proportional to Delta5(Z)Delta5(2z,4w)Delta5(z,w+1/2)",
-            report["proportional"],
+            "Delta5(Z)Delta5(2z,4w)Delta5(z,w+1/2) == i Delta11 Delta2^2",
+            report["unit"] == str(GaussianInt(0, 1)),
             {"unit": report["unit"]},
         )
     )

@@ -1,3 +1,11 @@
+import contextlib
+import io
+import json
+
+import pytest
+
+from jacobilift.cli import main
+
 RESULTS = []
 
 
@@ -11,3 +19,37 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_sep("-", "acceptance criteria")
         for line in RESULTS:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="session")
+def verify_all():
+    """The report of `jacobilift verify all --json`, run once per session."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "all", "--json"])
+    report = json.loads(out.getvalue()) if out.getvalue() else {}
+    failed = [c["name"] for s in report.get("suites", []) for c in s["checks"] if not c["ok"]]
+    assert code == 0, f"verify all --json exited {code}; failed checks: {failed}"
+    return report
+
+
+def named_checks(report, names):
+    """The checks of a `verify all` report with the given names, each of
+    which must name exactly one check."""
+    checks = [c for suite in report["suites"] for c in suite["checks"]]
+    found = []
+    for name in names:
+        hits = [c for c in checks if c["name"] == name]
+        assert len(hits) == 1, f"verify has {len(hits)} checks named {name!r}"
+        found.append(hits[0])
+    return found
+
+
+def verified_by(*names):
+    """A test asserting that the named checks of `verify all` passed."""
+
+    def test(verify_all):
+        for check in named_checks(verify_all, names):
+            assert check["ok"], f"verify check failed: {check['name']}"
+
+    return test

@@ -1,287 +1,145 @@
 """The thirteen acceptance criteria, one pass/fail line each.
 
-Every check is exact (zero tolerance); each test prints a single
+Every identity is stated once, as a named check in `jacobilift.verify`;
+each criterion asserts a listed set of those checks from one run of
+`jacobilift verify all --json`.  Each test prints a single
 "criterion NN PASS/FAIL" line, re-emitted in the terminal summary.
 """
 
-import random
-from math import gcd
+from conftest import named_checks, record
 
-import pytest
-
-from jacobilift.genpoly import GeneratorPolynomial
-from jacobilift.genus import (
-    CYInvariants,
-    ENRIQUES,
-    K3,
-    elliptic_genus,
-    relation_check,
-    special_value_suite,
-    xi06_torsion_values,
-)
-from jacobilift.errors import ValidationError
-from jacobilift.jacobi import (
-    JacobiForm,
-    basis_psi,
-    generator,
-    hecke_tminus,
-    linear_residuals,
-    psi2_variant,
-    specialize_center,
-    specialize_torsion,
-    xi06,
-)
-from jacobilift.lifts import (
-    arithmetic_lift,
-    e_form,
-    exp_lift,
-    exp_lift_homomorphic,
-    factorization_product,
-    humbert_multiplicity,
-    lift_window_for,
-    sqeg,
-    theta_product_delta5_squared,
-    window_equal,
-)
-from jacobilift.modular import eta_power, theta_constant
-from jacobilift.series import DEN2, DEN3, Series
-
-from conftest import record
-
-
-def check(number, description, ok):
-    record(f"criterion {number:02d} {'PASS' if ok else 'FAIL'}: {description}")
-    assert ok, f"criterion {number}: {description}"
-
-
-def _generators(qprec):
-    return tuple(generator(m, qprec) for m in (1, 2, 3, 4))
-
-
-def test_criterion_01_generator_goldens():
-    q0 = {
-        1: {4: 1, 0: 10, -4: 1},
-        2: {4: 1, 0: 4, -4: 1},
-        3: {4: 1, 0: 2, -4: 1},
-        4: {4: 1, 0: 1, -4: 1},
-    }
-    q1 = {
-        1: {-8: 10, -4: -64, 0: 108, 4: -64, 8: 10},
-        2: {-12: 1, -8: -8, -4: -1, 0: 16, 4: -1, 8: -8, 12: 1},
-        3: {-12: -2, -8: -2, -4: 2, 0: 4, 4: 2, 8: -2, 12: -2},
-        4: {-16: -1, -12: -1, -4: 1, 0: 2, 4: 1, 12: -1, 16: -1},
-    }
-    ok = all(
-        generator(m, 72).q_row(0) == q0[m] and generator(m, 72).q_row(1) == q1[m]
-        for m in (1, 2, 3, 4)
-    )
-    check(1, "generator q^0 and q^1 rows match the displayed expansions", ok)
-
-
-def test_criterion_02_ring_relations():
-    qp = 240
-    p1, p2, p3, p4 = _generators(qp + 48)
-    ok = (p1 * p3 - p2 * p2).truncate(qp).same_terms((4 * p4).truncate(qp))
-    xi = xi06(qp)
-    val = xi.poly.evaluate(_generators(qp + 48))
-    ok = ok and val.truncate(qp).series.same_terms(xi.series)
-    check(2, "ring relations (4*phi04 and the xi06 identity) for 10 q-orders", ok)
-
-
-def test_criterion_03_basis_structure():
-    ok = True
-    for m in range(1, 13):
-        for n in range(1, m + 1):
-            row = basis_psi(m, n, 72).q_row(0)
-            if n == 1:
-                ok = ok and row.get(4, 0) == m // gcd(12, m)
-            elif n == 2:
-                ok = ok and row == {8: 1, 4: -4, 0: 6, -4: -4, -8: 1}
-            else:
-                ok = ok and row.get(4 * n, 0) == 1
-                ok = ok and all(row.get(4 * j, 0) == 0 for j in range(2, n))
-    ok = ok and basis_psi(5, 1, 72).q_row(0) == {4: 5, 0: 2, -4: 5}
-    check(3, "canonical basis exists for m <= 12 with the stated q^0 shape", ok)
+CRITERIA = {
+    1: ("generator q^0 and q^1 rows match the displayed expansions", [
+        f"phi_0{m} q^{n} row golden" for n in (0, 1) for m in (1, 2, 3, 4)
+    ]),
+    2: ("ring relations (4*phi04 and the xi06 identity) for 10 q-orders", [
+        "4*phi_04 == phi_01*phi_03 - phi_02^2 (10 q-orders)",
+        "xi_06 == -phi1^2 phi4 + 9 phi1 phi2 phi3 - 8 phi2^3 - 27 phi3^2 (10 q-orders)",
+    ]),
+    3: ("canonical basis exists for m <= 12 with the stated q^0 shape", [
+        "basis (m <= 12) q^0 canonical shape",
+        "psi^(1)_{0,5} q^0 row == 5y + 2 + 5/y",
+    ]),
+    4: ("both linear residuals vanish on generators, basis and 100 random forms", [
+        "residuals vanish on generators and basis",
+        "residuals vanish on 100 random generator polynomials",
+    ]),
+    5: ("T_-(2) identity, the T_-(3) construction of psi^(3)_{0,3} and T_0(2)", [
+        "phi_01|T_-(2) - 2 phi_02 == phi_01^2 - 20 phi_02 (6 q-orders)",
+        "psi^(3)_{0,3} == phi_01|T_-(3) - 3 phi_03 (6 q-orders)",
+        "phi_02|T_0(2) is a norm-determined index-2 form",
+    ]),
+    6: ("torsion/center special values (alpha, beta, gamma, xi06, hat values)", [
+        "alpha q^0..q^5 coefficients",
+        "phi03(1/4) = 2*theta00(2t)/theta01(2t)",
+        "alpha = 16*gamma**4 - 8",
+        "alpha**2 - 64 = 2**12 Delta(2t)/Delta(t)",
+        "beta**3 - 27 = 3**6 (eta(3t)/eta(t))**12",
+        "alpha has positive coefficients",
+        "gamma has positive coefficients",
+        "xi06(1/2) = 2**12 Delta(2t)/Delta(t)",
+        "xi06(1/3) = 3**6 (eta(3t)/eta(t))**12",
+        "xi06(1/4) = 2**6 (eta(4t)/eta(2t))**12",
+        "xi06(1/6) = (eta(t)eta(6t)/(eta(2t)eta(3t)))**12",
+        "hat phi_03 == 0",
+        "hat phi_04 == -1",
+        "hat phi_02 == -2",
+        "hat phi_01^2 + 64 == (theta_00/eta)^12",
+    ]),
+    7: ("congruence battery on 200 random weight-0 forms of index 1..8", [
+        "congruence battery on 200 random forms of index 1..8",
+    ]),
+    8: ("CY layer: K3, Enriques, forced relations and rejections for d = 4, 5, 7,"
+        " and the d = 4, 8 assemblies", [
+        "genus(K3) == 2 phi_01 (5 q-orders)",
+        "genus(Enriques) == phi_01 (5 q-orders)",
+        "d=4: chi2 = 22*chi0 - 4*chi1 holds for chi (1,4,6,4,1)",
+        "d=4: chi (1,4,7,4,1) breaks chi2 = 22*chi0 - 4*chi1 and e mod 6, and has no genus",
+        "d=5: e = 24 gives chi1 = -1, chi2 = 11 and every relation; e = 23 is rejected",
+        "d=7: e(M7) = 12*(chi2 - 3*chi1) holds for chi (0,1,3,2,-2,-3,-1,0),"
+        " fails for (0,1,2,3,-3,-2,-1,0)",
+        "-chi(M4) == -chi0 psi_A + chi1 phi_02",
+        "-chi(M8) == chi3 phi_04 - chi2 phi_01(2z) + chi1 psi^(3) - chi0 psi^(4)",
+    ]),
+    9: ("dual constructions: Delta2, Delta1 sums, the theta-constant product,"
+        " Delta_1/2, Delta11 and the index-6 quotient", [
+        "exp_lift(phi_02) == Delta2 arithmetic sum, weight2 4, character order 4 (q,s <= 3,3)",
+        "exp_lift(phi_03) == Delta1 arithmetic sum, weight2 2, character order 6 (q,s <= 3,3)",
+        "Delta2 leading terms q^(1/4)s^(1/2)(y^(1/2) - y^(-1/2))",
+        "2^(-12) prod Theta_ab^2 == exp_lift(2 phi_01) (q,s <= 2)",
+        "Delta5 antisymmetric under y -> 1/y",
+        "exp_lift(phi_04)(t,z,w) == Delta_1/2(t,2z,4w) (q,s <= 3)",
+        "Delta5(Z)Delta5(2z,4w)Delta5(z,w+1/2) == i Delta11 Delta2^2",
+        "index-6 quotient reduction: difference of lift inputs == 2 phi_06",
+    ]),
+    10: ("anomaly * SQEG == exp_lift(-genus) for K3 and a synthetic fourfold", [
+        "anomaly * SQEG == exp_lift(-genus) for K3 (q,s <= 2)",
+        "anomaly * SQEG == exp_lift(-genus) for CY4(1,4,6,4,1) (q,s <= 2)",
+    ]),
+    11: ("SQEG: p^1 slice is the genus; K3 at y=1 gives 1, 24, 324", [
+        "SQEG p^1 coefficient equals the input genus",
+        "SQEG(K3) at y=1 == prod (1-p^n)^(-24): rows 1, 24, 324",
+    ]),
+    12: ("Humbert multiplicities: +1/-1 pair, {+1,-1,+12,-12} and the K3 pole", [
+        "Phi_3 divisor: H_1(0) - H_1(5)",
+        "Phi_5 divisor: H_9(3) - H_9(7) + 12 H_1(1) - 12 H_1(9)",
+        "K3: pole of order 2 along H_1(0)",
+    ]),
+    13: ("exp-lift homomorphism for |a|,|b| <= 2 and mirror inversion at d = 3", [
+        "exp_lift(a*phi + b*psi) == exp_lift(phi)^a exp_lift(psi)^b, |a|,|b| <= 2",
+        "E(CY3, e=-2) * E(CY3, e=+2) == 1 (q,s <= 1)",
+    ]),
+}
 
 
-def _random_form(rng, m, qprec):
-    monomials = [
-        (e1, e2, e3, e4)
-        for e1 in range(m + 1)
-        for e2 in range(m // 2 + 1)
-        for e3 in range(m // 3 + 1)
-        for e4 in range(m // 4 + 1)
-        if e1 + 2 * e2 + 3 * e3 + 4 * e4 == m
-    ]
-    terms = {key: rng.randint(-9, 9) for key in monomials}
-    terms = {k: c for k, c in terms.items() if c} or {monomials[0]: 1}
-    return GeneratorPolynomial(terms).evaluate(_generators(qprec))
-
-
-def test_criterion_04_residuals():
-    ok = all(linear_residuals(generator(m, 72)) == (0, 0) for m in (1, 2, 3, 4))
-    for m in range(1, 13):
-        for n in range(1, m + 1):
-            ok = ok and linear_residuals(basis_psi(m, n, 72)) == (0, 0)
-    rng = random.Random(41321)
-    for _ in range(100):
-        form = _random_form(rng, rng.randint(1, 8), 72)
-        ok = ok and linear_residuals(form) == (0, 0)
-    check(4, "both linear residuals vanish on generators, basis and "
-             "100 random forms", ok)
-
-
-def test_criterion_05_hecke():
-    qp = 24 * 6
-    lhs = hecke_tminus(generator(1, 24 * 13), 2) - 2 * generator(2, qp)
-    p1, p2 = generator(1, qp + 24), generator(2, qp + 24)
-    ok = lhs.truncate(qp).same_terms((p1 * p1 - 20 * p2).truncate(qp))
-    lhs = hecke_tminus(generator(1, 24 * 19), 3) - 3 * generator(3, qp)
-    ok = ok and lhs.truncate(qp).same_terms(basis_psi(3, 3, qp + 24).truncate(qp))
-    check(5, "T_-(2) identity and the T_-(3) construction of psi^(3)_{0,3}", ok)
-
-
-def test_criterion_06_specializations():
-    qp = 240
-    alpha = specialize_torsion(generator(1, qp), 2)
-    ok = [alpha.coeff((24 * n, 0)) for n in range(6)] == [
-        8, 2 ** 8, 2 ** 11, 11 * 2 ** 10, 3 * 2 ** 14, 359 * 2 ** 9,
-    ]
-    ok = ok and all(special_value_suite(qp).values())
-    ok = ok and all(xi06_torsion_values(qp).values())
-    h1 = specialize_center(generator(1, qp))
-    ok = ok and not specialize_center(generator(3, qp)).terms
-    ok = ok and dict(specialize_center(generator(4, qp)).terms) == {(0, 0): -1}
-    ok = ok and dict(specialize_center(generator(2, qp)).terms) == {(0, 0): -2}
-    sq = h1 * h1
-    lhs = sq + Series.const(64, DEN2, sq.qprec)
-    rhs = (theta_constant(0, 0, qp) ** 12).exact_div(eta_power(12, qp))
-    ok = ok and lhs.same_terms(rhs, min(lhs.qprec, 24 * 6))
-    check(6, "torsion/center special values (alpha, beta, gamma, xi06, "
-             "hat values)", ok)
-
-
-def test_criterion_07_congruences():
-    from jacobilift.genus import divisibility_report
-
-    rng = random.Random(90125)
-    ok = True
-    for _ in range(200):
-        m = rng.randint(1, 8)
-        form = _random_form(rng, m, 24 * 5)
-        report = divisibility_report(form, d=2 * m)
-        ok = ok and all(r for r, _ in report.values())
-    check(7, "congruence battery on 200 random weight-0 forms of index 1..8", ok)
-
-
-def test_criterion_08_cy_layer():
-    ok = elliptic_genus(K3, qprec=96).series.same_terms(
-        generator(1, 96).series.scale(2)
-    )
-    ok = ok and elliptic_genus(ENRIQUES, qprec=96).series.same_terms(
-        generator(1, 96).series
-    )
-    good4 = CYInvariants(4, (1, 4, 6, 4, 1))
-    ok = ok and relation_check(good4)["chi2 = 22*chi0 - 4*chi1"][0]
-    bad4 = CYInvariants(4, (1, 4, 7, 4, 1))
-    rep = relation_check(bad4)
-    ok = ok and not rep["e(M4) mod 6 == 0"][0]
+def criterion(report, number):
+    """Assert criterion `number`: each of its checks is present exactly once
+    in the report and ok.  Returns the checks by name."""
+    description, names = CRITERIA[number]
+    ok = False
     try:
-        elliptic_genus(bad4, qprec=48)
-        ok = False
-    except ValidationError:
-        pass
-    inv5 = CYInvariants.from_euler(5, 24)
-    ok = ok and (inv5.chi[1], inv5.chi[2]) == (-1, 11)
-    try:
-        CYInvariants.from_euler(5, 23)
-        ok = False
-    except ValidationError:
-        pass
-    good7 = CYInvariants(7, (0, 1, 3, 2, -2, -3, -1, 0))
-    ok = ok and relation_check(good7)["e(M7) = 12*(chi2 - 3*chi1)"][0]
-    check(8, "CY layer: K3, Enriques, forced relations and rejections "
-             "for d = 4, 5, 7", ok)
+        checks = named_checks(report, names)
+        failed = [c["name"] for c in checks if not c["ok"]]
+        ok = not failed
+        assert ok, f"criterion {number}: {description}; failed: {failed}"
+    finally:
+        record(f"criterion {number:02d} {'PASS' if ok else 'FAIL'}: {description}")
+    return {c["name"]: c for c in checks}
 
 
-def test_criterion_09_dual_construction():
-    ok = True
-    for name, idx in (("Delta2", 2), ("Delta1", 3)):
-        qp, sp, inq = lift_window_for(generator(idx, 24), 3, 3)
-        lifted = exp_lift(generator(idx, inq), qp, sp)
-        summed = arithmetic_lift(name, qp, sp)
-        ok = ok and lifted.series.same_terms(summed.series)
-        ok = ok and lifted.weight2 == summed.weight2
-    tp = theta_product_delta5_squared(73, 73)
-    two_phi1 = exp_lift_homomorphic([(generator(1, 24 * 8), 2)], 73, 73)
-    ok = ok and window_equal(tp.series, two_phi1.series, 48, 48)
-    check(9, "dual constructions: Delta2, Delta1 sums and the theta-constant "
-             "product", ok)
+def criterion_test(number):
+    def test(verify_all):
+        criterion(verify_all, number)
+
+    return test
 
 
-def test_criterion_10_factorization():
-    ok = True
-    for inv in (K3, CYInvariants(4, (1, 4, 6, 4, 1))):
-        ef = e_form(inv, 49, 49, ywindow=60)
-        fp = factorization_product(inv, 49, 49, ywindow=60)
-        ok = ok and window_equal(ef.series, fp.series, 48, 48, ybound=24)
-    check(10, "anomaly * SQEG == exp_lift(-genus) for K3 and a synthetic "
-              "fourfold", ok)
+test_criterion_01_generator_goldens = criterion_test(1)
+test_criterion_02_ring_relations = criterion_test(2)
+test_criterion_03_basis_structure = criterion_test(3)
+test_criterion_04_residuals = criterion_test(4)
+test_criterion_05_hecke = criterion_test(5)
+test_criterion_06_specializations = criterion_test(6)
+test_criterion_07_congruences = criterion_test(7)
+test_criterion_08_cy_layer = criterion_test(8)
+test_criterion_09_dual_construction = criterion_test(9)
+test_criterion_10_factorization = criterion_test(10)
 
 
-def test_criterion_11_sqeg_sanity():
-    chi = elliptic_genus(K3, qprec=24 * 10)
-    z = sqeg(chi, 97, 49)
-    ok = z.s_slice(24).same_terms(chi.series, 96)
-    rows = {}
-    for (nq, ly, ms), c in z.terms.items():
-        rows[(ms, nq)] = rows.get((ms, nq), 0) + c
-    rows = {k: v for k, v in rows.items() if v}
-    ok = ok and rows == {(0, 0): 1, (24, 0): 24, (48, 0): 324}
-    check(11, "SQEG: p^1 slice is the genus; K3 at y=1 gives 1, 24, 324", ok)
+def test_criterion_11_sqeg_sanity(verify_all):
+    checks = criterion(verify_all, 11)
+    rows = checks["SQEG(K3) at y=1 == prod (1-p^n)^(-24): rows 1, 24, 324"]["detail"]
+    assert rows == [[0, 0, 1], [24, 0, 24], [48, 0, 324]]
 
 
-def test_criterion_12_divisor_data():
-    from jacobilift.jacobi import phi_threehalf
-
-    chi3 = -(phi_threehalf(24 * 12).double_z())
-    ok = (humbert_multiplicity(chi3, 0, 1), humbert_multiplicity(chi3, 1, 5)) == (1, -1)
-    chi5 = -((phi_threehalf(24 * 14) * generator(1, 24 * 14)).double_z())
-    got = (
-        humbert_multiplicity(chi5, 0, 3),
-        humbert_multiplicity(chi5, 1, 7),
-        humbert_multiplicity(chi5, 0, 1),
-        humbert_multiplicity(chi5, 2, 9),
-    )
-    ok = ok and got == (1, -1, 12, -12)
-    check(12, "Humbert multiplicities: +1/-1 pair and {+1,-1,+12,-12}", ok)
+test_criterion_12_divisor_data = criterion_test(12)
+test_criterion_13_homomorphism_and_mirror = criterion_test(13)
 
 
-def test_criterion_13_homomorphism_and_mirror():
-    from jacobilift.lifts import _prefactor_key
-
-    ok = True
-    for a in (-2, -1, 0, 1, 2):
-        for b in (-2, -1, 0, 1, 2):
-            if a == 0 and b == 0:
-                continue
-            phi0 = generator(2, 97)
-            psi0 = psi2_variant(2, 97, variant="A")
-            probe = JacobiForm(phi0.series.scale(a) + psi0.series.scale(b), 0, 4)
-            qp, sp, inq = lift_window_for(probe, 3, 3)
-            inq = max(inq, 24 * 17)
-            pref = _prefactor_key(probe)
-            phi = generator(2, inq)
-            psi = psi2_variant(2, inq, variant="A")
-            form = JacobiForm(phi.series.scale(a) + psi.series.scale(b), 0, 4)
-            lhs = exp_lift(form, qp, sp, ywindow=80)
-            rhs = exp_lift_homomorphic([(phi, a), (psi, b)], qp, sp, ywindow=80)
-            ok = ok and window_equal(
-                lhs.series, rhs.series, pref[0] + 24, pref[2] + 24, ybound=12
-            )
-    m1 = e_form(CYInvariants.from_euler(3, -2), 49, 49, ywindow=80)
-    m2 = e_form(CYInvariants.from_euler(3, 2), 49, 49, ywindow=80)
-    prod = m1.series * m2.series
-    ok = ok and window_equal(prod, Series.const(1, DEN3, 49), 24, 24, ybound=16)
-    check(13, "exp-lift homomorphism for |a|,|b| <= 2 and mirror inversion "
-              "at d = 3", ok)
+def test_every_check_is_named_by_a_criterion(verify_all):
+    named = {name for _, names in CRITERIA.values() for name in names}
+    checks = {c["name"] for suite in verify_all["suites"] for c in suite["checks"]}
+    assert [s["suite"] for s in verify_all["suites"]] == [
+        "ring", "basis", "hecke", "congruences", "lifts",
+    ]
+    assert checks == named, sorted(checks ^ named)

@@ -98,6 +98,19 @@ def test_lift_sqeg(capsys):
     assert series.coeff((0, 4, 24)) == 2  # p^1 coefficient is the K3 genus
 
 
+def test_expand_leading_minus_after_double_dash(capsys):
+    code, out, _ = run(capsys, "expand", "--qmax", "1", "--", "-7*Phi4+Phi1*Phi3")
+    assert code == 0
+    assert "(y^2+5*y+15+5*y^-1+y^-2)" in out
+
+
+def test_lift_explift_leading_minus_form(capsys):
+    code, out, _ = run(capsys, "lift", "explift", "--form=-Phi1", "--qmax", "1",
+                       "--smax", "1", "--ywindow", "40")
+    assert code == 0
+    assert out.startswith("weight2 -10")  # 1/Delta5
+
+
 def test_lift_missing_form(capsys):
     code, _, _ = run(capsys, "lift", "explift")
     assert code == 2
@@ -122,6 +135,13 @@ def test_verify_empty_window_is_precision_error(capsys):
     code, out, err = run(capsys, "verify", "ring", "--qmax", "0")
     assert code == 4
     assert "FAIL" not in out and "window is empty" in err
+
+
+@pytest.mark.parametrize("suite, qmax", [("hecke", "0"), ("congruences", "1")])
+def test_verify_empty_window_in_other_suites(capsys, suite, qmax):
+    code, out, err = run(capsys, "verify", suite, "--qmax", qmax)
+    assert code == 4
+    assert "ok" not in out and "window is empty" in err
 
 
 def test_expand_negative_qmax_rejected(capsys):

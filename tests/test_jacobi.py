@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jacobilift.errors import PrecisionError, ValidationError
-from jacobilift.genpoly import GeneratorPolynomial, parse_generator_polynomial
+from jacobilift.genpoly import parse_generator_polynomial
 from jacobilift.jacobi import (
     JacobiForm,
     _form_store,
@@ -15,21 +15,41 @@ from jacobilift.jacobi import (
     decompose,
     divide_by_xi06,
     generator,
-    hecke_t0_2,
     hecke_tminus,
     linear_residuals,
-    norm_table,
     phi_threehalf,
     phi_weak_weight_minus1,
     psi2_variant,
-    specialize_torsion,
     taylor_coeffs,
     theta_jacobi,
     xi06,
 )
-from jacobilift.modular import eta_power, theta_constant
+from jacobilift.modular import theta_constant
 from jacobilift.rings import RING_Q
 from jacobilift.series import DEN2, Series
+from jacobilift.verify import random_form
+
+from conftest import verified_by
+
+# Identities that `jacobilift.verify` states, asserted by the name of their
+# check in one run of `verify all`.
+test_generator_q0_rows = verified_by(*(f"phi_0{m} q^0 row golden" for m in (1, 2, 3, 4)))
+test_phi01_q1_row = verified_by("phi_01 q^1 row golden")
+test_ring_relation_phi04 = verified_by("4*phi_04 == phi_01*phi_03 - phi_02^2 (10 q-orders)")
+test_xi06_polynomial_relation = verified_by(
+    "xi_06 == -phi1^2 phi4 + 9 phi1 phi2 phi3 - 8 phi2^3 - 27 phi3^2 (10 q-orders)",
+)
+test_basis_structure = verified_by("basis (m <= 12) q^0 canonical shape")
+test_psi_05_1_row = verified_by("psi^(1)_{0,5} q^0 row == 5y + 2 + 5/y")
+test_residuals_on_generators_and_basis = verified_by("residuals vanish on generators and basis")
+test_hecke_tminus2_identity = verified_by(
+    "phi_01|T_-(2) - 2 phi_02 == phi_01^2 - 20 phi_02 (6 q-orders)",
+)
+test_hecke_tminus3_gives_psi33 = verified_by(
+    "psi^(3)_{0,3} == phi_01|T_-(3) - 3 phi_03 (6 q-orders)",
+)
+test_hecke_t0_2_norm_determined = verified_by("phi_02|T_0(2) is a norm-determined index-2 form")
+test_specialize_torsion_alpha = verified_by("alpha q^0..q^5 coefficients")
 
 QP = 24 * 6
 GENERATOR_INDICES = (1, 2, 3, 4, 6, 8, 12)
@@ -130,29 +150,6 @@ def test_store_raises_on_short_computation():
         short(40)
 
 
-def test_generator_q0_rows():
-    rows = {m: generator(m, QP).q_row(0) for m in (1, 2, 3, 4)}
-    assert rows[1] == {4: 1, 0: 10, -4: 1}
-    assert rows[2] == {4: 1, 0: 4, -4: 1}
-    assert rows[3] == {4: 1, 0: 2, -4: 1}
-    assert rows[4] == {4: 1, 0: 1, -4: 1}
-
-
-def test_phi01_q1_row():
-    assert generator(1, QP).q_row(1) == {-8: 10, -4: -64, 0: 108, 4: -64, 8: 10}
-
-
-def test_ring_relation_phi04():
-    p1, p2, p3, p4 = (generator(m, QP + 24) for m in (1, 2, 3, 4))
-    assert (p1 * p3 - p2 * p2).truncate(QP).same_terms((4 * p4).truncate(QP))
-
-
-def test_xi06_polynomial_relation():
-    xi = xi06(QP)
-    val = xi.poly.evaluate(tuple(generator(m, QP + 24) for m in (1, 2, 3, 4)))
-    assert val.truncate(QP).series.same_terms(xi.series)
-
-
 def test_xi06_leading_term():
     xi = xi06(QP)
     assert xi.series.min_key()[0] == 24  # first term at q^1
@@ -164,62 +161,10 @@ def test_phi_threehalf_square_is_phi03():
     assert (f * f).series.same_terms(generator(3, QP).series)
 
 
-def test_basis_structure():
-    for m in range(1, 13):
-        for n in range(1, m + 1):
-            row = basis_psi(m, n, 72).q_row(0)
-            if n == 1:
-                from math import gcd
-
-                assert row.get(4, 0) == m // gcd(12, m), (m, n)
-            elif n == 2:
-                assert row == {8: 1, 4: -4, 0: 6, -4: -4, -8: 1}, (m, n)
-            else:
-                assert row.get(4 * n, 0) == 1, (m, n)
-                assert all(row.get(4 * j, 0) == 0 for j in range(2, n)), (m, n)
-
-
-def test_psi_05_1_row():
-    assert basis_psi(5, 1, 72).q_row(0) == {4: 5, 0: 2, -4: 5}
-
-
-def test_residuals_on_generators_and_basis():
-    for m in (1, 2, 3, 4):
-        assert linear_residuals(generator(m, 72)) == (0, 0)
-    for m in range(1, 13):
-        for n in range(1, m + 1):
-            assert linear_residuals(basis_psi(m, n, 72)) == (0, 0)
-
-
 @given(st.integers(min_value=0, max_value=10 ** 9))
 @settings(max_examples=25, deadline=None)
 def test_residuals_on_random_polynomials(seed):
-    rng = random.Random(seed)
-    m = rng.randint(1, 8)
-    monomials = [
-        (e1, e2, e3, e4)
-        for e1 in range(m + 1)
-        for e2 in range(m // 2 + 1)
-        for e3 in range(m // 3 + 1)
-        for e4 in range(m // 4 + 1)
-        if e1 + 2 * e2 + 3 * e3 + 4 * e4 == m
-    ]
-    terms = {key: rng.randint(-9, 9) for key in monomials}
-    terms = {k: c for k, c in terms.items() if c} or {monomials[0]: 1}
-    poly = GeneratorPolynomial(terms)
-    form = poly.evaluate(tuple(generator(i, 72) for i in (1, 2, 3, 4)))
-    assert linear_residuals(form) == (0, 0)
-
-
-def test_hecke_tminus2_identity():
-    lhs = hecke_tminus(generator(1, 24 * 13), 2) - 2 * generator(2, 24 * 6)
-    p1, p2 = generator(1, 24 * 7), generator(2, 24 * 7)
-    assert lhs.truncate(24 * 6).same_terms((p1 * p1 - 20 * p2).truncate(24 * 6))
-
-
-def test_hecke_tminus3_gives_psi33():
-    lhs = hecke_tminus(generator(1, 24 * 19), 3) - 3 * generator(3, 24 * 6)
-    assert lhs.truncate(24 * 6).same_terms(basis_psi(3, 3, 24 * 7).truncate(24 * 6))
+    assert linear_residuals(random_form(random.Random(seed), 72)) == (0, 0)
 
 
 def test_hecke_tminus_on_exact_form():
@@ -230,12 +175,6 @@ def test_hecke_tminus_on_exact_form():
     assert out.series.same_terms(hecke_tminus(phi1, 3).series)
     const = hecke_tminus(JacobiForm(Series.const(1, DEN2), 0, 2), 6)
     assert const.series == Series.const(12, DEN2)  # sigma_1(6)
-
-
-def test_hecke_t0_2_norm_determined():
-    out = hecke_t0_2(generator(2, 24 * 26))
-    assert out.weight2 == 0 and out.index2 == 4
-    assert norm_table(out)  # consistent norm-indexed coefficients
 
 
 def test_decompose_roundtrip():
@@ -264,12 +203,6 @@ def test_taylor_w2_coefficient_vanishes():
         coeffs = taylor_coeffs(generator(m, 96), 3)
         assert coeffs[1].is_zero()  # odd coefficient
         assert coeffs[2].is_zero()  # weight-2 level-1 obstruction
-
-
-def test_specialize_torsion_alpha():
-    alpha = specialize_torsion(generator(1, 24 * 7), 2)
-    got = [alpha.coeff((24 * n, 0)) for n in range(6)]
-    assert got == [8, 2 ** 8, 2 ** 11, 11 * 2 ** 10, 3 * 2 ** 14, 359 * 2 ** 9]
 
 
 def test_psi2_variants_differ_by_generator():

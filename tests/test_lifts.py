@@ -3,56 +3,59 @@
 import pytest
 
 from jacobilift.errors import PrecisionError, ValidationError
-from jacobilift.genus import CYInvariants, K3, elliptic_genus
-from jacobilift.jacobi import JacobiForm, generator, phi_threehalf, psi2_variant
+from jacobilift.genus import K3, elliptic_genus
+from jacobilift.jacobi import JacobiForm, generator
 from jacobilift.lifts import (
-    arithmetic_lift,
-    assembly_check_d4,
-    assembly_check_d8,
-    delta11_identity_check,
     delta_half_theta,
-    e_form,
     even_characteristics,
     exp_lift,
-    exp_lift_homomorphic,
-    factorization_product,
     humbert_multiplicity,
-    lift_window_for,
-    quotient_reduction_check,
-    siegel_scale,
     siegel_theta_constant,
     sqeg,
     symmetric_product_genus,
-    theta_product_delta5_squared,
     window_equal,
 )
 from jacobilift.series import DEN3, Series
 
+from conftest import verified_by
 
-def _dual(name, idx, qmax, smax):
-    f0 = generator(idx, 24)
-    qprec, sprec, inq = lift_window_for(f0, qmax, smax)
-    lifted = exp_lift(generator(idx, inq), qprec, sprec)
-    summed = arithmetic_lift(name, qprec, sprec)
-    return lifted, summed
-
-
-def test_delta2_dual_construction():
-    lifted, summed = _dual("Delta2", 2, 3, 3)
-    assert lifted.series.same_terms(summed.series)
-    assert lifted.weight2 == summed.weight2 == 4
-    assert lifted.character_order == summed.character_order == 4
-
-
-def test_delta1_dual_construction():
-    lifted, summed = _dual("Delta1", 3, 3, 3)
-    assert lifted.series.same_terms(summed.series)
-    assert lifted.weight2 == summed.weight2 == 2
-
-
-def test_delta2_smallest_terms():
-    small = arithmetic_lift("Delta2", 13, 13)
-    assert dict(small.series.terms) == {(6, 2, 12): 1, (6, -2, 12): -1}
+# Identities that `jacobilift.verify` states, asserted by the name of their
+# check in one run of `verify all`.
+test_delta2_dual_construction = verified_by(
+    "exp_lift(phi_02) == Delta2 arithmetic sum, weight2 4, character order 4 (q,s <= 3,3)",
+)
+test_delta1_dual_construction = verified_by(
+    "exp_lift(phi_03) == Delta1 arithmetic sum, weight2 2, character order 6 (q,s <= 3,3)",
+)
+test_delta2_smallest_terms = verified_by("Delta2 leading terms q^(1/4)s^(1/2)(y^(1/2) - y^(-1/2))")
+test_theta_constants_square_product = verified_by(
+    "2^(-12) prod Theta_ab^2 == exp_lift(2 phi_01) (q,s <= 2)",
+)
+test_delta_half_substitution = verified_by(
+    "exp_lift(phi_04)(t,z,w) == Delta_1/2(t,2z,4w) (q,s <= 3)",
+)
+test_factorization_k3_and_cy4 = verified_by(
+    "anomaly * SQEG == exp_lift(-genus) for K3 (q,s <= 2)",
+    "anomaly * SQEG == exp_lift(-genus) for CY4(1,4,6,4,1) (q,s <= 2)",
+)
+test_sqeg_first_order_is_genus = verified_by("SQEG p^1 coefficient equals the input genus")
+test_humbert_phi3 = verified_by("Phi_3 divisor: H_1(0) - H_1(5)")
+test_humbert_phi5 = verified_by("Phi_5 divisor: H_9(3) - H_9(7) + 12 H_1(1) - 12 H_1(9)")
+test_humbert_k3_pole = verified_by("K3: pole of order 2 along H_1(0)")
+test_exp_lift_homomorphism_small = verified_by(
+    "exp_lift(a*phi + b*psi) == exp_lift(phi)^a exp_lift(psi)^b, |a|,|b| <= 2",
+)
+test_mirror_inversion_d3 = verified_by("E(CY3, e=-2) * E(CY3, e=+2) == 1 (q,s <= 1)")
+test_delta11_identity_up_to_unit = verified_by(
+    "Delta5(Z)Delta5(2z,4w)Delta5(z,w+1/2) == i Delta11 Delta2^2",
+)
+test_assembly_d4 = verified_by("-chi(M4) == -chi0 psi_A + chi1 phi_02")
+test_assembly_d8 = verified_by(
+    "-chi(M8) == chi3 phi_04 - chi2 phi_01(2z) + chi1 psi^(3) - chi0 psi^(4)",
+)
+test_quotient_reduction = verified_by(
+    "index-6 quotient reduction: difference of lift inputs == 2 phi_06",
+)
 
 
 def test_exp_lift_prefactor_and_metadata():
@@ -61,6 +64,14 @@ def test_exp_lift_prefactor_and_metadata():
     assert ss.index_t == 1
     assert min(k[0] for k in ss.series.terms) == 12  # q^(1/2) prefactor
     assert ss.series.coeff((12, 2, 12)) == 1
+
+
+def test_window_equal_refuses_empty_window():
+    ss = exp_lift(generator(1, 24 * 8), 49, 49)  # lowest term at q^(1/2)
+    assert window_equal(ss.series, ss.series, 12, 12)
+    assert not window_equal(ss.series, Series.zero(DEN3, 49), 12, 12)
+    with pytest.raises(PrecisionError, match="holds no term"):
+        window_equal(ss.series, ss.series, 11, 48)
 
 
 def test_exp_lift_rejects_nonzero_weight():
@@ -73,12 +84,6 @@ def test_exp_lift_rejects_nonzero_weight():
 def test_exp_lift_precision_contract():
     with pytest.raises(PrecisionError):
         exp_lift(generator(2, 24), 100, 400)
-
-
-def test_theta_constants_square_product():
-    tp = theta_product_delta5_squared(73, 73)
-    two_phi1 = exp_lift_homomorphic([(generator(1, 24 * 8), 2)], 73, 73)
-    assert window_equal(tp.series, two_phi1.series, 48, 48)
 
 
 def test_theta_constant_trivial_characteristic():
@@ -95,12 +100,6 @@ def test_even_characteristics_count():
     assert len(even_characteristics()) == 10
 
 
-def test_delta_half_substitution():
-    dh = siegel_scale(delta_half_theta(80, 200), 2, 4)
-    e4 = exp_lift(generator(4, 24 * 12), 80, 80)
-    assert window_equal(e4.series, dh.series, 72, 72)
-
-
 def test_delta_half_integral_and_antisymmetric():
     dh = delta_half_theta(49, 49)
     assert dh.series.coeff((3, 1, 3)) == 1
@@ -108,23 +107,14 @@ def test_delta_half_integral_and_antisymmetric():
     assert all(isinstance(c, int) for c in dh.series.terms.values())
 
 
-def test_factorization_k3_and_cy4():
-    qp, sp, w = 49, 49, 60
-    for inv in (K3, CYInvariants(4, (1, 4, 6, 4, 1))):
-        ef = e_form(inv, qp, sp, ywindow=w)
-        fp = factorization_product(inv, qp, sp, ywindow=w)
-        assert window_equal(ef.series, fp.series, 48, 48, ybound=24), inv
-
-
-def test_sqeg_first_order_is_genus():
-    chi = elliptic_genus(K3, qprec=24 * 10)
-    z = sqeg(chi, 97, 49)
-    assert z.s_slice(24).same_terms(chi.series, 96)
-
-
-def test_sqeg_k3_y1_rows():
+@pytest.fixture(scope="module")
+def k3_sqeg():
     chi = elliptic_genus(K3, qprec=24 * 14)
-    z = sqeg(chi, 97, 73)
+    return chi, sqeg(chi, 97, 73)
+
+
+def test_sqeg_k3_y1_rows(k3_sqeg):
+    _, z = k3_sqeg
     rows = {}
     for (nq, ly, ms), c in z.terms.items():
         rows[(ms, nq)] = rows.get((ms, nq), 0) + c
@@ -133,33 +123,10 @@ def test_sqeg_k3_y1_rows():
     assert rows == {(0, 0): 1, (24, 0): 24, (48, 0): 324, (72, 0): 3200}
 
 
-def test_symmetric_product_genus_matches_sqeg_slice():
-    chi = elliptic_genus(K3, qprec=24 * 14)
-    z = sqeg(chi, 97, 73)
+def test_symmetric_product_genus_matches_sqeg_slice(k3_sqeg):
+    chi, z = k3_sqeg
     s2 = symmetric_product_genus(chi, 2, 49)
     assert z.s_slice(48).same_terms(s2, 48)
-
-
-def test_humbert_phi3():
-    chi3 = -(phi_threehalf(24 * 12).double_z())
-    assert humbert_multiplicity(chi3, 0, 1) == 1
-    assert humbert_multiplicity(chi3, 1, 5) == -1
-
-
-def test_humbert_phi5():
-    chi5 = -((phi_threehalf(24 * 14) * generator(1, 24 * 14)).double_z())
-    got = [
-        humbert_multiplicity(chi5, 0, 3),
-        humbert_multiplicity(chi5, 1, 7),
-        humbert_multiplicity(chi5, 0, 1),
-        humbert_multiplicity(chi5, 2, 9),
-    ]
-    assert got == [1, -1, 12, -12]
-
-
-def test_humbert_k3_pole():
-    chi = elliptic_genus(K3, qprec=24 * 6)
-    assert humbert_multiplicity(chi, 0, 1) == -2
 
 
 def test_humbert_zero_form():
@@ -167,48 +134,3 @@ def test_humbert_zero_form():
     assert humbert_multiplicity(zero, 0, 1) == 0
 
 
-def test_exp_lift_homomorphism_small():
-    for a, b in ((1, 1), (2, -1), (-1, 2), (0, -2)):
-        phi0 = generator(2, 97)
-        psi0 = psi2_variant(2, 97, variant="A")
-        probe = JacobiForm(phi0.series.scale(a) + psi0.series.scale(b), 0, 4)
-        qp, sp, inq = lift_window_for(probe, 3, 3)
-        inq = max(inq, 24 * 17)
-        from jacobilift.lifts import _prefactor_key
-
-        pref = _prefactor_key(probe)
-        phi = generator(2, inq)
-        psi = psi2_variant(2, inq, variant="A")
-        form = JacobiForm(phi.series.scale(a) + psi.series.scale(b), 0, 4)
-        lhs = exp_lift(form, qp, sp, ywindow=80)
-        rhs = exp_lift_homomorphic([(phi, a), (psi, b)], qp, sp, ywindow=80)
-        assert window_equal(
-            lhs.series, rhs.series, pref[0] + 24, pref[2] + 24, ybound=12
-        ), (a, b)
-
-
-def test_mirror_inversion_d3():
-    m1 = e_form(CYInvariants.from_euler(3, -2), 49, 49, ywindow=80)
-    m2 = e_form(CYInvariants.from_euler(3, 2), 49, 49, ywindow=80)
-    prod = m1.series * m2.series
-    assert window_equal(prod, Series.const(1, DEN3, 49), 24, 24, ybound=16)
-
-
-def test_delta11_identity_up_to_unit():
-    report = delta11_identity_check()
-    assert report["proportional"]
-    assert report["unit"] in ("1i", "i")
-
-
-def test_assembly_d4():
-    assert assembly_check_d4(CYInvariants(4, (1, 4, 6, 4, 1)))
-    assert assembly_check_d4(CYInvariants(4, (0, 1, -4, 1, 0)))
-
-
-def test_assembly_d8():
-    assert assembly_check_d8(CYInvariants(8, (1, 2, 3, 4, 22, 4, 3, 2, 1)))
-    assert assembly_check_d8(CYInvariants(8, (0, 0, 0, 1, -1, 1, 0, 0, 0)))
-
-
-def test_quotient_reduction():
-    assert quotient_reduction_check()
