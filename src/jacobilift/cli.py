@@ -26,6 +26,7 @@ from .genus import (
 )
 from .jacobi import generator, xi06
 from .lifts import (
+    _input_qprec,
     arithmetic_lift,
     e_form,
     exp_lift,
@@ -210,8 +211,9 @@ def cmd_lift(args):
     elif args.kind == "sqeg":
         inv = _invariants_from_args(args)
         pmax = args.pmax if args.pmax is not None else 2
-        chi = elliptic_genus(inv, qprec=24 * (args.qmax * pmax + 2))
-        series = sqeg(chi, 24 * args.qmax + 1, 24 * pmax + 1, ywindow=args.ywindow)
+        qprec, pprec = 24 * args.qmax + 1, 24 * pmax + 1
+        chi = elliptic_genus(inv, qprec=_input_qprec(qprec, pprec))
+        series = sqeg(chi, qprec, pprec, ywindow=args.ywindow)
         data = series_to_dict(series)
         _emit(args, lambda: "\n".join(str(t) for t in series.sorted_terms()), data)
         return EXIT_OK
@@ -310,7 +312,12 @@ def build_parser():
     p.add_argument("suite", choices=("ring", "basis", "hecke", "congruences",
                                      "lifts", "all"))
     p.add_argument("--qmax", type=int, default=None, dest="qmax_opt",
-                   help="override the suite's q-order window")
+                   help="q-order window of the checks that take one; a check"
+                   " whose name carries a window shows it.  ring: all but"
+                   " the row goldens and alpha; basis: all but the random-form"
+                   " residuals; hecke: all three; congruences: the battery and"
+                   " the K3 and Enriques genera; lifts: only the two dual"
+                   " constructions")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify)

@@ -4,20 +4,31 @@ explicit arithmetic lift sums, genus-2 theta constants, and the product
 identities connecting them.
 
 Triple series live on the exponent lattice (q**(1/24), y**(1/4),
-s**(1/24)).  Several objects here (inverses of cusp forms, anomaly
-factors with negative theta powers) have unbounded y-support at a fixed
-(q, s)-order, so the expansion routines accept an explicit ``ywindow``:
-terms with |y-exponent| beyond the window are dropped, and consumers
-compare results only on an interior window where the truncation cannot
-leak.
+s**(1/24)).
+
+``exp_lift`` and ``sqeg`` share one Fourier-Jacobi engine: the s-rows of
+exp(-sum_k s^{tk} (phi|T_-(k))/k), the s-dependent part of the Borcherds
+product of phi, satisfy
+
+    H_0 = 1,    H_M = -(1/M) sum_{k=1..M} (phi|T_-(k)) H_{M-k}
+
+(Gritsenko-Nikulin), and the second-quantized genus is the same recursion
+with the sign flipped (Dijkgraaf-Moore-Verlinde-Verlinde).  The division
+by M is exact over Z and every H_M is a finite y-polynomial at each
+q-order.  Only the s**0 part F_0 of the lift is a product of factors, and
+only F_0 can have unbounded y-support (from (1 - y^l)^c(0,l), l < 0,
+c(0,l) < 0), so F_0 alone takes the ``ywindow``; ``exp_lift`` states the
+interior on which the result is exact.  Inverses of cusp forms and anomaly
+factors with negative theta powers take a ``ywindow`` for the same reason.
 """
 
+import heapq
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .errors import IdentityError, PrecisionError, ValidationError
+from .errors import IdentityError, InexactDivisionError, PrecisionError, ValidationError
 from .genus import elliptic_genus
-from .jacobi import generator, psi2_variant
+from .jacobi import generator, hecke_tminus, psi2_variant
 from .modular import eta_power, kronecker
 from .series import DEN2, DEN3, Series, product_expand, series_to_dict
 
@@ -118,30 +129,58 @@ def _clip(series, ywindow, sprec):
     return series
 
 
+def _unit_order(key):
+    """The order (nq, ms, -ly) in which a unit's inverse is solved."""
+    return (key[0],) + key[2:] + (-key[1],)
+
+
 def clipped_inverse(unit, qprec, sprec=None, ywindow=None):
     """Invert a series with constant term 1, truncating to the supplied
     q-, s- and y-windows.  Needed when the exact inverse has unbounded
-    y-support (for example 1/(1 - y + ...))."""
+    y-support (for example 1/(1 - y + ...)).
+
+    With w = 1 - unit the inverse solves inv = 1 + w*inv on the window.
+    Every other term of the unit comes after the constant term in the
+    order (nq, ms, -ly), so the system is triangular: one pass in that
+    order, reading keys outside the window as 0, solves it."""
     one_key = (0,) * len(unit.den)
-    if unit.coeff(one_key) != 1:
-        raise ValidationError("clipped_inverse needs constant term 1")
+    if unit.coeff(one_key) != 1 or qprec is None:
+        raise ValidationError("clipped_inverse needs constant term 1 and a q-precision")
     w = _clip((Series.const(1, unit.den, qprec, unit.ring) - unit), ywindow, sprec)
     if not w.terms:
         return Series.const(1, unit.den, qprec, unit.ring)
-    pure_y = any(
-        k[0] == 0 and (len(k) < 3 or k[2] == 0) for k in w.terms
-    )
-    if pure_y and ywindow is None:
-        raise PrecisionError(
-            "inverse has unbounded y-support; supply a y-window"
+    for k in w.terms:
+        if _unit_order(k) < _unit_order(one_key):
+            raise ValidationError(f"clipped_inverse: term {k} precedes the constant term")
+        ms = k[2] if len(k) == 3 else 0
+        if k[0] == 0 and (sprec if ms else ywindow) is None:
+            axis = "s" if ms else "y"
+            raise PrecisionError(f"inverse has unbounded {axis}-support; supply a {axis}-window")
+
+    def inside(key):
+        return (
+            key[0] < w.qprec
+            and (sprec is None or len(key) < 3 or key[2] < sprec)
+            and (ywindow is None or abs(key[1]) <= ywindow)
         )
-    inv = Series.const(1, unit.den, qprec, unit.ring)
-    for _ in range(10000):
-        nxt = _clip(Series.const(1, unit.den, qprec, unit.ring) + w * inv, ywindow, sprec)
-        if nxt.terms == inv.terms:
-            return nxt
-        inv = nxt
-    raise PrecisionError("clipped inversion did not stabilize")
+
+    pending = {one_key: 1}
+    heap = [(_unit_order(one_key), one_key)]
+    inv = {}
+    while heap:
+        k = heapq.heappop(heap)[1]
+        c = pending.pop(k)
+        if not c:
+            continue
+        inv[k] = c
+        for kw, cw in w.terms.items():
+            key = tuple(a + b for a, b in zip(k, kw))
+            if inside(key):
+                if key not in pending:
+                    pending[key] = 0
+                    heapq.heappush(heap, (_unit_order(key), key))
+                pending[key] += c * cw
+    return Series(unit.den, inv, w.qprec, unit.ring, _clean=True)
 
 
 def power_with_window(series, exponent, qprec, sprec=None, ywindow=None):
@@ -155,7 +194,7 @@ def power_with_window(series, exponent, qprec, sprec=None, ywindow=None):
     # pivot on the y-maximal term of the lowest q-row, so the expansion of
     # the inverse grows in the -y direction, matching the (1 - y**-1)-type
     # factors the exponential lift itself expands
-    m0 = min(series.terms, key=lambda k: (k[0],) + k[2:] + (-k[1],))
+    m0 = min(series.terms, key=_unit_order)
     c0 = series.terms[m0]
     if c0 not in (1, -1):
         raise ValidationError("negative powers need a unit leading coefficient")
@@ -200,14 +239,49 @@ def _prefactor_key(form):
     return int(nq), int(ly), int(ms)
 
 
-def _coeff_rows(form, order):
-    """The q**order row of a form, with a loud precision contract."""
-    if form.series.qprec is not None and 24 * order >= form.series.qprec:
-        raise PrecisionError(
-            f"lift needs Fourier coefficients at q-order {order}; the input "
-            f"form is only expanded below q-order {form.series.qprec / 24}"
-        )
-    return form.series.q_slice(24 * order)
+def _fj_rows(form, sign, qprec, count):
+    """The s-rows H_0..H_count of exp(sign * sum_k s^k (form|T_-(k))/k),
+    as (q, y) series below qprec:
+
+        H_0 = 1,    H_M = (sign/M) sum_{k=1..M} (form|T_-(k)) H_{M-k}
+
+    The T_-(k) image reads the input at q-orders below k*nmax + 1, with
+    nmax = (qprec - 1)//24 the last q-order kept, so a shorter input raises
+    PrecisionError.  A half-integral index is lifted to an integral one by
+    z -> 2z and the y-exponents are halved back at the end."""
+    half = form.index2 % 2
+    if half:
+        form = form.double_z()
+    nmax = (qprec - 1) // 24
+    rows = [Series.const(1, DEN2, qprec)]
+    images = []
+    for m in range(1, count + 1):
+        image = hecke_tminus(form, m).series
+        if image.qprec is not None and image.qprec < qprec:
+            raise PrecisionError(
+                f"lift needs the T_-({m}) image through q-order {nmax}, which reads "
+                f"{m * nmax + 1} q-orders of the input form; it has "
+                f"{form.qprec_orders()}"
+            )
+        images.append(image.truncate(qprec))
+        acc = {}
+        for k in range(1, m + 1):
+            for key, c in (images[k - 1] * rows[m - k]).terms.items():
+                acc[key] = acc.get(key, 0) + c
+        terms = {}
+        for key, c in acc.items():
+            quot, rem = divmod(c, m)
+            if rem:
+                raise InexactDivisionError(
+                    f"Fourier-Jacobi row {m}: coefficient {c} at {key} is not "
+                    f"divisible by {m}"
+                )
+            terms[key] = sign * quot
+        rows.append(Series(DEN2, terms, qprec))
+    if half:
+        rows = [Series(DEN2, {(nq, ly // 2): c for (nq, ly), c in row.terms.items()}, qprec)
+                for row in rows]
+    return rows
 
 
 def exp_lift(form, qprec, sprec, ywindow=None):
@@ -218,6 +292,16 @@ def exp_lift(form, qprec, sprec, ywindow=None):
 
     where (n,l,m)>0 means m>0 (n, l free), or m=0 and n>0, or n=m=0 and
     l<0.  qprec and sprec are exclusive bounds in (1/24) units.
+
+    It is computed as q^A y^B s^C F_0 sum_M H_M s^{tM}: F_0 is the m = 0
+    part, expanded factor by factor, and H_M are the Fourier-Jacobi rows of
+    the module's recursion, exact and finite.  Only F_0 takes the
+    ``ywindow``, and each F_0 H_M is clipped to |ly| <= ywindow before the
+    prefactor.  The coefficient of q^N y^(ly/4) s^{tM} in F_0 H_M is exact
+    when |ly| + 4tM + (L + 8)N <= ywindow, where L is the largest |ly| in
+    the q**0 row of the form: factor by factor, an F_0 term at q-order N
+    moves by at most L*N in ly, and the q**N row of H_M, of index tM, has
+    |ly| <= 4(tM + 2N).
     """
     if form.weight2 != 0:
         raise ValidationError("exponential lifts take weight-0 forms")
@@ -232,37 +316,40 @@ def exp_lift(form, qprec, sprec, ywindow=None):
     if pq <= 0 or ps <= 0:
         raise PrecisionError("requested precision does not reach the leading term")
 
-    factors = []
     q0 = {k[1]: c for k, c in form.series.q_slice(0)}
-    # n = m = 0, l < 0
-    for ly, coeff in q0.items():
-        if ly < 0:
-            factors.append(((0, ly, 0), coeff))
-    # m = 0, n > 0: exponent c(0, l)
+    # n = 0 with l < 0, then n > 0 with every l: exponent c(0, l)
+    factors = [((0, ly), coeff) for ly, coeff in q0.items() if ly < 0]
     for n in range(1, (pq - 1) // 24 + 1):
-        for ly, coeff in q0.items():
-            factors.append(((24 * n, ly, 0), coeff))
-    # m > 0, n >= 0: exponent c(n m, l)
-    for m in range(1, (ps - 1) // (24 * t) + 1):
-        for n in range(0, (pq - 1) // 24 + 1):
-            if n > 0 and 24 * n >= pq:
-                continue
-            for key, coeff in _coeff_rows(form, n * m):
-                factors.append(((24 * n, key[1], 24 * t * m), coeff))
-
-    product = product_expand(factors, pq, sprec=ps, ybound=ywindow, den=DEN3)
-    result = product.shift(pref)
-    result = Series(
-        DEN3,
-        {k: c for k, c in result.terms.items() if k[2] < sprec},
-        qprec,
-        result.ring,
-        _clean=True,
-    )
+        factors += [((24 * n, ly), coeff) for ly, coeff in q0.items()]
+    f0 = product_expand(factors, pq, ybound=ywindow, den=DEN2)
+    terms = {}
+    for m, row in enumerate(_fj_rows(form, -1, pq, (ps - 1) // (24 * t))):
+        part = f0 * row
+        if ywindow is not None:
+            part = part.clip_y(ywindow)
+        ms = 24 * t * m + pref[2]
+        terms.update({(nq + pref[0], ly + pref[1], ms): c for (nq, ly), c in part.terms.items()})
     a24 = pref[0]
     weight2 = q0.get(0, 0)
     character_order = 24 // gcd(24, a24) if a24 else 1
-    return SiegelSeries(result, weight2, character_order, t)
+    return SiegelSeries(Series(DEN3, terms, qprec, _clean=True), weight2, character_order, t)
+
+
+def _input_qprec(pq, ps, t=1):
+    """q-precision (1/24 units) an input form needs for a lift that keeps
+    q-precision pq and s-precision ps past its prefactor, at index t:
+    nmax*mmax + 1 whole orders, which is what T_-(mmax) reads for the last
+    q-order nmax (at least 0) and the last s-row mmax (at least 1)."""
+    nmax = max((pq - 1) // 24, 0)
+    mmax = max((ps - 1) // (24 * t), 1)
+    return 24 * (nmax * mmax + 1)
+
+
+def _lift_input_for(form, qprec, sprec):
+    """The input q-precision of exp_lift(form, qprec, sprec); only the
+    q**0 row of form is read, so a one-order form serves."""
+    pref = _prefactor_key(form)
+    return _input_qprec(qprec - pref[0], sprec - pref[2], form.index2 // 2)
 
 
 def lift_window_for(form, qmax, smax):
@@ -271,14 +358,9 @@ def lift_window_for(form, qmax, smax):
     term, and the input form is expanded far enough to serve every
     exponent lookup."""
     pref = _prefactor_key(form)
-    t = form.index2 // 2
     qprec = 24 * qmax + 1 + max(pref[0], 0)
     sprec = 24 * smax + 1 + max(pref[2], 0)
-    pq = qprec - pref[0]
-    ps = sprec - pref[2]
-    nmax = (pq - 1) // 24
-    mmax = max((ps - 1) // (24 * t), 1)
-    return qprec, sprec, 24 * (nmax * mmax + 1)
+    return qprec, sprec, _lift_input_for(form, qprec, sprec)
 
 
 def exp_lift_homomorphic(pairs, qprec, sprec, ywindow=None):
@@ -302,27 +384,26 @@ def exp_lift_homomorphic(pairs, qprec, sprec, ywindow=None):
 
 
 def sqeg(form, qprec, pprec, ywindow=None):
-    """The second-quantized elliptic genus
+    """The second-quantized elliptic genus of a weight-0 form
 
         prod_{m>=0, n>0, l} (1 - q^m y^l p^n)^{-f(mn, l)}
+            = sum_n p^n H_n,   H_n = (1/n) sum_{k=1..n} (f|T_-(k)) H_{n-k}
 
     as a triple series whose third variable is p (graded in 1/24 units
-    on the s-slot).  No prefactor."""
-    factors = []
-    for n in range(1, (pprec - 1) // 24 + 1):
-        for m in range(0, (qprec - 1) // 24 + 1):
-            for key, coeff in _coeff_rows(form, m * n):
-                factors.append(((24 * m, key[1], 24 * n), -coeff))
-    return product_expand(factors, qprec, sprec=pprec, ybound=ywindow, den=DEN3)
+    on the s-slot).  No prefactor.  Every row is exact; ywindow, if given,
+    only clips the output to |ly| <= ywindow."""
+    terms = {}
+    for n, row in enumerate(_fj_rows(form, 1, qprec, (pprec - 1) // 24)):
+        if ywindow is not None:
+            row = row.clip_y(ywindow)
+        terms.update({(nq, ly, 24 * n): c for (nq, ly), c in row.terms.items()})
+    return Series(DEN3, terms, qprec, _clean=True)
 
 
 def symmetric_product_genus(form, n, qprec):
     """The p**n coefficient of the second-quantized genus: the orbifold
     elliptic genus of the n-th symmetric product."""
-    if n == 0:
-        return Series.const(1, DEN2, qprec)
-    full = sqeg(form, qprec, 24 * n + 1)
-    return full.s_slice(24 * n)
+    return _fj_rows(form, 1, qprec, n)[n]
 
 
 # ---- the Hodge anomaly -----------------------------------------------------
@@ -412,29 +493,25 @@ def hodge_anomaly(inv, qprec, sprec, ywindow=None):
 # ---- assembled Siegel forms for Calabi-Yau data ---------------------------
 
 
+def _lift_at(make, qprec, sprec, ywindow=None):
+    """exp_lift of make(input_qprec), where make builds the input form at
+    a q-precision and input_qprec is as far as the lift reads it."""
+    need = _lift_input_for(make(24), qprec, sprec)
+    return exp_lift(make(need), qprec, sprec, ywindow=ywindow)
+
+
 def e_form(inv, qprec, sprec, ywindow=None, genus_qprec=None):
     """The Siegel form attached to Calabi-Yau invariants: the exponential
     lift of minus the elliptic genus (with z doubled first when the
     dimension is odd)."""
-    need = genus_qprec if genus_qprec is not None else _lift_input_qprec(qprec, sprec, inv_index(inv))
-    chi = elliptic_genus(inv, qprec=need)
-    form = -chi
-    if inv.d % 2 == 1:
-        form = form.double_z()
-    return exp_lift(form, qprec, sprec, ywindow=ywindow)
 
+    def minus_genus(qp):
+        form = -elliptic_genus(inv, qprec=qp)
+        return form.double_z() if inv.d % 2 == 1 else form
 
-def inv_index(inv):
-    """Paramodular index of the lift attached to d-dimensional data."""
-    return inv.d // 2 if inv.d % 2 == 0 else 2 * inv.d
-
-
-def _lift_input_qprec(qprec, sprec, t):
-    """q-precision (1/24 units) the input form needs so every exponent
-    lookup c(n m, l) inside exp_lift stays below it."""
-    nmax = (qprec + 47) // 24
-    mmax = max((sprec + 24 * t - 1) // (24 * t), 1)
-    return 24 * (nmax * mmax + 2)
+    if genus_qprec is not None:
+        return exp_lift(minus_genus(genus_qprec), qprec, sprec, ywindow=ywindow)
+    return _lift_at(minus_genus, qprec, sprec, ywindow=ywindow)
 
 
 def factorization_product(inv, qprec, sprec, ywindow=None):
@@ -451,7 +528,7 @@ def factorization_product(inv, qprec, sprec, ywindow=None):
     qint = qprec - min(nq_shift, 0)
     sint = sprec - min(ms_shift, 0)
     pprec = (sint + t - 1) // t
-    chi = elliptic_genus(inv, qprec=_lift_input_qprec(qint, sint, 1))
+    chi = elliptic_genus(inv, qprec=_input_qprec(qint, pprec))
     psi = sqeg(chi, qint, pprec, ywindow=ywindow)
     psi = psi.substitute([[1, 0, 0], [0, 1, 0], [0, 0, t]], qint)
     series = _clip(anomaly.series * psi, ywindow, sprec)
@@ -780,13 +857,11 @@ def delta11_identity_check(qprec=97, sprec=97):
     """Verify  Delta11 * Delta2^2 ==
     Delta5(Z) * Delta5(tau,2z,4omega) * Delta5(tau,z,omega+1/2),
     the half-period factor computed over the Gaussian integers."""
-    input_prec = _lift_input_qprec(qprec, sprec, 2)
-    psi = psi2_variant(2, input_prec, variant="A")
-    d11 = exp_lift(psi, qprec, sprec)
-    d2 = exp_lift(generator(2, input_prec), qprec, sprec)
+    d11 = _lift_at(lambda qp: psi2_variant(2, qp, variant="A"), qprec, sprec)
+    d2 = _lift_at(lambda qp: generator(2, qp), qprec, sprec)
     lhs = ((d11.series * d2.series).truncate_s(sprec) * d2.series).truncate_s(sprec)
 
-    d5 = exp_lift(generator(1, _lift_input_qprec(qprec, sprec, 1)), qprec, sprec)
+    d5 = _lift_at(lambda qp: generator(1, qp), qprec, sprec)
     d5_doubled = siegel_scale(d5, 2, 4)
     d5_shifted = siegel_omega_half_shift(d5)
     rhs = (d5.series.promote("Zi") * d5_doubled.series.promote("Zi")).truncate_s(sprec)

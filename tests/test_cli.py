@@ -131,6 +131,22 @@ def test_verify_lifts_json(capsys):
     assert sqeg[0]["detail"] == [[0, 0, 1], [24, 0, 24], [48, 0, 324]]
 
 
+def test_verify_lifts_qmax_resizes_only_the_dual_constructions(capsys, verify_all):
+    code, out, _ = run(capsys, "verify", "lifts", "--qmax", "1", "--json")
+    assert code == 0
+    default = next(s for s in verify_all["suites"] if s["suite"] == "lifts")
+    before = {c["name"] for c in default["checks"]}
+    after = {c["name"] for c in json.loads(out)["checks"]}
+    assert before - after == {
+        "exp_lift(phi_02) == Delta2 arithmetic sum, weight2 4, character order 4 (q,s <= 3,3)",
+        "exp_lift(phi_03) == Delta1 arithmetic sum, weight2 2, character order 6 (q,s <= 3,3)",
+    }
+    assert after - before == {
+        "exp_lift(phi_02) == Delta2 arithmetic sum, weight2 4, character order 4 (q,s <= 1,3)",
+        "exp_lift(phi_03) == Delta1 arithmetic sum, weight2 2, character order 6 (q,s <= 1,3)",
+    }
+
+
 def test_verify_empty_window_is_precision_error(capsys):
     code, out, err = run(capsys, "verify", "ring", "--qmax", "0")
     assert code == 4

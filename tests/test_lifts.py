@@ -2,20 +2,28 @@
 
 import pytest
 
+from jacobilift import lifts
 from jacobilift.errors import PrecisionError, ValidationError
-from jacobilift.genus import K3, elliptic_genus
-from jacobilift.jacobi import JacobiForm, generator
+from jacobilift.genus import K3, CYInvariants, elliptic_genus
+from jacobilift.jacobi import JacobiForm, generator, psi2_variant
 from jacobilift.lifts import (
+    _clip,
+    _input_qprec,
+    _prefactor_key,
+    _window_terms,
     delta_half_theta,
     even_characteristics,
     exp_lift,
+    exp_lift_homomorphic,
+    hodge_anomaly,
     humbert_multiplicity,
+    lift_window_for,
     siegel_theta_constant,
     sqeg,
     symmetric_product_genus,
     window_equal,
 )
-from jacobilift.series import DEN3, Series
+from jacobilift.series import DEN3, Series, product_expand
 
 from conftest import verified_by
 
@@ -134,3 +142,131 @@ def test_humbert_zero_form():
     assert humbert_multiplicity(zero, 0, 1) == 0
 
 
+# ---- the product route and the fixed-point inverse, kept as oracles ----------
+
+
+def product_exp_lift(form, qprec, sprec, ywindow=None):
+    """exp_lift as the whole Borcherds product, one binomial factor at a
+    time: n = m = 0 with l < 0, then m = 0 with n > 0, then m > 0."""
+    t = form.index2 // 2
+    pref = _prefactor_key(form)
+    pq, ps = qprec - pref[0], sprec - pref[2]
+    q0 = form.q_row(0)
+    factors = [((0, ly, 0), c) for ly, c in q0.items() if ly < 0]
+    for n in range(1, (pq - 1) // 24 + 1):
+        factors += [((24 * n, ly, 0), c) for ly, c in q0.items()]
+    for m in range(1, (ps - 1) // (24 * t) + 1):
+        for n in range(0, (pq - 1) // 24 + 1):
+            factors += [((24 * n, ly, 24 * t * m), c) for ly, c in form.q_row(n * m).items()]
+    return product_expand(factors, pq, sprec=ps, ybound=ywindow, den=DEN3).shift(pref)
+
+
+def product_sqeg(form, qprec, pprec):
+    """sqeg as the whole product prod (1 - q^m y^l p^n)^(-f(mn, l))."""
+    factors = []
+    for n in range(1, (pprec - 1) // 24 + 1):
+        for m in range(0, (qprec - 1) // 24 + 1):
+            factors += [((24 * m, ly, 24 * n), -c) for ly, c in form.q_row(m * n).items()]
+    return product_expand(factors, qprec, sprec=pprec, den=DEN3)
+
+
+def fixed_point_inverse(unit, qprec, sprec=None, ywindow=None):
+    """clipped_inverse as the fixed point of inv = clip(1 + (1 - unit)*inv)."""
+    one = Series.const(1, unit.den, qprec, unit.ring)
+    w = _clip(one - unit, ywindow, sprec)
+    if not w.terms:
+        return one
+    inv = one
+    for _ in range(10000):
+        nxt = _clip(one + w * inv, ywindow, sprec)
+        if nxt.terms == inv.terms:
+            return nxt
+        inv = nxt
+    raise AssertionError("fixed point did not stabilize")
+
+
+LIFT_INPUTS = {
+    "phi01": lambda qp: generator(1, qp),
+    "phi02": lambda qp: generator(2, qp),
+    "phi03": lambda qp: generator(3, qp),
+    "phi04": lambda qp: generator(4, qp),
+    "psi_A": lambda qp: psi2_variant(2, qp, variant="A"),
+}
+
+
+@pytest.mark.parametrize("window", [(2, 2), (4, 1)])
+@pytest.mark.parametrize("name", sorted(LIFT_INPUTS))
+def test_exp_lift_equals_product(name, window):
+    make = LIFT_INPUTS[name]
+    qp, sp, inq = lift_window_for(make(24), *window)
+    form = make(inq)
+    assert exp_lift(form, qp, sp).series == product_exp_lift(form, qp, sp)
+
+
+SQEG_GENERA = {
+    "K3": K3,
+    "CY4(1,4,6,4,1)": CYInvariants(4, (1, 4, 6, 4, 1)),
+    "CY3(e=40)": CYInvariants.from_euler(3, 40),
+}
+
+
+@pytest.mark.parametrize("window", [(3, 3), (5, 1)])
+@pytest.mark.parametrize("name", sorted(SQEG_GENERA))
+def test_sqeg_equals_product(name, window):
+    qprec, pprec = 24 * window[0] + 1, 24 * window[1] + 1
+    chi = elliptic_genus(SQEG_GENERA[name], qprec=_input_qprec(qprec, pprec))
+    assert sqeg(chi, qprec, pprec) == product_sqeg(chi, qprec, pprec)
+
+
+def test_exp_lift_with_ywindow_equals_product_on_interior():
+    """exp_lift(a phi_02 + b psi_A), |a|,|b| <= 2, clips F_0 only, so it may
+    differ from the product route near |ly| = 80, never at |ly| <= 12."""
+    for a in range(-2, 3):
+        for b in range(-2, 3):
+            if a == b == 0:
+                continue
+            probe = JacobiForm(generator(2, 24).series.scale(a)
+                               + psi2_variant(2, 24, variant="A").series.scale(b), 0, 4)
+            qp, sp, inq = lift_window_for(probe, 3, 3)
+            form = JacobiForm(generator(2, inq).series.scale(a)
+                              + psi2_variant(2, inq, variant="A").series.scale(b), 0, 4)
+            lifted = exp_lift(form, qp, sp, ywindow=80).series
+            oracle = product_exp_lift(form, qp, sp, ywindow=80)
+            assert lifted.qprec == oracle.qprec
+            assert _window_terms(lifted, qp - 1, sp - 1, 12), (a, b)
+            assert window_equal(lifted, oracle, qp - 1, sp - 1, ybound=12), (a, b)
+
+
+def test_lifts_refuse_an_input_one_order_short():
+    qp, sp, inq = lift_window_for(generator(1, 24), 3, 3)
+    exp_lift(generator(1, inq), qp, sp)
+    with pytest.raises(PrecisionError, match="reads 10 q-orders of the input form; it has 9"):
+        exp_lift(generator(1, inq - 24), qp, sp)
+    qprec, pprec = 73, 73
+    need = _input_qprec(qprec, pprec)
+    sqeg(elliptic_genus(K3, qprec=need), qprec, pprec)
+    with pytest.raises(PrecisionError):
+        sqeg(elliptic_genus(K3, qprec=need - 24), qprec, pprec)
+
+
+def test_clipped_inverse_equals_fixed_point(monkeypatch):
+    """Every unit that verify's homomorphism and factorization checks
+    invert, inverted in one pass and by the fixed point."""
+    one_pass = lifts.clipped_inverse
+    seen = []
+
+    def both(unit, qprec, sprec=None, ywindow=None):
+        got = one_pass(unit, qprec, sprec=sprec, ywindow=ywindow)
+        assert got == fixed_point_inverse(unit, qprec, sprec=sprec, ywindow=ywindow)
+        seen.append(len(got.terms))
+        return got
+
+    monkeypatch.setattr(lifts, "clipped_inverse", both)
+    phi, psi = generator(2, 24 * 17), psi2_variant(2, 24 * 17, variant="A")
+    for a, b in ((-2, -1), (1, -2)):
+        form = JacobiForm(phi.series.scale(a) + psi.series.scale(b), 0, 4)
+        qp, sp, _ = lift_window_for(form, 3, 3)
+        exp_lift_homomorphic([(phi, a), (psi, b)], qp, sp, ywindow=80)
+    for inv in (K3, CYInvariants(4, (1, 4, 6, 4, 1))):
+        hodge_anomaly(inv, 49, 49, ywindow=60)
+    assert len(seen) >= 4 and all(seen)
