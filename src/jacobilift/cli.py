@@ -2,10 +2,15 @@
 verification suites.
 
 Exit codes: 0 success, 2 parse/validation failure, 3 identity or
-divisibility failure, 4 insufficient precision.
+divisibility failure, 4 insufficient precision.  Under --json an error is
+one JSON object on standard output, {"error": "input" | "identity" |
+"precision", "message": ..., "exit": code}; otherwise it is a line of text
+on standard error.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import sys
 from fractions import Fraction
@@ -39,6 +44,13 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_IDENTITY = 3
 EXIT_PRECISION = 4
+
+# error kind -> (exit code, prefix of the text line on standard error)
+ERRORS = {
+    "input": (EXIT_PARSE, "error: "),
+    "identity": (EXIT_IDENTITY, "identity failure: "),
+    "precision": (EXIT_PRECISION, "precision error: "),
+}
 
 NAMED_FORMS = {
     "phi01": "Phi1",
@@ -162,10 +174,13 @@ def cmd_genus(args):
     relations = relation_check(inv)
     broken = [k for k, (ok, _) in relations.items() if not ok]
     if broken:
+        message = f"failed: {'; '.join(broken)}"
+        if args.json:
+            return _error(True, "identity", message)
         for k, (ok, res) in relations.items():
             status = "ok  " if ok else "FAIL"
             print(f"{status} {k}  (residual {res})", file=sys.stderr)
-        print(f"failed: {'; '.join(broken)}", file=sys.stderr)
+        print(message, file=sys.stderr)
         return EXIT_IDENTITY
     genus = elliptic_genus(inv, qprec=24 * (args.qmax + 1))
     # the torsion congruences apply to integral-index forms (even d)
@@ -333,21 +348,38 @@ def _check_windows(args):
             raise ValidationError(f"--{name} must be >= 0, got {value}")
 
 
+def _error(as_json, kind, message):
+    """Report an error of the given kind and return its exit code."""
+    code, text = ERRORS[kind]
+    if as_json:
+        print(json.dumps({"error": kind, "message": message, "exit": code}, sort_keys=True))
+    else:
+        print(f"{text}{message}", file=sys.stderr)
+    return code
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    usage = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(usage):
+            args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage text into `usage` and exits 2
+        if exc.code != EXIT_PARSE or "--json" not in argv:
+            sys.stderr.write(usage.getvalue())
+            raise
+        message = usage.getvalue().strip().splitlines()[-1]
+        return _error(True, "input", message.split("error: ", 1)[-1])
     try:
         _check_windows(args)
         return args.fn(args)
     except PrecisionError as exc:
-        print(f"precision error: {exc}", file=sys.stderr)
-        return EXIT_PRECISION
+        return _error(args.json, "precision", str(exc))
     except InexactDivisionError as exc:
-        print(f"identity failure: {exc}", file=sys.stderr)
-        return EXIT_IDENTITY
+        return _error(args.json, "identity", str(exc))
     except (ValidationError, JacobiLiftError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _error(args.json, "input", str(exc))
 
 
 if __name__ == "__main__":

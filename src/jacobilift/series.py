@@ -13,8 +13,11 @@ above it.  qprec=None marks an exact (polynomial) object with no missing
 tail.  Coefficient rings: "Z" (int), "Q" (Fraction), "Zi" (GaussianInt).
 """
 
+from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
-from math import comb
+from itertools import product
+from math import comb, gcd, prod
 
 from .errors import (
     InexactDivisionError,
@@ -205,31 +208,19 @@ class Series:
         if self.den != other.den:
             raise ValidationError("cannot multiply series with different denominators")
         check_ring(self.ring, other.ring)
+        qa, qb = self.min_nq(), other.min_nq()
         qprec = _min_prec(
-            None if self.qprec is None else self.qprec + other.min_nq(),
-            None if other.qprec is None else other.qprec + self.min_nq(),
+            None if self.qprec is None else self.qprec + qb,
+            None if other.qprec is None else other.qprec + qa,
         )
         a, b = self.terms, other.terms
         if len(a) > len(b):
-            a, b = b, a
-        out = {}
-        nvars = len(self.den)
-        bitems = sorted(b.items())
-        for ka, ca in a.items():
-            nqa = ka[0]
-            for kb, cb in bitems:
-                nq = nqa + kb[0]
-                if qprec is not None and nq >= qprec:
-                    break
-                if nvars == 2:
-                    key = (nq, ka[1] + kb[1])
-                else:
-                    key = (nq, ka[1] + kb[1], ka[2] + kb[2])
-                new = out.get(key, 0) + ca * cb
-                if new == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = new
+            a, b, qa, qb = b, a, qb, qa
+        if self.ring == RING_Z and len(a) >= PACK_MIN_TERMS and len(a) ** 2 > len(b):
+            packing = _Kronecker(a, b, qa, qb, qprec)
+            if packing.pays():
+                return Series(self.den, packing.multiply(), qprec, self.ring, _clean=True)
+        out = _mul_dict(a, b, qprec, len(self.den))
         return Series(self.den, out, qprec, self.ring, _clean=True)
 
     __rmul__ = __mul__
@@ -257,13 +248,15 @@ class Series:
         one = Series.const(1, self.den, None, self.ring)
         return one.exact_div(self)
 
-    def exact_div(self, other, max_steps=2_000_000):
+    def exact_div(self, other):
         """Exact long division driven by the lexicographically minimal key.
 
         Terminates when the quotient is an honest sparse series up to the
         derived q-precision; raises InexactDivisionError on a coefficient
-        that does not divide, and guards against divergent quotients whose
-        y-support grows without bound at a fixed q-level.
+        that does not divide.  Between exact (qprec=None) series, a = b*c
+        gives c the extent of a minus that of b on every axis, so a quotient
+        term outside that box raises at once.  Otherwise a guard stops
+        quotients whose y-support grows without bound at a fixed q-level.
         """
         if not isinstance(other, Series) or self.den != other.den:
             raise ValidationError("division needs series over the same variables")
@@ -280,10 +273,16 @@ class Series:
         )
         if self.is_zero():
             return Series.zero(self.den, qprec, self.ring)
-        # y-span guard: an exact quotient cannot be much wider than the inputs.
-        span_a = self.y_span()
-        span_b = other.y_span()
-        ylimit = 2 * (span_a[1] - span_a[0]) + 4 * (span_b[1] - span_b[0]) + 512
+        if qprec is None:
+            box = [
+                (min(ca) - min(cb), max(ca) - max(cb))
+                for ca, cb in zip(zip(*self.terms), zip(*other.terms))
+            ]
+        else:
+            # y-span guard: an exact quotient cannot be much wider than the inputs.
+            span_a = self.y_span()
+            span_b = other.y_span()
+            ylimit = 2 * (span_a[1] - span_a[0]) + 4 * (span_b[1] - span_b[0]) + 512
         rem_bound = None if qprec is None else qprec + beta
         rem = {
             k: c
@@ -293,17 +292,23 @@ class Series:
         quot = {}
         b_items = sorted(other.terms.items())
         nvars = len(self.den)
-        steps = 0
         while rem:
             k = min(rem)
             c = rem[k]
             qk = tuple(k[i] - kb[i] for i in range(nvars))
-            if qprec is not None and qk[0] >= qprec:
+            if qprec is None:
+                if any(not lo <= v <= hi for v, (lo, hi) in zip(qk, box)):
+                    raise InexactDivisionError(
+                        f"division is not exact: quotient term {qk} lies outside "
+                        f"the box {box} (per axis, the dividend's extent minus "
+                        "the divisor's) that an exact quotient fills"
+                    )
+            elif qk[0] >= qprec:
                 break
-            if abs(qk[1]) > ylimit:
+            elif abs(qk[1]) > ylimit:
                 raise InexactDivisionError(
-                    "quotient y-support exceeds guard; division is not exact "
-                    "or does not terminate"
+                    f"quotient y-exponent {qk[1]} exceeds the guard {ylimit}; division "
+                    "is not exact or does not terminate"
                 )
             qc = ring_divide(c, cb, self.ring)
             quot[qk] = qc
@@ -316,11 +321,6 @@ class Series:
                     rem.pop(key, None)
                 else:
                     rem[key] = new
-            steps += 1
-            if steps > max_steps:
-                raise InexactDivisionError("division exceeded the step guard")
-        if qprec is None and rem:
-            raise InexactDivisionError("division left a nonzero remainder")
         return Series(self.den, quot, qprec, self.ring, _clean=True)
 
     # ---- exponent substitutions ---------------------------------------
@@ -429,6 +429,132 @@ class Series:
         """Drop terms with |y-exponent| > ybound (in 1/4 units)."""
         terms = {k: c for k, c in self.terms.items() if abs(k[1]) <= ybound}
         return Series(self.den, terms, self.qprec, self.ring, _clean=True)
+
+
+# A Z-product whose smaller operand has fewer terms, or at most the square
+# root of the larger's (a sparse factor), stays on the dict loop.
+PACK_MIN_TERMS = 16
+
+
+def _mul_dict(a, b, qprec, nvars):
+    """Term dicts a (the smaller) times b, one dict update per pair."""
+    out = {}
+    bitems = sorted(b.items())
+    for ka, ca in a.items():
+        nqa = ka[0]
+        for kb, cb in bitems:
+            nq = nqa + kb[0]
+            if qprec is not None and nq >= qprec:
+                break
+            if nvars == 2:
+                key = (nq, ka[1] + kb[1])
+            else:
+                key = (nq, ka[1] + kb[1], ka[2] + kb[2])
+            new = out.get(key, 0) + ca * cb
+            if new == 0:
+                out.pop(key, None)
+            else:
+                out[key] = new
+    return out
+
+
+class _Kronecker:
+    """One product of Z term dicts by Kronecker substitution: each operand
+    becomes a single integer, and one big-integer multiplication (Karatsuba
+    in CPython) yields every coefficient (D. Harvey, J. Symb. Comp. 2009).
+
+    Terms that cannot reach qprec are dropped first.  Each exponent axis is
+    divided by the gcd stride of both operands, measured from each
+    operand's minimum (forms use only q in 24Z and y in 4Z or 4Z + 2), and
+    the product's bounding box is laid out row-major with q slowest.  A
+    slot holds width bytes, signed, wide enough for any product
+    coefficient: at most min(|a|, |b|) pairs meet in a slot.  qa and qb are
+    the operands' lowest q-exponents.
+    """
+
+    __slots__ = (
+        "a", "b", "cols_a", "cols_b", "lo", "step", "shape", "rows", "width", "pairs",
+    )
+
+    def __init__(self, a, b, qa, qb, qprec):
+        square = a is b
+        self.pairs = 0
+        if qprec is not None:
+            if qa + qb >= qprec:
+                return
+            a = {k: c for k, c in a.items() if k[0] < qprec - qb}
+            b = a if square else {k: c for k, c in b.items() if k[0] < qprec - qa}
+        self.a, self.b = a, b
+        self.cols_a = cols_a = list(zip(*a))
+        self.cols_b = cols_b = cols_a if square else list(zip(*b))
+        self.lo, self.step, self.shape = [], [], []
+        for ca, cb in zip(cols_a, cols_b):
+            va, vb = set(ca), set(cb)
+            la, lb = min(va), min(vb)
+            g = gcd(*[v - la for v in va], *[v - lb for v in vb]) or 1
+            self.lo.append(la + lb)
+            self.step.append(g)
+            self.shape.append((max(va) - la + max(vb) - lb) // g + 1)
+        self.rows = self.shape[0]
+        if qprec is None:
+            self.pairs = len(a) * len(b)
+        else:
+            self.rows = min(self.rows, (qprec - self.lo[0] - 1) // self.step[0] + 1)
+            qs = sorted(cols_b[0])
+            self.pairs = sum(
+                n * bisect_left(qs, qprec - nq) for nq, n in Counter(cols_a[0]).items()
+            )
+        bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
+        self.width = (bound.bit_length() + 2 + 7) // 8
+
+    def pays(self):
+        """The route rule: pack when the in-window pairs of the dict loop
+        cost more than packing the terms, reading the window's slots and
+        the multiplication (its size in kB to the power log2(3)).  Fitted
+        by timing both routes on every Z product of a forms round, a lifts
+        round and verify all, in units of one dict-loop pair."""
+        if not self.pairs:
+            return False
+        row = prod(self.shape[1:])
+        kbytes = self.shape[0] * row * self.width / 1000
+        cost = 64 + 3 * (len(self.a) + len(self.b)) + self.rows * row + 40 * kbytes**1.585
+        return self.pairs > cost
+
+    def multiply(self):
+        """The product's terms below qprec."""
+        if not self.pairs:
+            return {}
+        width, step = self.width, self.step
+        stride = [prod(self.shape[i + 1:]) for i in range(len(self.shape))]
+
+        def pack(terms, cols):
+            offset = [0] * len(terms)  # in bytes
+            for col, lo, g, s in zip(cols, map(min, cols), step, stride):
+                s *= width
+                offset = [i + (v - lo) // g * s for i, v in zip(offset, col)]
+            pos = bytearray(max(offset) + width)
+            neg = bytearray(len(pos))
+            for i, c in zip(offset, terms.values()):
+                if c > 0:
+                    pos[i:i + width] = c.to_bytes(width, "little")
+                else:
+                    neg[i:i + width] = (-c).to_bytes(width, "little")
+            return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+        packed = pack(self.a, self.cols_a)
+        packed *= packed if self.b is self.a else pack(self.b, self.cols_b)
+        # slot i holds d_i + half in [0, 2**(8 width)): read the window's slots
+        slots = self.rows * stride[0]
+        zero = bytes(width - 1) + b"\x80"
+        half = 1 << (8 * width - 1)
+        packed += int.from_bytes(zero * slots, "little")
+        data = (packed & ((1 << (8 * width * slots)) - 1)).to_bytes(width * slots, "little")
+        values = (int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width))
+        axes = [
+            range(lo, lo + g * n, g)
+            for lo, g, n in zip(self.lo, step, [self.rows] + self.shape[1:])
+        ]
+        return {key: v - half for key, v in zip(product(*axes), values) if v != half}
 
 
 def gen_binomial(e, j):

@@ -11,6 +11,7 @@ The acceptance tests group these checks by name into thirteen criteria.
 """
 
 import random
+import time
 from math import gcd
 
 from .errors import JacobiLiftError, PrecisionError, ValidationError
@@ -559,7 +560,8 @@ SUITES = {
 
 
 def run_suite(name, **kwargs):
-    """Run one named suite (or 'all'); returns a JSON-friendly report."""
+    """Run one named suite (or 'all'); returns a JSON-friendly report.
+    Each suite's report carries its wall-clock `seconds`."""
     if name == "all":
         suites = [run_suite(s, **kwargs) for s in SUITES]
         return {
@@ -576,9 +578,11 @@ def run_suite(name, **kwargs):
         k: v for k, v in kwargs.items()
         if k in inspect.signature(fn).parameters and v is not None
     }
+    start = time.perf_counter()
     checks = fn(**accepted)
     return {
         "suite": name,
         "ok": all(c["ok"] for c in checks),
+        "seconds": time.perf_counter() - start,
         "checks": checks,
     }

@@ -143,3 +143,8 @@ def test_every_check_is_named_by_a_criterion(verify_all):
         "ring", "basis", "hecke", "congruences", "lifts",
     ]
     assert checks == named, sorted(checks ^ named)
+
+
+def test_every_suite_reports_its_seconds(verify_all):
+    for suite in verify_all["suites"]:
+        assert isinstance(suite["seconds"], float) and suite["seconds"] >= 0, suite["suite"]

@@ -191,3 +191,24 @@ def test_out_file(tmp_path, capsys):
                        "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["weight2"] == 0
+
+
+@pytest.mark.parametrize("argv, kind, code, says", [
+    (["expand", "Phi1*Phi9", "--json"], "input", 2, "Phi9"),
+    (["expand", "Phi1", "--json", "--bogus"], "input", 2, "unrecognized arguments: --bogus"),
+    (["genus", "--d", "4", "--chi", "1,4,7,4,1", "--json"], "identity", 3, "e(M4) mod 6"),
+    (["verify", "ring", "--qmax", "0", "--json"], "precision", 4, "window is empty"),
+])
+def test_json_errors(capsys, argv, kind, code, says):
+    got, out, err = run(capsys, *argv)
+    assert got == code and err == ""
+    data = json.loads(out)
+    assert sorted(data) == ["error", "exit", "message"]
+    assert data["error"] == kind and data["exit"] == code and says in data["message"]
+
+
+def test_usage_error_without_json_keeps_argparse_text(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", "Phi1", "--bogus"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and err.startswith("usage: ") and "--bogus" in err

@@ -3,10 +3,18 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from jacobilift.errors import InexactDivisionError, ValidationError
-from jacobilift.series import DEN2, DEN3, Series, series_from_dict, series_to_dict
+from jacobilift.series import (
+    DEN2,
+    DEN3,
+    Series,
+    _Kronecker,
+    _mul_dict,
+    series_from_dict,
+    series_to_dict,
+)
 
 KEYS2 = st.tuples(
     st.integers(min_value=-24, max_value=47), st.integers(min_value=-8, max_value=8)
@@ -131,3 +139,99 @@ def test_rational_promotion():
     s = Series(DEN2, {(0, 0): 2}, 24).promote(RING_Q)
     assert s.scale(Fraction(1, 2)).terms == {(0, 0): Fraction(1)}
     assert s.scale(Fraction(1, 2)).demote_to_int().terms == {(0, 0): 1}
+
+
+def test_inexact_division_of_exact_series_raises_at_once():
+    one = Series.const(1, DEN2, None)
+    with pytest.raises(InexactDivisionError, match=r"outside the box \[\(0, -24\), \(0, 0\)\]"):
+        one.exact_div(Series(DEN2, {(0, 0): 1, (24, 0): -1}, None))
+
+
+def test_exact_division_of_exact_series():
+    b = Series(DEN2, {(0, 0): 1, (24, 0): -1}, None)
+    c = Series(DEN3, {(0, -2, 0): 3, (0, 2, 24): -1, (48, 6, 0): 2}, None)
+    assert (b.lift_to_three() * c).exact_div(b.lift_to_three()) == c
+
+
+# ---- packed (Kronecker) products against the dict loop --------------------
+
+BIG = 2**200
+
+
+@st.composite
+def lattice_series(draw, nvars, min_size=1, max_size=40):
+    """A Z-series on a lattice like the forms' (q in 24Z, y in 4Z or 4Z + 2),
+    sometimes on the plain integer lattice, with small or huge coefficients."""
+    qstep = draw(st.sampled_from([24, 1]))
+    yoff = draw(st.sampled_from([0, 2]))
+    axes = [
+        st.integers(-2, 10).map(lambda i: qstep * i),
+        st.integers(-6, 6).map(lambda j: 4 * j + yoff),
+    ]
+    if nvars == 3:
+        axes.append(st.integers(0, 3).map(lambda m: 24 * m))
+    coeff = st.one_of(st.sampled_from([-1, 1]), st.integers(-BIG, BIG)).filter(bool)
+    terms = draw(st.dictionaries(st.tuples(*axes), coeff, min_size=min_size, max_size=max_size))
+    qprec = draw(st.one_of(st.none(), st.integers(-48, 300)))
+    return Series(DEN3 if nvars == 3 else DEN2, terms, qprec)
+
+
+def both_routes(a, b, qprec):
+    """The packed and the dict product of two term dicts below qprec."""
+    small, large = sorted((a, b), key=len)
+    qs, ql = min(k[0] for k in small), min(k[0] for k in large)
+    nvars = len(next(iter(a)))
+    packed = _Kronecker(small, large, qs, ql, qprec).multiply()
+    return packed, _mul_dict(small, large, qprec, nvars)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_packed_product_equals_dict_product(data):
+    nvars = data.draw(st.sampled_from([2, 3]))
+    a = data.draw(lattice_series(nvars))
+    b = data.draw(lattice_series(nvars))
+    assume(a.terms and b.terms)
+    prod = a * b
+    packed, plain = both_routes(a.terms, b.terms, prod.qprec)
+    assert packed == plain == prod.terms
+    assert Series(a.den, packed, prod.qprec, _clean=True) == prod
+    # a short or empty window, and a square (one packed operand)
+    low = min(k[0] for k in a.terms) + min(k[0] for k in b.terms)
+    window = data.draw(st.one_of(st.none(), st.integers(low - 48, low + 48)))
+    packed, plain = both_routes(a.terms, b.terms, window)
+    assert packed == plain
+    qa = min(k[0] for k in a.terms)
+    assert _Kronecker(a.terms, a.terms, qa, qa, window).multiply() == _mul_dict(
+        a.terms, a.terms, window, nvars
+    )
+
+
+def grid(rows, cols, coeff=1, yoff=0):
+    """rows x cols terms on the (24Z, 4Z + yoff) lattice."""
+    return {(24 * i, 4 * j + yoff): coeff * (i + j + 1) for i in range(rows) for j in range(cols)}
+
+
+def test_packed_product_cancels_and_keeps_no_zero_terms():
+    ones = {(0, 4 * j): 1 for j in range(40)}
+    step = {(0, 0): 1, (0, 4): -1, (24, 2): BIG, (24, 6): -BIG}
+    packed, plain = both_routes(ones, step, None)
+    assert packed == plain and (0, 4 * 40) in packed and (0, 4) not in packed
+
+
+@pytest.mark.parametrize("small, large, qprec, route", [
+    (grid(3, 5), grid(3, 5), None, "dict"),  # 15 terms: below the size gate
+    (grid(4, 4), grid(4, 4), None, "packed"),  # 16 x 16 dense
+    (grid(4, 4), grid(16, 16), None, "dict"),  # 16 <= sqrt(256): a sparse factor
+    (grid(4, 4), grid(15, 17), None, "packed"),  # 16 > sqrt(255)
+    (grid(4, 4), grid(4, 4, -1, 2), 25, "dict"),  # the window keeps 48 of 256 pairs
+    (grid(16, 3, BIG), grid(16, 3, -BIG), None, "packed"),  # 52-byte slots
+])
+def test_product_route_at_the_rule_boundary(monkeypatch, small, large, qprec, route):
+    calls = []
+    multiply = _Kronecker.multiply
+    monkeypatch.setattr(_Kronecker, "multiply", lambda self: calls.append(1) or multiply(self))
+    a, b = Series(DEN2, small, qprec), Series(DEN2, large, qprec)
+    prod = a * b
+    assert prod.terms == _mul_dict(a.terms, b.terms, prod.qprec, 2)
+    assert ("packed" if calls else "dict") == route
