@@ -90,14 +90,25 @@ class GeneratorPolynomial:
         return idx.pop()
 
     def evaluate(self, values):
-        """Evaluate against a 4-tuple of ring elements supporting + and *."""
+        """Evaluate against a 4-tuple of ring elements supporting + and *.
+
+        Each monomial is read as the word of its generators in index order,
+        and the words are walked depth first in sorted order: every prefix
+        is its parent prefix times one generator, so each distinct prefix of
+        degree >= 2 costs one product, and only the current path is kept."""
         result = None
-        for key, coeff in sorted(self.terms.items()):
-            term = None
-            for i, e in enumerate(key):
-                for _ in range(e):
-                    term = values[i] if term is None else term * values[i]
-            term = coeff if term is None else term * coeff
+        path = []  # (generator, value) for each letter of the current prefix
+        for word, coeff in sorted(
+            (tuple(i for i, e in enumerate(key) for _ in range(e)), coeff)
+            for key, coeff in self.terms.items()
+        ):
+            shared = 0
+            while shared < min(len(path), len(word)) and path[shared][0] == word[shared]:
+                shared += 1
+            del path[shared:]
+            for i in word[shared:]:
+                path.append((i, path[-1][1] * values[i] if path else values[i]))
+            term = path[-1][1] * coeff if path else coeff
             result = term if result is None else result + term
         return result
 

@@ -285,16 +285,6 @@ TORSION_CONGRUENCES = {
 }
 
 
-def _valuation(n, p):
-    if n == 0:
-        return None
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def divisibility_report(form, d=None):
     """Check the torsion-specialization congruences on a weight-0 form.
 

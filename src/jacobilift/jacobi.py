@@ -199,40 +199,21 @@ def theta_jacobi(qprec, y_scale=1):
     return Series(DEN2, terms, qprec)
 
 
-def theta_jacobi_product(qprec, y_scale=1):
-    """Product form -q**(1/8) y**(-1/2) prod (1-q**(n-1)y)(1-q**n/y)(1-q**n)."""
-    rel = qprec - 3
-    acc = Series.const(1, DEN2, rel)
-    n = 1
-    while True:
-        lead = 24 * (n - 1)
-        if lead >= rel and 24 * n >= rel:
-            break
-        for key in ((lead, 4 * y_scale), (24 * n, -4 * y_scale), (24 * n, 0)):
-            if key[0] >= rel:
-                continue
-            factor = Series(DEN2, {(0, 0): 1, key: -1}, rel, RING_Z, _clean=True)
-            acc = acc * factor
-        n += 1
-    return acc.shift((3, -2 * y_scale)).scale(-1)
-
-
 def _phi01_series(qprec):
-    """phi01 = 12 phi_{-2,1} wp/(2 pi i)**2 over Z (Eichler-Zagier), where
-    phi_{-2,1} = (theta/eta**3)**2 and
-    wp/(2 pi i)**2 = 1/12 + y/(1-y)**2 + sum_n sum_{d|n} d (y**d - 2 + y**-d) q**n.
-    Since y/(1-y)**2 = 1/(y - 2 + 1/y), that term is an exact division."""
-    half = phi_weak_weight_minus1(qprec).series
-    phi_m21 = half * half
-    terms = {(0, 0): 1}
-    for n in range(1, (qprec + 23) // 24):
-        terms[(24 * n, 0)] = -24 * sigma1(n)
-        for d in range(1, n + 1):
-            if n % d == 0:
-                terms[(24 * n, 4 * d)] = terms[(24 * n, -4 * d)] = 12 * d
-    wp = Series(DEN2, terms, qprec, RING_Z, _clean=True)
-    pole = phi_m21.exact_div(Series(DEN2, {(0, 4): 1, (0, 0): -2, (0, -4): 1}, None))
-    return phi_m21 * wp + pole.scale(12)
+    """phi01 by the heat identity (Eichler-Zagier): with D = y d/dy,
+    phi01 * eta**6 = E2 theta**2 - 12 (theta D**2 theta - (D theta)**2),
+    which is 12 phi_{-2,1} wp/(2 pi i)**2 with phi_{-2,1} = theta**2/eta**6.
+    D is counted in units of y**(1/2) (it multiplies y**(m/2) by m), which
+    turns the 12 into 3 and keeps every term in Z."""
+    theta = theta_jacobi(qprec + 3)
+    d1, d2 = (
+        Series(DEN2, {k: c * (k[1] // 2) ** e for k, c in theta.terms.items()}, theta.qprec)
+        for e in (1, 2)
+    )
+    e2 = {(24 * n, 0): -24 * sigma1(n) for n in range(1, (qprec + 23) // 24)}
+    e2 = Series(DEN2, {(0, 0): 1, **e2}, qprec, RING_Z, _clean=True)
+    heat = e2 * (theta * theta) - (theta * d2 - d1 * d1).scale(3)
+    return (heat * eta_power(-6, qprec - 6)).truncate(qprec)
 
 
 def _phi02_series(qprec):
@@ -278,9 +259,7 @@ def _phi04_series(qprec):
 
 
 def _xi06_series(qprec):
-    pad = qprec + 48
-    theta12 = theta_jacobi(pad) ** 12
-    return theta12.exact_div(eta_power(12, pad + 40)).truncate(qprec)
+    return (theta_jacobi(qprec) ** 12 * eta_power(-12, qprec - 12)).truncate(qprec)
 
 
 def _form_store(build):
@@ -330,8 +309,7 @@ def phi_threehalf(qprec):
 @_form_store
 def phi_weak_weight_minus1(qprec):
     """The index 1/2 weight -1 form theta(tau,z)/eta(tau)**3."""
-    series = theta_jacobi(qprec + 6).exact_div(eta_power(3, qprec + 6))
-    return JacobiForm(series.truncate(qprec), -2, 1, None)
+    return JacobiForm(theta_jacobi(qprec + 3) * eta_power(-3, qprec - 3), -2, 1, None)
 
 
 @_form_store

@@ -13,11 +13,13 @@ above it.  qprec=None marks an exact (polynomial) object with no missing
 tail.  Coefficient rings: "Z" (int), "Q" (Fraction), "Zi" (GaussianInt).
 """
 
+import heapq
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd, prod
+from operator import add, gt, sub
 
 from .errors import (
     InexactDivisionError,
@@ -110,13 +112,6 @@ class Series:
 
     def sorted_terms(self):
         return sorted(self.terms.items())
-
-    def y_span(self):
-        """(min, max) stored y-exponent in 1/den[1] units; (0, 0) if empty."""
-        if not self.terms:
-            return (0, 0)
-        lys = [k[1] for k in self.terms]
-        return (min(lys), max(lys))
 
     def q_slice(self, nq):
         """Terms at a fixed q-exponent, as a sorted list of (key, coeff)."""
@@ -249,14 +244,16 @@ class Series:
         return one.exact_div(self)
 
     def exact_div(self, other):
-        """Exact long division driven by the lexicographically minimal key.
+        """Exact long division, one quotient term per step in increasing key
+        order; the pending keys of the remainder are kept in a heap.
 
         Terminates when the quotient is an honest sparse series up to the
         derived q-precision; raises InexactDivisionError on a coefficient
         that does not divide.  Between exact (qprec=None) series, a = b*c
         gives c the extent of a minus that of b on every axis, so a quotient
-        term outside that box raises at once.  Otherwise a guard stops
-        quotients whose y-support grows without bound at a fixed q-level.
+        term outside that box raises at once.  Otherwise every q-level of
+        the quotient has a ceiling on each axis after q (``_level_ceiling``),
+        and a quotient term above it raises at once.
         """
         if not isinstance(other, Series) or self.den != other.den:
             raise ValidationError("division needs series over the same variables")
@@ -273,29 +270,27 @@ class Series:
         )
         if self.is_zero():
             return Series.zero(self.den, qprec, self.ring)
+        rem_bound = None if qprec is None else qprec + beta
+        rem = {k: c for k, c in self.terms.items() if rem_bound is None or k[0] < rem_bound}
+        heap = list(rem)
+        heapq.heapify(heap)
+        # the leading term cancels the popped key exactly; it is not applied
+        rest = sorted(other.terms.items())[1:]
         if qprec is None:
             box = [
                 (min(ca) - min(cb), max(ca) - max(cb))
                 for ca, cb in zip(zip(*self.terms), zip(*other.terms))
             ]
         else:
-            # y-span guard: an exact quotient cannot be much wider than the inputs.
-            span_a = self.y_span()
-            span_b = other.y_span()
-            ylimit = 2 * (span_a[1] - span_a[0]) + 4 * (span_b[1] - span_b[0]) + 512
-        rem_bound = None if qprec is None else qprec + beta
-        rem = {
-            k: c
-            for k, c in self.terms.items()
-            if rem_bound is None or k[0] < rem_bound
-        }
+            tops_a, tops_b, tops_c = _level_tops(rem), _level_tops(other.terms), {}
+            level = None
         quot = {}
-        b_items = sorted(other.terms.items())
-        nvars = len(self.den)
-        while rem:
-            k = min(rem)
-            c = rem[k]
-            qk = tuple(k[i] - kb[i] for i in range(nvars))
+        while heap:
+            k = heapq.heappop(heap)
+            c = rem.pop(k)
+            if not c:
+                continue
+            qk = tuple(map(sub, k, kb))
             if qprec is None:
                 if any(not lo <= v <= hi for v, (lo, hi) in zip(qk, box)):
                     raise InexactDivisionError(
@@ -305,22 +300,28 @@ class Series:
                     )
             elif qk[0] >= qprec:
                 break
-            elif abs(qk[1]) > ylimit:
-                raise InexactDivisionError(
-                    f"quotient y-exponent {qk[1]} exceeds the guard {ylimit}; division "
-                    "is not exact or does not terminate"
-                )
+            else:
+                if qk[0] != level:
+                    level = qk[0]
+                    ceiling = _level_ceiling(level, beta, tops_a, tops_b, tops_c)
+                    tops_c[level] = top = list(qk[1:])
+                if any(map(gt, qk[1:], ceiling)):
+                    raise InexactDivisionError(
+                        f"division is not exact: quotient term {qk} exceeds the ceiling "
+                        f"{ceiling} of an exact quotient's q-level {level} (axes after q)"
+                    )
+                top[:] = map(max, top, qk[1:])
             qc = ring_divide(c, cb, self.ring)
             quot[qk] = qc
-            for kbi, cbi in b_items:
-                key = tuple(qk[i] + kbi[i] for i in range(nvars))
+            for kbi, cbi in rest:
+                key = tuple(map(add, qk, kbi))
                 if rem_bound is not None and key[0] >= rem_bound:
-                    continue
-                new = rem.get(key, 0) - qc * cbi
-                if new == 0:
-                    rem.pop(key, None)
+                    break
+                if key in rem:
+                    rem[key] -= qc * cbi
                 else:
-                    rem[key] = new
+                    rem[key] = -qc * cbi
+                    heapq.heappush(heap, key)
         return Series(self.den, quot, qprec, self.ring, _clean=True)
 
     # ---- exponent substitutions ---------------------------------------
@@ -353,18 +354,6 @@ class Series:
             else:
                 out[new_key] = new
         return Series(self.den, out, qprec, self.ring)
-
-    def scale_q(self, factor):
-        """q -> q**factor (factor a positive integer)."""
-        if factor <= 0:
-            raise ValidationError("q-scaling factor must be positive")
-        nvars = len(self.den)
-        matrix = [[0] * nvars for _ in range(nvars)]
-        matrix[0][0] = factor
-        for i in range(1, nvars):
-            matrix[i][i] = 1
-        qprec = None if self.qprec is None else self.qprec * factor
-        return self.substitute(matrix, qprec)
 
     def scale_y(self, factor):
         """y -> y**factor (factor a nonzero integer)."""
@@ -429,6 +418,33 @@ class Series:
         """Drop terms with |y-exponent| > ybound (in 1/4 units)."""
         terms = {k: c for k, c in self.terms.items() if abs(k[1]) <= ybound}
         return Series(self.den, terms, self.qprec, self.ring, _clean=True)
+
+
+def _level_tops(terms):
+    """{nq: [max exponent on each axis after q]} over the q-levels of terms."""
+    tops = {}
+    for k in terms:
+        tops[k[0]] = list(map(max, tops.get(k[0], k[1:]), k[1:]))
+    return tops
+
+
+def _level_ceiling(level, beta, tops_a, tops_b, tops_c):
+    """Per axis after q, the largest exponent that q-level ``level`` of an
+    exact quotient c = a/b can reach, from the levels of a, of b (lowest
+    level beta) and of the complete lower levels of c.
+
+    Level by level, c_n b_beta = a_{beta+n} - sum_{j>0} b_{beta+j} c_{n-j}.
+    Over an integral domain the top (on any one axis) of a product is the
+    sum of the tops of its factors, so
+    top(c_n) <= max(top(a_{beta+n}), max_{j>0} top(b_{beta+j}) + top(c_{n-j}))
+    - top(b_beta).
+    """
+    tops = [tops_a[beta + level]] if beta + level in tops_a else []
+    for nq, top_b in tops_b.items():
+        top_c = tops_c.get(level - (nq - beta))
+        if nq > beta and top_c is not None:
+            tops.append([u + v for u, v in zip(top_b, top_c)])
+    return [max(col) - t for col, t in zip(zip(*tops), tops_b[beta])]
 
 
 # A Z-product whose smaller operand has fewer terms, or at most the square

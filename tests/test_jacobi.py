@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jacobilift.errors import PrecisionError, ValidationError
-from jacobilift.genpoly import parse_generator_polynomial
+from jacobilift.genpoly import GeneratorPolynomial, parse_generator_polynomial
 from jacobilift.jacobi import (
     JacobiForm,
     _form_store,
@@ -24,8 +24,8 @@ from jacobilift.jacobi import (
     theta_jacobi,
     xi06,
 )
-from jacobilift.modular import theta_constant
-from jacobilift.rings import RING_Q
+from jacobilift.modular import eta_power, sigma1, theta_constant
+from jacobilift.rings import RING_Q, RING_Z
 from jacobilift.series import DEN2, Series
 from jacobilift.verify import random_form
 
@@ -98,6 +98,56 @@ def phi01_oracle(qprec):
 @pytest.mark.parametrize("qprec", [24, 24 * 3 + 6, 24 * 5, 24 * 8 + 6, 24 * 12 + 13])
 def test_integer_phi01_matches_rational_oracle(qprec):
     assert generator(1, qprec).series == phi01_oracle(qprec)
+
+
+# ---- the division routes, kept as oracles for the theta/eta products ------
+
+
+def half_division_oracle(qprec):
+    """theta/eta**3 by long division by eta**3."""
+    return theta_jacobi(qprec + 6).exact_div(eta_power(3, qprec + 6)).truncate(qprec)
+
+
+def xi06_division_oracle(qprec):
+    """xi06 = theta**12/eta**12 by long division by eta**12."""
+    pad = qprec + 48
+    return (theta_jacobi(pad) ** 12).exact_div(eta_power(12, pad + 40)).truncate(qprec)
+
+
+def phi01_pole_oracle(qprec):
+    """phi01 = 12 phi_{-2,1} wp/(2 pi i)**2 (Eichler-Zagier), where
+    phi_{-2,1} = (theta/eta**3)**2 and
+    wp/(2 pi i)**2 = 1/12 + y/(1-y)**2 + sum_n sum_{d|n} d (y**d - 2 + y**-d) q**n.
+    Since y/(1-y)**2 = 1/(y - 2 + 1/y), that term is an exact division."""
+    half = half_division_oracle(qprec)
+    phi_m21 = half * half
+    terms = {(0, 0): 1}
+    for n in range(1, (qprec + 23) // 24):
+        terms[(24 * n, 0)] = -24 * sigma1(n)
+        for d in range(1, n + 1):
+            if n % d == 0:
+                terms[(24 * n, 4 * d)] = terms[(24 * n, -4 * d)] = 12 * d
+    wp = Series(DEN2, terms, qprec, RING_Z, _clean=True)
+    pole = phi_m21.exact_div(Series(DEN2, {(0, 4): 1, (0, 0): -2, (0, -4): 1}, None))
+    return phi_m21 * wp + pole.scale(12)
+
+
+DIVISION_PRECS = [24, 24 * 3 + 6, 24 * 10, 24 * 12 + 13, 24 * 20]
+
+
+@pytest.mark.parametrize("qprec", DIVISION_PRECS + [24 * 40, 24 * 82])
+def test_heat_phi01_matches_pole_oracle(qprec):
+    assert generator(1, qprec).series == phi01_pole_oracle(qprec)
+
+
+@pytest.mark.parametrize("qprec", DIVISION_PRECS + [24 * 40])
+def test_xi06_product_matches_division_oracle(qprec):
+    assert xi06(qprec).series == xi06_division_oracle(qprec)
+
+
+@pytest.mark.parametrize("qprec", DIVISION_PRECS + [24 * 40])
+def test_half_form_product_matches_division_oracle(qprec):
+    assert phi_weak_weight_minus1(qprec).series == half_division_oracle(qprec)
 
 
 # ---- the form store ---------------------------------------------------------
@@ -177,6 +227,88 @@ def test_hecke_tminus_on_exact_form():
     assert const.series == Series.const(12, DEN2)  # sigma_1(6)
 
 
+# ---- evaluation of generator polynomials -------------------------------------
+
+
+def evaluate_per_monomial(poly, values):
+    """Each monomial built from scratch and added in key order: the route
+    GeneratorPolynomial.evaluate replaced."""
+    result = None
+    for key, coeff in sorted(poly.terms.items()):
+        term = None
+        for i, e in enumerate(key):
+            for _ in range(e):
+                term = values[i] if term is None else term * values[i]
+        term = coeff if term is None else term * coeff
+        result = term if result is None else result + term
+    return result
+
+
+def index_monomials(m):
+    return [
+        (e1, e2, e3, e4)
+        for e2 in range(m // 2 + 1)
+        for e3 in range(m // 3 + 1)
+        for e4 in range(m // 4 + 1)
+        for e1 in [m - 2 * e2 - 3 * e3 - 4 * e4]
+        if e1 >= 0
+    ]
+
+
+@st.composite
+def phi_polynomial(draw, homogeneous):
+    """A random Phi-polynomial of index <= 8, sometimes plus a multiple of
+    the relation 4 Phi4 - Phi1 Phi3 + Phi2^2, whose terms cancel on the
+    generators; a non-homogeneous one has a constant term."""
+    m = draw(st.integers(0, 8))
+    keys = index_monomials(m)
+    if not homogeneous:
+        keys += [k for i in range(m) for k in index_monomials(i)]
+    coeffs = st.integers(-9, 9)
+    poly = GeneratorPolynomial({k: draw(coeffs) for k in keys if draw(st.booleans())})
+    if not homogeneous:
+        poly = poly + GeneratorPolynomial.const(draw(coeffs.filter(bool)))
+    if m >= 4 and draw(st.booleans()):
+        relation = parse_generator_polynomial("4*Phi4 - Phi1*Phi3 + Phi2^2")
+        cofactor = {draw(st.sampled_from(index_monomials(m - 4))): draw(coeffs)}
+        poly = poly + relation * GeneratorPolynomial(cofactor)
+    return poly
+
+
+def degree_two_prefixes(poly):
+    words = [tuple(i for i, e in enumerate(key) for _ in range(e)) for key in poly.terms]
+    return len({w[:n] for w in words for n in range(2, len(w) + 1)})
+
+
+@given(phi_polynomial(homogeneous=True))
+@settings(max_examples=60, deadline=None)
+def test_evaluate_walk_equals_per_monomial_evaluation(poly):
+    gens = tuple(generator(i, 24 * 3) for i in (1, 2, 3, 4))
+    products = []
+    multiply = Series.__mul__
+
+    def counted(a, b):
+        if isinstance(b, Series):
+            products.append(1)
+        return multiply(a, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Series, "__mul__", counted)
+        got = poly.evaluate(gens)
+    want = evaluate_per_monomial(poly, gens)
+    assert len(products) == degree_two_prefixes(poly)
+    if isinstance(want, JacobiForm):
+        assert got.series == want.series and got.poly == want.poly == poly
+    else:  # the empty polynomial (None) or a constant
+        assert got == want
+
+
+@given(phi_polynomial(homogeneous=False), st.tuples(*[st.integers(-5, 5)] * 4))
+@settings(max_examples=100, deadline=None)
+def test_evaluate_walk_equals_per_monomial_evaluation_on_integers(poly, values):
+    assert poly.evaluate(values) == evaluate_per_monomial(poly, values)
+
+
 def test_decompose_roundtrip():
     poly = parse_generator_polynomial("Phi1^2*Phi2 - 3*Phi2^2 + Phi4")
     form = poly.evaluate(tuple(generator(i, 96) for i in (1, 2, 3, 4)))
@@ -212,9 +344,25 @@ def test_psi2_variants_differ_by_generator():
     assert diff.series.same_terms(generator(2, 72).series.scale(4))
 
 
-def test_theta_jacobi_product_form_matches_sum():
-    from jacobilift.jacobi import theta_jacobi_product
+def theta_jacobi_product(qprec, y_scale=1):
+    """Product form -q**(1/8) y**(-1/2) prod (1-q**(n-1)y)(1-q**n/y)(1-q**n)."""
+    rel = qprec - 3
+    acc = Series.const(1, DEN2, rel)
+    n = 1
+    while True:
+        lead = 24 * (n - 1)
+        if lead >= rel and 24 * n >= rel:
+            break
+        for key in ((lead, 4 * y_scale), (24 * n, -4 * y_scale), (24 * n, 0)):
+            if key[0] >= rel:
+                continue
+            factor = Series(DEN2, {(0, 0): 1, key: -1}, rel, RING_Z, _clean=True)
+            acc = acc * factor
+        n += 1
+    return acc.shift((3, -2 * y_scale)).scale(-1)
 
+
+def test_theta_jacobi_product_form_matches_sum():
     qp = 24 * 8
     assert theta_jacobi(qp).same_terms(theta_jacobi_product(qp), 24 * 6)
 

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from jacobilift.errors import InexactDivisionError, ValidationError
+from jacobilift.rings import ring_divide
 from jacobilift.series import (
     DEN2,
     DEN3,
     Series,
     _Kronecker,
+    _min_prec,
     _mul_dict,
     series_from_dict,
     series_to_dict,
@@ -151,6 +153,130 @@ def test_exact_division_of_exact_series():
     b = Series(DEN2, {(0, 0): 1, (24, 0): -1}, None)
     c = Series(DEN3, {(0, -2, 0): 3, (0, 2, 24): -1, (48, 6, 0): 2}, None)
     assert (b.lift_to_three() * c).exact_div(b.lift_to_three()) == c
+
+
+@pytest.mark.parametrize("den, tail, ceiling", [
+    (DEN2, (0, 4), r"\[-4\]"),  # 1/(1 - y)
+    (DEN3, (0, 0, 24), r"\[0, -24\]"),  # 1/(1 - s), once an endless loop
+])
+def test_inexact_division_with_an_endless_tail_raises_at_once(den, tail, ceiling):
+    # the first quotient term already lies above the ceiling of an exact
+    # quotient's q**0 level: the dividend's top minus the divisor's
+    one = Series.const(1, den, 24 * 40)
+    with pytest.raises(InexactDivisionError, match=r"exceeds the ceiling " + ceiling):
+        one.exact_div(Series(den, {(0,) * len(den): 1, tail: -1}, None))
+
+
+def test_inexact_division_deep_in_q_raises_at_that_level():
+    # theta(2z)/theta(z) is exact; one changed coefficient at q**5 gives the
+    # quotient a y-tail there, stopped at the level's ceiling
+    from jacobilift.jacobi import theta_jacobi
+
+    num, den = theta_jacobi(24 * 12, y_scale=2), theta_jacobi(24 * 12)
+    assert num.exact_div(den).qprec == 24 * 12 - 3
+    bad = num + Series(DEN2, {(123, 6): 1}, None)
+    with pytest.raises(InexactDivisionError, match=r"ceiling \[22\] of an exact quotient.s q-level 120"):
+        bad.exact_div(den)
+
+
+# ---- heap-driven division against the min-scan long division ---------------
+
+
+def reference_exact_div(a, b):
+    """Long division that picks each step's key by a scan of the whole
+    remainder, with a constant y-guard: the route exact_div replaced."""
+    kb = b.min_key()
+    cb = b.terms[kb]
+    alpha, beta = a.min_nq(), kb[0]
+    qprec = _min_prec(
+        None if a.qprec is None else a.qprec - beta,
+        None if b.qprec is None else b.qprec - 2 * beta + alpha,
+    )
+    if a.is_zero():
+        return Series.zero(a.den, qprec, a.ring)
+    if qprec is None:
+        box = [
+            (min(ca) - min(cb), max(ca) - max(cb))
+            for ca, cb in zip(zip(*a.terms), zip(*b.terms))
+        ]
+    else:
+        ya, yb = [k[1] for k in a.terms], [k[1] for k in b.terms]
+        ylimit = 2 * (max(ya) - min(ya)) + 4 * (max(yb) - min(yb)) + 512
+    rem_bound = None if qprec is None else qprec + beta
+    rem = {k: c for k, c in a.terms.items() if rem_bound is None or k[0] < rem_bound}
+    quot = {}
+    while rem:
+        k = min(rem)
+        qk = tuple(u - v for u, v in zip(k, kb))
+        if qprec is None:
+            if any(not lo <= v <= hi for v, (lo, hi) in zip(qk, box)):
+                raise InexactDivisionError(f"quotient term {qk} outside {box}")
+        elif qk[0] >= qprec:
+            break
+        elif abs(qk[1]) > ylimit:
+            raise InexactDivisionError(f"quotient y-exponent {qk[1]} exceeds {ylimit}")
+        qc = ring_divide(rem[k], cb, a.ring)
+        quot[qk] = qc
+        for kbi, cbi in b.terms.items():
+            key = tuple(u + v for u, v in zip(qk, kbi))
+            if rem_bound is not None and key[0] >= rem_bound:
+                continue
+            new = rem.get(key, 0) - qc * cbi
+            if new == 0:
+                rem.pop(key, None)
+            else:
+                rem[key] = new
+    return Series(a.den, quot, qprec, a.ring, _clean=True)
+
+
+def division_or_error(a, b, divide):
+    try:
+        return divide(a, b)
+    except InexactDivisionError:
+        return InexactDivisionError
+
+
+@st.composite
+def division_case(draw):
+    """A dividend and a divisor in 2 or 3 variables, truncated or exact: the
+    dividend is the divisor times a random quotient, sometimes with one term
+    changed, or unrelated to it.  In 3 variables the divisor's lowest
+    (q, y) pair has one s-term, so the min-scan's y-guard stops every
+    non-terminating division."""
+    nvars = draw(st.sampled_from([2, 3]))
+    axes = [st.integers(-1, 4).map(lambda i: 24 * i), st.integers(-8, 8)]
+    if nvars == 3:
+        axes.append(st.integers(0, 2).map(lambda m: 24 * m))
+    key = st.tuples(*axes)
+    den = DEN3 if nvars == 3 else DEN2
+    precs = st.one_of(st.none(), st.integers(-24, 24 * 6))
+    b = draw(st.dictionaries(key, COEFFS.filter(bool), min_size=1, max_size=5))
+    kb = min(b)
+    b[kb] = draw(st.sampled_from([1, -1, 2, -3]))
+    if nvars == 3:
+        b = {k: c for k, c in b.items() if k[:2] != kb[:2] or k == kb}
+    b = Series(den, b, draw(precs))
+    assume(b.terms)
+    c = Series(den, draw(st.dictionaries(key, COEFFS, max_size=5)), draw(precs))
+    kind = draw(st.sampled_from(["exact", "changed", "unrelated"]))
+    a = b * c if kind != "unrelated" else c
+    if kind == "changed":
+        a = a + Series(den, {draw(key): draw(COEFFS.filter(bool))}, None)
+    a = a.truncate(draw(precs)) if draw(st.booleans()) else a
+    if b.qprec is None and a.qprec is not None and draw(st.booleans()):
+        a = Series(den, a.terms, None)  # an exact dividend over an exact divisor
+    return a, b
+
+
+@given(division_case())
+@settings(max_examples=200, deadline=None)
+def test_heap_division_equals_min_scan_division(case):
+    a, b = case
+    got = division_or_error(a, b, Series.exact_div)
+    want = division_or_error(a, b, reference_exact_div)
+    assert got == want
+    if isinstance(got, Series):
+        assert got.qprec == want.qprec
 
 
 # ---- packed (Kronecker) products against the dict loop --------------------
