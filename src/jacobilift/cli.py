@@ -319,7 +319,9 @@ def build_parser():
     p.add_argument("--bound", type=int, default=None,
                    help="whole q- and s-orders (arith)")
     p.add_argument("--ywindow", type=int, default=None,
-                   help="truncate y-support to |l| <= ywindow/4 during products")
+                   help="clip y-exponents to |l| <= ywindow/4: the theta block F_0 of"
+                   " explift and eform, the output of sqeg (exact interior:"
+                   " lifts.theta_block)")
     common(p, smax=True, pmax=True)
     p.set_defaults(fn=cmd_lift)
 

@@ -185,8 +185,12 @@ def unit_form(qprec):
 
 
 def theta_jacobi(qprec, y_scale=1):
-    """The odd Jacobi theta function, as the series
-    sum_m (-4/m) q**(m*m/8) y**(m*y_scale/2)."""
+    """The odd Jacobi theta function theta(tau, y_scale*z), as the series
+    sum_m (-4/m) q**(m*m/8) y**(m*y_scale/2); y_scale is an integer or a
+    half-integer."""
+    step = 2 * Fraction(y_scale)
+    if step.denominator != 1:
+        raise ValidationError(f"theta_jacobi needs an integer or half-integer y_scale, got {y_scale}")
     terms = {}
     bound = isqrt(max(qprec, 0) // 3) + 2
     for m in range(-bound, bound + 1):
@@ -195,7 +199,7 @@ def theta_jacobi(qprec, y_scale=1):
             continue
         c = kronecker(-4, m)
         if c:
-            terms[(nq, 2 * m * y_scale)] = c
+            terms[(nq, m * int(step))] = c
     return Series(DEN2, terms, qprec)
 
 
@@ -269,7 +273,8 @@ def _form_store(build):
     A request is computed at whole q-orders, 24*ceil(qprec/24), which loses
     nothing since Jacobi forms have integral q-exponents.  Only the highest
     precision computed is kept, and every request is answered by truncation
-    to exactly its qprec.  qprec=None (exact) bypasses the store.
+    to exactly its qprec.  The forms are infinite series, so qprec=None
+    raises ValidationError.
     """
     store = {}
 
@@ -281,7 +286,7 @@ def _form_store(build):
             args = signature(build).bind(*args, **kwargs).args
         *key, qprec = args
         if qprec is None:
-            return build(*key, None)
+            raise ValidationError(f"{build.__name__}{tuple(key)} is an infinite series; give a qprec")
         key = tuple(key)
         form = store.get(key)
         if form is None or form.series.qprec < qprec:

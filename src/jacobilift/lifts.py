@@ -15,11 +15,13 @@ product of phi, satisfy
 (Gritsenko-Nikulin), and the second-quantized genus is the same recursion
 with the sign flipped (Dijkgraaf-Moore-Verlinde-Verlinde).  The division
 by M is exact over Z and every H_M is a finite y-polynomial at each
-q-order.  Only the s**0 part F_0 of the lift is a product of factors, and
-only F_0 can have unbounded y-support (from (1 - y^l)^c(0,l), l < 0,
-c(0,l) < 0), so F_0 alone takes the ``ywindow``; ``exp_lift`` states the
-interior on which the result is exact.  Inverses of cusp forms and anomaly
-factors with negative theta powers take a ``ywindow`` for the same reason.
+q-order.  The s**0 part F_0 of the lift is the theta block
+eta^(c(0,0) - sum_{l>0} c(0,l)) prod_{l>0} theta(tau, l z)^c(0,l)
+(Gritsenko-Nikulin), and the Hodge anomaly is one too; ``theta_block``
+builds both.  A negative theta power has unbounded y-support, so the
+theta block alone takes the ``ywindow``, and ``theta_block`` states the
+interior on which a windowed block is exact.  Inverses of cusp forms take a
+``ywindow`` for the same reason.
 """
 
 import heapq
@@ -28,9 +30,9 @@ from math import gcd, isqrt
 
 from .errors import IdentityError, InexactDivisionError, PrecisionError, ValidationError
 from .genus import elliptic_genus
-from .jacobi import generator, hecke_tminus, psi2_variant
-from .modular import eta_power, kronecker
-from .series import DEN2, DEN3, Series, product_expand, series_to_dict
+from .jacobi import generator, hecke_tminus, psi2_variant, theta_jacobi
+from .modular import euler_product, kronecker
+from .series import DEN2, DEN3, Series, series_to_dict
 
 
 class SiegelSeries:
@@ -191,9 +193,9 @@ def power_with_window(series, exponent, qprec, sprec=None, ywindow=None):
         for _ in range(exponent):
             result = _clip(result * series, ywindow, sprec)
         return result
-    # pivot on the y-maximal term of the lowest q-row, so the expansion of
-    # the inverse grows in the -y direction, matching the (1 - y**-1)-type
-    # factors the exponential lift itself expands
+    # pivot on the y-maximal term of the lowest q-row, so the rest of that
+    # row has ly < 0 and the inverse grows in the -y direction: for a theta
+    # unit the row is 1 - y**-lam (see theta_block)
     m0 = min(series.terms, key=_unit_order)
     c0 = series.terms[m0]
     if c0 not in (1, -1):
@@ -206,6 +208,42 @@ def power_with_window(series, exponent, qprec, sprec=None, ywindow=None):
     sign = -1 if (c0 == -1 and exponent % 2) else 1
     shift_key = tuple(v * exponent for v in m0)
     return _clip(result.shift(shift_key).with_qprec(qprec).scale(sign), ywindow, sprec)
+
+
+# ---- theta blocks -----------------------------------------------------------
+
+
+def theta_block(eta_exp, thetas, qprec, ywindow=None):
+    """The theta block eta^eta_exp prod_lam theta(tau, lam z)^thetas[lam],
+    lam integral or half-integral, as (F, lead): lead is the key of its
+    leading monomial q^((eta_exp + 3 sum c)/24) y^(sum lam c/2), and F is
+    the block divided by it, with constant term 1 and q-precision
+    qprec - lead[0].
+
+    F is the product of prod (1 - q^n) to the power eta_exp and the theta
+    units theta(tau, lam z)/(q^(1/8) y^(lam/2)) =
+    prod_{n>=1} (1 - q^n)(1 - q^n y^lam)(1 - q^(n-1) y^-lam) to the powers
+    thetas[lam].  A negative power has unbounded y-support and needs a
+    ``ywindow``; every intermediate series is clipped to |ly| <= ywindow.
+
+    The coefficient of q^N y^(ly/4) in F is exact when |ly| + L N <=
+    ywindow, with L = 4 max{lam : thetas[lam] != 0}.  Every term of the eta
+    and theta units at q^N has ly <= L N, and each coefficient of F sums chains of unit
+    terms; a clip only ever sees a partial sum of one chain.  A part of a
+    chain ending at (N, ly) has q-order n <= N, so its y-exponent is at
+    most L n <= L N and at least ly minus L times the q-order of the rest,
+    hence at least ly - L N: inside the window, so no clip drops it.
+    """
+    thetas = {lam: c for lam, c in thetas.items() if c}
+    lead = (eta_exp + 3 * sum(thetas.values()), int(sum(2 * lam * c for lam, c in thetas.items())))
+    rel = qprec - lead[0]
+    if rel <= 0:
+        return Series.zero(DEN2, rel), lead
+    block = euler_product(rel) ** eta_exp
+    for lam, c in sorted(thetas.items()):
+        unit = theta_jacobi(rel + 3, lam).shift((-3, -int(2 * lam)))
+        block = _clip(block * power_with_window(unit, c, rel, ywindow=ywindow), ywindow, None)
+    return block, lead
 
 
 # ---- the exponential lift ------------------------------------------------
@@ -294,13 +332,15 @@ def exp_lift(form, qprec, sprec, ywindow=None):
     l<0.  qprec and sprec are exclusive bounds in (1/24) units.
 
     It is computed as q^A y^B s^C F_0 sum_M H_M s^{tM}: F_0 is the m = 0
-    part, expanded factor by factor, and H_M are the Fourier-Jacobi rows of
-    the module's recursion, exact and finite.  Only F_0 takes the
-    ``ywindow``, and each F_0 H_M is clipped to |ly| <= ywindow before the
-    prefactor.  The coefficient of q^N y^(ly/4) s^{tM} in F_0 H_M is exact
-    when |ly| + 4tM + (L + 8)N <= ywindow, where L is the largest |ly| in
-    the q**0 row of the form: factor by factor, an F_0 term at q-order N
-    moves by at most L*N in ly, and the q**N row of H_M, of index tM, has
+    part, the theta block eta^(c(0,0) - sum_{l>0} c(0,l))
+    prod_{l>0} theta(tau, l z)^c(0,l) divided by q^A y^B, and H_M are the
+    Fourier-Jacobi rows of the module's recursion, exact and finite.  Only
+    F_0 takes the ``ywindow``, and each F_0 H_M is clipped to
+    |ly| <= ywindow before the prefactor.  The coefficient of
+    q^N y^(ly/4) s^{tM} in F_0 H_M is exact when
+    |ly| + 4tM + (L + 8)N <= ywindow, where L is the largest |ly| in the
+    q**0 row of the form: F_0 is exact on |ly| + L N <= ywindow
+    (``theta_block``), and the q**N row of H_M, of index tM, has
     |ly| <= 4(tM + 2N).
     """
     if form.weight2 != 0:
@@ -317,11 +357,10 @@ def exp_lift(form, qprec, sprec, ywindow=None):
         raise PrecisionError("requested precision does not reach the leading term")
 
     q0 = {k[1]: c for k, c in form.series.q_slice(0)}
-    # n = 0 with l < 0, then n > 0 with every l: exponent c(0, l)
-    factors = [((0, ly), coeff) for ly, coeff in q0.items() if ly < 0]
-    for n in range(1, (pq - 1) // 24 + 1):
-        factors += [((24 * n, ly), coeff) for ly, coeff in q0.items()]
-    f0 = product_expand(factors, pq, ybound=ywindow, den=DEN2)
+    if any(q0.get(-ly) != c for ly, c in q0.items()):
+        raise ValidationError("the q**0 row of a lift input must be even in y")
+    thetas = {ly // 4: c for ly, c in q0.items() if ly > 0}
+    f0, _ = theta_block(q0.get(0, 0) - sum(thetas.values()), thetas, qprec, ywindow=ywindow)
     terms = {}
     for m, row in enumerate(_fj_rows(form, -1, pq, (ps - 1) // (24 * t))):
         part = f0 * row
@@ -409,25 +448,10 @@ def symmetric_product_genus(form, n, qprec):
 # ---- the Hodge anomaly -----------------------------------------------------
 
 
-def _theta_scaled(qprec, ly_step):
-    """The odd theta function with y replaced by y**(ly_step/4):
-    sum_m (-4/m) q**(3 m^2 / 24) y**(m * ly_step / 4)."""
-    terms = {}
-    bound = isqrt(max(qprec, 0) // 3) + 2
-    for m in range(-bound, bound + 1):
-        nq = 3 * m * m
-        if nq >= qprec:
-            continue
-        c = kronecker(-4, m)
-        if c:
-            terms[(nq, m * ly_step, 0)] = c
-    return Series(DEN3, terms, qprec)
-
-
 def hodge_anomaly(inv, qprec, sprec, ywindow=None):
-    """The anomaly factor H(M; Z) of the factorization theorem: a product
-    of an eta power, theta powers at multiple z, and an s-monomial,
-    depending only on the signed Hodge invariants.
+    """The anomaly factor H(M; Z) of the factorization theorem: the theta
+    block of an eta power and theta powers at multiple z, times an
+    s-monomial, depending only on the signed Hodge invariants.
 
         d = 2 d0:     eta^{(e - 3 chi'_{d0})/2}
                       prod_{p=1..d0} theta(tau, p z)^{-chi'_{d0-p}}
@@ -439,7 +463,9 @@ def hodge_anomaly(inv, qprec, sprec, ywindow=None):
     with chi'_p = (-1)^p chi_p.  (The eta exponent signs here are fixed
     by requiring that H times the second-quantized genus reproduce the
     exponential lift of minus the elliptic genus; see the factorization
-    check.)"""
+    check.)  Under a ``ywindow`` the coefficient at (nq, ly) is exact when
+    (nq, ly) minus the leading key lies in the interior ``theta_block``
+    states; there L <= 2d."""
     d = inv.d
     chi = inv.chi
     e = inv.euler
@@ -447,8 +473,7 @@ def hodge_anomaly(inv, qprec, sprec, ywindow=None):
     def chip(p):
         return (-1) ** p * chi[p]
 
-    pieces = []  # (series or None, exponent) with None meaning eta
-    ms_total = 0
+    thetas = {}
     if d % 2 == 0:
         d0 = d // 2
         num = e - 3 * chip(d0)
@@ -457,9 +482,7 @@ def hodge_anomaly(inv, qprec, sprec, ywindow=None):
         eta_exp = num // 2
         weight2 = -chip(d0)
         for p in range(1, d0 + 1):
-            ep = -chip(d0 - p)
-            pieces.append((2 * p, ep))
-            ms_total += 12 * p * p * ep
+            thetas[p] = -chip(d0 - p)
     else:
         d0 = (d - 1) // 2
         if e % 2 != 0:
@@ -467,24 +490,10 @@ def hodge_anomaly(inv, qprec, sprec, ywindow=None):
         eta_exp = e // 2
         weight2 = 0
         for p in range(1, d0 + 2):
-            ep = -chip(d0 - p + 1)
-            pieces.append((2 * p - 1, ep))
-            ms_total += 3 * (2 * p - 1) ** 2 * ep
-
-    # internal slack for the negative q-prefactors of eta/theta powers
-    slack = abs(eta_exp) + sum(3 * abs(ep) for _, ep in pieces) + 24
-    qint = qprec + slack
-    acc = eta_power(eta_exp, qint).lift_to_three(0)
-    for ly_step, ep in pieces:
-        if ep == 0:
-            continue
-        theta = _theta_scaled(qint, ly_step)
-        acc = _clip(
-            acc * power_with_window(theta, ep, qint, sprec=None, ywindow=ywindow),
-            ywindow,
-            None,
-        )
-    acc = acc.shift((0, 0, ms_total)).truncate(qprec)
+            thetas[Fraction(2 * p - 1, 2)] = -chip(d0 - p + 1)
+    ms_total = sum(12 * lam * lam * ep for lam, ep in thetas.items())
+    block, lead = theta_block(eta_exp, thetas, qprec, ywindow=ywindow)
+    acc = block.shift(lead).lift_to_three(int(ms_total))
     character_order = 24 // gcd(24, e) if e else 1
     index_t = d // 2 if d % 2 == 0 else 2 * d
     return SiegelSeries(acc, weight2, character_order, index_t)

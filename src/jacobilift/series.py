@@ -18,7 +18,7 @@ from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import comb, gcd, prod
+from math import gcd, prod
 from operator import add, gt, sub
 
 from .errors import (
@@ -571,76 +571,6 @@ class _Kronecker:
             for lo, g, n in zip(self.lo, step, [self.rows] + self.shape[1:])
         ]
         return {key: v - half for key, v in zip(product(*axes), values) if v != half}
-
-
-def gen_binomial(e, j):
-    """Binomial coefficient C(e, j) for any integer e and j >= 0."""
-    if j < 0:
-        return 0
-    if e >= 0:
-        return comb(e, j) if j <= e else 0
-    return (-1) ** j * comb(-e + j - 1, j)
-
-
-def binomial_factor(key, exponent, qprec, sprec=None, ybound=None, den=DEN3, ring=RING_Z):
-    """Expand (1 - monomial(key)) ** exponent under the given truncations.
-
-    For monomials with positive q- or s-order the expansion is finite.  A
-    pure-y monomial with negative exponent has an infinite tail in one y
-    direction; it is only expanded when an explicit ybound is supplied.
-    """
-    key = tuple(key)
-    if all(v == 0 for v in key):
-        raise ValidationError("factor monomial must be nonconstant")
-    nq = key[0]
-    ms = key[2] if len(key) == 3 else 0
-    if nq < 0 or ms < 0:
-        raise ValidationError("factor monomials need nonnegative q- and s-order")
-    bounds = []
-    if nq > 0 and qprec is not None:
-        bounds.append((qprec - 1) // nq)
-    if ms > 0 and sprec is not None:
-        bounds.append((sprec - 1) // ms)
-    if not bounds:
-        if exponent >= 0:
-            bounds.append(exponent)
-        elif ybound is not None and key[1] != 0:
-            bounds.append(ybound // abs(key[1]))
-        else:
-            raise PrecisionError(
-                "factor with zero q- and s-order and negative exponent needs a "
-                "y-expansion bound"
-            )
-    jmax = min(bounds)
-    terms = {}
-    for j in range(jmax + 1):
-        c = gen_binomial(exponent, j) * (-1) ** j
-        if c == 0:
-            continue
-        terms[tuple(v * j for v in key)] = c
-    return Series(den, terms, qprec, ring)
-
-
-def product_expand(factors, qprec, sprec=None, ybound=None, den=DEN3, ring=RING_Z):
-    """Expand prod (1 - monomial(key)) ** exponent over the factor list.
-
-    factors yields (key, exponent) pairs.  The result is truncated at the
-    requested q- (and s-) precision; ybound, if given, permits pure-y
-    factors with negative exponents via a one-sided geometric expansion.
-    """
-    acc = Series.const(1, den, qprec, ring)
-    for key, exponent in factors:
-        if exponent == 0:
-            continue
-        factor = binomial_factor(
-            key, exponent, qprec, sprec=sprec, ybound=ybound, den=den, ring=ring
-        )
-        acc = acc * factor
-        if sprec is not None and len(den) == 3:
-            acc = acc.truncate_s(sprec)
-        if ybound is not None:
-            acc = acc.clip_y(ybound)
-    return acc
 
 
 # ---- serialization -----------------------------------------------------

@@ -44,12 +44,3 @@ def named_checks(report, names):
         found.append(hits[0])
     return found
 
-
-def verified_by(*names):
-    """A test asserting that the named checks of `verify all` passed."""
-
-    def test(verify_all):
-        for check in named_checks(verify_all, names):
-            assert check["ok"], f"verify check failed: {check['name']}"
-
-    return test

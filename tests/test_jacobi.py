@@ -1,6 +1,7 @@
 """Weak Jacobi forms: generators, basis, Hecke operators, decomposition."""
 
 import random
+from fractions import Fraction
 from math import isqrt
 
 import pytest
@@ -24,32 +25,10 @@ from jacobilift.jacobi import (
     theta_jacobi,
     xi06,
 )
-from jacobilift.modular import eta_power, sigma1, theta_constant
+from jacobilift.modular import eta_power, kronecker, sigma1, theta_constant
 from jacobilift.rings import RING_Q, RING_Z
-from jacobilift.series import DEN2, Series
+from jacobilift.series import DEN2, DEN3, Series
 from jacobilift.verify import random_form
-
-from conftest import verified_by
-
-# Identities that `jacobilift.verify` states, asserted by the name of their
-# check in one run of `verify all`.
-test_generator_q0_rows = verified_by(*(f"phi_0{m} q^0 row golden" for m in (1, 2, 3, 4)))
-test_phi01_q1_row = verified_by("phi_01 q^1 row golden")
-test_ring_relation_phi04 = verified_by("4*phi_04 == phi_01*phi_03 - phi_02^2 (10 q-orders)")
-test_xi06_polynomial_relation = verified_by(
-    "xi_06 == -phi1^2 phi4 + 9 phi1 phi2 phi3 - 8 phi2^3 - 27 phi3^2 (10 q-orders)",
-)
-test_basis_structure = verified_by("basis (m <= 12) q^0 canonical shape")
-test_psi_05_1_row = verified_by("psi^(1)_{0,5} q^0 row == 5y + 2 + 5/y")
-test_residuals_on_generators_and_basis = verified_by("residuals vanish on generators and basis")
-test_hecke_tminus2_identity = verified_by(
-    "phi_01|T_-(2) - 2 phi_02 == phi_01^2 - 20 phi_02 (6 q-orders)",
-)
-test_hecke_tminus3_gives_psi33 = verified_by(
-    "psi^(3)_{0,3} == phi_01|T_-(3) - 3 phi_03 (6 q-orders)",
-)
-test_hecke_t0_2_norm_determined = verified_by("phi_02|T_0(2) is a norm-determined index-2 form")
-test_specialize_torsion_alpha = verified_by("alpha q^0..q^5 coefficients")
 
 QP = 24 * 6
 GENERATOR_INDICES = (1, 2, 3, 4, 6, 8, 12)
@@ -189,6 +168,15 @@ def test_store_keeps_one_form_per_key():
     assert generator.store[(1,)].series.qprec == 24 * 5
     assert generator(1, qprec=24 * 4 + 1).series.qprec == 24 * 4 + 1
     assert generator.store[(1,)].series.qprec == 24 * 5
+
+
+@pytest.mark.parametrize("stored, key", [
+    (generator, (1,)), (basis_psi, (3, 1)), (xi06, ()), (phi_threehalf, ()),
+    (phi_weak_weight_minus1, ()),
+])
+def test_store_refuses_exact_precision(stored, key):
+    with pytest.raises(ValidationError, match="infinite series"):
+        stored(*key, None)
 
 
 def test_store_raises_on_short_computation():
@@ -365,6 +353,25 @@ def theta_jacobi_product(qprec, y_scale=1):
 def test_theta_jacobi_product_form_matches_sum():
     qp = 24 * 8
     assert theta_jacobi(qp).same_terms(theta_jacobi_product(qp), 24 * 6)
+
+
+def theta_scaled(qprec, ly_step):
+    """The odd theta with y -> y**(ly_step/4), on the three-variable lattice:
+    sum_m (-4/m) q**(3 m^2 / 24) y**(m * ly_step / 4)."""
+    terms = {}
+    bound = isqrt(max(qprec, 0) // 3) + 2
+    for m in range(-bound, bound + 1):
+        c = kronecker(-4, m)
+        if c and 3 * m * m < qprec:
+            terms[(3 * m * m, m * ly_step, 0)] = c
+    return Series(DEN3, terms, qprec)
+
+
+def test_theta_jacobi_half_integral_scale():
+    qp = 24 * 8
+    assert theta_jacobi(qp, y_scale=Fraction(3, 2)).lift_to_three(0) == theta_scaled(qp, 3)
+    with pytest.raises(ValidationError):
+        theta_jacobi(qp, y_scale=Fraction(1, 4))
 
 
 def test_fourier_beyond_precision_raises():

@@ -1,6 +1,10 @@
 """Siegel lifts: exponential products, arithmetic sums, SQEG, Humbert data."""
 
+from fractions import Fraction
+from math import comb
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jacobilift import lifts
 from jacobilift.errors import PrecisionError, ValidationError
@@ -23,47 +27,7 @@ from jacobilift.lifts import (
     symmetric_product_genus,
     window_equal,
 )
-from jacobilift.series import DEN3, Series, product_expand
-
-from conftest import verified_by
-
-# Identities that `jacobilift.verify` states, asserted by the name of their
-# check in one run of `verify all`.
-test_delta2_dual_construction = verified_by(
-    "exp_lift(phi_02) == Delta2 arithmetic sum, weight2 4, character order 4 (q,s <= 3,3)",
-)
-test_delta1_dual_construction = verified_by(
-    "exp_lift(phi_03) == Delta1 arithmetic sum, weight2 2, character order 6 (q,s <= 3,3)",
-)
-test_delta2_smallest_terms = verified_by("Delta2 leading terms q^(1/4)s^(1/2)(y^(1/2) - y^(-1/2))")
-test_theta_constants_square_product = verified_by(
-    "2^(-12) prod Theta_ab^2 == exp_lift(2 phi_01) (q,s <= 2)",
-)
-test_delta_half_substitution = verified_by(
-    "exp_lift(phi_04)(t,z,w) == Delta_1/2(t,2z,4w) (q,s <= 3)",
-)
-test_factorization_k3_and_cy4 = verified_by(
-    "anomaly * SQEG == exp_lift(-genus) for K3 (q,s <= 2)",
-    "anomaly * SQEG == exp_lift(-genus) for CY4(1,4,6,4,1) (q,s <= 2)",
-)
-test_sqeg_first_order_is_genus = verified_by("SQEG p^1 coefficient equals the input genus")
-test_humbert_phi3 = verified_by("Phi_3 divisor: H_1(0) - H_1(5)")
-test_humbert_phi5 = verified_by("Phi_5 divisor: H_9(3) - H_9(7) + 12 H_1(1) - 12 H_1(9)")
-test_humbert_k3_pole = verified_by("K3: pole of order 2 along H_1(0)")
-test_exp_lift_homomorphism_small = verified_by(
-    "exp_lift(a*phi + b*psi) == exp_lift(phi)^a exp_lift(psi)^b, |a|,|b| <= 2",
-)
-test_mirror_inversion_d3 = verified_by("E(CY3, e=-2) * E(CY3, e=+2) == 1 (q,s <= 1)")
-test_delta11_identity_up_to_unit = verified_by(
-    "Delta5(Z)Delta5(2z,4w)Delta5(z,w+1/2) == i Delta11 Delta2^2",
-)
-test_assembly_d4 = verified_by("-chi(M4) == -chi0 psi_A + chi1 phi_02")
-test_assembly_d8 = verified_by(
-    "-chi(M8) == chi3 phi_04 - chi2 phi_01(2z) + chi1 psi^(3) - chi0 psi^(4)",
-)
-test_quotient_reduction = verified_by(
-    "index-6 quotient reduction: difference of lift inputs == 2 phi_06",
-)
+from jacobilift.series import DEN2, DEN3, Series
 
 
 def test_exp_lift_prefactor_and_metadata():
@@ -87,6 +51,12 @@ def test_exp_lift_rejects_nonzero_weight():
 
     with pytest.raises(ValidationError):
         exp_lift(phi_weak_weight_minus1(96), 49, 49)
+
+
+def test_exp_lift_rejects_a_q0_row_odd_in_y():
+    form = JacobiForm(Series(DEN2, {(0, 4): 1}, 24 * 4), 0, 2)
+    with pytest.raises(ValidationError, match="even in y"):
+        exp_lift(form, 49, 49)
 
 
 def test_exp_lift_precision_contract():
@@ -145,6 +115,40 @@ def test_humbert_zero_form():
 # ---- the product route and the fixed-point inverse, kept as oracles ----------
 
 
+def gen_binomial(e, j):
+    """C(e, j) for any integer e and j >= 0."""
+    if e >= 0:
+        return comb(e, j)
+    return (-1) ** j * comb(-e + j - 1, j)
+
+
+def binomial_factor(key, exponent, qprec, sprec=None, ybound=None):
+    """(1 - monomial(key)) ** exponent below qprec and sprec; a pure-y
+    monomial with a negative exponent expands one-sidedly up to ybound."""
+    nq, ly, ms = key
+    bounds = [(qprec - 1) // nq] if nq else []
+    if ms:
+        bounds.append((sprec - 1) // ms)
+    if not bounds:
+        if exponent < 0 and ybound is None:
+            raise PrecisionError("a pure-y factor with a negative exponent needs a ybound")
+        bounds.append(exponent if exponent >= 0 else ybound // abs(ly))
+    terms = {(nq * j, ly * j, ms * j): (-1) ** j * gen_binomial(exponent, j)
+             for j in range(min(bounds) + 1)}
+    return Series(DEN3, {k: c for k, c in terms.items() if c}, qprec)
+
+
+def product_expand(factors, qprec, sprec=None, ybound=None):
+    """prod (1 - monomial(key)) ** exponent over (key, exponent) pairs,
+    clipped to the windows after each factor."""
+    acc = Series.const(1, DEN3, qprec)
+    for key, exponent in factors:
+        if exponent:
+            factor = binomial_factor(key, exponent, qprec, sprec=sprec, ybound=ybound)
+            acc = _clip(acc * factor, ybound, sprec)
+    return acc
+
+
 def product_exp_lift(form, qprec, sprec, ywindow=None):
     """exp_lift as the whole Borcherds product, one binomial factor at a
     time: n = m = 0 with l < 0, then m = 0 with n > 0, then m > 0."""
@@ -158,7 +162,7 @@ def product_exp_lift(form, qprec, sprec, ywindow=None):
     for m in range(1, (ps - 1) // (24 * t) + 1):
         for n in range(0, (pq - 1) // 24 + 1):
             factors += [((24 * n, ly, 24 * t * m), c) for ly, c in form.q_row(n * m).items()]
-    return product_expand(factors, pq, sprec=ps, ybound=ywindow, den=DEN3).shift(pref)
+    return product_expand(factors, pq, sprec=ps, ybound=ywindow).shift(pref)
 
 
 def product_sqeg(form, qprec, pprec):
@@ -167,7 +171,30 @@ def product_sqeg(form, qprec, pprec):
     for n in range(1, (pprec - 1) // 24 + 1):
         for m in range(0, (qprec - 1) // 24 + 1):
             factors += [((24 * m, ly, 24 * n), -c) for ly, c in form.q_row(m * n).items()]
-    return product_expand(factors, qprec, sprec=pprec, den=DEN3)
+    return product_expand(factors, qprec, sprec=pprec)
+
+
+def product_hodge_anomaly(inv, qprec, ywindow):
+    """hodge_anomaly with eta = q^(1/24) prod (1 - q^n) and
+    theta(tau, lam z) = q^(1/8) y^(lam/2) prod (1 - q^n)(1 - q^n y^lam)(1 - q^(n-1) y^-lam)
+    expanded one binomial factor at a time, with the exponents read off the
+    Hodge data: theta(tau, (d/2 - j) z)^(-chi'_j) for 0 <= j < d/2.
+    Returns the anomaly and the key of its leading monomial."""
+    chip = [(-1) ** j * c for j, c in enumerate(inv.chi)]
+    eta = (inv.euler - (3 * chip[inv.d // 2] if inv.d % 2 == 0 else 0)) // 2
+    thetas = {Fraction(inv.d, 2) - j: -chip[j] for j in range((inv.d + 1) // 2)}
+    lead = tuple(int(v) for v in (
+        eta + 3 * sum(thetas.values()),
+        sum(2 * lam * c for lam, c in thetas.items()),
+        sum(12 * lam * lam * c for lam, c in thetas.items()),
+    ))
+    orders = range(1, (qprec - lead[0] - 1) // 24 + 1)
+    factors = [((24 * n, 0, 0), eta + sum(thetas.values())) for n in orders]
+    for lam, c in thetas.items():
+        ly = int(4 * lam)
+        factors += [((0, -ly, 0), c)] + [((24 * n, -ly, 0), c) for n in orders]
+        factors += [((24 * n, ly, 0), c) for n in orders]
+    return product_expand(factors, qprec - lead[0], ybound=ywindow).shift(lead), lead
 
 
 def fixed_point_inverse(unit, qprec, sprec=None, ywindow=None):
@@ -270,3 +297,69 @@ def test_clipped_inverse_equals_fixed_point(monkeypatch):
     for inv in (K3, CYInvariants(4, (1, 4, 6, 4, 1))):
         hodge_anomaly(inv, 49, 49, ywindow=60)
     assert len(seen) >= 4 and all(seen)
+
+
+ANOMALY_DATA = {
+    "K3": K3,
+    "CY4(1,4,6,4,1)": CYInvariants(4, (1, 4, 6, 4, 1)),
+    "CY3(e=40)": CYInvariants.from_euler(3, 40),
+    "CY5(e=24)": CYInvariants.from_euler(5, 24),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANOMALY_DATA))
+def test_hodge_anomaly_equals_product_on_interior(name):
+    """On the interior lifts.theta_block states, |ly| + L N <= ywindow
+    around the leading key, here with 2d >= L in place of L, the windowed
+    anomaly is exact."""
+    inv, qprec, ywindow = ANOMALY_DATA[name], 49, 60
+    got = hodge_anomaly(inv, qprec, qprec, ywindow=ywindow).series
+    want, lead = product_hodge_anomaly(inv, qprec, ywindow)
+
+    def interior(series):
+        return {k: c for k, c in series.terms.items()
+                if abs(k[1] - lead[1]) + 2 * inv.d * (k[0] - lead[0]) // 24 <= ywindow}
+
+    assert got.qprec == want.qprec == qprec
+    assert interior(want) and interior(got) == interior(want)
+
+
+def theta_block_inputs():
+    """Lift inputs with varied theta blocks, negative theta powers among
+    them: a phi_02 + b psi_A, -phi_01, -2 phi_01 and minus the K3 and CY4
+    genera, each as a function of the input q-precision."""
+    def combo(a, b):
+        return lambda qp: JacobiForm(generator(2, qp).series.scale(a)
+                                     + psi2_variant(2, qp, variant="A").series.scale(b), 0, 4)
+
+    inputs = {f"{a} phi02 + {b} psi_A": combo(a, b)
+              for a in range(-2, 3) for b in range(-2, 3) if (a, b) != (0, 0)}
+    for k in (1, 2):
+        inputs[f"-{k} phi01"] = lambda qp, k=k: JacobiForm(generator(1, qp).series.scale(-k), 0, 2)
+    for name, inv in (("K3", K3), ("CY4", CYInvariants(4, (1, 4, 6, 4, 1)))):
+        inputs[f"-genus({name})"] = lambda qp, inv=inv: -elliptic_genus(inv, qprec=qp)
+    return inputs
+
+
+THETA_BLOCK_INPUTS = theta_block_inputs()
+
+
+@given(st.sampled_from(sorted(THETA_BLOCK_INPUTS)), st.integers(min_value=8, max_value=80))
+@settings(max_examples=30, deadline=None)
+def test_exp_lift_interior_is_exact(name, ywindow):
+    """Every term of exp_lift inside |ly| + 4tM + (L + 8)N <= ywindow (the
+    interior its docstring states) is unchanged by a window 400 wider."""
+    make = THETA_BLOCK_INPUTS[name]
+    qp, sp, inq = lift_window_for(make(24), 3, 3)
+    form = make(inq)
+    pref = _prefactor_key(form)
+    top = max(abs(ly) for ly in form.q_row(0))
+
+    def interior(ss):
+        return {k: c for k, c in ss.series.terms.items()
+                if abs(k[1] - pref[1]) + 4 * ((k[2] - pref[2]) // 24)
+                + (top + 8) * ((k[0] - pref[0]) // 24) <= ywindow}
+
+    narrow = interior(exp_lift(form, qp, sp, ywindow=ywindow))
+    assert narrow == interior(exp_lift(form, qp, sp, ywindow=ywindow + 400))
+    assert narrow
