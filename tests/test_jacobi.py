@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,11 +16,14 @@ from jacobilift.jacobi import (
     decompose,
     divide_by_xi06,
     generator,
+    hecke_t0_2,
     hecke_tminus,
     linear_residuals,
+    norm_table,
     phi_threehalf,
     phi_weak_weight_minus1,
     psi2_variant,
+    specialize_torsion,
     taylor_coeffs,
     theta_jacobi,
     xi06,
@@ -28,7 +31,7 @@ from jacobilift.jacobi import (
 from jacobilift.modular import eta_power, kronecker, sigma1, theta_constant
 from jacobilift.rings import RING_Q, RING_Z
 from jacobilift.series import DEN2, DEN3, Series
-from jacobilift.verify import random_form
+from jacobilift.verify import ALPHA_COEFFS, GOLDEN_Q0_ROWS, GOLDEN_Q1_ROWS, random_form
 
 QP = 24 * 6
 GENERATOR_INDICES = (1, 2, 3, 4, 6, 8, 12)
@@ -186,6 +189,75 @@ def test_store_raises_on_short_computation():
 
     with pytest.raises(PrecisionError, match=r"requested q-precision 40 \(built at 48\), computed 24"):
         short(40)
+
+
+def test_generator_q0_rows():
+    for m, row in GOLDEN_Q0_ROWS.items():
+        assert generator(m, QP).q_row(0) == row
+
+
+def test_phi01_q1_row():
+    assert generator(1, QP).q_row(1) == GOLDEN_Q1_ROWS[1]
+
+
+def test_ring_relation_phi04():
+    p1, p2, p3, p4 = (generator(m, QP) for m in (1, 2, 3, 4))
+    assert (p1 * p3 - p2 * p2).same_terms(4 * p4)
+
+
+def test_xi06_polynomial_relation():
+    xi = xi06(QP)
+    value = xi.poly.evaluate(tuple(generator(m, QP) for m in (1, 2, 3, 4)))
+    assert value.series.same_terms(xi.series)
+
+
+def test_basis_structure():
+    psi2_row = {8: 1, 4: -4, 0: 6, -4: -4, -8: 1}
+    for m in range(1, 13):
+        assert basis_psi(m, 1, 48).q_row(0).get(4, 0) == m // gcd(12, m)
+        for n in range(2, m + 1):
+            row = basis_psi(m, n, 48).q_row(0)
+            if n == 2:
+                assert row == psi2_row, (m, n)
+            else:
+                assert row.get(4 * n, 0) == 1, (m, n)
+                assert all(row.get(4 * j, 0) == 0 for j in range(2, n)), (m, n)
+
+
+def test_psi_05_1_row():
+    assert basis_psi(5, 1, 48).q_row(0) == {4: 5, 0: 2, -4: 5}
+
+
+def test_residuals_on_generators_and_basis():
+    for m in (1, 2, 3, 4):
+        assert linear_residuals(generator(m, 72)) == (0, 0), m
+    for m in range(1, 13):
+        for n in range(1, m + 1):
+            assert linear_residuals(basis_psi(m, n, 72)) == (0, 0), (m, n)
+
+
+def test_hecke_tminus2_identity():
+    qp = 24 * 4
+    lhs = hecke_tminus(generator(1, 2 * qp + 24), 2) - 2 * generator(2, qp)
+    p1, p2 = generator(1, qp), generator(2, qp)
+    assert lhs.truncate(qp).same_terms(p1 * p1 - 20 * p2)
+
+
+def test_hecke_tminus3_gives_psi33():
+    qp = 24 * 4
+    lhs = hecke_tminus(generator(1, 3 * qp + 24), 3) - 3 * generator(3, qp)
+    assert lhs.truncate(qp).same_terms(basis_psi(3, 3, qp))
+
+
+def test_hecke_t0_2_norm_determined():
+    out = hecke_t0_2(generator(2, 24 * 10))
+    assert (out.weight2, out.index2) == (0, 4)
+    assert norm_table(out)
+
+
+def test_specialize_torsion_alpha():
+    alpha = specialize_torsion(generator(1, 24 * len(ALPHA_COEFFS)), 2)
+    assert [alpha.coeff((24 * n, 0)) for n in range(len(ALPHA_COEFFS))] == ALPHA_COEFFS
 
 
 def test_xi06_leading_term():
