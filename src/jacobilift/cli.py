@@ -29,7 +29,7 @@ from .genus import (
     elliptic_genus,
     relation_check,
 )
-from .jacobi import generator, xi06
+from .jacobi import polynomial_form, xi06
 from .lifts import (
     _input_qprec,
     arithmetic_lift,
@@ -66,9 +66,7 @@ def _resolve_form(text, qprec):
     if name == "xi06":
         return xi06(qprec)
     expr = NAMED_FORMS.get(name.lower(), name)
-    poly = parse_generator_polynomial(expr)
-    poly.index()  # must be index-homogeneous
-    return poly.evaluate(tuple(generator(m, qprec) for m in (1, 2, 3, 4)))
+    return polynomial_form(parse_generator_polynomial(expr), qprec)
 
 
 def _monomial_str(num, den, var):

@@ -90,7 +90,10 @@ class GeneratorPolynomial:
         return idx.pop()
 
     def evaluate(self, values):
-        """Evaluate against a 4-tuple of ring elements supporting + and *.
+        """Evaluate against a 4-tuple of ring elements supporting + and *:
+        the generic ring walk.  The package evaluates at the generators
+        themselves through jacobi.polynomial_form, which reuses stored
+        monomials.
 
         Each monomial is read as the word of its generators in index order,
         and the words are walked depth first in sorted order: every prefix

@@ -131,15 +131,6 @@ class JacobiForm:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e):
-        if e < 0:
-            raise ValidationError("Jacobi forms only take powers >= 0 here")
-        result = unit_form(self.series.qprec)
-        base = self
-        for _ in range(e):
-            result = result * base
-        return result
-
     def scale_div(self, d):
         """Exact division of every coefficient (and the polynomial) by d."""
         terms = {}
@@ -365,6 +356,34 @@ def generator(m, qprec):
     raise ValidationError(f"no canonical generator of index {m}")
 
 
+@_form_store
+def generator_monomial(e1, e2, e3, e4, qprec):
+    """The monomial phi01**e1 phi02**e2 phi03**e3 phi04**e4: its parent
+    monomial, with one fewer of its last generator, times that generator."""
+    exps = [e1, e2, e3, e4]
+    if min(exps) < 0:
+        raise ValidationError(f"bad generator exponent tuple {tuple(exps)}")
+    if not any(exps):
+        return unit_form(qprec)
+    last = max(i for i, e in enumerate(exps) if e)
+    exps[last] -= 1
+    gen = generator(last + 1, qprec)
+    return generator_monomial(*exps, qprec) * gen if any(exps) else gen
+
+
+def polynomial_form(poly, qprec):
+    """The weight-0 form poly(phi01, ..., phi04) at qprec, whose ``poly``
+    is poly: one integer combination of the stored generator monomials,
+    summed in one pass.  poly must be index-homogeneous."""
+    index = poly.index()
+    terms = {}
+    for key, coeff in poly.terms.items():
+        for k, c in generator_monomial(*key, qprec).series.terms.items():
+            terms[k] = terms.get(k, 0) + coeff * c
+    series = Series(DEN2, {k: c for k, c in terms.items() if c}, qprec, RING_Z, _clean=True)
+    return JacobiForm(series, 0, 2 * index, poly)
+
+
 # ---- the canonical basis (weight 0, integral index) ----------------------
 
 
@@ -422,9 +441,8 @@ def psi2_variant(m, qprec, variant="B"):
     if variant not in consts:
         raise ValidationError("variant must be 'A' or 'B'")
     c = consts[variant][m]
-    p1 = generator(1, qprec)
-    other = generator(m - 1, qprec) if m > 2 else p1
-    return p1 * other - c * generator(m, qprec)
+    g = GeneratorPolynomial.generator
+    return polynomial_form(g(1) * g(m - 1) - c * g(m), qprec)
 
 
 def _psi2_raw(m, qprec):
@@ -446,9 +464,9 @@ def _psi_raw(m, n, qprec):
     if n == 2:
         return _psi2_raw(m, qprec)
     if n == m:
-        return generator(1, qprec) ** m
+        return generator_monomial(m, 0, 0, 0, qprec)
     if n == m - 1:
-        return generator(1, qprec) ** (m - 2) * generator(2, qprec)
+        return generator_monomial(m - 2, 1, 0, 0, qprec)
     return generator(3, qprec) * basis_psi(m - 3, n - 1, qprec)
 
 

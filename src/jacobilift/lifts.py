@@ -26,7 +26,7 @@ interior on which a windowed block is exact.  Inverses of cusp forms take a
 
 import heapq
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, inf, isqrt
 
 from .errors import IdentityError, InexactDivisionError, PrecisionError, ValidationError
 from .genus import elliptic_genus
@@ -159,13 +159,11 @@ def clipped_inverse(unit, qprec, sprec=None, ywindow=None):
             axis = "s" if ms else "y"
             raise PrecisionError(f"inverse has unbounded {axis}-support; supply a {axis}-window")
 
-    def inside(key):
-        return (
-            key[0] < w.qprec
-            and (sprec is None or len(key) < 3 or key[2] < sprec)
-            and (ywindow is None or abs(key[1]) <= ywindow)
-        )
-
+    # w in q order: the scan of a row stops at the first key past qprec
+    wterms = sorted(w.terms.items())
+    three = len(one_key) == 3
+    ybound = inf if ywindow is None else ywindow
+    sbound = inf if sprec is None else sprec
     pending = {one_key: 1}
     heap = [(_unit_order(one_key), one_key)]
     inv = {}
@@ -175,13 +173,17 @@ def clipped_inverse(unit, qprec, sprec=None, ywindow=None):
         if not c:
             continue
         inv[k] = c
-        for kw, cw in w.terms.items():
-            key = tuple(a + b for a, b in zip(k, kw))
-            if inside(key):
-                if key not in pending:
-                    pending[key] = 0
-                    heapq.heappush(heap, (_unit_order(key), key))
-                pending[key] += c * cw
+        for kw, cw in wterms:
+            nq = k[0] + kw[0]
+            if nq >= w.qprec:
+                break
+            key = (nq, k[1] + kw[1], k[2] + kw[2]) if three else (nq, k[1] + kw[1])
+            if abs(key[1]) > ybound or (three and key[2] >= sbound):
+                continue
+            if key not in pending:
+                pending[key] = 0
+                heapq.heappush(heap, (_unit_order(key), key))
+            pending[key] += c * cw
     return Series(unit.den, inv, w.qprec, unit.ring, _clean=True)
 
 
@@ -343,13 +345,7 @@ def exp_lift(form, qprec, sprec, ywindow=None):
     (``theta_block``), and the q**N row of H_M, of index tM, has
     |ly| <= 4(tM + 2N).
     """
-    if form.weight2 != 0:
-        raise ValidationError("exponential lifts take weight-0 forms")
-    if form.index2 % 2 != 0:
-        raise ValidationError("exponential lifts take integral-index forms")
-    t = form.index2 // 2
-    if t <= 0:
-        raise ValidationError("exponential lifts need positive index")
+    t = _lift_index(form)
     pref = _prefactor_key(form)
     pq = qprec - pref[0]
     ps = sprec - pref[2]
@@ -374,6 +370,19 @@ def exp_lift(form, qprec, sprec, ywindow=None):
     return SiegelSeries(Series(DEN3, terms, qprec, _clean=True), weight2, character_order, t)
 
 
+def _lift_index(form):
+    """The index t of a lift input, a weight-0 form of positive integral
+    index."""
+    if form.weight2 != 0:
+        raise ValidationError("exponential lifts take weight-0 forms")
+    if form.index2 % 2 != 0:
+        raise ValidationError("exponential lifts take integral-index forms")
+    t = form.index2 // 2
+    if t <= 0:
+        raise ValidationError("exponential lifts need positive index")
+    return t
+
+
 def _input_qprec(pq, ps, t=1):
     """q-precision (1/24 units) an input form needs for a lift that keeps
     q-precision pq and s-precision ps past its prefactor, at index t:
@@ -387,8 +396,9 @@ def _input_qprec(pq, ps, t=1):
 def _lift_input_for(form, qprec, sprec):
     """The input q-precision of exp_lift(form, qprec, sprec); only the
     q**0 row of form is read, so a one-order form serves."""
+    t = _lift_index(form)
     pref = _prefactor_key(form)
-    return _input_qprec(qprec - pref[0], sprec - pref[2], form.index2 // 2)
+    return _input_qprec(qprec - pref[0], sprec - pref[2], t)
 
 
 def lift_window_for(form, qmax, smax):

@@ -35,6 +35,7 @@ from .jacobi import (
     linear_residuals,
     norm_table,
     phi_threehalf,
+    polynomial_form,
     psi2_variant,
     specialize_center,
     specialize_torsion,
@@ -116,7 +117,7 @@ def suite_ring(qmax=10):
         )
     )
     xi = xi06(window)
-    poly_val = xi.poly.evaluate(tuple(generator(m, qp) for m in (1, 2, 3, 4)))
+    poly_val = polynomial_form(xi.poly, qp)
     checks.append(
         _check(
             f"xi_06 == -phi1^2 phi4 + 9 phi1 phi2 phi3 - 8 phi2^3 - 27 phi3^2"
@@ -166,9 +167,7 @@ def random_form(rng, qprec):
             key: rng.randint(-9, 9) for key in monomials if rng.random() < 0.7
         }
         terms = {k: c for k, c in terms.items() if c}
-    return GeneratorPolynomial(terms).evaluate(
-        tuple(generator(i, qprec) for i in (1, 2, 3, 4))
-    )
+    return polynomial_form(GeneratorPolynomial(terms), qprec)
 
 
 def suite_basis(qmax=3, random_count=100, seed=1259):

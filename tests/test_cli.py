@@ -111,6 +111,21 @@ def test_lift_explift_leading_minus_form(capsys):
     assert out.startswith("weight2 -10")  # 1/Delta5
 
 
+def test_expand_constant_is_the_index_0_form(capsys):
+    code, out, _ = run(capsys, "expand", "--qmax", "2", "--json", "--", "5")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["weight2"], data["index2"]) == (0, 0)
+    series = series_from_dict(data["series"])
+    assert dict(series.terms) == {(0, 0): 5} and series.qprec == 48
+
+
+def test_lift_explift_constant_form_rejected(capsys):
+    code, out, err = run(capsys, "lift", "explift", "--form", "5", "--qmax", "2",
+                         "--smax", "2")
+    assert code == 2 and out == "" and "positive index" in err
+
+
 def test_lift_missing_form(capsys):
     code, _, _ = run(capsys, "lift", "explift")
     assert code == 2

@@ -1,5 +1,6 @@
 """Weak Jacobi forms: generators, basis, Hecke operators, decomposition."""
 
+import contextlib
 import random
 from fractions import Fraction
 from math import gcd, isqrt
@@ -16,16 +17,19 @@ from jacobilift.jacobi import (
     decompose,
     divide_by_xi06,
     generator,
+    generator_monomial,
     hecke_t0_2,
     hecke_tminus,
     linear_residuals,
     norm_table,
     phi_threehalf,
     phi_weak_weight_minus1,
+    polynomial_form,
     psi2_variant,
     specialize_torsion,
     taylor_coeffs,
     theta_jacobi,
+    unit_form,
     xi06,
 )
 from jacobilift.modular import eta_power, kronecker, sigma1, theta_constant
@@ -35,7 +39,7 @@ from jacobilift.verify import ALPHA_COEFFS, GOLDEN_Q0_ROWS, GOLDEN_Q1_ROWS, rand
 
 QP = 24 * 6
 GENERATOR_INDICES = (1, 2, 3, 4, 6, 8, 12)
-STORED = (phi_threehalf, phi_weak_weight_minus1, xi06, generator, basis_psi)
+STORED = (phi_threehalf, phi_weak_weight_minus1, xi06, generator, basis_psi, generator_monomial)
 
 
 def clear_stores():
@@ -150,6 +154,7 @@ def test_generator_lower_after_higher_is_fresh(m):
 
 @pytest.mark.parametrize("stored, key", [
     (basis_psi, (5, 1)), (basis_psi, (7, 4)), (basis_psi, (12, 12)), (xi06, ()),
+    (generator_monomial, (2, 1, 0, 1)),
 ])
 def test_store_lower_after_higher_is_fresh(stored, key):
     lo, hi = 24 * 2 + 6, 24 * 5
@@ -175,7 +180,7 @@ def test_store_keeps_one_form_per_key():
 
 @pytest.mark.parametrize("stored, key", [
     (generator, (1,)), (basis_psi, (3, 1)), (xi06, ()), (phi_threehalf, ()),
-    (phi_weak_weight_minus1, ()),
+    (phi_weak_weight_minus1, ()), (generator_monomial, (1, 0, 1, 0)),
 ])
 def test_store_refuses_exact_precision(stored, key):
     with pytest.raises(ValidationError, match="infinite series"):
@@ -340,10 +345,10 @@ def degree_two_prefixes(poly):
     return len({w[:n] for w in words for n in range(2, len(w) + 1)})
 
 
-@given(phi_polynomial(homogeneous=True))
-@settings(max_examples=60, deadline=None)
-def test_evaluate_walk_equals_per_monomial_evaluation(poly):
-    gens = tuple(generator(i, 24 * 3) for i in (1, 2, 3, 4))
+@contextlib.contextmanager
+def counted_products():
+    """A list that grows by one for each Series x Series product made
+    inside the block."""
     products = []
     multiply = Series.__mul__
 
@@ -354,6 +359,14 @@ def test_evaluate_walk_equals_per_monomial_evaluation(poly):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Series, "__mul__", counted)
+        yield products
+
+
+@given(phi_polynomial(homogeneous=True))
+@settings(max_examples=60, deadline=None)
+def test_evaluate_walk_equals_per_monomial_evaluation(poly):
+    gens = tuple(generator(i, 24 * 3) for i in (1, 2, 3, 4))
+    with counted_products() as products:
         got = poly.evaluate(gens)
     want = evaluate_per_monomial(poly, gens)
     assert len(products) == degree_two_prefixes(poly)
@@ -367,6 +380,47 @@ def test_evaluate_walk_equals_per_monomial_evaluation(poly):
 @settings(max_examples=100, deadline=None)
 def test_evaluate_walk_equals_per_monomial_evaluation_on_integers(poly, values):
     assert poly.evaluate(values) == evaluate_per_monomial(poly, values)
+
+
+@given(phi_polynomial(homogeneous=True), st.integers(1, 72), st.integers(73, 24 * 5),
+       st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_polynomial_form_equals_evaluate(poly, lo, hi, grow):
+    """polynomial_form agrees with the generic walk whether the stored
+    monomials grow (lo, then hi) or are truncated (hi, then lo)."""
+    generator_monomial.store.clear()
+    for qp in (lo, hi) if grow else (hi, lo):
+        want = poly.evaluate(tuple(generator(i, qp) for i in (1, 2, 3, 4)))
+        if want is None:  # the empty polynomial has no index
+            with pytest.raises(ValidationError, match="index-homogeneous"):
+                polynomial_form(poly, qp)
+            continue
+        if isinstance(want, int):  # a constant
+            want = unit_form(qp) * want
+        got = polynomial_form(poly, qp)
+        assert got.series == want.series and got.poly == want.poly == poly
+        assert (got.weight2, got.index2) == (want.weight2, want.index2)
+
+
+def test_polynomial_form_reuses_stored_monomials():
+    """One product per monomial prefix not yet stored, and none for a
+    second polynomial over stored monomials, at or below their precision."""
+    first = parse_generator_polynomial("Phi1^2*Phi2 - 3*Phi2^2 + Phi1*Phi3")
+    second = parse_generator_polynomial("5*Phi2^2 - Phi1^2*Phi2 + 2*Phi1^4")
+    generator_monomial.store.clear()
+    for i in (1, 2, 3, 4):
+        generator(i, 72)
+    for qp in (72, 48):
+        with counted_products() as products:
+            polynomial_form(first, qp)
+        assert len(products) == (degree_two_prefixes(first) if qp == 72 else 0)
+    with counted_products() as products:
+        polynomial_form(second, 72)  # only Phi1^3 and Phi1^4 are new
+    assert len(products) == 2
+    with counted_products() as products:
+        polynomial_form(second, 72)
+        polynomial_form(second, 50)
+    assert not products
 
 
 def test_decompose_roundtrip():

@@ -278,14 +278,15 @@ def test_lifts_refuse_an_input_one_order_short():
 
 def test_clipped_inverse_equals_fixed_point(monkeypatch):
     """Every unit that verify's homomorphism and factorization checks
-    invert, inverted in one pass and by the fixed point."""
+    invert, and the theta-block unit of exp_lift(-phi01), which has no
+    s-window, inverted in one pass and by the fixed point."""
     one_pass = lifts.clipped_inverse
-    seen = []
+    seen = []  # (sprec, number of terms) of each inversion
 
     def both(unit, qprec, sprec=None, ywindow=None):
         got = one_pass(unit, qprec, sprec=sprec, ywindow=ywindow)
         assert got == fixed_point_inverse(unit, qprec, sprec=sprec, ywindow=ywindow)
-        seen.append(len(got.terms))
+        seen.append((sprec, len(got.terms)))
         return got
 
     monkeypatch.setattr(lifts, "clipped_inverse", both)
@@ -296,7 +297,11 @@ def test_clipped_inverse_equals_fixed_point(monkeypatch):
         exp_lift_homomorphic([(phi, a), (psi, b)], qp, sp, ywindow=80)
     for inv in (K3, CYInvariants(4, (1, 4, 6, 4, 1))):
         hodge_anomaly(inv, 49, 49, ywindow=60)
-    assert len(seen) >= 4 and all(seen)
+    assert len(seen) >= 4 and all(n for _, n in seen)
+    seen.clear()
+    qp, sp, inq = lift_window_for(-generator(1, 24), 3, 3)
+    exp_lift(-generator(1, inq), qp, sp, ywindow=40)
+    assert seen and all(sprec is None and n for sprec, n in seen)
 
 
 ANOMALY_DATA = {
