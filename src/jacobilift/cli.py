@@ -150,10 +150,15 @@ def _emit(args, text_fn, json_obj):
         print(out)
 
 
+def _whole_orders(command, qmax):
+    """A printed expansion has at least one whole q-order."""
+    if qmax < 1:
+        raise ValidationError(f"{command} needs at least one whole q-order, got --qmax {qmax}")
+
+
 def cmd_expand(args):
-    qprec = 24 * (args.qmax + 1)
-    form = _resolve_form(args.form, qprec)
-    form = form.truncate(24 * args.qmax) if args.qmax else form
+    _whole_orders("expand", args.qmax)
+    form = _resolve_form(args.form, 24 * (args.qmax + 1)).truncate(24 * args.qmax)
     _emit(args, lambda: _form_text(form), _form_json(form))
     return EXIT_OK
 
@@ -168,6 +173,7 @@ def _invariants_from_args(args):
 
 
 def cmd_genus(args):
+    _whole_orders("genus", args.qmax)
     inv = _invariants_from_args(args)
     relations = relation_check(inv)
     broken = [k for k, (ok, _) in relations.items() if not ok]

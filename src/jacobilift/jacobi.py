@@ -40,6 +40,14 @@ class JacobiForm:
         self.index2 = index2
         self.poly = poly
 
+    @classmethod
+    def _trusted(cls, series, weight2, index2, poly=None):
+        """A form from ring operations on valid forms (sums, products,
+        negation, scaling, truncation), whose keys need no re-check."""
+        form = object.__new__(cls)
+        form.series, form.weight2, form.index2, form.poly = series, weight2, index2, poly
+        return form
+
     # ---- queries --------------------------------------------------------
 
     @property
@@ -102,13 +110,13 @@ class JacobiForm:
         poly = None
         if self.poly is not None and other.poly is not None:
             poly = self.poly + other.poly
-        return JacobiForm(
+        return JacobiForm._trusted(
             self.series + other.series, self.weight2, self.index2, poly
         )
 
     def __neg__(self):
         poly = None if self.poly is None else -self.poly
-        return JacobiForm(-self.series, self.weight2, self.index2, poly)
+        return JacobiForm._trusted(-self.series, self.weight2, self.index2, poly)
 
     def __sub__(self, other):
         return self + (-other)
@@ -116,13 +124,13 @@ class JacobiForm:
     def __mul__(self, other):
         if isinstance(other, int):
             poly = None if self.poly is None else self.poly * other
-            return JacobiForm(
+            return JacobiForm._trusted(
                 self.series.scale(other), self.weight2, self.index2, poly
             )
         poly = None
         if self.poly is not None and other.poly is not None:
             poly = self.poly * other.poly
-        return JacobiForm(
+        return JacobiForm._trusted(
             self.series * other.series,
             self.weight2 + other.weight2,
             self.index2 + other.index2,
@@ -151,7 +159,7 @@ class JacobiForm:
                 pterms[k] = q
             else:
                 poly = GeneratorPolynomial(pterms)
-        return JacobiForm(series, self.weight2, self.index2, poly)
+        return JacobiForm._trusted(series, self.weight2, self.index2, poly)
 
     def double_z(self):
         """phi(tau, 2z): index quadruples, weight unchanged."""
@@ -161,7 +169,7 @@ class JacobiForm:
         )
 
     def truncate(self, qprec):
-        return JacobiForm(
+        return JacobiForm._trusted(
             self.series.truncate(qprec), self.weight2, self.index2, self.poly
         )
 
@@ -374,14 +382,16 @@ def generator_monomial(e1, e2, e3, e4, qprec):
 def polynomial_form(poly, qprec):
     """The weight-0 form poly(phi01, ..., phi04) at qprec, whose ``poly``
     is poly: one integer combination of the stored generator monomials,
-    summed in one pass.  poly must be index-homogeneous."""
+    summed in one pass.  poly must be nonzero and index-homogeneous.
+    GeneratorPolynomial.evaluate (nested Horner) gives the same form and
+    stores nothing."""
     index = poly.index()
     terms = {}
     for key, coeff in poly.terms.items():
         for k, c in generator_monomial(*key, qprec).series.terms.items():
             terms[k] = terms.get(k, 0) + coeff * c
     series = Series(DEN2, {k: c for k, c in terms.items() if c}, qprec, RING_Z, _clean=True)
-    return JacobiForm(series, 0, 2 * index, poly)
+    return JacobiForm._trusted(series, 0, 2 * index, poly)
 
 
 # ---- the canonical basis (weight 0, integral index) ----------------------

@@ -14,6 +14,8 @@ tail.  Coefficient rings: "Z" (int), "Q" (Fraction), "Zi" (GaussianInt).
 """
 
 import heapq
+import sys
+from array import array
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
@@ -98,9 +100,7 @@ class Series:
 
     def min_nq(self):
         """Smallest stored q-exponent (0 for the empty series)."""
-        if not self.terms:
-            return 0
-        return min(k[0] for k in self.terms)
+        return min(self.terms)[0] if self.terms else 0
 
     def min_key(self):
         if not self.terms:
@@ -528,8 +528,9 @@ class _Kronecker:
         cost more than packing the terms, reading the window's slots and
         the multiplication (its size in kB to the power log2(3)).  Fitted
         by timing both routes on every Z product of a forms round, a lifts
-        round and verify all, in units of one dict-loop pair."""
-        if not self.pairs:
+        round and verify all, in units of one dict-loop pair.  multiply
+        stages little-endian words, so a big-endian host keeps the dict loop."""
+        if not self.pairs or sys.byteorder != "little":
             return False
         row = prod(self.shape[1:])
         kbytes = self.shape[0] * row * self.width / 1000
@@ -537,35 +538,66 @@ class _Kronecker:
         return self.pairs > cost
 
     def multiply(self):
-        """The product's terms below qprec."""
+        """The product's terms below qprec.
+
+        Each operand is staged in array('Q'), one slot of ``words`` 64-bit
+        limbs per grid point and one store per term, then narrowed to
+        width-byte slots by width strided byte copies; the product is read
+        back by the reverse copies."""
         if not self.pairs:
             return {}
         width, step = self.width, self.step
+        words = -(-width // 8)
+        wide = 8 * words
         stride = [prod(self.shape[i + 1:]) for i in range(len(self.shape))]
 
+        def narrow(staged):
+            if width == wide:
+                return int.from_bytes(staged, "little")
+            staged = staged.tobytes()
+            out = bytearray(len(staged) // wide * width)
+            for j in range(width):
+                out[j::width] = staged[j::wide]
+            return int.from_bytes(out, "little")
+
         def pack(terms, cols):
-            offset = [0] * len(terms)  # in bytes
+            offset = [0] * len(terms)  # in words
             for col, lo, g, s in zip(cols, map(min, cols), step, stride):
-                s *= width
+                s *= words
                 offset = [i + (v - lo) // g * s for i, v in zip(offset, col)]
-            pos = bytearray(max(offset) + width)
-            neg = bytearray(len(pos))
-            for i, c in zip(offset, terms.values()):
-                if c > 0:
-                    pos[i:i + width] = c.to_bytes(width, "little")
-                else:
-                    neg[i:i + width] = (-c).to_bytes(width, "little")
-            return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+            pos = array("Q", bytes(8 * (max(offset) + words)))
+            neg = array("Q", bytes(len(pos) * 8))
+            if words == 1:
+                for i, c in zip(offset, terms.values()):
+                    if c > 0:
+                        pos[i] = c
+                    else:
+                        neg[i] = -c
+            else:
+                pos_bytes, neg_bytes = memoryview(pos).cast("B"), memoryview(neg).cast("B")
+                for i, c in zip(offset, terms.values()):
+                    i *= 8
+                    if c > 0:
+                        pos_bytes[i:i + wide] = c.to_bytes(wide, "little")
+                    else:
+                        neg_bytes[i:i + wide] = (-c).to_bytes(wide, "little")
+            return narrow(pos) - narrow(neg)
 
         packed = pack(self.a, self.cols_a)
         packed *= packed if self.b is self.a else pack(self.b, self.cols_b)
         # slot i holds d_i + half in [0, 2**(8 width)): read the window's slots
         slots = self.rows * stride[0]
-        zero = bytes(width - 1) + b"\x80"
         half = 1 << (8 * width - 1)
+        zero = bytes(width - 1) + b"\x80"
         packed += int.from_bytes(zero * slots, "little")
         data = (packed & ((1 << (8 * width * slots)) - 1)).to_bytes(width * slots, "little")
-        values = (int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width))
+        staged = bytearray(wide * slots)
+        for j in range(width):
+            staged[j::wide] = data[j::width]
+        limbs = memoryview(staged).cast("Q").tolist()
+        values = limbs[::words]
+        for j in range(1, words):
+            values = [v | h << 64 * j for v, h in zip(values, limbs[j::words])]
         axes = [
             range(lo, lo + g * n, g)
             for lo, g, n in zip(self.lo, step, [self.rows] + self.shape[1:])

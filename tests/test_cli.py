@@ -180,6 +180,28 @@ def test_expand_negative_qmax_rejected(capsys):
     assert code == 2 and out == "" and "--qmax" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["expand", "phi01", "--qmax", "0"],
+    ["genus", "--d", "2", "--chi", "2,-20,2", "--qmax", "0"],
+])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_zero_qmax_rejected(capsys, argv, as_json):
+    code, out, err = run(capsys, *argv, *(["--json"] if as_json else []))
+    assert code == 2
+    if as_json:
+        data = json.loads(out)
+        assert err == "" and data["error"] == "input" and data["exit"] == 2
+        assert "needs at least one whole q-order" in data["message"]
+    else:
+        assert out == "" and "needs at least one whole q-order" in err
+
+
+@pytest.mark.parametrize("poly", ["0", "Phi1-Phi1"])
+def test_expand_zero_polynomial_rejected(capsys, poly):
+    code, out, err = run(capsys, "expand", "--qmax", "1", "--", poly)
+    assert code == 2 and out == "" and "zero polynomial has no index" in err
+
+
 def test_lift_arith_negative_bound_rejected(capsys):
     code, out, err = run(capsys, "lift", "arith", "--name", "Delta2",
                          "--bound", "-3")

@@ -345,6 +345,22 @@ def degree_two_prefixes(poly):
     return len({w[:n] for w in words for n in range(2, len(w) + 1)})
 
 
+def horner_products(terms):
+    """Series products of nested Horner on {exponent tuple: coefficient}:
+    for every group of keys sharing their leading exponents, one product by
+    the next generator per step down from the group's top exponent, less the
+    first step when the top's remaining exponents are all 0 (a scaling)."""
+    arity = len(next(iter(terms), ()))
+    if not arity:
+        return 0
+    groups = {}
+    for key, coeff in terms.items():
+        groups.setdefault(key[0], {})[key[1:]] = coeff
+    top = max(groups)
+    scaling = top > 0 and set(groups[top]) == {(0,) * (arity - 1)}
+    return top - scaling + sum(horner_products(group) for group in groups.values())
+
+
 @contextlib.contextmanager
 def counted_products():
     """A list that grows by one for each Series x Series product made
@@ -369,11 +385,23 @@ def test_evaluate_walk_equals_per_monomial_evaluation(poly):
     with counted_products() as products:
         got = poly.evaluate(gens)
     want = evaluate_per_monomial(poly, gens)
-    assert len(products) == degree_two_prefixes(poly)
+    assert len(products) == horner_products(poly.terms)
     if isinstance(want, JacobiForm):
         assert got.series == want.series and got.poly == want.poly == poly
     else:  # the empty polynomial (None) or a constant
         assert got == want
+
+
+def test_evaluate_at_full_index_12_takes_61_products():
+    """Every monomial of index 12: 61 Horner products, where sharing
+    monomial prefixes took 91 and building each monomial alone 194."""
+    poly = GeneratorPolynomial({key: 1 for key in index_monomials(12)})
+    gens = tuple(generator(i, 24) for i in (1, 2, 3, 4))
+    with counted_products() as products:
+        got = poly.evaluate(gens)
+    assert len(products) == horner_products(poly.terms) == 61
+    assert degree_two_prefixes(poly) == 91
+    assert got.series == evaluate_per_monomial(poly, gens).series and got.poly == poly
 
 
 @given(phi_polynomial(homogeneous=False), st.tuples(*[st.integers(-5, 5)] * 4))
@@ -386,13 +414,13 @@ def test_evaluate_walk_equals_per_monomial_evaluation_on_integers(poly, values):
        st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_polynomial_form_equals_evaluate(poly, lo, hi, grow):
-    """polynomial_form agrees with the generic walk whether the stored
+    """polynomial_form agrees with Horner evaluation whether the stored
     monomials grow (lo, then hi) or are truncated (hi, then lo)."""
     generator_monomial.store.clear()
     for qp in (lo, hi) if grow else (hi, lo):
         want = poly.evaluate(tuple(generator(i, qp) for i in (1, 2, 3, 4)))
         if want is None:  # the empty polynomial has no index
-            with pytest.raises(ValidationError, match="index-homogeneous"):
+            with pytest.raises(ValidationError, match="zero polynomial has no index"):
                 polynomial_form(poly, qp)
             continue
         if isinstance(want, int):  # a constant
@@ -511,3 +539,29 @@ def test_bad_index_row_rejected():
 
     with pytest.raises(ValidationError):
         JacobiForm(Series(DEN2, {(0, 2): 1}, 24), 0, 2)  # half-int y for int index
+
+
+@pytest.mark.parametrize("key, index2, says", [
+    ((12, 0), 2, "q-exponents must be integral"),
+    ((0, 4), 3, "invalid for index 3/2"),  # integral y for half-integral index
+])
+def test_public_constructor_rejects_bad_keys(key, index2, says):
+    with pytest.raises(ValidationError, match=says):
+        JacobiForm(Series(DEN2, {key: 1}, 48), 0, index2)
+
+
+@given(st.integers(0, 2**32), st.integers(-9, 9), st.integers(0, 72))
+@settings(max_examples=30, deadline=None)
+def test_ring_results_pass_the_public_check(seed, k, cut):
+    """Sums, differences, negation, products, scaling and truncation of
+    valid forms skip the key check; their results pass it."""
+    rng = random.Random(seed)
+    f = random_form(rng, 72)
+    g = polynomial_form(
+        GeneratorPolynomial({key: rng.randint(1, 9) for key in index_monomials(f.index2 // 2)}), 72
+    )
+    half = rng.choice([phi_threehalf(72), phi_weak_weight_minus1(72)])
+    results = [f + g, f - g, -half, f * g, f * half, half * half, f * k, k * half,
+               f.truncate(cut), half.truncate(cut), (f * 6).scale_div(3)]
+    for form in results:
+        assert JacobiForm(form.series, form.weight2, form.index2, form.poly) == form

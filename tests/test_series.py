@@ -345,6 +345,34 @@ def test_packed_product_cancels_and_keeps_no_zero_terms():
     assert packed == plain and (0, 4 * 40) in packed and (0, 4) not in packed
 
 
+def sized(width, sign, nvars, yoff=0):
+    """4 x 4 (x 2 in s) terms whose products with sized(width, ...) need
+    width-byte slots: coefficients up to 2**(4 width - 6), mixed signs
+    (sign 1) or all negative (sign -1)."""
+    top = 1 << (4 * width - 6)
+    keys = [(24 * i, 4 * j + yoff, 24 * m)[:nvars] for i in range(4) for j in range(4) for m in range(2)]
+    return {key: (sign if sign < 0 else (-1) ** sum(key)) * (top - sum(key)) for key in keys}
+
+
+@pytest.mark.parametrize("width", [7, 8, 9, 16, 17])  # slots of 1, 1, 2, 2, 3 words
+@pytest.mark.parametrize("sign, nvars, square", [
+    (1, 2, False), (-1, 2, False), (1, 2, True), (-1, 2, True), (1, 3, False), (-1, 3, True),
+])
+def test_packed_product_at_slot_widths_around_whole_words(width, sign, nvars, square):
+    a = sized(width, sign, nvars)
+    b = a if square else sized(width, sign, nvars, yoff=2)
+    for qprec in (None, 49):
+        packing = _Kronecker(a, b, 0, 0, qprec)
+        assert packing.width == width
+        assert packing.multiply() == _mul_dict(a, b, qprec, nvars)
+
+
+@pytest.mark.parametrize("c, d", [(3, -5), (-(2**70), -(2**70)), (2**63 - 1, 1), (-(2**69), 1)])
+def test_packed_product_of_one_slot(c, d):
+    key = (24, 6)
+    assert _Kronecker({key: c}, {key: d}, 24, 24, None).multiply() == {(48, 12): c * d}
+
+
 @pytest.mark.parametrize("small, large, qprec, route", [
     (grid(3, 5), grid(3, 5), None, "dict"),  # 15 terms: below the size gate
     (grid(4, 4), grid(4, 4), None, "packed"),  # 16 x 16 dense
