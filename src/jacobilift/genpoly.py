@@ -27,6 +27,15 @@ class GeneratorPolynomial:
         self.terms = {k: c for k, c in clean.items() if c}
 
     @classmethod
+    def _trusted(cls, terms):
+        """A polynomial from ring operations on valid polynomials (sums,
+        differences, products, integer scaling): its keys need no re-check,
+        only its zero coefficients are dropped."""
+        poly = object.__new__(cls)
+        poly.terms = {k: c for k, c in terms.items() if c}
+        return poly
+
+    @classmethod
     def generator(cls, i):
         if i not in (1, 2, 3, 4):
             raise ValidationError("generator number must be 1..4")
@@ -50,23 +59,23 @@ class GeneratorPolynomial:
         terms = dict(self.terms)
         for k, c in other.terms.items():
             terms[k] = terms.get(k, 0) + c
-        return GeneratorPolynomial(terms)
+        return GeneratorPolynomial._trusted(terms)
 
     def __neg__(self):
-        return GeneratorPolynomial({k: -c for k, c in self.terms.items()})
+        return GeneratorPolynomial._trusted({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return GeneratorPolynomial({k: c * other for k, c in self.terms.items()})
+            return GeneratorPolynomial._trusted({k: c * other for k, c in self.terms.items()})
         out = {}
         for ka, ca in self.terms.items():
             for kb, cb in other.terms.items():
-                key = tuple(ka[i] + kb[i] for i in range(4))
+                key = (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2], ka[3] + kb[3])
                 out[key] = out.get(key, 0) + ca * cb
-        return GeneratorPolynomial(out)
+        return GeneratorPolynomial._trusted(out)
 
     __rmul__ = __mul__
 

@@ -8,6 +8,7 @@ q: 1/24, y: 1/4; a coefficient f(n, l) of q**n y**l sits at the key
 (24*n, 4*l).
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import wraps
 from math import gcd, isqrt
@@ -271,11 +272,14 @@ def _form_store(build):
 
     A request is computed at whole q-orders, 24*ceil(qprec/24), which loses
     nothing since Jacobi forms have integral q-exponents.  Only the highest
-    precision computed is kept, and every request is answered by truncation
-    to exactly its qprec.  The forms are infinite series, so qprec=None
-    raises ValidationError.
+    precision computed is kept.  A request at that precision gets the kept
+    form.  A lower one gets the kept terms up to its q-row: the kept form's
+    keys are put in key order once, and the offset of a q-row in them is
+    found by bisection.  The forms are infinite series, so qprec=None raises
+    ValidationError.
     """
     store = {}
+    order = {}  # key -> (kept form, its keys in key order)
 
     @wraps(build)
     def stored(*args, **kwargs):
@@ -298,7 +302,15 @@ def _form_store(build):
                     "(1/24 units)"
                 )
             store[key] = form
-        return form.truncate(qprec)
+        if qprec == form.series.qprec:
+            return form
+        kept = order.get(key)
+        if kept is None or kept[0] is not form:
+            order[key] = kept = (form, sorted(form.series.terms))
+        keys = kept[1][:bisect_left(kept[1], (qprec,))]  # (qprec,) precedes row qprec
+        terms = dict(zip(keys, map(form.series.terms.__getitem__, keys)))
+        series = Series(DEN2, terms, qprec, form.series.ring, _clean=True)
+        return JacobiForm._trusted(series, form.weight2, form.index2, form.poly)
 
     stored.store = store
     return stored
@@ -516,37 +528,60 @@ def basis_psi(m, n, qprec):
 
 def hecke_tminus(form, m):
     """The index-raising Hecke operator T_-(m) on weight-0 integral-index
-    forms: f|T_-(m) has coefficients sum over a | (n, l, m) of
-    (m/a) * f(n*m/a**2, l/a)."""
+    forms, on every q-order its input determines (``tminus_terms``)."""
     if form.weight2 != 0 or form.index2 % 2:
         raise ValidationError("T_-(m) needs a weight-0 form of integral index")
     if m < 1:
         raise ValidationError("Hecke parameter must be positive")
     orders_in = form.qprec_orders()
-    orders_out = None if orders_in is None else (orders_in - 1) // m + 1
-    divisors = [a for a in range(1, m + 1) if m % a == 0]
-    out = {}
-    for (nq, ly), c in form.series.terms.items():
-        n = nq // 24
-        l = ly // 4
-        for a in divisors:
-            na = n * a * a
-            if na % m:
-                continue
-            big_n = na // m
-            if orders_out is not None and big_n >= orders_out:
-                continue
-            if big_n % a:
-                continue
-            key = (24 * big_n, 4 * l * a)
-            new = out.get(key, 0) + (m // a) * c
-            if new == 0:
-                out.pop(key, None)
-            else:
-                out[key] = new
-    qprec = None if orders_out is None else 24 * orders_out
-    series = Series(DEN2, out, qprec, RING_Z, _clean=True)
+    top = None if orders_in is None else (orders_in - 1) // m
+    terms = tminus_terms(q_rows(form.series), m, top)
+    qprec = None if top is None else 24 * (top + 1)
+    series = Series(DEN2, terms, qprec, RING_Z, _clean=True)
     return JacobiForm(series, 0, form.index2 * m, None)
+
+
+def q_rows(series, qprec=None):
+    """The terms of a series on whole q-orders below qprec (None: all)
+    grouped by q-order: {n: [(ly, c), ...]}."""
+    rows = {}
+    for (nq, ly), c in series.terms.items():
+        if qprec is None or nq < qprec:
+            rows.setdefault(nq // 24, []).append((ly, c))
+    return rows
+
+
+def tminus_terms(rows, m, top=None):
+    """The terms of f|T_-(m) at q-orders N <= top (all when top is None),
+    f given by its q-rows (``q_rows``): f|T_-(m) has coefficients sum over
+    a | (N, l, m) of (m/a) * f(N*m/a**2, l/a).  So row N sums, over a | m
+    with a | N and a**2 | N*m, (m/a) * c at y**(a*l) for c*y**l in row
+    N*m/a**2 of f, and no other row of f is read.  Input row n reaches
+    output row n*a**2/m exactly when m | n*a."""
+    divisors = [a for a in range(1, m + 1) if m % a == 0]
+    orders = sorted({n * a * a // m for n in rows for a in divisors if n * a % m == 0})
+    out = {}
+    for big_n in orders:
+        if top is not None and big_n > top:
+            break
+        nq = 24 * big_n
+        parts = []
+        for a in divisors:
+            if big_n % a == 0 and big_n * m % (a * a) == 0:
+                row = rows.get(big_n * m // (a * a))
+                if row:
+                    parts.append((a, m // a, row))
+        if len(parts) == 1:
+            a, w, row = parts[0]
+            out.update({(nq, a * ly): w * c for ly, c in row})
+            continue
+        acc = {}
+        for a, w, row in parts:
+            for ly, c in row:
+                key = (nq, a * ly)
+                acc[key] = acc.get(key, 0) + w * c
+        out.update({k: c for k, c in acc.items() if c})
+    return out
 
 
 def norm_table(form):

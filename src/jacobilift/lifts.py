@@ -15,7 +15,10 @@ product of phi, satisfy
 (Gritsenko-Nikulin), and the second-quantized genus is the same recursion
 with the sign flipped (Dijkgraaf-Moore-Verlinde-Verlinde).  The division
 by M is exact over Z and every H_M is a finite y-polynomial at each
-q-order.  The s**0 part F_0 of the lift is the theta block
+q-order.  The engine does only the work its q-window keeps: each T_-(k)
+image is read from the input rows n*k/a**2 of the window's rows n, and
+each sum over k is one packed product (``series.mul_sum``).  The s**0
+part F_0 of the lift is the theta block
 eta^(c(0,0) - sum_{l>0} c(0,l)) prod_{l>0} theta(tau, l z)^c(0,l)
 (Gritsenko-Nikulin), and the Hodge anomaly is one too; ``theta_block``
 builds both.  A negative theta power has unbounded y-support, so the
@@ -30,9 +33,9 @@ from math import gcd, inf, isqrt
 
 from .errors import IdentityError, InexactDivisionError, PrecisionError, ValidationError
 from .genus import elliptic_genus
-from .jacobi import generator, hecke_tminus, psi2_variant, theta_jacobi
+from .jacobi import generator, psi2_variant, q_rows, theta_jacobi, tminus_terms
 from .modular import euler_product, kronecker
-from .series import DEN2, DEN3, Series, series_to_dict
+from .series import DEN2, DEN3, Series, mul_sum, series_to_dict
 
 
 class SiegelSeries:
@@ -253,19 +256,18 @@ def theta_block(eta_exp, thetas, qprec, ywindow=None):
 
 def abc_exponents(form):
     """The exact leading exponents (A, B, C) of the exponential lift,
-    read off the q**0 row of a weight-0 form."""
-    a = Fraction(0)
-    b = Fraction(0)
-    c = Fraction(0)
+    read off the q**0 row of a weight-0 form: with l = ly/4,
+    A = sum c/24, B = sum_{l>0} c*l/2 and C = sum c*l**2/4, summed over
+    Z and divided once."""
+    a = b = c = 0
     for (nq, ly), coeff in form.series.terms.items():
         if nq != 0:
             continue
-        l = Fraction(ly, 4)
-        a += Fraction(coeff, 24)
-        if l > 0:
-            b += Fraction(coeff, 1) * l / 2
-        c += Fraction(coeff, 1) * l * l / 4
-    return a, b, c
+        a += coeff
+        if ly > 0:
+            b += coeff * ly
+        c += coeff * ly * ly
+    return Fraction(a, 24), Fraction(b, 8), Fraction(c, 64)
 
 
 def _prefactor_key(form):
@@ -285,29 +287,32 @@ def _fj_rows(form, sign, qprec, count):
 
         H_0 = 1,    H_M = (sign/M) sum_{k=1..M} (form|T_-(k)) H_{M-k}
 
-    The T_-(k) image reads the input at q-orders below k*nmax + 1, with
-    nmax = (qprec - 1)//24 the last q-order kept, so a shorter input raises
-    PrecisionError.  A half-integral index is lifted to an integral one by
-    z -> 2z and the y-exponents are halved back at the end."""
+    Only the window is computed.  The form's terms are grouped by q-order
+    once, and T_-(k) is read row by row (``jacobi.tminus_terms``) for the
+    q-orders n <= nmax = (qprec - 1)//24 that are kept.  It reads the input
+    at q-orders below k*nmax + 1, so a shorter input raises PrecisionError.
+    Each row's sum over k is one ``mul_sum``, divided by M exactly,
+    coefficient by coefficient, and H_M is built as a clean series.  A
+    half-integral index is lifted to an integral one by z -> 2z and the
+    y-exponents are halved back at the end."""
     half = form.index2 % 2
     if half:
         form = form.double_z()
+    if form.weight2:
+        raise ValidationError("T_-(m) needs a weight-0 form of integral index")
     nmax = (qprec - 1) // 24
-    rows = [Series.const(1, DEN2, qprec)]
+    orders = form.qprec_orders()
+    by_order = q_rows(form.series, 24 * (count * nmax + 1))
+    rows = [{(0, 0): 1} if qprec > 0 else {}]
     images = []
     for m in range(1, count + 1):
-        image = hecke_tminus(form, m).series
-        if image.qprec is not None and image.qprec < qprec:
+        if orders is not None and orders < m * nmax + 1:
             raise PrecisionError(
                 f"lift needs the T_-({m}) image through q-order {nmax}, which reads "
-                f"{m * nmax + 1} q-orders of the input form; it has "
-                f"{form.qprec_orders()}"
+                f"{m * nmax + 1} q-orders of the input form; it has {orders}"
             )
-        images.append(image.truncate(qprec))
-        acc = {}
-        for k in range(1, m + 1):
-            for key, c in (images[k - 1] * rows[m - k]).terms.items():
-                acc[key] = acc.get(key, 0) + c
+        images.append(tminus_terms(by_order, m, nmax))
+        acc = mul_sum([(images[k - 1], rows[m - k]) for k in range(1, m + 1)], qprec, 2)
         terms = {}
         for key, c in acc.items():
             quot, rem = divmod(c, m)
@@ -317,11 +322,10 @@ def _fj_rows(form, sign, qprec, count):
                     f"divisible by {m}"
                 )
             terms[key] = sign * quot
-        rows.append(Series(DEN2, terms, qprec))
+        rows.append(terms)
     if half:
-        rows = [Series(DEN2, {(nq, ly // 2): c for (nq, ly), c in row.terms.items()}, qprec)
-                for row in rows]
-    return rows
+        rows = [{(nq, ly // 2): c for (nq, ly), c in row.items()} for row in rows]
+    return [Series(DEN2, row, qprec, _clean=True) for row in rows]
 
 
 def exp_lift(form, qprec, sprec, ywindow=None):

@@ -19,9 +19,9 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, groupby, product
 from math import gcd, prod
-from operator import add, gt, sub
+from operator import add, gt, itemgetter, sub
 
 from .errors import (
     InexactDivisionError,
@@ -211,11 +211,10 @@ class Series:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b, qa, qb = b, a, qb, qa
-        if self.ring == RING_Z and len(a) >= PACK_MIN_TERMS and len(a) ** 2 > len(b):
-            packing = _Kronecker(a, b, qa, qb, qprec)
-            if packing.pays():
-                return Series(self.den, packing.multiply(), qprec, self.ring, _clean=True)
-        out = _mul_dict(a, b, qprec, len(self.den))
+        if self.ring == RING_Z:
+            out = _sum_products([(a, b, qa, qb)], qprec, len(self.den))
+        else:
+            out = _mul_dict(a, b, qprec, len(self.den))
         return Series(self.den, out, qprec, self.ring, _clean=True)
 
     __rmul__ = __mul__
@@ -448,13 +447,47 @@ def _level_ceiling(level, beta, tops_a, tops_b, tops_c):
 
 
 # A Z-product whose smaller operand has fewer terms, or at most the square
-# root of the larger's (a sparse factor), stays on the dict loop.
+# root of the larger's (a sparse factor), stays on the dict loop.  A sum of
+# products passes the same gate on its sums: of |a|, and of |a|**2 against
+# those of |b|.
 PACK_MIN_TERMS = 16
 
 
-def _mul_dict(a, b, qprec, nvars):
-    """Term dicts a (the smaller) times b, one dict update per pair."""
+def mul_sum(pairs, qprec, nvars):
+    """The terms of sum a*b over pairs (a, b) of Z term dicts on nvars
+    axes, below qprec (None keeps every term): one Kronecker product of the
+    whole sum when the route rule says packing pays, else one dict loop.
+    Series.__mul__ is its one-pair case."""
+    quads = []
+    for a, b in pairs:
+        if a and b:
+            if len(a) > len(b):
+                a, b = b, a
+            quads.append((a, b, min(a)[0], min(b)[0]))
+    return _sum_products(quads, qprec, nvars)
+
+
+def _sum_products(quads, qprec, nvars):
+    """The route rule of mul_sum over (a, b, qa, qb): operands with the
+    smaller first, and their lowest q-exponents."""
+    small = [len(quad[0]) for quad in quads]
+    if sum(small) >= PACK_MIN_TERMS and sum(n * n for n in small) > sum(
+        len(quad[1]) for quad in quads
+    ):
+        packing = _Kronecker(quads, qprec)
+        if packing.pays():
+            return packing.multiply()
     out = {}
+    for a, b, _, _ in quads:
+        _mul_dict(a, b, qprec, nvars, out)
+    return out
+
+
+def _mul_dict(a, b, qprec, nvars, out=None):
+    """Term dicts a (the smaller) times b, one dict update per pair, added
+    into out when it is given."""
+    if out is None:
+        out = {}
     bitems = sorted(b.items())
     for ka, ca in a.items():
         nqa = ka[0]
@@ -474,75 +507,145 @@ def _mul_dict(a, b, qprec, nvars):
     return out
 
 
+def _row_norms(terms, cols):
+    """[(nq, sum of |c|, max of |c|)] over the q-rows of terms, in q order."""
+    norms = {}
+    for nq, row in groupby(zip(cols[0], map(abs, terms.values())), itemgetter(0)):
+        row = list(map(itemgetter(1), row))
+        total, top = norms.get(nq, (0, 0))
+        norms[nq] = (total + sum(row), max(top, *row))
+    return sorted((nq, total, top) for nq, (total, top) in norms.items())
+
+
+def _window_bound(kept, qprec):
+    """A bound on |c| over the operands' terms and the coefficients of the
+    sum of products below qprec, summed over the products.  Below qprec,
+    row a_i of a meets only rows b_j of b with i + j < qprec, so a
+    product's coefficients there are at most the sum over i of |a_i|_1
+    times the largest |c| in those rows of b (or the same with a and b
+    swapped).  Slots past qprec are never read, and a carry only moves to
+    higher slots, so they need no room."""
+    bound = top = 0
+    for a, b, cols_a, cols_b in kept:
+        rows_a = _row_norms(a, cols_a)
+        rows_b = rows_a if b is a else _row_norms(b, cols_b)
+        top = max(top, *(t for _, _, t in rows_a + rows_b))
+        bound += min(_meet(rows_a, rows_b, qprec), _meet(rows_b, rows_a, qprec))
+    return max(top, bound)
+
+
+def _meet(rows, other, qprec):
+    """The sum over rows i of |row i|_1 times the largest |c| in the rows j
+    of other with i + j < qprec."""
+    qs = [j for j, _, _ in other]
+    peaks = list(accumulate((t for _, _, t in other), max))
+    total = 0
+    for i, norm, _ in rows:
+        reach = len(qs) if qprec is None else bisect_left(qs, qprec - i)
+        if reach:
+            total += norm * peaks[reach - 1]
+    return total
+
+
+def _below(terms, qprec):
+    """The terms below qprec, and their exponent columns."""
+    cols = list(zip(*terms))
+    if qprec is None or max(cols[0]) < qprec:
+        return terms, cols
+    terms = {k: c for k, c in terms.items() if k[0] < qprec}
+    return terms, list(zip(*terms))
+
+
 class _Kronecker:
-    """One product of Z term dicts by Kronecker substitution: each operand
-    becomes a single integer, and one big-integer multiplication (Karatsuba
-    in CPython) yields every coefficient (D. Harvey, J. Symb. Comp. 2009).
+    """A sum of products of Z term dicts by Kronecker substitution: each
+    operand becomes a single integer, one big-integer multiplication per
+    product (Karatsuba in CPython) yields its coefficients (D. Harvey,
+    J. Symb. Comp. 2009), and the products are added as integers and read
+    back once.
 
     Terms that cannot reach qprec are dropped first.  Each exponent axis is
-    divided by the gcd stride of both operands, measured from each
-    operand's minimum (forms use only q in 24Z and y in 4Z or 4Z + 2), and
-    the product's bounding box is laid out row-major with q slowest.  A
-    slot holds width bytes, signed, wide enough for any product
-    coefficient: at most min(|a|, |b|) pairs meet in a slot.  qa and qb are
-    the operands' lowest q-exponents.
+    divided by one gcd stride: of every operand's exponents measured from
+    that operand's minimum, and of each product's lowest exponent measured
+    from the lowest of all (forms use only q in 24Z and y in 4Z or 4Z + 2).
+    The bounding box of all the products is laid out row-major with q
+    slowest, and each product is shifted to the slot of its lowest
+    exponent.  A slot holds width bytes, signed, wide enough for every
+    operand coefficient and every coefficient of the sum below qprec
+    (``_window_bound``).  ``quads`` lists (a, b, qa, qb): the operands and
+    their lowest q-exponents.
     """
 
-    __slots__ = (
-        "a", "b", "cols_a", "cols_b", "lo", "step", "shape", "rows", "width", "pairs",
-    )
+    __slots__ = ("quads", "lo", "step", "shape", "spans", "offsets", "rows", "width", "pairs")
 
-    def __init__(self, a, b, qa, qb, qprec):
-        square = a is b
+    def __init__(self, quads, qprec):
         self.pairs = 0
-        if qprec is not None:
-            if qa + qb >= qprec:
-                return
-            a = {k: c for k, c in a.items() if k[0] < qprec - qb}
-            b = a if square else {k: c for k, c in b.items() if k[0] < qprec - qa}
-        self.a, self.b = a, b
-        self.cols_a = cols_a = list(zip(*a))
-        self.cols_b = cols_b = cols_a if square else list(zip(*b))
+        self.quads = kept = []
+        for a, b, qa, qb in quads:
+            if qprec is not None and qa + qb >= qprec:
+                continue
+            square = a is b
+            a, cols_a = _below(a, None if qprec is None else qprec - qb)
+            b, cols_b = (a, cols_a) if square else _below(b, None if qprec is None else qprec - qa)
+            kept.append((a, b, cols_a, cols_b))
+        if not kept:
+            return
+        boxes = []  # per product and axis: lowest and highest exponent, gcd
+        for a, b, cols_a, cols_b in kept:
+            box = []
+            for ca, cb in zip(cols_a, cols_b):
+                va, vb = set(ca), set(cb)
+                la, lb = min(va), min(vb)
+                g = gcd(*[v - la for v in va], *[v - lb for v in vb])
+                box.append((la + lb, max(va) + max(vb), g))
+            boxes.append(box)
         self.lo, self.step, self.shape = [], [], []
-        for ca, cb in zip(cols_a, cols_b):
-            va, vb = set(ca), set(cb)
-            la, lb = min(va), min(vb)
-            g = gcd(*[v - la for v in va], *[v - lb for v in vb]) or 1
-            self.lo.append(la + lb)
+        for axis in zip(*boxes):
+            lo = min(lo for lo, _, _ in axis)
+            g = gcd(*[g for _, _, g in axis], *[v - lo for v, _, _ in axis]) or 1
+            self.lo.append(lo)
             self.step.append(g)
-            self.shape.append((max(va) - la + max(vb) - lb) // g + 1)
+            self.shape.append((max(hi for _, hi, _ in axis) - lo) // g + 1)
+        stride = [prod(self.shape[i + 1:]) for i in range(len(self.shape))]
+        self.spans = [(box[0][1] - box[0][0]) // self.step[0] + 1 for box in boxes]
+        self.offsets = [
+            sum((v - lo) // g * s for (v, _, _), lo, g, s in zip(box, self.lo, self.step, stride))
+            for box in boxes
+        ]
         self.rows = self.shape[0]
         if qprec is None:
-            self.pairs = len(a) * len(b)
+            self.pairs = sum(len(a) * len(b) for a, b, _, _ in kept)
         else:
             self.rows = min(self.rows, (qprec - self.lo[0] - 1) // self.step[0] + 1)
-            qs = sorted(cols_b[0])
-            self.pairs = sum(
-                n * bisect_left(qs, qprec - nq) for nq, n in Counter(cols_a[0]).items()
-            )
-        bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
-        self.width = (bound.bit_length() + 2 + 7) // 8
+            for a, b, cols_a, cols_b in kept:
+                qs = sorted(cols_b[0])
+                self.pairs += sum(
+                    n * bisect_left(qs, qprec - nq) for nq, n in Counter(cols_a[0]).items()
+                )
+        self.width = (_window_bound(kept, qprec).bit_length() + 2 + 7) // 8
 
     def pays(self):
         """The route rule: pack when the in-window pairs of the dict loop
         cost more than packing the terms, reading the window's slots and
-        the multiplication (its size in kB to the power log2(3)).  Fitted
-        by timing both routes on every Z product of a forms round, a lifts
-        round and verify all, in units of one dict-loop pair.  multiply
-        stages little-endian words, so a big-endian host keeps the dict loop."""
+        the multiplications (each product's size in kB to the power
+        log2(3)), with a fixed cost per product.  Fitted on one product at
+        a time, by timing both routes on every Z product of a forms round,
+        a lifts round and verify all, in units of one dict-loop pair.
+        multiply stages little-endian words, so a big-endian host keeps the
+        dict loop."""
         if not self.pairs or sys.byteorder != "little":
             return False
         row = prod(self.shape[1:])
-        kbytes = self.shape[0] * row * self.width / 1000
-        cost = 64 + 3 * (len(self.a) + len(self.b)) + self.rows * row + 40 * kbytes**1.585
-        return self.pairs > cost
+        terms = sum(len(a) + len(b) for a, b, _, _ in self.quads)
+        kbytes = [span * row * self.width / 1000 for span in self.spans]
+        cost = 64 * len(self.quads) + 3 * terms + self.rows * row
+        return self.pairs > cost + sum(40 * k**1.585 for k in kbytes)
 
     def multiply(self):
-        """The product's terms below qprec.
+        """The sum's terms below qprec.
 
         Each operand is staged in array('Q'), one slot of ``words`` 64-bit
         limbs per grid point and one store per term, then narrowed to
-        width-byte slots by width strided byte copies; the product is read
+        width-byte slots by width strided byte copies; the sum is read
         back by the reverse copies."""
         if not self.pairs:
             return {}
@@ -583,8 +686,11 @@ class _Kronecker:
                         neg_bytes[i:i + wide] = (-c).to_bytes(wide, "little")
             return narrow(pos) - narrow(neg)
 
-        packed = pack(self.a, self.cols_a)
-        packed *= packed if self.b is self.a else pack(self.b, self.cols_b)
+        packed = 0
+        for (a, b, cols_a, cols_b), offset in zip(self.quads, self.offsets):
+            term = pack(a, cols_a)
+            term *= term if b is a else pack(b, cols_b)
+            packed += term << (8 * width * offset) if offset else term
         # slot i holds d_i + half in [0, 2**(8 width)): read the window's slots
         slots = self.rows * stride[0]
         half = 1 << (8 * width - 1)

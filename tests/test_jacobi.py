@@ -26,9 +26,11 @@ from jacobilift.jacobi import (
     phi_weak_weight_minus1,
     polynomial_form,
     psi2_variant,
+    q_rows,
     specialize_torsion,
     taylor_coeffs,
     theta_jacobi,
+    tminus_terms,
     unit_form,
     xi06,
 )
@@ -292,6 +294,67 @@ def test_hecke_tminus_on_exact_form():
     assert const.series == Series.const(12, DEN2)  # sigma_1(6)
 
 
+def hecke_tminus_scan(form, m):
+    """T_-(m) by one pass over every input term and each a | m: the route
+    the row reader replaced."""
+    orders_in = form.qprec_orders()
+    orders_out = None if orders_in is None else (orders_in - 1) // m + 1
+    divisors = [a for a in range(1, m + 1) if m % a == 0]
+    out = {}
+    for (nq, ly), c in form.series.terms.items():
+        n, l = nq // 24, ly // 4
+        for a in divisors:
+            na = n * a * a
+            if na % m:
+                continue
+            big_n = na // m
+            if orders_out is not None and big_n >= orders_out or big_n % a:
+                continue
+            key = (24 * big_n, 4 * l * a)
+            out[key] = out.get(key, 0) + (m // a) * c
+    qprec = None if orders_out is None else 24 * orders_out
+    return JacobiForm(Series(DEN2, out, qprec), 0, form.index2 * m, None)
+
+
+class ReadRows(dict):
+    """q-rows that record which rows are read."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.read = set()
+
+    def get(self, n, default=None):
+        self.read.add(n)
+        return super().get(n, default)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_tminus_rows_equal_the_term_scan(data):
+    """Whole and windowed T_-(m) images by rows equal the per-term scan, and
+    output row N reads only input rows N*m/a**2."""
+    index = data.draw(st.integers(1, 4))
+    poly = {key: data.draw(st.integers(-3, 3)) for key in index_monomials(index)}
+    poly = GeneratorPolynomial(poly) or GeneratorPolynomial({index_monomials(index)[0]: 1})
+    orders = data.draw(st.integers(1, 10))
+    form = data.draw(st.sampled_from([
+        polynomial_form(poly, 24 * orders),
+        polynomial_form(poly, 24 * orders).double_z(),
+        phi_threehalf(24 * orders).double_z(),
+    ]))
+    m = data.draw(st.integers(1, 6))
+    want = hecke_tminus_scan(form, m)
+    assert hecke_tminus(form, m) == want
+    top = data.draw(st.integers(-1, (orders - 1) // m))
+    rows = ReadRows(q_rows(form.series))
+    window = tminus_terms(rows, m, top)
+    assert window == {k: c for k, c in want.series.terms.items() if k[0] <= 24 * top}
+    divisors = [a for a in range(1, m + 1) if m % a == 0]
+    reachable = {big_n * m // (a * a) for big_n in range(top + 1) for a in divisors
+                 if big_n % a == 0 and big_n * m % (a * a) == 0}
+    assert rows.read <= reachable
+
+
 # ---- evaluation of generator polynomials -------------------------------------
 
 
@@ -390,6 +453,16 @@ def test_evaluate_walk_equals_per_monomial_evaluation(poly):
         assert got.series == want.series and got.poly == want.poly == poly
     else:  # the empty polynomial (None) or a constant
         assert got == want
+
+
+@given(phi_polynomial(homogeneous=False), phi_polynomial(homogeneous=True), st.integers(-3, 3))
+@settings(max_examples=60, deadline=None)
+def test_polynomial_ring_results_pass_the_public_check(p, q, k):
+    """Sums, differences, negation, products and integer scaling of valid
+    polynomials skip the public constructor's check; their results pass it."""
+    for result in (p + q, p - q, p - p, -p, p * q, p * k, k * q, p * 0):
+        assert GeneratorPolynomial(result.terms) == result
+        assert all(result.terms.values())
 
 
 def test_evaluate_at_full_index_12_takes_61_products():

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jacobilift import lifts
+from jacobilift import lifts, series
 from jacobilift.errors import PrecisionError, ValidationError
 from jacobilift.genus import K3, CYInvariants, elliptic_genus
 from jacobilift.jacobi import JacobiForm, generator, psi2_variant
@@ -274,6 +274,73 @@ def test_lifts_refuse_an_input_one_order_short():
     sqeg(elliptic_genus(K3, qprec=need), qprec, pprec)
     with pytest.raises(PrecisionError):
         sqeg(elliptic_genus(K3, qprec=need - 24), qprec, pprec)
+
+
+def test_engine_makes_one_packed_sum_per_row(monkeypatch):
+    """exp_lift(phi01) at q,s <= 9: the recursion makes one mul_sum per row
+    H_M, packed from M = 2 on (H_1 is phi01 itself), and no Series product."""
+    qp, sp, inq = lift_window_for(generator(1, 24), 9, 9)
+    form = generator(1, inq)
+    sums, packed, products, inside = [], [], [], []
+    mul_sum, multiply, mul = lifts.mul_sum, series._Kronecker.multiply, Series.__mul__
+
+    def counted_sum(pairs, qprec, nvars):
+        sums.append(len(pairs))
+        inside.append(len(pairs))
+        try:
+            return mul_sum(pairs, qprec, nvars)
+        finally:
+            inside.pop()
+
+    def counted_multiply(self):
+        if inside:
+            packed.append((inside[-1], len(self.quads)))
+        return multiply(self)
+
+    monkeypatch.setattr(lifts, "mul_sum", counted_sum)
+    monkeypatch.setattr(series._Kronecker, "multiply", counted_multiply)
+    monkeypatch.setattr(Series, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    nq, _, ms = _prefactor_key(form)
+    rows = lifts._fj_rows(form, -1, qp - nq, (sp - ms - 1) // 24)
+    assert len(rows) == 10 and sums == list(range(1, 10))
+    assert packed == [(m, m) for m in range(2, 10)]
+    assert products == []
+    sums.clear()
+    packed.clear()
+    exp_lift(form, qp, sp)
+    assert sums == list(range(1, 10)) and packed == [(m, m) for m in range(2, 10)]
+
+
+def abc_exponents_fraction(form):
+    """(A, B, C) summed term by term in Fraction: the route abc_exponents
+    replaced."""
+    a = b = c = Fraction(0)
+    for (nq, ly), coeff in form.series.terms.items():
+        if nq != 0:
+            continue
+        l = Fraction(ly, 4)
+        a += Fraction(coeff, 24)
+        if l > 0:
+            b += Fraction(coeff, 1) * l / 2
+        c += Fraction(coeff, 1) * l * l / 4
+    return a, b, c
+
+
+@given(st.booleans(), st.integers(-(2**70), 2**70),
+       st.dictionaries(st.integers(0, 12), st.integers(-(2**70), 2**70).filter(bool)),
+       st.dictionaries(st.integers(-12, 12), st.integers(-9, 9)))
+@settings(max_examples=80, deadline=None)
+def test_abc_exponents_equal_the_fraction_sums(half, c0, row, q1):
+    """On random q**0 rows even in y, of integral or half-integral index
+    (ly in 4Z or 4Z + 2), with a q**1 row that is not read."""
+    terms = {(24, 4 * l + 2 * half): c for l, c in q1.items()}
+    for l, c in row.items():
+        ly = 4 * l + 2 * half
+        terms[(0, ly)] = terms[(0, -ly)] = c
+    if not half:
+        terms[(0, 0)] = c0
+    form = JacobiForm(Series(DEN2, terms, 48), 0, 2 + half)
+    assert lifts.abc_exponents(form) == abc_exponents_fraction(form)
 
 
 def test_clipped_inverse_equals_fixed_point(monkeypatch):
