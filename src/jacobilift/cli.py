@@ -120,21 +120,25 @@ def _form_json(form):
     }
 
 
-def _siegel_text(ss):
-    lines = [
-        f"weight2 {ss.weight2}  character_order {ss.character_order}"
-        f"  index_t {ss.index_t}"
-    ]
-    for key, coeff in ss.series.sorted_terms():
-        nq, ly, ms = key
+def _triple_lines(series, third):
+    """One line per term of a three-variable series, the third variable
+    named third."""
+    for (nq, ly, ms), coeff in series.sorted_terms():
         monos = [
             _monomial_str(nq, 24, "q"),
             _monomial_str(ly, 4, "y"),
-            _monomial_str(ms, 24, "s"),
+            _monomial_str(ms, 24, third),
         ]
         body = " ".join(m for m in monos if m) or "1"
-        lines.append(f"{coeff:+d} {body}")
-    return "\n".join(lines)
+        yield f"{coeff:+d} {body}"
+
+
+def _siegel_text(ss):
+    header = (
+        f"weight2 {ss.weight2}  character_order {ss.character_order}"
+        f"  index_t {ss.index_t}"
+    )
+    return "\n".join([header, *_triple_lines(ss.series, "s")])
 
 
 def _emit(args, text_fn, json_obj):
@@ -234,7 +238,7 @@ def cmd_lift(args):
         chi = elliptic_genus(inv, qprec=_input_qprec(qprec, pprec))
         series = sqeg(chi, qprec, pprec, ywindow=args.ywindow)
         data = series_to_dict(series)
-        _emit(args, lambda: "\n".join(str(t) for t in series.sorted_terms()), data)
+        _emit(args, lambda: "\n".join(_triple_lines(series, "p")), data)
         return EXIT_OK
     elif args.kind == "eform":
         inv = _invariants_from_args(args)
@@ -346,8 +350,9 @@ def build_parser():
 
 
 def _check_windows(args):
-    """Window options count whole orders, so a negative one is invalid."""
-    for dest in ("qmax", "smax", "pmax", "bound", "qmax_opt"):
+    """Window options count whole orders (--ywindow: quarter units of the
+    y-exponent), so a negative one is invalid."""
+    for dest in ("qmax", "smax", "pmax", "bound", "ywindow", "qmax_opt"):
         value = getattr(args, dest, None)
         if value is not None and value < 0:
             name = dest.removesuffix("_opt")

@@ -5,14 +5,6 @@ class JacobiLiftError(Exception):
     """Base class for all package errors."""
 
 
-class RingMismatchError(JacobiLiftError):
-    """Raised when two series over different coefficient rings are combined."""
-
-
-class RingPromotionError(JacobiLiftError):
-    """Raised when an operation needs a larger coefficient ring than the input's."""
-
-
 class InexactDivisionError(JacobiLiftError):
     """Raised when a division that must be exact leaves a remainder."""
 

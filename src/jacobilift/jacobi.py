@@ -11,12 +11,11 @@ q: 1/24, y: 1/4; a coefficient f(n, l) of q**n y**l sits at the key
 from bisect import bisect_left
 from fractions import Fraction
 from functools import wraps
-from math import gcd, isqrt
+from math import factorial, gcd, isqrt
 
 from .errors import PrecisionError, ValidationError
 from .genpoly import GeneratorPolynomial
-from .modular import eta_power, g2_series, kronecker, sigma1
-from .rings import RING_Q, RING_Z, root_of_unity_sum_as_int
+from .modular import e2_series, eta_power, kronecker
 from .series import DEN2, Series
 
 
@@ -148,7 +147,7 @@ class JacobiForm:
             if r:
                 raise ValidationError(f"coefficient {c} at {k} not divisible by {d}")
             terms[k] = q
-        series = Series(DEN2, terms, self.series.qprec, self.series.ring, _clean=True)
+        series = Series(DEN2, terms, self.series.qprec, _clean=True)
         poly = None
         if self.poly is not None:
             pterms = {}
@@ -214,9 +213,7 @@ def _phi01_series(qprec):
         Series(DEN2, {k: c * (k[1] // 2) ** e for k, c in theta.terms.items()}, theta.qprec)
         for e in (1, 2)
     )
-    e2 = {(24 * n, 0): -24 * sigma1(n) for n in range(1, (qprec + 23) // 24)}
-    e2 = Series(DEN2, {(0, 0): 1, **e2}, qprec, RING_Z, _clean=True)
-    heat = e2 * (theta * theta) - (theta * d2 - d1 * d1).scale(3)
+    heat = e2_series(qprec) * (theta * theta) - (theta * d2 - d1 * d1).scale(3)
     return (heat * eta_power(-6, qprec - 6)).truncate(qprec)
 
 
@@ -246,7 +243,7 @@ def _phi02_series(qprec):
             raise ValidationError("theta sum for the index-2 generator must be even")
         if q:
             half[k] = q
-    sum_series = Series(DEN2, half, pad, RING_Z, _clean=True)
+    sum_series = Series(DEN2, half, pad, _clean=True)
     return (sum_series * eta_power(-4, pad)).truncate(qprec)
 
 
@@ -309,7 +306,7 @@ def _form_store(build):
             order[key] = kept = (form, sorted(form.series.terms))
         keys = kept[1][:bisect_left(kept[1], (qprec,))]  # (qprec,) precedes row qprec
         terms = dict(zip(keys, map(form.series.terms.__getitem__, keys)))
-        series = Series(DEN2, terms, qprec, form.series.ring, _clean=True)
+        series = Series(DEN2, terms, qprec, _clean=True)
         return JacobiForm._trusted(series, form.weight2, form.index2, form.poly)
 
     stored.store = store
@@ -402,7 +399,7 @@ def polynomial_form(poly, qprec):
     for key, coeff in poly.terms.items():
         for k, c in generator_monomial(*key, qprec).series.terms.items():
             terms[k] = terms.get(k, 0) + coeff * c
-    series = Series(DEN2, {k: c for k, c in terms.items() if c}, qprec, RING_Z, _clean=True)
+    series = Series(DEN2, {k: c for k, c in terms.items() if c}, qprec, _clean=True)
     return JacobiForm._trusted(series, 0, 2 * index, poly)
 
 
@@ -537,7 +534,7 @@ def hecke_tminus(form, m):
     top = None if orders_in is None else (orders_in - 1) // m
     terms = tminus_terms(q_rows(form.series), m, top)
     qprec = None if top is None else 24 * (top + 1)
-    series = Series(DEN2, terms, qprec, RING_Z, _clean=True)
+    series = Series(DEN2, terms, qprec, _clean=True)
     return JacobiForm(series, 0, form.index2 * m, None)
 
 
@@ -656,7 +653,7 @@ def hecke_t0_2(form):
             )
             if val:
                 out[(24 * n, 4 * l)] = val
-    series = Series(DEN2, out, 24 * orders_out, RING_Z, _clean=True)
+    series = Series(DEN2, out, 24 * orders_out, _clean=True)
     return JacobiForm(series, 0, 4, None)
 
 
@@ -771,49 +768,42 @@ def decompose(form):
 
 
 def taylor_coeffs(form, count):
-    """Rational Taylor coefficients of exp(2*index*G2*w**2) * phi along w,
-    where w = 2*pi*i*z.  The w**2 coefficient vanishes identically for
-    weight-0 forms (it would be a holomorphic weight-2 level-1 form)."""
+    """The Taylor coefficients T_0, ..., T_{count-1} of
+    exp(2*m*G2*w**2) * phi along w = 2*pi*i*z (m the index,
+    G2 = -1/24 + sum sigma_1(n) q**n), scaled to integral series: entry j
+    is j! * 12**(j//2) * T_j.
+
+    With E2 = -24*G2 and the moments P_i = sum f(n, l) l**i q**n,
+    j! 12**(j//2) T_j = sum over 2k <= j of
+    j!/(k! (j-2k)!) * (-m)**k * 12**(j//2 - k) * E2**k * P_{j-2k},
+    every factor of which is integral (Eichler-Zagier, section 3).  The
+    w**2 coefficient vanishes identically for weight-0 forms (it would be a
+    holomorphic weight-2 level-1 form)."""
     if form.index2 % 2:
         raise ValidationError("taylor_coeffs expects integral index")
+    if any(ly % 4 for _, ly in form.series.terms):
+        raise ValidationError("taylor_coeffs expects integral y-exponents")
     qprec = form.series.qprec
-    g2 = g2_series(qprec)
     m = form.index2 // 2
-    # exp(2*m*G2*w**2) truncated at w**count
-    exp_layers = [Series.const(1, DEN2, qprec, RING_Q)]
-    power = Series.const(1, DEN2, qprec, RING_Q)
-    factor = g2.scale(2 * m)
-    k = 1
-    while 2 * k < count:
-        power = power * factor
-        exp_layers.append(power.scale(Fraction(1, _factorial(k))))
-        k += 1
-    phi_layers = []
+    e2 = e2_series(qprec)
+    e2_powers = [Series.const(1, DEN2, qprec)]
+    while 2 * len(e2_powers) < count:
+        e2_powers.append(e2_powers[-1] * e2)
+    moments = []
     for j in range(count):
         terms = {}
         for (nq, ly), c in form.series.terms.items():
-            l = Fraction(ly, 4)
-            key = (nq, 0)
-            contrib = Fraction(c) * l ** j / _factorial(j)
-            if contrib:
-                terms[key] = terms.get(key, 0) + contrib
-        phi_layers.append(Series(DEN2, terms, qprec, RING_Q))
+            terms[(nq, 0)] = terms.get((nq, 0), 0) + c * (ly // 4) ** j
+        moments.append(Series(DEN2, terms, qprec))
     out = []
     for j in range(count):
-        total = Series.zero(DEN2, qprec, RING_Q)
-        for k, layer in enumerate(exp_layers):
-            if 2 * k > j:
-                break
-            total = total + layer * phi_layers[j - 2 * k]
+        total = Series.zero(DEN2, qprec)
+        for k in range(j // 2 + 1):
+            weight = factorial(j) // (factorial(k) * factorial(j - 2 * k))
+            weight *= (-m) ** k * 12 ** (j // 2 - k)
+            total = total + (e2_powers[k] * moments[j - 2 * k]).scale(weight)
         out.append(total)
     return out
-
-
-def _factorial(n):
-    result = 1
-    for i in range(2, n + 1):
-        result *= i
-    return result
 
 
 def linear_residuals(form):
@@ -835,6 +825,45 @@ def linear_residuals(form):
 # ---- specializations -------------------------------------------------------
 
 
+# Cyclotomic polynomials Phi_N for small N, as monic coefficient lists
+# (constant term first).  Used to reduce sums of roots of unity exactly.
+_CYCLOTOMIC = {
+    1: [-1, 1],
+    2: [1, 1],
+    3: [1, 1, 1],
+    4: [1, 0, 1],
+    5: [1, 1, 1, 1, 1],
+    6: [1, -1, 1],
+}
+
+
+def _root_of_unity_sum(weights, order):
+    """sum(weights[r] * zeta**r) for a primitive order-th root of unity
+    zeta, as an int; raises ValidationError when the sum is not rational.
+
+    The powers zeta**k with k >= deg Phi_order are folded down by
+    zeta**deg = -sum(Phi_order[i] zeta**i)."""
+    if order not in _CYCLOTOMIC:
+        raise ValidationError(f"unsupported root-of-unity order {order}")
+    phi = _CYCLOTOMIC[order]
+    deg = len(phi) - 1
+    vec = [0] * order
+    for r, w in weights.items():
+        vec[r % order] += w
+    for k in range(order - 1, deg - 1, -1):
+        c = vec[k]
+        if c == 0:
+            continue
+        vec[k] = 0
+        for i in range(deg):
+            vec[k - deg + i] -= c * phi[i]
+    if any(vec[1:deg]):
+        raise ValidationError(
+            f"root-of-unity sum is not rational: coefficients {vec[:deg]} at order {order}"
+        )
+    return vec[0]
+
+
 def specialize_torsion(form, order):
     """Evaluate at z = 1/order (y -> a primitive order-th root of unity),
     returning an integer q-series.  Needs an integral index."""
@@ -849,10 +878,10 @@ def specialize_torsion(form, order):
         weights[r] = weights.get(r, 0) + c
     terms = {}
     for nq, weights in by_q.items():
-        value = root_of_unity_sum_as_int(weights, order)
+        value = _root_of_unity_sum(weights, order)
         if value:
             terms[(nq, 0)] = value
-    return Series(DEN2, terms, form.series.qprec, RING_Z, _clean=True)
+    return Series(DEN2, terms, form.series.qprec, _clean=True)
 
 
 def specialize_center(form):
@@ -886,4 +915,4 @@ def specialize_center(form):
             terms.pop(key, None)
         else:
             terms[key] = new
-    return Series(DEN2, terms, qout, RING_Z, _clean=True)
+    return Series(DEN2, terms, qout, _clean=True)

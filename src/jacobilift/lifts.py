@@ -96,34 +96,32 @@ def siegel_scale(ss, yfactor, sfactor):
 
 
 def siegel_omega_half_shift(ss):
-    """The substitution omega -> omega + 1/2, which multiplies the term
-    s**(ms/24) by i**(ms/12); the result lives over the Gaussian integers."""
-    series = ss.series.promote("Zi")
-    identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    from .rings import GaussianInt
-
-    powers = (
-        GaussianInt(1, 0),
-        GaussianInt(0, 1),
-        GaussianInt(-1, 0),
-        GaussianInt(0, -1),
-    )
-
-    def twist(key):
-        ms = key[2]
-        if ms % 12 != 0:
-            raise ValidationError("half-period shift needs ms divisible by 12")
-        return powers[(ms // 12) % 4]
-
-    return SiegelSeries(
-        series.substitute(identity, series.qprec, twist=twist),
-        ss.weight2,
-        ss.character_order,
-        ss.index_t,
-    )
+    """The substitution omega -> omega + 1/2, as (k, shifted) with k in
+    {0, 1}: the shifted form is i**k times the integral SiegelSeries
+    shifted.  The substitution multiplies the term s**(ms/24) by i**(ms/12),
+    so it stays in i**k Z only when every s-exponent lies in one class of
+    12 mod 24: with ms in 24Z the term takes the sign (-1)**(ms/24) (k = 0),
+    with ms in 12 + 24Z it takes i * (-1)**((ms/12 - 1)/2) (k = 1).  Any
+    other s-exponents raise ValidationError."""
+    classes = {key[2] % 24 for key in ss.series.terms}
+    if len(classes) > 1 or not classes <= {0, 12}:
+        raise ValidationError(
+            "half-period shift needs every ms in one class of 0 or 12 mod 24, "
+            f"got the classes {sorted(classes)}"
+        )
+    k = 1 if classes == {12} else 0
+    terms = {key: -c if (key[2] - 12 * k) // 24 % 2 else c for key, c in ss.series.terms.items()}
+    series = Series(DEN3, terms, ss.series.qprec, _clean=True)
+    return k, SiegelSeries(series, ss.weight2, ss.character_order, ss.index_t)
 
 
 # ---- windowed unit inversion --------------------------------------------
+
+
+def _check_ywindow(ywindow):
+    """A y-window bounds |ly| (1/4 units), so a negative one is invalid."""
+    if ywindow is not None and ywindow < 0:
+        raise ValidationError(f"ywindow must be >= 0, got {ywindow}")
 
 
 def _clip(series, ywindow, sprec):
@@ -151,9 +149,9 @@ def clipped_inverse(unit, qprec, sprec=None, ywindow=None):
     one_key = (0,) * len(unit.den)
     if unit.coeff(one_key) != 1 or qprec is None:
         raise ValidationError("clipped_inverse needs constant term 1 and a q-precision")
-    w = _clip((Series.const(1, unit.den, qprec, unit.ring) - unit), ywindow, sprec)
+    w = _clip((Series.const(1, unit.den, qprec) - unit), ywindow, sprec)
     if not w.terms:
-        return Series.const(1, unit.den, qprec, unit.ring)
+        return Series.const(1, unit.den, qprec)
     for k in w.terms:
         if _unit_order(k) < _unit_order(one_key):
             raise ValidationError(f"clipped_inverse: term {k} precedes the constant term")
@@ -187,14 +185,14 @@ def clipped_inverse(unit, qprec, sprec=None, ywindow=None):
                 pending[key] = 0
                 heapq.heappush(heap, (_unit_order(key), key))
             pending[key] += c * cw
-    return Series(unit.den, inv, w.qprec, unit.ring, _clean=True)
+    return Series(unit.den, inv, w.qprec, _clean=True)
 
 
 def power_with_window(series, exponent, qprec, sprec=None, ywindow=None):
     """series**exponent with window truncation; negative exponents factor
     out the minimal monomial (whose coefficient must be a unit)."""
     if exponent >= 0:
-        result = Series.const(1, series.den, qprec, series.ring)
+        result = Series.const(1, series.den, qprec)
         for _ in range(exponent):
             result = _clip(result * series, ywindow, sprec)
         return result
@@ -207,7 +205,7 @@ def power_with_window(series, exponent, qprec, sprec=None, ywindow=None):
         raise ValidationError("negative powers need a unit leading coefficient")
     unit = series.shift(tuple(-v for v in m0)).scale(c0).with_qprec(qprec)
     inv_unit = clipped_inverse(unit, qprec, sprec=sprec, ywindow=ywindow)
-    result = Series.const(1, series.den, qprec, series.ring)
+    result = Series.const(1, series.den, qprec)
     for _ in range(-exponent):
         result = _clip(result * inv_unit, ywindow, sprec)
     sign = -1 if (c0 == -1 and exponent % 2) else 1
@@ -239,6 +237,7 @@ def theta_block(eta_exp, thetas, qprec, ywindow=None):
     most L n <= L N and at least ly minus L times the q-order of the rest,
     hence at least ly - L N: inside the window, so no clip drops it.
     """
+    _check_ywindow(ywindow)
     thetas = {lam: c for lam, c in thetas.items() if c}
     lead = (eta_exp + 3 * sum(thetas.values()), int(sum(2 * lam * c for lam, c in thetas.items())))
     rel = qprec - lead[0]
@@ -349,6 +348,7 @@ def exp_lift(form, qprec, sprec, ywindow=None):
     (``theta_block``), and the q**N row of H_M, of index tM, has
     |ly| <= 4(tM + 2N).
     """
+    _check_ywindow(ywindow)
     t = _lift_index(form)
     pref = _prefactor_key(form)
     pq = qprec - pref[0]
@@ -445,6 +445,7 @@ def sqeg(form, qprec, pprec, ywindow=None):
     as a triple series whose third variable is p (graded in 1/24 units
     on the s-slot).  No prefactor.  Every row is exact; ywindow, if given,
     only clips the output to |ly| <= ywindow."""
+    _check_ywindow(ywindow)
     terms = {}
     for n, row in enumerate(_fj_rows(form, 1, qprec, (pprec - 1) // 24)):
         if ywindow is not None:
@@ -527,6 +528,7 @@ def e_form(inv, qprec, sprec, ywindow=None, genus_qprec=None):
     """The Siegel form attached to Calabi-Yau invariants: the exponential
     lift of minus the elliptic genus (with z doubled first when the
     dimension is odd)."""
+    _check_ywindow(ywindow)
 
     def minus_genus(qp):
         form = -elliptic_genus(inv, qprec=qp)
@@ -860,11 +862,6 @@ def window_equal(s1, s2, qlimit, slimit, ybound=None):
 
     Raises PrecisionError when the window holds no term of either series:
     such a comparison would hold without comparing anything."""
-    if s1.ring != s2.ring:
-        if s1.ring == "Z":
-            s1 = s1.promote(s2.ring)
-        elif s2.ring == "Z":
-            s2 = s2.promote(s1.ring)
     w1 = _window_terms(s1, qlimit, slimit, ybound)
     w2 = _window_terms(s2, qlimit, slimit, ybound)
     if not w1 and not w2:
@@ -878,31 +875,26 @@ def window_equal(s1, s2, qlimit, slimit, ybound=None):
 
 def delta11_identity_check(qprec=97, sprec=97):
     """Verify  Delta11 * Delta2^2 ==
-    Delta5(Z) * Delta5(tau,2z,4omega) * Delta5(tau,z,omega+1/2),
-    the half-period factor computed over the Gaussian integers."""
+    Delta5(Z) * Delta5(tau,2z,4omega) * Delta5(tau,z,omega+1/2)
+    up to a Gaussian unit, and name the unit.  The half-period factor is
+    i**k times an integral series (``siegel_omega_half_shift``), so both
+    sides are multiplied over Z and the unit is +-i**k."""
     d11 = _lift_at(lambda qp: psi2_variant(2, qp, variant="A"), qprec, sprec)
     d2 = _lift_at(lambda qp: generator(2, qp), qprec, sprec)
     lhs = ((d11.series * d2.series).truncate_s(sprec) * d2.series).truncate_s(sprec)
 
     d5 = _lift_at(lambda qp: generator(1, qp), qprec, sprec)
     d5_doubled = siegel_scale(d5, 2, 4)
-    d5_shifted = siegel_omega_half_shift(d5)
-    rhs = (d5.series.promote("Zi") * d5_doubled.series.promote("Zi")).truncate_s(sprec)
+    k, d5_shifted = siegel_omega_half_shift(d5)
+    rhs = (d5.series * d5_doubled.series).truncate_s(sprec)
     rhs = (rhs * d5_shifted.series).truncate_s(sprec)
 
     qlimit = min(lhs.qprec, rhs.qprec) - 1
-    lhs = lhs.promote("Zi")
-    # the omega -> omega + 1/2 factor scales its s**(1/2) prefactor by
-    # exp(pi i / 2), so the two sides agree up to one Gaussian unit
-    from .rings import GaussianInt
-
-    units = (GaussianInt(1), GaussianInt(-1), GaussianInt(0, 1), GaussianInt(0, -1))
-    unit = next(
-        (u for u in units if window_equal(rhs, lhs.scale(u), qlimit, sprec - 1)), None
-    )
+    sign = next((u for u in (1, -1) if window_equal(rhs, lhs.scale(u), qlimit, sprec - 1)), None)
+    unit = None if sign is None else f"{sign}i" if k else str(sign)
     return {
         "proportional": unit is not None,
-        "unit": str(unit) if unit is not None else None,
+        "unit": unit,
         "qlimit": qlimit,
         "slimit": sprec - 1,
         "terms": len(_window_terms(lhs, qlimit, sprec - 1)),

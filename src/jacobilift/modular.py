@@ -1,11 +1,9 @@
 """One-variable building blocks: Kronecker symbols, eta powers, theta
 constants and the quasimodular Eisenstein series of weight two."""
 
-from fractions import Fraction
 from math import isqrt
 
 from .errors import ValidationError
-from .rings import RING_Q
 from .series import DEN2, Series
 
 
@@ -44,7 +42,7 @@ def euler_product(qprec, scale=1):
     n = 1
     while 24 * scale * n < qprec:
         factor = Series(
-            DEN2, {(0, 0): 1, (24 * scale * n, 0): -1}, qprec, acc.ring, _clean=True
+            DEN2, {(0, 0): 1, (24 * scale * n, 0): -1}, qprec, _clean=True
         )
         acc = acc * factor
         n += 1
@@ -109,11 +107,8 @@ def sigma1(n):
     return total
 
 
-def g2_series(qprec):
-    """G2(tau) = -1/24 + sum sigma_1(n) q**n, over the rationals."""
-    terms = {(0, 0): Fraction(-1, 24)}
-    n = 1
-    while 24 * n < qprec:
-        terms[(24 * n, 0)] = Fraction(sigma1(n))
-        n += 1
-    return Series(DEN2, terms, qprec, RING_Q)
+def e2_series(qprec):
+    """E2(tau) = 1 - 24 sum sigma_1(n) q**n = -24 G2(tau), to qprec (1/24
+    units): the weight-two Eisenstein series, normalised to be integral."""
+    terms = {(24 * n, 0): -24 * sigma1(n) for n in range(1, (qprec + 23) // 24)}
+    return Series(DEN2, {(0, 0): 1, **terms}, qprec)

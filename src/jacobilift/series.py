@@ -10,7 +10,7 @@ denominator tuple ``den``:
 ``qprec`` is an exclusive bound on the stored q-exponent in 1/24 units:
 all terms with nq < qprec are exact and complete; nothing is stored at or
 above it.  qprec=None marks an exact (polynomial) object with no missing
-tail.  Coefficient rings: "Z" (int), "Q" (Fraction), "Zi" (GaussianInt).
+tail.  Every coefficient is a Python int: the package works over Z alone.
 """
 
 import heapq
@@ -18,7 +18,6 @@ import sys
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from fractions import Fraction
 from itertools import accumulate, groupby, product
 from math import gcd, prod
 from operator import add, gt, itemgetter, sub
@@ -27,15 +26,6 @@ from .errors import (
     InexactDivisionError,
     PrecisionError,
     ValidationError,
-)
-from .rings import (
-    RING_Q,
-    RING_Z,
-    RING_ZI,
-    GaussianInt,
-    check_ring,
-    ring_coerce,
-    ring_divide,
 )
 
 DEN2 = (24, 4)
@@ -48,16 +38,15 @@ def _min_prec(*precs):
 
 
 class Series:
-    """Immutable sparse Laurent series with exact coefficients."""
+    """Immutable sparse Laurent series with exact integer coefficients."""
 
-    __slots__ = ("den", "terms", "qprec", "ring")
+    __slots__ = ("den", "terms", "qprec")
 
-    def __init__(self, den, terms, qprec, ring=RING_Z, _clean=False):
+    def __init__(self, den, terms, qprec, *, _clean=False):
         if tuple(den) not in (DEN2, DEN3):
             raise ValidationError(f"unsupported denominator tuple {den}")
         self.den = tuple(den)
         self.qprec = qprec
-        self.ring = ring
         if _clean:
             self.terms = terms
         else:
@@ -67,27 +56,29 @@ class Series:
                 key = tuple(key)
                 if len(key) != nvars:
                     raise ValidationError(f"key {key} has wrong arity for {den}")
+                if not isinstance(coeff, int):
+                    raise ValidationError(f"coefficient {coeff!r} at {key} is not an int")
                 if qprec is not None and key[0] >= qprec:
                     continue
                 if coeff == 0:
                     continue
-                clean[key] = ring_coerce(coeff, ring)
+                clean[key] = coeff
             self.terms = clean
 
     # ---- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, den=DEN2, qprec=None, ring=RING_Z):
-        return cls(den, {}, qprec, ring, _clean=True)
+    def zero(cls, den=DEN2, qprec=None):
+        return cls(den, {}, qprec, _clean=True)
 
     @classmethod
-    def const(cls, value, den=DEN2, qprec=None, ring=RING_Z):
+    def const(cls, value, den=DEN2, qprec=None):
         key = (0,) * len(den)
-        return cls(den, {key: value}, qprec, ring)
+        return cls(den, {key: value}, qprec)
 
     @classmethod
-    def monomial(cls, key, coeff=1, den=DEN2, qprec=None, ring=RING_Z):
-        return cls(den, {tuple(key): coeff}, qprec, ring)
+    def monomial(cls, key, coeff=1, den=DEN2, qprec=None):
+        return cls(den, {tuple(key): coeff}, qprec)
 
     # ---- basic queries ------------------------------------------------
 
@@ -124,13 +115,12 @@ class Series:
             return NotImplemented
         return (
             self.den == other.den
-            and self.ring == other.ring
             and self.qprec == other.qprec
             and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.den, self.qprec, self.ring, tuple(self.sorted_terms())))
+        return hash((self.den, self.qprec, tuple(self.sorted_terms())))
 
     def same_terms(self, other, qprec=None):
         """Equality of terms up to the common (or given) q-precision."""
@@ -141,38 +131,27 @@ class Series:
 
     def __repr__(self):
         n = len(self.terms)
-        return f"Series(den={self.den}, terms={n}, qprec={self.qprec}, ring={self.ring})"
+        return f"Series(den={self.den}, terms={n}, qprec={self.qprec})"
 
-    # ---- ring and precision management --------------------------------
+    # ---- precision management -----------------------------------------
 
     def truncate(self, qprec):
         if qprec is None or (self.qprec is not None and qprec >= self.qprec):
             return self
         terms = {k: c for k, c in self.terms.items() if k[0] < qprec}
-        return Series(self.den, terms, qprec, self.ring, _clean=True)
-
-    def promote(self, ring):
-        if ring == self.ring:
-            return self
-        terms = {k: ring_coerce(c, ring) for k, c in self.terms.items()}
-        return Series(self.den, terms, self.qprec, ring, _clean=True)
-
-    def demote_to_int(self):
-        """Convert back to the integer ring, raising if any coefficient is not."""
-        return self.promote(RING_Z)
+        return Series(self.den, terms, qprec, _clean=True)
 
     # ---- arithmetic ----------------------------------------------------
 
     def __neg__(self):
         terms = {k: -c for k, c in self.terms.items()}
-        return Series(self.den, terms, self.qprec, self.ring, _clean=True)
+        return Series(self.den, terms, self.qprec, _clean=True)
 
     def __add__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
         if self.den != other.den:
             raise ValidationError("cannot add series with different denominators")
-        check_ring(self.ring, other.ring)
         qprec = _min_prec(self.qprec, other.qprec)
         terms = dict(self.terms)
         for k, c in other.terms.items():
@@ -183,26 +162,26 @@ class Series:
                 terms[k] = new
         if qprec is not None:
             terms = {k: c for k, c in terms.items() if k[0] < qprec}
-        return Series(self.den, terms, qprec, self.ring, _clean=True)
+        return Series(self.den, terms, qprec, _clean=True)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, scalar):
-        scalar = ring_coerce(scalar, self.ring)
+        if not isinstance(scalar, int):
+            raise ValidationError(f"series scalars must be ints, got {scalar!r}")
         if scalar == 0:
-            return Series.zero(self.den, self.qprec, self.ring)
+            return Series.zero(self.den, self.qprec)
         terms = {k: scalar * c for k, c in self.terms.items()}
-        return Series(self.den, terms, self.qprec, self.ring, _clean=True)
+        return Series(self.den, terms, self.qprec, _clean=True)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianInt)):
+        if isinstance(other, int):
             return self.scale(other)
         if not isinstance(other, Series):
             return NotImplemented
         if self.den != other.den:
             raise ValidationError("cannot multiply series with different denominators")
-        check_ring(self.ring, other.ring)
         qa, qb = self.min_nq(), other.min_nq()
         qprec = _min_prec(
             None if self.qprec is None else self.qprec + qb,
@@ -211,11 +190,8 @@ class Series:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b, qa, qb = b, a, qb, qa
-        if self.ring == RING_Z:
-            out = _sum_products([(a, b, qa, qb)], qprec, len(self.den))
-        else:
-            out = _mul_dict(a, b, qprec, len(self.den))
-        return Series(self.den, out, qprec, self.ring, _clean=True)
+        out = _sum_products([(a, b, qa, qb)], qprec, len(self.den))
+        return Series(self.den, out, qprec, _clean=True)
 
     __rmul__ = __mul__
 
@@ -224,7 +200,7 @@ class Series:
             raise ValidationError("series exponents must be integers")
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = Series.const(1, self.den, None, self.ring)
+        result = Series.const(1, self.den, None)
         if exponent == 0:
             return result.truncate(self.qprec)
         base = self
@@ -239,7 +215,7 @@ class Series:
         return result
 
     def inverse(self):
-        one = Series.const(1, self.den, None, self.ring)
+        one = Series.const(1, self.den, None)
         return one.exact_div(self)
 
     def exact_div(self, other):
@@ -256,7 +232,6 @@ class Series:
         """
         if not isinstance(other, Series) or self.den != other.den:
             raise ValidationError("division needs series over the same variables")
-        check_ring(self.ring, other.ring)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero series")
         kb = other.min_key()
@@ -268,7 +243,7 @@ class Series:
             None if other.qprec is None else other.qprec - 2 * beta + alpha,
         )
         if self.is_zero():
-            return Series.zero(self.den, qprec, self.ring)
+            return Series.zero(self.den, qprec)
         rem_bound = None if qprec is None else qprec + beta
         rem = {k: c for k, c in self.terms.items() if rem_bound is None or k[0] < rem_bound}
         heap = list(rem)
@@ -310,7 +285,9 @@ class Series:
                         f"{ceiling} of an exact quotient's q-level {level} (axes after q)"
                     )
                 top[:] = map(max, top, qk[1:])
-            qc = ring_divide(c, cb, self.ring)
+            qc, r = divmod(c, cb)
+            if r:
+                raise InexactDivisionError(f"{c} not divisible by {cb} over Z")
             quot[qk] = qc
             for kbi, cbi in rest:
                 key = tuple(map(add, qk, kbi))
@@ -321,16 +298,15 @@ class Series:
                 else:
                     rem[key] = -qc * cbi
                     heapq.heappush(heap, key)
-        return Series(self.den, quot, qprec, self.ring, _clean=True)
+        return Series(self.den, quot, qprec, _clean=True)
 
     # ---- exponent substitutions ---------------------------------------
 
-    def substitute(self, matrix, qprec, twist=None):
+    def substitute(self, matrix, qprec):
         """Apply an integer-linear map to the exponent lattice.
 
         matrix is a list of rows; new_key[i] = sum(matrix[i][j] * key[j]).
-        twist, if given, maps the old key to a scalar multiplier.  The new
-        qprec is the caller's responsibility: exponent maps can move unknown
+        The new qprec is the caller's responsibility: exponent maps can move unknown
         high-order terms downward, so no safe default exists in general.
         """
         nvars = len(self.den)
@@ -343,16 +319,12 @@ class Series:
             )
             if qprec is not None and new_key[0] >= qprec:
                 continue
-            if twist is not None:
-                coeff = coeff * twist(key)
-                if coeff == 0:
-                    continue
             new = out.get(new_key, 0) + coeff
             if new == 0:
                 out.pop(new_key, None)
             else:
                 out[new_key] = new
-        return Series(self.den, out, qprec, self.ring)
+        return Series(self.den, out, qprec, _clean=True)
 
     def scale_y(self, factor):
         """y -> y**factor (factor a nonzero integer)."""
@@ -377,13 +349,13 @@ class Series:
             tuple(k[i] + key[i] for i in range(nvars)): c
             for k, c in self.terms.items()
         }
-        return Series(self.den, terms, qprec, self.ring, _clean=True)
+        return Series(self.den, terms, qprec, _clean=True)
 
     def with_qprec(self, qprec):
         """Assert-and-set a q-precision on an exact (qprec=None) series."""
         if self.qprec is not None:
             return self.truncate(qprec)
-        return Series(self.den, dict(self.terms), qprec, self.ring)
+        return Series(self.den, dict(self.terms), qprec)
 
     # ---- three-variable helpers ---------------------------------------
 
@@ -392,14 +364,14 @@ class Series:
         if self.den != DEN2:
             raise ValidationError("lift_to_three needs a two-variable series")
         terms = {(k[0], k[1], ms): c for k, c in self.terms.items()}
-        return Series(DEN3, terms, self.qprec, self.ring, _clean=True)
+        return Series(DEN3, terms, self.qprec, _clean=True)
 
     def s_slice(self, ms):
         """Extract the (q, y) coefficient series of s**(ms/24)."""
         if self.den != DEN3:
             raise ValidationError("s_slice needs a three-variable series")
         terms = {(k[0], k[1]): c for k, c in self.terms.items() if k[2] == ms}
-        return Series(DEN2, terms, self.qprec, self.ring, _clean=True)
+        return Series(DEN2, terms, self.qprec, _clean=True)
 
     def s_support(self):
         if self.den != DEN3:
@@ -411,12 +383,12 @@ class Series:
         if self.den != DEN3:
             raise ValidationError("truncate_s needs a three-variable series")
         terms = {k: c for k, c in self.terms.items() if k[2] < sprec}
-        return Series(DEN3, terms, self.qprec, self.ring, _clean=True)
+        return Series(DEN3, terms, self.qprec, _clean=True)
 
     def clip_y(self, ybound):
         """Drop terms with |y-exponent| > ybound (in 1/4 units)."""
         terms = {k: c for k, c in self.terms.items() if abs(k[1]) <= ybound}
-        return Series(self.den, terms, self.qprec, self.ring, _clean=True)
+        return Series(self.den, terms, self.qprec, _clean=True)
 
 
 def _level_tops(terms):
@@ -714,54 +686,28 @@ class _Kronecker:
 # ---- serialization -----------------------------------------------------
 
 
-def _coeff_to_str(c):
-    if isinstance(c, int):
-        return str(c)
-    if isinstance(c, Fraction):
-        return f"{c.numerator}/{c.denominator}"
-    if isinstance(c, GaussianInt):
-        return f"{c.a},{c.b}i"
-    raise ValidationError(f"cannot serialize coefficient {c!r}")
-
-
-def _coeff_from_str(s, ring):
-    if ring == RING_Z:
-        return int(s)
-    if ring == RING_Q:
-        if "/" in s:
-            num, den = s.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(s))
-    if ring == RING_ZI:
-        if s.endswith("i"):
-            a, b = s[:-1].split(",")
-            return GaussianInt(int(a), int(b))
-        return GaussianInt(int(s))
-    raise ValidationError(f"unknown ring {ring}")
-
-
 def series_to_dict(series):
-    data = {
+    """A JSON-ready dict: each term is its key followed by the coefficient
+    as a decimal string."""
+    return {
         "den": list(series.den),
         "qprec": series.qprec,
-        "terms": [
-            list(key) + [_coeff_to_str(coeff)]
-            for key, coeff in series.sorted_terms()
-        ],
+        "terms": [list(key) + [str(coeff)] for key, coeff in series.sorted_terms()],
     }
-    if series.ring != RING_Z:
-        data["ring"] = series.ring
-    return data
 
 
 def series_from_dict(data):
+    """The inverse of series_to_dict.  A "ring" entry other than "Z" is
+    refused: the package has no other coefficient ring."""
+    ring = data.get("ring", "Z")
+    if ring != "Z":
+        raise ValidationError(f"unsupported coefficient ring {ring!r}; series are over Z")
     den = tuple(data["den"])
-    ring = data.get("ring", RING_Z)
     terms = {}
     nvars = len(den)
     for entry in data["terms"]:
         if len(entry) != nvars + 1:
             raise ValidationError(f"bad term entry {entry}")
         key = tuple(int(v) for v in entry[:nvars])
-        terms[key] = _coeff_from_str(entry[nvars], ring)
-    return Series(den, terms, data["qprec"], ring)
+        terms[key] = int(entry[nvars])
+    return Series(den, terms, data["qprec"])

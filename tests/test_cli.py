@@ -98,6 +98,39 @@ def test_lift_sqeg(capsys):
     assert series.coeff((0, 4, 24)) == 2  # p^1 coefficient is the K3 genus
 
 
+def test_lift_sqeg_text(capsys):
+    code, out, _ = run(capsys, "lift", "sqeg", "--d", "2", "--chi", "2,-20,2",
+                       "--qmax", "1", "--pmax", "1")
+    assert code == 0
+    # p**0 is 1 and p**1 the K3 genus 2*phi01, to q**1
+    assert out.splitlines() == [
+        "+2 y^-1 p", "+1 1", "+20 p", "+2 y p",
+        "+20 q y^-2 p", "-128 q y^-1 p", "+216 q p", "-128 q y p", "+20 q y^2 p",
+    ]
+
+
+LIFT_ARGS = {
+    "explift": ["--form", "Phi2", "--qmax", "1", "--smax", "1"],
+    "sqeg": ["--d", "2", "--chi", "2,-20,2", "--qmax", "1", "--pmax", "1"],
+    "eform": ["--d", "2", "--chi", "2,-20,2", "--qmax", "1", "--smax", "1"],
+    "arith": ["--name", "Delta2", "--bound", "1"],
+}
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("kind", sorted(LIFT_ARGS))
+def test_lift_negative_ywindow_rejected(capsys, kind, as_json):
+    argv = ["lift", kind, *LIFT_ARGS[kind], "--ywindow", "-4"] + ["--json"] * as_json
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    if as_json:
+        data = json.loads(out)
+        assert err == "" and data["error"] == "input" and data["exit"] == 2
+        assert "--ywindow must be >= 0, got -4" in data["message"]
+    else:
+        assert out == "" and "--ywindow must be >= 0, got -4" in err
+
+
 def test_expand_leading_minus_after_double_dash(capsys):
     code, out, _ = run(capsys, "expand", "--qmax", "1", "--", "-7*Phi4+Phi1*Phi3")
     assert code == 0

@@ -3,7 +3,7 @@
 import contextlib
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import factorial, gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,7 +35,6 @@ from jacobilift.jacobi import (
     xi06,
 )
 from jacobilift.modular import eta_power, kronecker, sigma1, theta_constant
-from jacobilift.rings import RING_Q, RING_Z
 from jacobilift.series import DEN2, DEN3, Series
 from jacobilift.verify import ALPHA_COEFFS, GOLDEN_Q0_ROWS, GOLDEN_Q1_ROWS, random_form
 
@@ -67,25 +66,34 @@ def theta_two_var(a, b, qprec):
     return Series(DEN2, terms, qprec)
 
 
-def xi_ab(a, b, qprec):
-    """xi_{a,b} = theta_{a,b}(tau, z) / theta_{a,b}(tau, 0), over Q."""
-    num = theta_two_var(a, b, qprec + 6).promote(RING_Q)
-    den = theta_constant(a, b, qprec + 6).promote(RING_Q)
-    return num.exact_div(den).truncate(qprec)
-
-
-def phi01_oracle(qprec):
-    """phi01 = 4 * sum of xi_ab**2 over the three even characteristics."""
-    total = Series.zero(DEN2, qprec, RING_Q)
-    for a, b in ((0, 0), (1, 0), (0, 1)):
-        xi = xi_ab(a, b, qprec)
-        total = total + xi * xi
-    return total.scale(4).demote_to_int()
+def phi01_cross_multiplied(qprec):
+    """The two sides of the rational identity
+    phi01 = 4 sum_ab (theta_ab(tau, z)/theta_ab(tau, 0))**2 over the three
+    even characteristics, cross-multiplied into one over Z:
+    phi01 * prod_ab theta_ab(tau, 0)**2
+        = 4 sum_ab theta_ab(tau, z)**2 prod_(a'b' != ab) theta_a'b'(tau, 0)**2.
+    The product of the constants starts at 4 q**(1/4), so the two sides
+    below q-exponent qprec + 6 (1/24 units) determine phi01 below qprec."""
+    chars = ((0, 0), (1, 0), (0, 1))
+    pad = qprec + 6
+    consts = {ab: theta_constant(*ab, pad) ** 2 for ab in chars}
+    lhs = generator(1, qprec).series
+    rhs = Series.zero(DEN2, pad)
+    for ab in chars:
+        lhs = lhs * consts[ab]
+        term = theta_two_var(*ab, pad) ** 2
+        for other in chars:
+            if other != ab:
+                term = term * consts[other]
+        rhs = rhs + term
+    return lhs, rhs.scale(4)
 
 
 @pytest.mark.parametrize("qprec", [24, 24 * 3 + 6, 24 * 5, 24 * 8 + 6, 24 * 12 + 13])
 def test_integer_phi01_matches_rational_oracle(qprec):
-    assert generator(1, qprec).series == phi01_oracle(qprec)
+    lhs, rhs = phi01_cross_multiplied(qprec)
+    assert lhs.qprec == qprec + 6 and rhs.qprec >= qprec + 6
+    assert lhs == rhs.truncate(qprec + 6)
 
 
 # ---- the division routes, kept as oracles for the theta/eta products ------
@@ -115,7 +123,7 @@ def phi01_pole_oracle(qprec):
         for d in range(1, n + 1):
             if n % d == 0:
                 terms[(24 * n, 4 * d)] = terms[(24 * n, -4 * d)] = 12 * d
-    wp = Series(DEN2, terms, qprec, RING_Z, _clean=True)
+    wp = Series(DEN2, terms, qprec, _clean=True)
     pole = phi_m21.exact_div(Series(DEN2, {(0, 4): 1, (0, 0): -2, (0, -4): 1}, None))
     return phi_m21 * wp + pole.scale(12)
 
@@ -545,6 +553,55 @@ def test_divide_by_xi06_exact():
     assert quotient.series.same_terms(generator(2, 96).series, 72)
 
 
+def taylor_fraction_oracle(form, count):
+    """The Taylor coefficients T_j of exp(2*m*G2*w**2) * phi along
+    w = 2*pi*i*z, summed over Q as {nq: Fraction} dicts:
+    T_j = sum_k (2*m*G2)**k / k! * sum f(n, l) l**(j-2k) / (j-2k)! q**n."""
+    qprec = form.series.qprec
+    m = form.index2 // 2
+
+    def mul(a, b):
+        out = {}
+        for i, x in a.items():
+            for j, y in b.items():
+                if i + j < qprec:
+                    out[i + j] = out.get(i + j, 0) + x * y
+        return out
+
+    g2 = {0: Fraction(-1, 24)}
+    g2.update({24 * n: Fraction(sigma1(n)) for n in range(1, (qprec + 23) // 24)})
+    factor = {nq: 2 * m * c for nq, c in g2.items()}
+    powers = [{0: Fraction(1)}]
+    while 2 * len(powers) < count:
+        powers.append(mul(powers[-1], factor))
+    moments = []
+    for j in range(count):
+        moment = {}
+        for (nq, ly), c in form.series.terms.items():
+            moment[nq] = moment.get(nq, 0) + Fraction(c) * Fraction(ly, 4) ** j / factorial(j)
+        moments.append(moment)
+    out = []
+    for j in range(count):
+        total = {}
+        for k in range(j // 2 + 1):
+            for nq, c in mul(powers[k], moments[j - 2 * k]).items():
+                total[nq] = total.get(nq, 0) + c / factorial(k)
+        out.append(total)
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_taylor_coeffs_match_the_rational_oracle(m):
+    form = generator(m, 96)
+    got = taylor_coeffs(form, 6)
+    for j, (series, want) in enumerate(zip(got, taylor_fraction_oracle(form, 6))):
+        scaled = {nq: c * factorial(j) * 12 ** (j // 2) for nq, c in want.items() if c}
+        assert all(c.denominator == 1 for c in scaled.values())
+        assert series.qprec == 96
+        assert series.terms == {(nq, 0): int(c) for nq, c in scaled.items()}
+    assert got[0].terms and (got[4].terms or m == 2)  # T_4 of phi02 vanishes
+
+
 def test_taylor_w2_coefficient_vanishes():
     for m in (1, 2, 3, 4):
         coeffs = taylor_coeffs(generator(m, 96), 3)
@@ -571,7 +628,7 @@ def theta_jacobi_product(qprec, y_scale=1):
         for key in ((lead, 4 * y_scale), (24 * n, -4 * y_scale), (24 * n, 0)):
             if key[0] >= rel:
                 continue
-            factor = Series(DEN2, {(0, 0): 1, key: -1}, rel, RING_Z, _clean=True)
+            factor = Series(DEN2, {(0, 0): 1, key: -1}, rel, _clean=True)
             acc = acc * factor
         n += 1
     return acc.shift((3, -2 * y_scale)).scale(-1)

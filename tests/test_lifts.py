@@ -22,9 +22,11 @@ from jacobilift.lifts import (
     hodge_anomaly,
     humbert_multiplicity,
     lift_window_for,
+    siegel_omega_half_shift,
     siegel_theta_constant,
     sqeg,
     symmetric_product_genus,
+    theta_block,
     window_equal,
 )
 from jacobilift.series import DEN2, DEN3, Series
@@ -62,6 +64,47 @@ def test_exp_lift_rejects_a_q0_row_odd_in_y():
 def test_exp_lift_precision_contract():
     with pytest.raises(PrecisionError):
         exp_lift(generator(2, 24), 100, 400)
+
+
+def test_omega_half_shift_equals_gaussian_pairs():
+    """Delta5 at q,s <= 3 shifted by omega -> omega + 1/2, against each
+    term times i**(ms/12) summed as Gaussian pairs (re, im)."""
+    qp, sp, inq = lift_window_for(generator(1, 24), 3, 3)
+    d5 = exp_lift(generator(1, inq), qp, sp)
+    powers = ((1, 0), (0, 1), (-1, 0), (0, -1))
+    want = {}
+    for key, c in d5.series.terms.items():
+        assert key[2] % 12 == 0
+        re, im = powers[key[2] // 12 % 4]
+        want[key] = (c * re, c * im)
+    k, shifted = siegel_omega_half_shift(d5)
+    assert k == 1  # every s-exponent of Delta5 lies in 1/2 + Z
+    assert shifted.series.qprec == d5.series.qprec and len(want) > 20
+    got = {key: (c, 0) if k == 0 else (0, c) for key, c in shifted.series.terms.items()}
+    assert got == want
+    assert (shifted.weight2, shifted.index_t) == (d5.weight2, d5.index_t)
+
+
+def test_omega_half_shift_refuses_mixed_s_classes():
+    whole = Series(DEN3, {(0, 0, 0): 1, (0, 0, 24): 2, (0, 0, 48): 3}, None)
+    k, shifted = siegel_omega_half_shift(lifts.SiegelSeries(whole, 0, 1, 1))
+    assert k == 0 and shifted.series.terms == {(0, 0, 0): 1, (0, 0, 24): -2, (0, 0, 48): 3}
+    for terms in ({(0, 0, 0): 1, (0, 0, 12): 1}, {(0, 0, 6): 1}):
+        with pytest.raises(ValidationError, match="one class"):
+            siegel_omega_half_shift(lifts.SiegelSeries(Series(DEN3, terms, None), 0, 1, 1))
+
+
+def test_negative_ywindow_is_refused():
+    k3 = elliptic_genus(K3, qprec=48)
+    calls = [
+        lambda: exp_lift(generator(1, 24 * 8), 49, 49, ywindow=-4),
+        lambda: sqeg(k3, 25, 25, ywindow=-1),
+        lambda: lifts.e_form(K3, 25, 25, ywindow=-1),
+        lambda: theta_block(0, {1: -1}, 48, ywindow=-1),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="ywindow must be >= 0"):
+            call()
 
 
 def test_theta_constant_trivial_characteristic():
@@ -199,7 +242,7 @@ def product_hodge_anomaly(inv, qprec, ywindow):
 
 def fixed_point_inverse(unit, qprec, sprec=None, ywindow=None):
     """clipped_inverse as the fixed point of inv = clip(1 + (1 - unit)*inv)."""
-    one = Series.const(1, unit.den, qprec, unit.ring)
+    one = Series.const(1, unit.den, qprec)
     w = _clip(one - unit, ywindow, sprec)
     if not w.terms:
         return one
