@@ -2,7 +2,9 @@
 verification suites.
 
 Exit codes: 0 success, 2 parse/validation failure, 3 identity or
-divisibility failure, 4 insufficient precision.  Under --json an error is
+divisibility failure, 4 insufficient precision, 141 standard output closed
+by its reader before the output was written (silently; 128 + SIGPIPE, as
+a shell reports a tool a closed pipe stopped).  Under --json an error is
 one JSON object on standard output, {"error": "input" | "identity" |
 "precision", "message": ..., "exit": code}; otherwise it is a line of text
 on standard error.
@@ -12,6 +14,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -44,6 +47,10 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_IDENTITY = 3
 EXIT_PRECISION = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a tool a closed pipe stopped
+
+# whole q- (and s-) orders computed when --qmax (--smax) is absent
+DEFAULT_ORDERS = 3
 
 # error kind -> (exit code, prefix of the text line on standard error)
 ERRORS = {
@@ -223,18 +230,43 @@ def cmd_genus(args):
     return EXIT_OK
 
 
+# the options each lift kind reads, besides --json and --out
+LIFT_OPTIONS = {
+    "explift": ("form", "qmax", "smax", "ywindow"),
+    "sqeg": ("d", "chi", "euler", "qmax", "pmax", "ywindow"),
+    "eform": ("d", "chi", "euler", "qmax", "smax", "ywindow"),
+    "arith": ("name", "bound", "qmax", "smax"),
+}
+
+
+def _check_lift_options(args):
+    """A lift kind refuses an option it does not read, rather than drop a
+    window request unnoticed; arith reads --qmax/--smax only without
+    --bound."""
+    kind, reads, why = args.kind, LIFT_OPTIONS[args.kind], ""
+    if kind == "arith" and args.bound is not None:
+        reads, why = ("name", "bound"), " when --bound is given"
+    for dest in ("form", "d", "chi", "euler", "name", "bound", "qmax", "smax", "pmax", "ywindow"):
+        if getattr(args, dest) is not None and dest not in reads:
+            reason = why if dest in LIFT_OPTIONS[kind] else ""
+            raise ValidationError(f"lift {kind} does not read --{dest}{reason}")
+
+
 def cmd_lift(args):
+    _check_lift_options(args)
+    qmax = DEFAULT_ORDERS if args.qmax is None else args.qmax
+    smax = DEFAULT_ORDERS if args.smax is None else args.smax
     if args.kind == "explift":
         if not args.form:
             raise ValidationError("lift explift needs --form")
         probe = _resolve_form(args.form, 48)
-        qprec, sprec, inq = lift_window_for(probe, args.qmax, args.smax)
+        qprec, sprec, inq = lift_window_for(probe, qmax, smax)
         form = _resolve_form(args.form, inq)
         ss = exp_lift(form, qprec, sprec, ywindow=args.ywindow)
     elif args.kind == "sqeg":
         inv = _invariants_from_args(args)
         pmax = args.pmax if args.pmax is not None else 2
-        qprec, pprec = 24 * args.qmax + 1, 24 * pmax + 1
+        qprec, pprec = 24 * qmax + 1, 24 * pmax + 1
         chi = elliptic_genus(inv, qprec=_input_qprec(qprec, pprec))
         series = sqeg(chi, qprec, pprec, ywindow=args.ywindow)
         data = series_to_dict(series)
@@ -243,11 +275,11 @@ def cmd_lift(args):
     elif args.kind == "eform":
         inv = _invariants_from_args(args)
         ywindow = args.ywindow if args.ywindow is not None else 60
-        ss = e_form(inv, 24 * args.qmax + 1, 24 * args.smax + 1, ywindow=ywindow)
+        ss = e_form(inv, 24 * qmax + 1, 24 * smax + 1, ywindow=ywindow)
     elif args.kind == "arith":
         if args.name not in ("Delta2", "Delta1"):
             raise ValidationError("lift arith needs --name Delta2 or Delta1")
-        bound = args.bound if args.bound is not None else max(args.qmax, args.smax)
+        bound = args.bound if args.bound is not None else max(qmax, smax)
         if bound < 1:
             raise ValidationError(f"lift arith needs a bound of at least 1 order, got {bound}")
         ss = arithmetic_lift(args.name, 24 * bound + 1, 24 * bound + 1)
@@ -288,15 +320,17 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, smax=False, pmax=False):
-        p.add_argument("--qmax", type=int, default=3,
-                       help="whole q-orders to compute")
-        if smax:
-            p.add_argument("--smax", type=int, default=3,
-                           help="whole s-orders to compute")
-        if pmax:
+    def common(p, lift=False):
+        # lift leaves --qmax/--smax unset when absent, so that a kind can
+        # refuse one it does not read; it applies DEFAULT_ORDERS itself
+        default = None if lift else DEFAULT_ORDERS
+        p.add_argument("--qmax", type=int, default=default,
+                       help=f"whole q-orders to compute (default {DEFAULT_ORDERS})")
+        if lift:
+            p.add_argument("--smax", type=int, default=None,
+                           help=f"whole s-orders to compute (default {DEFAULT_ORDERS})")
             p.add_argument("--pmax", type=int, default=None,
-                           help="whole p-orders for the symmetric-product genus")
+                           help="whole p-orders for the symmetric-product genus (default 2)")
         p.add_argument("--json", action="store_true",
                        help="emit machine-readable JSON")
         p.add_argument("--out", default=None, help="write output to a file")
@@ -330,7 +364,7 @@ def build_parser():
                    help="clip y-exponents to |l| <= ywindow/4: the theta block F_0 of"
                    " explift and eform, the output of sqeg (exact interior:"
                    " lifts.theta_block)")
-    common(p, smax=True, pmax=True)
+    common(p, lift=True)
     p.set_defaults(fn=cmd_lift)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -370,6 +404,19 @@ def _error(as_json, kind, message):
 
 
 def main(argv=None):
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed standard output early (`| head`): stop quietly,
+        # and point stdout at /dev/null so the interpreter's final flush
+        # does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
+    return code
+
+
+def _main(argv):
     argv = sys.argv[1:] if argv is None else list(argv)
     usage = io.StringIO()
     try:

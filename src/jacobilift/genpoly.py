@@ -106,10 +106,22 @@ class GeneratorPolynomial:
         each group is evaluated in Phi2..Phi4 the same way, and the groups
         are folded from the top exponent down, one product by Phi1 per
         step.  At index 12 with every monomial present that is 61 products.
-        The empty polynomial gives None and a constant its int.  The package
+        The empty polynomial gives None and a constant its int.
+
+        Four JacobiForms go to jacobi.evaluate_packed, which runs the same
+        Horner on packed q-rows when it applies (weak forms of integral
+        index at few enough q-orders) and gives the same form.  The package
         evaluates at the generators themselves through
         jacobi.polynomial_form, which reuses stored monomials."""
-        return _horner(self.terms, values) if self.terms else None
+        if not self.terms:
+            return None
+        from .jacobi import JacobiForm, evaluate_packed  # jacobi imports this module
+
+        if all(isinstance(v, JacobiForm) for v in values):
+            form = evaluate_packed(self, values)
+            if form is not None:
+                return form
+        return _horner(self.terms, values)
 
     def __str__(self):
         if not self.terms:

@@ -12,9 +12,10 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import wraps
 from math import factorial, gcd, isqrt
+from operator import add, mul
 
 from .errors import PrecisionError, ValidationError
-from .genpoly import GeneratorPolynomial
+from .genpoly import GeneratorPolynomial, _horner
 from .modular import e2_series, eta_power, kronecker
 from .series import DEN2, Series
 
@@ -102,7 +103,7 @@ class JacobiForm:
     def _require_same_type(self, other):
         if self.weight2 != other.weight2 or self.index2 != other.index2:
             raise ValidationError(
-                "can only add Jacobi forms of equal weight and index"
+                "can only add or subtract Jacobi forms of equal weight and index"
             )
 
     def __add__(self, other):
@@ -119,7 +120,13 @@ class JacobiForm:
         return JacobiForm._trusted(-self.series, self.weight2, self.index2, poly)
 
     def __sub__(self, other):
-        return self + (-other)
+        self._require_same_type(other)
+        poly = None
+        if self.poly is not None and other.poly is not None:
+            poly = self.poly - other.poly
+        return JacobiForm._trusted(
+            self.series - other.series, self.weight2, self.index2, poly
+        )
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -178,6 +185,134 @@ def unit_form(qprec):
     return JacobiForm(
         Series.const(1, DEN2, qprec), 0, 0, GeneratorPolynomial.const(1)
     )
+
+
+# ---- generator polynomials on packed q-rows ---------------------------------
+
+# evaluate_packed takes values of at most this many whole q-orders.  Fitted
+# by timing it against nested Horner on forms for the four random
+# polynomials (index 4, 7, 9 and 12) of a forms round, on the generators.
+PACKED_MAX_ORDERS = 24
+
+
+class _Rows:
+    """The first q-rows of a form, one integer per row: row n of an index-m
+    form is its y-polynomial read from y**-(m + 2n) upward, at y = 2**w for
+    a slot width of w bits.  Those origins add under products and agree under
+    sums, so the ring operations on rows below the precision are those of
+    the forms: a product row is a schoolbook sum over the row pairs."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __add__(self, other):
+        return _Rows(list(map(add, self.rows, other.rows)))
+
+    def __mul__(self, other):
+        a = self.rows
+        if isinstance(other, int):
+            return _Rows([other * r for r in a])
+        b = other.rows
+        return _Rows([sum(map(mul, a[:k + 1], b[k::-1])) for k in range(len(a))])
+
+    __rmul__ = __mul__
+
+
+def evaluate_packed(poly, values):
+    """poly(values) for a GeneratorPolynomial and four JacobiForms, by the
+    nested Horner of GeneratorPolynomial.evaluate on packed q-rows
+    (``_Rows``): the form, precision and polynomial that Horner on the
+    forms gives, with no Series product.  One slot width serves the whole
+    evaluation: the polynomial's |coefficients| applied to the values'
+    per-row l1 norms bound the l1 norm of every row of the result.
+
+    Returns None, leaving the evaluation to Horner on the forms, unless
+    the polynomial is nonconstant with one weight and index in every
+    monomial, and every value it uses has
+    * integral index m >= 1,
+    * a q-precision of at most PACKED_MAX_ORDERS whole orders, the same
+      for all of them,
+    * a nonzero q**0 row,
+    * every term q**n y**l in the weak-form support n >= 0, |l| <= m + 2n.
+    The common precision and the nonzero q**0 rows make every product of
+    that Horner keep the precision."""
+    terms = poly.terms
+    used = [i for i in range(4) if any(key[i] for key in terms)]
+    if not used:
+        return None
+    qprec = values[used[0]].series.qprec
+    if qprec is None or not 0 < qprec <= 24 * PACKED_MAX_ORDERS:
+        return None
+    types = {
+        (sum(e * v.weight2 for e, v in zip(key, values) if e),
+         sum(e * v.index2 for e, v in zip(key, values) if e))
+        for key in terms
+    }
+    if len(types) != 1:
+        return None
+    orders = (qprec + 23) // 24
+    slots, norms = {}, [None] * 4
+    for i in used:
+        form = values[i]
+        if form.series.qprec != qprec or form.index2 < 2 or form.index2 % 2:
+            return None
+        m = form.index2 // 2
+        rows = [[] for _ in range(orders)]
+        for (nq, ly), c in form.series.terms.items():
+            n, l = nq // 24, ly // 4
+            if n < 0 or abs(l) > m + 2 * n:
+                return None
+            rows[n].append((l + m + 2 * n, c))
+        if not rows[0]:
+            return None
+        slots[i] = rows
+        norms[i] = [sum(abs(c) for _, c in row) for row in rows]
+    width = (_row_bound(terms, norms, orders).bit_length() + 8) // 8  # bytes, with a sign bit
+    packed = [None] * 4
+    for i, rows in slots.items():
+        packed[i] = _Rows([sum(c << (8 * width * k) for k, c in row) for row in rows])
+    (weight2, index2), = types
+    series_terms = _unpack_rows(_horner(terms, packed).rows, index2 // 2, width)
+    polys = [v.poly for v in values]
+    result_poly = None if any(polys[i] is None for i in used) else _horner(terms, polys)
+    series = Series(DEN2, series_terms, qprec, _clean=True)
+    return JacobiForm._trusted(series, weight2, index2, result_poly)
+
+
+def _row_bound(terms, norms, orders):
+    """The largest of the first q-rows of |poly|(norms), poly given by its
+    terms and norms[i] listing the nonnegative row values of value i (None
+    when unused).  The series are packed one row per slot of b bits and
+    evaluated as integers; b comes from |poly| at the norms' sums, which
+    bounds every coefficient of the untruncated product."""
+    size = {k: abs(c) for k, c in terms.items()}
+    b = _horner(size, [None if rows is None else sum(rows) for rows in norms]).bit_length()
+    total = _horner(size, [
+        None if rows is None else sum(v << (b * n) for n, v in enumerate(rows))
+        for rows in norms
+    ])
+    mask = (1 << b) - 1
+    return max((total >> (b * n)) & mask for n in range(orders))
+
+
+def _unpack_rows(rows, m, width):
+    """The terms {(24 n, 4 l): c} of packed rows of an index-m form whose
+    coefficients lie below 2**(8 width - 1) in absolute value: each slot
+    is read after adding half of its range."""
+    half = 1 << (8 * width - 1)
+    zero = bytes(width - 1) + b"\x80"
+    terms = {}
+    for n, row in enumerate(rows):
+        reach = m + 2 * n
+        count = 2 * reach + 1
+        data = (row + int.from_bytes(zero * count, "little")).to_bytes(width * count, "little")
+        for k in range(count):
+            c = int.from_bytes(data[k * width:(k + 1) * width], "little") - half
+            if c:
+                terms[(24 * n, 4 * (k - reach))] = c
+    return terms
 
 
 # ---- theta functions and generators -------------------------------------
@@ -248,9 +383,16 @@ def _phi02_series(qprec):
 
 
 def _phi_threehalf_series(qprec):
-    num = theta_jacobi(qprec + 6, y_scale=2)
-    den = theta_jacobi(qprec + 6)
-    return num.exact_div(den).truncate(qprec)
+    """theta(tau, 2z)/theta(tau, z) by the quintuple product identity:
+    eta**-1 * sum_{n>=1} (12/n) q**(n**2/24) (y**(n/2) + y**(-n/2)).  The
+    sum starts at q**(1/24) and eta**-1 at q**(-1/24), so the sum is taken
+    to qprec + 1."""
+    terms = {}
+    for n in range(1, isqrt(max(qprec, 0)) + 1):
+        c = kronecker(12, n)
+        if c:
+            terms[(n * n, 2 * n)] = terms[(n * n, -2 * n)] = c
+    return Series(DEN2, terms, qprec + 1, _clean=True) * eta_power(-1, qprec)
 
 
 def _phi04_series(qprec):

@@ -37,16 +37,17 @@ def kronecker(a, n):
 
 
 def euler_product(qprec, scale=1):
-    """prod_{n>=1} (1 - q**(scale*n)) as a y-free series, to qprec (1/24 units)."""
-    acc = Series.const(1, DEN2, qprec)
-    n = 1
-    while 24 * scale * n < qprec:
-        factor = Series(
-            DEN2, {(0, 0): 1, (24 * scale * n, 0): -1}, qprec, _clean=True
-        )
-        acc = acc * factor
-        n += 1
-    return acc
+    """prod_{n>=1} (1 - q**(scale*n)) as a y-free series, to qprec (1/24
+    units), by Euler's pentagonal number theorem: the sum over all integers
+    k of (-1)**k q**(scale*k*(3k-1)/2)."""
+    terms = {}
+    k = 0
+    while 12 * scale * k * (3 * k - 1) < qprec:
+        for e in {k * (3 * k - 1) // 2, k * (3 * k + 1) // 2}:
+            if 24 * scale * e < qprec:
+                terms[(24 * scale * e, 0)] = -1 if k % 2 else 1
+        k += 1
+    return Series(DEN2, terms, qprec, _clean=True)
 
 
 def eta_power(power, qprec, scale=1):

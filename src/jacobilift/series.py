@@ -148,24 +148,30 @@ class Series:
         return Series(self.den, terms, self.qprec, _clean=True)
 
     def __add__(self, other):
+        return self._combine(other, False)
+
+    def __sub__(self, other):
+        return self._combine(other, True)
+
+    def _combine(self, other, negate):
+        """self + other, or self - other when negate, in one pass: an
+        operand that already stops at the common precision is not filtered
+        again, and -other is not built."""
         if not isinstance(other, Series):
             return NotImplemented
         if self.den != other.den:
             raise ValidationError("cannot add series with different denominators")
         qprec = _min_prec(self.qprec, other.qprec)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            new = terms.get(k, 0) + c
-            if new == 0:
-                terms.pop(k, None)
-            else:
+        terms = dict(self.truncate(qprec).terms)
+        get = terms.get
+        items = other.truncate(qprec).terms.items()
+        for k, c in ((k, -c) for k, c in items) if negate else items:
+            new = get(k, 0) + c
+            if new:
                 terms[k] = new
-        if qprec is not None:
-            terms = {k: c for k, c in terms.items() if k[0] < qprec}
+            else:
+                terms.pop(k, None)
         return Series(self.den, terms, qprec, _clean=True)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def scale(self, scalar):
         if not isinstance(scalar, int):

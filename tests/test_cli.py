@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, exit codes, JSON contracts."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from jacobilift.cli import main
+import jacobilift
+from jacobilift.cli import EXIT_PIPE, main
 from jacobilift.series import series_from_dict
 
 
@@ -129,6 +134,58 @@ def test_lift_negative_ywindow_rejected(capsys, kind, as_json):
         assert "--ywindow must be >= 0, got -4" in data["message"]
     else:
         assert out == "" and "--ywindow must be >= 0, got -4" in err
+
+
+# per lift kind, options it does not read; the first is also tried under --json
+UNREAD = {
+    "explift": ["--pmax=2", "--d=2", "--chi=2,-20,2", "--euler=0", "--name=Delta2", "--bound=1"],
+    "sqeg": ["--smax=2", "--form=Phi1", "--name=Delta2", "--bound=1"],
+    "eform": ["--pmax=2", "--form=Phi1", "--name=Delta2", "--bound=1"],
+    "arith": ["--ywindow=4", "--smax=7", "--qmax=2", "--pmax=2", "--form=Phi1", "--d=2",
+              "--chi=2,-20,2", "--euler=0"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNREAD))
+def test_lift_refuses_options_its_kind_does_not_read(capsys, kind):
+    """An option the kind would ignore exits 2 and is named, rather than
+    a window request being dropped unnoticed."""
+    for option in UNREAD[kind]:
+        name = option.split("=")[0]
+        code, out, err = run(capsys, "lift", kind, *LIFT_ARGS[kind], option)
+        assert code == 2 and out == ""
+        assert f"error: lift {kind} does not read {name}" in err
+    code, out, err = run(capsys, "lift", kind, *LIFT_ARGS[kind], UNREAD[kind][0], "--json")
+    data = json.loads(out)
+    assert code == 2 and err == "" and data["error"] == "input" and data["exit"] == 2
+    assert f"lift {kind} does not read {UNREAD[kind][0].split('=')[0]}" in data["message"]
+
+
+def test_lift_arith_reads_windows_only_without_bound(capsys):
+    """Absent --qmax/--smax still mean 3 orders: arith without --bound
+    lifts to max(qmax, smax)."""
+    _, want, _ = run(capsys, "lift", "arith", "--name", "Delta2", "--bound", "3", "--json")
+    for extra in ([], ["--qmax", "2"], ["--smax", "3"]):
+        code, out, _ = run(capsys, "lift", "arith", "--name", "Delta2", *extra, "--json")
+        assert code == 0 and out == want
+    code, _, err = run(capsys, "lift", "arith", "--name", "Delta2", "--bound", "3", "--qmax", "3")
+    assert code == 2 and "does not read --qmax when --bound is given" in err
+
+
+def test_closed_standard_output_exits_quietly():
+    """A reader that closes the pipe first (`| head`) stops the command
+    with EXIT_PIPE and no traceback."""
+    src = str(Path(jacobilift.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "-m", "jacobilift.cli", "lift", "explift", "--form", "Phi01",
+            "--qmax", "4", "--smax", "4", "--json"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # before the command writes anything
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == EXIT_PIPE == 141
+    assert err == b""
 
 
 def test_expand_leading_minus_after_double_dash(capsys):

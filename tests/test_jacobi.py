@@ -9,13 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jacobilift.errors import PrecisionError, ValidationError
-from jacobilift.genpoly import GeneratorPolynomial, parse_generator_polynomial
+from jacobilift.genpoly import GeneratorPolynomial, _horner, parse_generator_polynomial
 from jacobilift.jacobi import (
+    PACKED_MAX_ORDERS,
     JacobiForm,
     _form_store,
+    _phi_threehalf_series,
     basis_psi,
     decompose,
     divide_by_xi06,
+    evaluate_packed,
     generator,
     generator_monomial,
     hecke_t0_2,
@@ -128,6 +131,11 @@ def phi01_pole_oracle(qprec):
     return phi_m21 * wp + pole.scale(12)
 
 
+def threehalf_division_oracle(qprec):
+    """phi_{0,3/2} = theta(tau, 2z)/theta(tau, z) by long division."""
+    return theta_jacobi(qprec + 6, y_scale=2).exact_div(theta_jacobi(qprec + 6)).truncate(qprec)
+
+
 DIVISION_PRECS = [24, 24 * 3 + 6, 24 * 10, 24 * 12 + 13, 24 * 20]
 
 
@@ -139,6 +147,12 @@ def test_heat_phi01_matches_pole_oracle(qprec):
 @pytest.mark.parametrize("qprec", DIVISION_PRECS + [24 * 40])
 def test_xi06_product_matches_division_oracle(qprec):
     assert xi06(qprec).series == xi06_division_oracle(qprec)
+
+
+@given(st.one_of(st.integers(0, 24 * 12), st.sampled_from([24 * 20 + 5, 24 * 40, 24 * 80 + 17])))
+@settings(max_examples=30, deadline=None)
+def test_threehalf_quintuple_product_matches_division_oracle(qprec):
+    assert _phi_threehalf_series(qprec) == threehalf_division_oracle(qprec)
 
 
 @pytest.mark.parametrize("qprec", DIVISION_PRECS + [24 * 40])
@@ -452,15 +466,14 @@ def counted_products():
 @given(phi_polynomial(homogeneous=True))
 @settings(max_examples=60, deadline=None)
 def test_evaluate_walk_equals_per_monomial_evaluation(poly):
-    gens = tuple(generator(i, 24 * 3) for i in (1, 2, 3, 4))
+    """Horner's Series products, on the generators' series: values that
+    evaluate_packed, which takes only JacobiForms, leaves to Horner."""
+    gens = tuple(generator(i, 24 * 3).series for i in (1, 2, 3, 4))
     with counted_products() as products:
         got = poly.evaluate(gens)
     want = evaluate_per_monomial(poly, gens)
     assert len(products) == horner_products(poly.terms)
-    if isinstance(want, JacobiForm):
-        assert got.series == want.series and got.poly == want.poly == poly
-    else:  # the empty polynomial (None) or a constant
-        assert got == want
+    assert got == want  # a Series, a constant's int, or None when empty
 
 
 @given(phi_polynomial(homogeneous=False), phi_polynomial(homogeneous=True), st.integers(-3, 3))
@@ -475,14 +488,15 @@ def test_polynomial_ring_results_pass_the_public_check(p, q, k):
 
 def test_evaluate_at_full_index_12_takes_61_products():
     """Every monomial of index 12: 61 Horner products, where sharing
-    monomial prefixes took 91 and building each monomial alone 194."""
+    monomial prefixes took 91 and building each monomial alone 194.  On
+    the generators' series, which evaluate_packed does not take."""
     poly = GeneratorPolynomial({key: 1 for key in index_monomials(12)})
-    gens = tuple(generator(i, 24) for i in (1, 2, 3, 4))
+    gens = tuple(generator(i, 24).series for i in (1, 2, 3, 4))
     with counted_products() as products:
         got = poly.evaluate(gens)
     assert len(products) == horner_products(poly.terms) == 61
     assert degree_two_prefixes(poly) == 91
-    assert got.series == evaluate_per_monomial(poly, gens).series and got.poly == poly
+    assert got == evaluate_per_monomial(poly, gens)
 
 
 @given(phi_polynomial(homogeneous=False), st.tuples(*[st.integers(-5, 5)] * 4))
@@ -530,6 +544,96 @@ def test_polynomial_form_reuses_stored_monomials():
         polynomial_form(second, 72)
         polynomial_form(second, 50)
     assert not products
+
+
+# ---- evaluation on packed q-rows --------------------------------------------
+
+
+def weak_value(draw, i, qprec):
+    """A weak form of index i with a nonzero q**0 row, at qprec: the
+    generator, a basis element, or phi01 times a basis element."""
+    kind = draw(st.sampled_from(("generator", "basis", "product") if i > 1 else ("generator",)))
+    if kind == "generator":
+        return generator(i, qprec)
+    if kind == "basis":
+        return basis_psi(i, draw(st.integers(1, i)), qprec)
+    return generator(1, qprec) * basis_psi(i - 1, draw(st.integers(1, i - 1)), qprec)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_packed_evaluation_equals_horner_on_forms(data):
+    """evaluate_packed gives what nested Horner on the forms gives: terms,
+    qprec, weight, index and polynomial, at 1..PACKED_MAX_ORDERS whole
+    orders and at precisions between whole orders."""
+    draw = data.draw
+    m = draw(st.integers(1, 12))
+    keys = draw(st.lists(st.sampled_from(index_monomials(m)), min_size=1, unique=True))
+    poly = GeneratorPolynomial({k: draw(st.integers(-9, 9).filter(bool)) for k in keys})
+    orders = draw(st.integers(1, PACKED_MAX_ORDERS))
+    qprec = 24 * orders - draw(st.sampled_from((0, 0, 1, 5, 23)))
+    values = tuple(weak_value(draw, i, qprec) for i in (1, 2, 3, 4))
+    want = _horner(poly.terms, values)
+    with counted_products() as products:
+        got = poly.evaluate(values)
+    assert not products  # the packed path took it
+    assert got.series == want.series  # terms and qprec
+    assert (got.weight2, got.index2, got.poly) == (want.weight2, want.index2, want.poly)
+
+
+def outside_support(qprec):
+    """An index-1 'form' with a term at q y**2, outside |l| <= m + 2n."""
+    return JacobiForm(Series(DEN2, {(0, 0): 1, (24, 16): 1}, qprec), 0, 2)
+
+
+def exact_phi01(qprec):
+    return JacobiForm(Series(DEN2, generator(1, qprec).series.terms, None), 0, 2)
+
+
+GEN = GeneratorPolynomial.generator
+# fallback -> (polynomial, values other than the generators at 48): each
+# is left to nested Horner on the forms
+PACKED_FALLBACKS = {
+    "half-integral index": (GEN(1) ** 2, lambda: {0: phi_threehalf(48)}),
+    "index 0": (GEN(1) * GEN(2), lambda: {0: unit_form(48)}),
+    "term outside the support": (GEN(1) ** 2 * GEN(2), lambda: {0: outside_support(48)}),
+    "no q^0 row": (GEN(1) * GEN(2), lambda: {0: xi06(48)}),
+    "more than PACKED_MAX_ORDERS rows": (
+        GEN(1) * GEN(2),
+        lambda: {i: generator(i + 1, 24 * (PACKED_MAX_ORDERS + 1)) for i in range(4)},
+    ),
+    "mixed precisions": (GEN(1) * GEN(2), lambda: {1: generator(2, 72)}),
+    "exact precision": (GEN(1) * GEN(2), lambda: {0: exact_phi01(48)}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PACKED_FALLBACKS))
+def test_packed_evaluation_falls_back_to_horner(case):
+    poly, swaps = PACKED_FALLBACKS[case]
+    values = [generator(i, 48) for i in (1, 2, 3, 4)]
+    for i, value in swaps().items():
+        values[i] = value
+    values = tuple(values)
+    assert evaluate_packed(poly, values) is None
+    with counted_products() as products:
+        got = poly.evaluate(values)
+    assert len(products) == horner_products(poly.terms)
+    want = evaluate_per_monomial(poly, values)
+    assert got.series == want.series and (got.weight2, got.index2) == (want.weight2, want.index2)
+
+
+def test_packed_evaluation_leaves_non_homogeneous_polynomials_to_horner():
+    values = tuple(generator(i, 48) for i in (1, 2, 3, 4))
+    for poly in (GEN(1) + GEN(2), GEN(1) * GEN(2) + GEN(1) * GEN(4)):
+        assert evaluate_packed(poly, values) is None
+        with pytest.raises(ValidationError, match="equal weight and index"):
+            poly.evaluate(values)
+
+
+def test_packed_evaluation_leaves_constants_to_horner():
+    values = tuple(generator(i, 48) for i in (1, 2, 3, 4))
+    assert evaluate_packed(GeneratorPolynomial.const(5), values) is None
+    assert GeneratorPolynomial.const(5).evaluate(values) == 5
 
 
 def test_decompose_roundtrip():
@@ -678,6 +782,24 @@ def test_bad_index_row_rejected():
 def test_public_constructor_rejects_bad_keys(key, index2, says):
     with pytest.raises(ValidationError, match=says):
         JacobiForm(Series(DEN2, {key: 1}, 48), 0, index2)
+
+
+@given(st.integers(0, 2**32), st.integers(1, 96))
+@settings(max_examples=30, deadline=None)
+def test_form_difference_equals_sum_with_negation(seed, qprec):
+    """f - g at equal or mixed precisions equals the sum with -g, series
+    and polynomial; forms of another type are refused."""
+    rng = random.Random(seed)
+    f = random_form(rng, 72)
+    g = polynomial_form(
+        GeneratorPolynomial({key: rng.randint(-9, 9) or 1 for key in index_monomials(f.index2 // 2)}),
+        qprec,
+    )
+    for a, b in ((f, g), (g, f), (f, f)):
+        diff, want = a - b, a + (-b)
+        assert diff == want and diff.poly == want.poly
+    with pytest.raises(ValidationError, match="equal weight and index"):
+        f - generator(1, 72) * generator(1, 72) * f
 
 
 @given(st.integers(0, 2**32), st.integers(-9, 9), st.integers(0, 72))

@@ -1,12 +1,16 @@
 """One-variable building blocks: eta powers, theta constants, characters."""
 
+from hypothesis import given, settings, strategies as st
+
 from jacobilift.modular import (
     discriminant_form,
     eta_power,
+    euler_product,
     kronecker,
     sigma1,
     theta_constant,
 )
+from jacobilift.series import DEN2, Series
 
 # Ramanujan tau values for q, q^2, ..., q^6 in Delta = eta^24
 TAU = [1, -24, 252, -1472, 4830, -6048]
@@ -47,3 +51,19 @@ def test_kronecker_values():
 
 def test_sigma1():
     assert [sigma1(n) for n in range(1, 7)] == [1, 3, 4, 7, 6, 12]
+
+
+def binomial_product(qprec, scale):
+    """prod (1 - q**(scale*n)) one binomial factor at a time."""
+    acc = Series.const(1, DEN2, qprec)
+    n = 1
+    while 24 * scale * n < qprec:
+        acc = acc * Series(DEN2, {(0, 0): 1, (24 * scale * n, 0): -1}, qprec)
+        n += 1
+    return acc
+
+
+@given(st.integers(-24, 24 * 30), st.sampled_from([1, 2, 3, 4, 6]))
+@settings(max_examples=60, deadline=None)
+def test_pentagonal_euler_product_equals_binomial_product(qprec, scale):
+    assert euler_product(qprec, scale) == binomial_product(qprec, scale)

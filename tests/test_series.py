@@ -42,6 +42,39 @@ def test_add_associates(a, b, c):
     assert ((a + b) + c).terms == (a + (b + c)).terms
 
 
+def merged_then_filtered(a, b, sign):
+    """a + sign * b as Series sums were once formed: merge every term, then
+    drop those at or above the common precision."""
+    qprec = _min_prec(a.qprec, b.qprec)
+    terms = dict(a.terms)
+    for k, c in b.terms.items():
+        new = terms.get(k, 0) + sign * c
+        if new:
+            terms[k] = new
+        else:
+            terms.pop(k, None)
+    if qprec is not None:
+        terms = {k: c for k, c in terms.items() if k[0] < qprec}
+    return Series(DEN2, terms, qprec, _clean=True)
+
+
+PRECS = st.one_of(st.none(), st.integers(-24, 72))
+ANY_PREC_SERIES2 = st.builds(series2, st.dictionaries(KEYS2, COEFFS, max_size=8), PRECS)
+
+
+@given(ANY_PREC_SERIES2, ANY_PREC_SERIES2, st.booleans())
+@settings(max_examples=150)
+def test_sums_equal_merge_then_filter(a, b, cancel):
+    """Sums and differences at mixed and exact (None) precisions, with and
+    without cancelling terms, equal the merge-then-filter route; a
+    difference equals the sum with the negation."""
+    if cancel:
+        b = b + Series(DEN2, {k: -c for k, c in a.terms.items()}, None)
+    assert a + b == merged_then_filtered(a, b, 1)
+    assert a - b == merged_then_filtered(a, b, -1) == a + (-b)
+    assert all((a + b).terms.values()) and all((a - b).terms.values())
+
+
 @given(SERIES2, SERIES2)
 @settings(max_examples=60)
 def test_mul_commutes(a, b):
