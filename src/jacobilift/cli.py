@@ -209,8 +209,7 @@ def cmd_genus(args):
         "relations": {k: [ok, str(res)] for k, (ok, res) in relations.items()},
         "divisibility": {k: bool(ok) for k, (ok, _) in divis.items()},
     }
-    failed = [k for k, (ok, _) in relations.items() if not ok]
-    failed += [k for k, (ok, _) in divis.items() if not ok]
+    failed = [k for k, (ok, _) in divis.items() if not ok]
 
     def text():
         lines = [
@@ -235,21 +234,16 @@ LIFT_OPTIONS = {
     "explift": ("form", "qmax", "smax", "ywindow"),
     "sqeg": ("d", "chi", "euler", "qmax", "pmax", "ywindow"),
     "eform": ("d", "chi", "euler", "qmax", "smax", "ywindow"),
-    "arith": ("name", "bound", "qmax", "smax"),
+    "arith": ("name", "bound"),
 }
 
 
 def _check_lift_options(args):
     """A lift kind refuses an option it does not read, rather than drop a
-    window request unnoticed; arith reads --qmax/--smax only without
-    --bound."""
-    kind, reads, why = args.kind, LIFT_OPTIONS[args.kind], ""
-    if kind == "arith" and args.bound is not None:
-        reads, why = ("name", "bound"), " when --bound is given"
+    window request unnoticed."""
     for dest in ("form", "d", "chi", "euler", "name", "bound", "qmax", "smax", "pmax", "ywindow"):
-        if getattr(args, dest) is not None and dest not in reads:
-            reason = why if dest in LIFT_OPTIONS[kind] else ""
-            raise ValidationError(f"lift {kind} does not read --{dest}{reason}")
+        if getattr(args, dest) is not None and dest not in LIFT_OPTIONS[args.kind]:
+            raise ValidationError(f"lift {args.kind} does not read --{dest}")
 
 
 def cmd_lift(args):
@@ -279,7 +273,7 @@ def cmd_lift(args):
     elif args.kind == "arith":
         if args.name not in ("Delta2", "Delta1"):
             raise ValidationError("lift arith needs --name Delta2 or Delta1")
-        bound = args.bound if args.bound is not None else max(qmax, smax)
+        bound = DEFAULT_ORDERS if args.bound is None else args.bound
         if bound < 1:
             raise ValidationError(f"lift arith needs a bound of at least 1 order, got {bound}")
         ss = arithmetic_lift(args.name, 24 * bound + 1, 24 * bound + 1)
@@ -359,7 +353,7 @@ def build_parser():
     p.add_argument("--euler", type=int, default=None)
     p.add_argument("--name", default=None, help="Delta2 or Delta1 (arith)")
     p.add_argument("--bound", type=int, default=None,
-                   help="whole q- and s-orders (arith)")
+                   help=f"whole q- and s-orders (arith, default {DEFAULT_ORDERS})")
     p.add_argument("--ywindow", type=int, default=None,
                    help="clip y-exponents to |l| <= ywindow/4: the theta block F_0 of"
                    " explift and eform, the output of sqeg (exact interior:"
@@ -371,12 +365,9 @@ def build_parser():
     p.add_argument("suite", choices=("ring", "basis", "hecke", "congruences",
                                      "lifts", "all"))
     p.add_argument("--qmax", type=int, default=None, dest="qmax_opt",
-                   help="q-order window of the checks that take one; a check"
-                   " whose name carries a window shows it.  ring: all but"
-                   " the row goldens and alpha; basis: all but the random-form"
-                   " residuals; hecke: all three; congruences: the battery and"
-                   " the K3 and Enriques genera; lifts: only the two dual"
-                   " constructions")
+                   help="q-order window of the ring, basis, hecke and congruences"
+                   " checks that take one (a check whose name carries a window"
+                   " shows it); lifts refuses it")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify)

@@ -13,7 +13,7 @@ from .jacobi import (
     phi_threehalf,
     specialize_torsion,
 )
-from .modular import eta_power, theta_constant
+from .modular import eta_quotient, theta_constant
 from .series import DEN2, Series
 
 
@@ -106,72 +106,74 @@ def _divide_row_by_halfint(row, d):
     return quotient
 
 
-_RELATION_NAMES = {
-    4: "chi2 = 22*chi0 - 4*chi1",
-    6: "chi3 = -34*chi0 + 14*chi1 - 2*chi2",
-    8: "chi4 = 46*chi0 - 25*chi1 + 10*chi2 - chi3",
-    10: "chi5 = -58*chi0 + 36*chi1 - 20*chi2 + 8*chi3"
-    " - (2/5)*(chi4 + chi3 - chi2 - chi1)",
+SECOND_MOMENT = "second_moment: e*d/12 == sum (-1)^p chi_p (d/2-p)^2"
+
+# The forced relations among the chi_p of a Calabi-Yau d-fold besides the
+# second-moment identity, in report order: name -> residual(chi, e), which
+# vanishes exactly when the relation holds.
+CY_RELATIONS = {
+    3: {"chi1 = -e/2": lambda c, e: c[1] + Fraction(e, 2)},
+    4: {
+        "chi2 = 22*chi0 - 4*chi1": lambda c, e: c[2] - (22 * c[0] - 4 * c[1]),
+        "e(M4) mod 6 == 0": lambda c, e: e % 6,
+    },
+    5: {
+        "chi1 = -e/24": lambda c, e: c[1] + Fraction(e, 24),
+        "chi2 = 11*e/24": lambda c, e: c[2] - Fraction(11 * e, 24),
+        "e(M5) mod 24 == 0": lambda c, e: e % 24,
+    },
+    6: {
+        "chi3 = -34*chi0 + 14*chi1 - 2*chi2":
+            lambda c, e: c[3] - (-34 * c[0] + 14 * c[1] - 2 * c[2]),
+        "e(M6) mod 4 == 0": lambda c, e: e % 4,
+    },
+    7: {"e(M7) = 12*(chi2 - 3*chi1)": lambda c, e: e - 12 * (c[2] - 3 * c[1])},
+    8: {
+        "chi4 = 46*chi0 - 25*chi1 + 10*chi2 - chi3":
+            lambda c, e: c[4] - (46 * c[0] - 25 * c[1] + 10 * c[2] - c[3]),
+        "e(M8) mod 3 == 0": lambda c, e: e % 3,
+    },
+    10: {
+        "chi5 = -58*chi0 + 36*chi1 - 20*chi2 + 8*chi3 - (2/5)*(chi4 + chi3 - chi2 - chi1)":
+            lambda c, e: c[5] - (-58 * c[0] + 36 * c[1] - 20 * c[2] + 8 * c[3])
+            + Fraction(2, 5) * (c[4] + c[3] - c[2] - c[1]),
+    },
 }
-
-
-def _relation_residual(inv):
-    """Residual of the forced middle-coefficient relation (even d >= 4)."""
-    c = inv.chi
-    if inv.d == 4:
-        return Fraction(c[2] - (22 * c[0] - 4 * c[1]))
-    if inv.d == 6:
-        return Fraction(c[3] - (-34 * c[0] + 14 * c[1] - 2 * c[2]))
-    if inv.d == 8:
-        return Fraction(c[4] - (46 * c[0] - 25 * c[1] + 10 * c[2] - c[3]))
-    if inv.d == 10:
-        target = (
-            Fraction(-58 * c[0] + 36 * c[1] - 20 * c[2] + 8 * c[3])
-            - Fraction(2, 5) * (c[4] + c[3] - c[2] - c[1])
-        )
-        return Fraction(c[5]) - target
-    return Fraction(0)
 
 
 def elliptic_genus(inv, qprec=96):
     """The elliptic genus as a weight-0 weak Jacobi form of index d/2.
 
-    The q**0 row (1.2-style) determines the form uniquely for d <= 10; the
-    solver raises a ValidationError naming the violated congruence or
-    linear relation when the invariants are not realizable.
+    The q**0 row (1.2-style) determines the form uniquely for d <= 10; when
+    the invariants are not realizable the ValidationError names every
+    relation of relation_check that fails.
     """
     d = inv.d
     if d > 11:
         raise ValidationError(
             "indices above 11/2 are not determined by the chi vector alone"
         )
-    row = inv.q0_row()
-    if d % 2 == 0:
-        m = d // 2
-        if m == 0:
-            raise ValidationError("dimension 0 is not supported")
-        try:
-            coords = _solve_row(row, m, qprec)
-        except ValidationError as exc:
-            raise ValidationError(_name_failure(inv, str(exc))) from exc
-        form = _assemble(coords, m, qprec)
-        return form
-    # odd d: peel off the half-integral generator
-    quotient_row = _divide_row_by_halfint(row, d)
-    m = (d - 3) // 2
-    base = phi_threehalf(qprec)
-    if m == 0:
-        c = quotient_row.get(0, 0)
-        if quotient_row not in ({}, {0: c}):
-            raise ValidationError("chi vector invalid for dimension 3")
-        series = base.series.scale(c)
-        return JacobiForm(series, 0, 3, None)
+    m = d // 2 if d % 2 == 0 else (d - 3) // 2
     try:
-        coords = _solve_row(quotient_row, m, qprec)
+        row = inv.q0_row()
+        if d % 2:  # odd d: peel off the half-integral generator
+            row = _divide_row_by_halfint(row, d)
+        if d == 3 and set(row) - {0}:
+            raise ValidationError("chi vector invalid for dimension 3")
+        coords = _solve_row(row, m, qprec) if d != 3 else None
     except ValidationError as exc:
-        raise ValidationError(_name_failure(inv, str(exc))) from exc
-    rest = _assemble(coords, m, qprec)
-    return base * rest
+        failed = [
+            f"{name} violated (residual {res})"
+            for name, (ok, res) in relation_check(inv).items()
+            if not ok
+        ]
+        raise ValidationError(
+            f"invariants for d={d} are not realizable: " + "; ".join([str(exc), *failed])
+        ) from exc
+    if d == 3:
+        return phi_threehalf(qprec) * row.get(0, 0)
+    form = _assemble(coords, m, qprec)
+    return form if d % 2 == 0 else phi_threehalf(qprec) * form
 
 
 def _assemble(coords, m, qprec):
@@ -184,29 +186,6 @@ def _assemble(coords, m, qprec):
     if form is None:
         form = JacobiForm(Series.zero(DEN2, qprec), 0, 2 * m, None)
     return form
-
-
-def _name_failure(inv, detail):
-    e = inv.euler
-    extras = []
-    if inv.d == 4 and _relation_residual(inv):
-        extras.append("relation chi2 = 22*chi0 - 4*chi1 violated")
-        if e % 6:
-            extras.append(f"e(M4) = {e} is not divisible by 6")
-    if inv.d == 6 and _relation_residual(inv):
-        extras.append("relation " + _RELATION_NAMES[6] + " violated")
-        if e % 4:
-            extras.append(f"e(M6) = {e} is not divisible by 4")
-    if inv.d == 8 and _relation_residual(inv):
-        extras.append("relation " + _RELATION_NAMES[8] + " violated")
-        if e % 3:
-            extras.append(f"e(M8) = {e} is not divisible by 3")
-    if inv.d == 10 and _relation_residual(inv):
-        extras.append("relation " + _RELATION_NAMES[10] + " violated")
-    if inv.d == 5 and e % 24:
-        extras.append(f"e(M5) = {e} is not divisible by 24")
-    suffix = ("; " + "; ".join(extras)) if extras else ""
-    return f"invariants for d={inv.d} are not realizable: {detail}{suffix}"
 
 
 def chi_y_polynomial(form, d):
@@ -228,41 +207,19 @@ def chi_y_polynomial(form, d):
 def relation_check(inv):
     """Evaluate the forced relations for the given invariants.
 
-    Returns a dict mapping relation names to (ok, residual) pairs.  The
-    (1.14)-style second-moment identity holds for every realizable genus;
-    the middle-coefficient relations are dimension-specific.
+    Returns a dict mapping relation names to (ok, residual) pairs: the
+    (1.14)-style second-moment identity, which holds for every realizable
+    genus, then the dimension-specific relations of CY_RELATIONS.
     """
     d, chi, e = inv.d, inv.chi, inv.euler
-    report = {}
     moment = sum(
         (-1) ** p * chi[p] * (Fraction(d, 2) - p) ** 2 for p in range(d + 1)
     )
-    target = Fraction(e * d, 12)
-    report["second_moment: e*d/12 == sum (-1)^p chi_p (d/2-p)^2"] = (
-        moment == target,
-        moment - target,
-    )
-    if d in _RELATION_NAMES:
-        res = _relation_residual(inv)
-        report[_RELATION_NAMES[d]] = (res == 0, res)
-    if d == 4:
-        report["e(M4) mod 6 == 0"] = (e % 6 == 0, e % 6)
-    if d == 6:
-        report["e(M6) mod 4 == 0"] = (e % 4 == 0, e % 4)
-    if d == 8:
-        report["e(M8) mod 3 == 0"] = (e % 3 == 0, e % 3)
-    if d == 3:
-        res = Fraction(chi[1]) + Fraction(e, 2)
-        report["chi1 = -e/2"] = (res == 0, res)
-    if d == 5:
-        res1 = Fraction(chi[1]) + Fraction(e, 24)
-        res2 = Fraction(chi[2]) - Fraction(11 * e, 24)
-        report["chi1 = -e/24"] = (res1 == 0, res1)
-        report["chi2 = 11*e/24"] = (res2 == 0, res2)
-        report["e(M5) mod 24 == 0"] = (e % 24 == 0, e % 24)
-    if d == 7:
-        res = Fraction(e) - 12 * (Fraction(chi[2]) - 3 * chi[1])
-        report["e(M7) = 12*(chi2 - 3*chi1)"] = (res == 0, res)
+    residual = moment - Fraction(e * d, 12)
+    report = {SECOND_MOMENT: (residual == 0, residual)}
+    for name, relation in CY_RELATIONS.get(d, {}).items():
+        residual = relation(chi, e)
+        report[name] = (residual == 0, residual)
     return report
 
 
@@ -338,13 +295,13 @@ def special_value_suite(qprec=240):
     rhs = (gamma ** 4).scale(16) - Series.const(8, DEN2, gamma.qprec)
     report["alpha = 16*gamma**4 - 8"] = lhs.same_terms(rhs)
     # alpha**2 - 64 = 2**12 Delta(2tau)/Delta(tau)
-    quot2 = eta_power(24, qprec, scale=2).exact_div(eta_power(24, qprec))
+    quot2 = eta_quotient(((2, 24), (1, -24)), qprec)
     lhs = alpha * alpha - Series.const(64, DEN2, alpha.qprec)
     report["alpha**2 - 64 = 2**12 Delta(2t)/Delta(t)"] = lhs.same_terms(
         quot2.scale(4096)
     )
     # beta**3 - 27 = 3**6 (eta(3t)/eta(t))**12
-    quot3 = eta_power(12, qprec, scale=3).exact_div(eta_power(12, qprec))
+    quot3 = eta_quotient(((3, 12), (1, -12)), qprec)
     lhs = beta * beta * beta - Series.const(27, DEN2, beta.qprec)
     report["beta**3 - 27 = 3**6 (eta(3t)/eta(t))**12"] = lhs.same_terms(
         quot3.scale(729)
@@ -366,18 +323,15 @@ def xi06_torsion_values(qprec=240):
     xi = xi06(qprec)
     report = {}
     v2 = specialize_torsion(xi, 2)
-    q2 = eta_power(24, qprec, scale=2).exact_div(eta_power(24, qprec))
+    q2 = eta_quotient(((2, 24), (1, -24)), qprec)
     report["xi06(1/2) = 2**12 Delta(2t)/Delta(t)"] = v2.same_terms(q2.scale(4096))
     v3 = specialize_torsion(xi, 3)
-    q3 = eta_power(12, qprec, scale=3).exact_div(eta_power(12, qprec))
+    q3 = eta_quotient(((3, 12), (1, -12)), qprec)
     report["xi06(1/3) = 3**6 (eta(3t)/eta(t))**12"] = v3.same_terms(q3.scale(729))
     v4 = specialize_torsion(xi, 4)
-    q4 = eta_power(12, qprec, scale=4).exact_div(eta_power(12, qprec, scale=2))
+    q4 = eta_quotient(((4, 12), (2, -12)), qprec)
     report["xi06(1/4) = 2**6 (eta(4t)/eta(2t))**12"] = v4.same_terms(q4.scale(64))
     v6 = specialize_torsion(xi, 6)
-    q6 = (
-        eta_power(12, qprec)
-        * eta_power(12, qprec, scale=6)
-    ).exact_div(eta_power(12, qprec, scale=2) * eta_power(12, qprec, scale=3))
+    q6 = eta_quotient(((1, 12), (6, 12), (2, -12), (3, -12)), qprec)
     report["xi06(1/6) = (eta(t)eta(6t)/(eta(2t)eta(3t)))**12"] = v6.same_terms(q6)
     return report

@@ -101,7 +101,11 @@ class JacobiForm:
     # ---- arithmetic -------------------------------------------------------
 
     def _require_same_type(self, other):
-        if self.weight2 != other.weight2 or self.index2 != other.index2:
+        if (
+            not isinstance(other, JacobiForm)
+            or self.weight2 != other.weight2
+            or self.index2 != other.index2
+        ):
             raise ValidationError(
                 "can only add or subtract Jacobi forms of equal weight and index"
             )
@@ -409,10 +413,10 @@ def _form_store(build):
     """Keep one form per key (the arguments before qprec), grown only in
     precision.
 
-    A request is computed at whole q-orders, 24*ceil(qprec/24), which loses
-    nothing since Jacobi forms have integral q-exponents.  Only the highest
-    precision computed is kept.  A request at that precision gets the kept
-    form.  A lower one gets the kept terms up to its q-row: the kept form's
+    A request is computed at whole q-orders, 24*ceil(qprec/24) but at least
+    one, which loses nothing since Jacobi forms have integral q-exponents.
+    Only the highest precision computed is kept.  A request at that
+    precision gets the kept form.  A lower one gets the kept terms up to its q-row: the kept form's
     keys are put in key order once, and the offset of a q-row in them is
     found by bisection.  The forms are infinite series, so qprec=None raises
     ValidationError.
@@ -432,7 +436,8 @@ def _form_store(build):
         key = tuple(key)
         form = store.get(key)
         if form is None or form.series.qprec < qprec:
-            whole = -(-qprec // 24) * 24
+            # at least the q**0 row, so that an empty window is a truncation
+            whole = max(-(-qprec // 24), 1) * 24
             form = build(*key, whole)
             if form.series.qprec < whole:
                 raise PrecisionError(

@@ -524,7 +524,7 @@ def _lift_at(make, qprec, sprec, ywindow=None):
     return exp_lift(make(need), qprec, sprec, ywindow=ywindow)
 
 
-def e_form(inv, qprec, sprec, ywindow=None, genus_qprec=None):
+def e_form(inv, qprec, sprec, ywindow=None):
     """The Siegel form attached to Calabi-Yau invariants: the exponential
     lift of minus the elliptic genus (with z doubled first when the
     dimension is odd)."""
@@ -534,8 +534,6 @@ def e_form(inv, qprec, sprec, ywindow=None, genus_qprec=None):
         form = -elliptic_genus(inv, qprec=qp)
         return form.double_z() if inv.d % 2 == 1 else form
 
-    if genus_qprec is not None:
-        return exp_lift(minus_genus(genus_qprec), qprec, sprec, ywindow=ywindow)
     return _lift_at(minus_genus, qprec, sprec, ywindow=ywindow)
 
 
@@ -572,6 +570,16 @@ def _divisor_char_sum(n, l, m, top):
     return total
 
 
+# name -> (den, (a, b), coefficient, divisor character, metadata): the sum
+# runs over n, m = 1 mod den with a*n*m - b*l^2 = R^2 > 0, the term of
+# q^{n/den} y^{l/2} s^{m/2} is coefficient(l, R) times the divisor sum of
+# the character, and the metadata is (weight2, character order, index_t).
+_ARITHMETIC_LIFTS = {
+    "Delta2": (4, (2, 1), lambda l, r: r * kronecker(-4, r * l), -4, (4, 4, 2)),
+    "Delta1": (6, (4, 3), lambda l, r: kronecker(-4, l) * kronecker(12, r), -12, (2, 6, 3)),
+}
+
+
 def arithmetic_lift(name, qprec, sprec):
     """Explicit Fourier sums for two cusp forms that also arise as
     exponential lifts:
@@ -587,58 +595,23 @@ def arithmetic_lift(name, qprec, sprec):
     turns that into (-4/l)(12/M)(-4/a)(12/a).  The first key where a
     weaker character choice would differ is n = l = m = 7.
     """
-    terms = {}
-    if name == "Delta2":
-        nmax = (qprec - 1) // 6
-        mmax = (sprec - 1) // 12
-        for n in range(1, nmax + 1, 4):
-            for m in range(1, mmax + 1, 4):
-                lbound = isqrt(2 * n * m)
-                for l in range(-lbound, lbound + 1):
-                    nn = 2 * n * m - l * l
-                    if nn <= 0:
-                        continue
-                    big_n = isqrt(nn)
-                    if big_n * big_n != nn:
-                        continue
-                    c = (
-                        big_n
-                        * kronecker(-4, big_n * l)
-                        * _divisor_char_sum(n, l, m, -4)
-                    )
-                    if c:
-                        key = (6 * n, 2 * l, 12 * m)
-                        terms[key] = terms.get(key, 0) + c
-        meta = (4, 4, 2)
-    elif name == "Delta1":
-        nmax = (qprec - 1) // 4
-        mmax = (sprec - 1) // 12
-        for n in range(1, nmax + 1, 6):
-            for m in range(1, mmax + 1, 6):
-                lbound = isqrt((4 * n * m) // 3)
-                for l in range(-lbound, lbound + 1):
-                    mm = 4 * n * m - 3 * l * l
-                    if mm <= 0:
-                        continue
-                    big_m = isqrt(mm)
-                    if big_m * big_m != mm:
-                        continue
-                    c = (
-                        kronecker(-4, l)
-                        * kronecker(12, big_m)
-                        * _divisor_char_sum(n, l, m, -12)
-                    )
-                    if c:
-                        key = (4 * n, 2 * l, 12 * m)
-                        terms[key] = terms.get(key, 0) + c
-        meta = (2, 6, 3)
-    else:
+    if name not in _ARITHMETIC_LIFTS:
         raise ValidationError(f"unknown arithmetic lift {name!r}")
-    terms = {k: c for k, c in terms.items() if c != 0}
-    weight2, character_order, index_t = meta
-    return SiegelSeries(
-        Series(DEN3, terms, qprec, _clean=True), weight2, character_order, index_t
-    )
+    den, (a, b), coefficient, character, meta = _ARITHMETIC_LIFTS[name]
+    unit = 24 // den
+    terms = {}
+    for n in range(1, (qprec - 1) // unit + 1, den):
+        for m in range(1, (sprec - 1) // 12 + 1, den):
+            lbound = isqrt(a * n * m // b)
+            for l in range(-lbound, lbound + 1):
+                square = a * n * m - b * l * l  # >= 0 by the choice of lbound
+                root = isqrt(square)
+                if not root or root * root != square:
+                    continue
+                c = coefficient(l, root) * _divisor_char_sum(n, l, m, character)
+                if c:
+                    terms[(unit * n, 2 * l, 12 * m)] = c
+    return SiegelSeries(Series(DEN3, terms, qprec, _clean=True), *meta)
 
 
 def delta_half_theta(qprec, sprec):
@@ -806,11 +779,13 @@ def assembly_check_d4(inv):
     return (-chi.series).same_terms(rhs, qp)
 
 
-def quotient_reduction_check(qprec=240):
+def quotient_reduction_check():
     """The ratio of the two index-6 lift inputs 3*phi3**2 - 2*phi2*phi4
     and 5*phi3**2 - 4*phi2*phi4 differs by twice the canonical index-6
     generator; under the exponential homomorphism this identifies the
-    corresponding quotient of Siegel forms with exp_lift(2*phi_{0,6})."""
+    corresponding quotient of Siegel forms with exp_lift(2*phi_{0,6}).
+    Compared on 10 q-orders."""
+    qprec = 240
     pad = qprec + 12
     p2, p3, p4 = (generator(i, pad) for i in (2, 3, 4))
     sq3 = (p3 * p3).series
@@ -873,12 +848,13 @@ def window_equal(s1, s2, qlimit, slimit, ybound=None):
     return w1 == w2
 
 
-def delta11_identity_check(qprec=97, sprec=97):
+def delta11_identity_check():
     """Verify  Delta11 * Delta2^2 ==
     Delta5(Z) * Delta5(tau,2z,4omega) * Delta5(tau,z,omega+1/2)
-    up to a Gaussian unit, and name the unit.  The half-period factor is
-    i**k times an integral series (``siegel_omega_half_shift``), so both
-    sides are multiplied over Z and the unit is +-i**k."""
+    up to a Gaussian unit on q, s <= 4, and name the unit.  The half-period
+    factor is i**k times an integral series (``siegel_omega_half_shift``),
+    so both sides are multiplied over Z and the unit is +-i**k."""
+    qprec = sprec = 97
     d11 = _lift_at(lambda qp: psi2_variant(2, qp, variant="A"), qprec, sprec)
     d2 = _lift_at(lambda qp: generator(2, qp), qprec, sprec)
     lhs = ((d11.series * d2.series).truncate_s(sprec) * d2.series).truncate_s(sprec)

@@ -59,6 +59,9 @@ def eta_power(power, qprec, scale=1):
     if scale <= 0:
         raise ValidationError("eta scale must be a positive integer")
     shift = power * scale
+    if qprec is not None and qprec <= shift:
+        # the window ends at or below the leading exponent q**(power*scale/24)
+        return Series.zero(DEN2, qprec)
     base = euler_product(qprec - shift if qprec is not None else None, scale=scale)
     return (base ** power).shift((shift, 0)).truncate(qprec)
 

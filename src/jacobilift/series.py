@@ -76,10 +76,6 @@ class Series:
         key = (0,) * len(den)
         return cls(den, {key: value}, qprec)
 
-    @classmethod
-    def monomial(cls, key, coeff=1, den=DEN2, qprec=None):
-        return cls(den, {tuple(key): coeff}, qprec)
-
     # ---- basic queries ------------------------------------------------
 
     @property
@@ -378,11 +374,6 @@ class Series:
             raise ValidationError("s_slice needs a three-variable series")
         terms = {(k[0], k[1]): c for k, c in self.terms.items() if k[2] == ms}
         return Series(DEN2, terms, self.qprec, _clean=True)
-
-    def s_support(self):
-        if self.den != DEN3:
-            raise ValidationError("s_support needs a three-variable series")
-        return sorted({k[2] for k in self.terms})
 
     def truncate_s(self, sprec):
         """Drop terms with s-exponent >= sprec (in 1/24 units); exclusive."""

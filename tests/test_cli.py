@@ -161,15 +161,15 @@ def test_lift_refuses_options_its_kind_does_not_read(capsys, kind):
     assert f"lift {kind} does not read {UNREAD[kind][0].split('=')[0]}" in data["message"]
 
 
-def test_lift_arith_reads_windows_only_without_bound(capsys):
-    """Absent --qmax/--smax still mean 3 orders: arith without --bound
-    lifts to max(qmax, smax)."""
+def test_lift_arith_refuses_windows_without_bound(capsys):
+    """arith reads --name and --bound only: an absent --bound means 3
+    orders, and --qmax/--smax are refused with or without --bound."""
     _, want, _ = run(capsys, "lift", "arith", "--name", "Delta2", "--bound", "3", "--json")
-    for extra in ([], ["--qmax", "2"], ["--smax", "3"]):
-        code, out, _ = run(capsys, "lift", "arith", "--name", "Delta2", *extra, "--json")
-        assert code == 0 and out == want
-    code, _, err = run(capsys, "lift", "arith", "--name", "Delta2", "--bound", "3", "--qmax", "3")
-    assert code == 2 and "does not read --qmax when --bound is given" in err
+    code, out, _ = run(capsys, "lift", "arith", "--name", "Delta2", "--json")
+    assert code == 0 and out == want
+    for option in ("--qmax", "--smax"):
+        code, out, err = run(capsys, "lift", "arith", "--name", "Delta2", option, "3")
+        assert code == 2 and out == "" and f"lift arith does not read {option}" in err
 
 
 def test_closed_standard_output_exits_quietly():
@@ -236,20 +236,32 @@ def test_verify_lifts_json(capsys):
     assert sqeg[0]["detail"] == [[0, 0, 1], [24, 0, 24], [48, 0, 324]]
 
 
-def test_verify_lifts_qmax_resizes_only_the_dual_constructions(capsys, verify_all):
-    code, out, _ = run(capsys, "verify", "lifts", "--qmax", "1", "--json")
+@pytest.mark.parametrize("as_json", [False, True])
+def test_verify_lifts_refuses_qmax(capsys, as_json):
+    code, out, err = run(capsys, "verify", "lifts", "--qmax", "1", *["--json"] * as_json)
+    assert code == 2
+    if as_json:
+        data = json.loads(out)
+        assert err == "" and data["error"] == "input" and data["exit"] == 2
+        assert "verify lifts does not read --qmax" in data["message"]
+    else:
+        assert out == "" and "verify lifts does not read --qmax" in err
+
+
+def test_verify_all_qmax_resizes_all_but_lifts(monkeypatch):
+    """verify all --qmax N runs ring, basis, hecke and congruences at N
+    q-orders and lifts at its own windows."""
+    from jacobilift.verify import SUITES
+
+    calls = {}
+    for name in list(SUITES):
+        def suite(*args, name=name):
+            calls[name] = args
+            return []
+        monkeypatch.setitem(SUITES, name, suite)
+    code = main(["verify", "all", "--qmax", "7"])
     assert code == 0
-    default = next(s for s in verify_all["suites"] if s["suite"] == "lifts")
-    before = {c["name"] for c in default["checks"]}
-    after = {c["name"] for c in json.loads(out)["checks"]}
-    assert before - after == {
-        "exp_lift(phi_02) == Delta2 arithmetic sum, weight2 4, character order 4 (q,s <= 3,3)",
-        "exp_lift(phi_03) == Delta1 arithmetic sum, weight2 2, character order 6 (q,s <= 3,3)",
-    }
-    assert after - before == {
-        "exp_lift(phi_02) == Delta2 arithmetic sum, weight2 4, character order 4 (q,s <= 1,3)",
-        "exp_lift(phi_03) == Delta1 arithmetic sum, weight2 2, character order 6 (q,s <= 1,3)",
-    }
+    assert calls == {"ring": (7,), "basis": (7,), "hecke": (7,), "congruences": (7,), "lifts": ()}
 
 
 def test_verify_empty_window_is_precision_error(capsys):
@@ -258,7 +270,7 @@ def test_verify_empty_window_is_precision_error(capsys):
     assert "FAIL" not in out and "window is empty" in err
 
 
-@pytest.mark.parametrize("suite, qmax", [("hecke", "0"), ("congruences", "1")])
+@pytest.mark.parametrize("suite, qmax", [("basis", "0"), ("hecke", "0"), ("congruences", "1")])
 def test_verify_empty_window_in_other_suites(capsys, suite, qmax):
     code, out, err = run(capsys, "verify", suite, "--qmax", qmax)
     assert code == 4

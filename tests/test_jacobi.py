@@ -211,6 +211,39 @@ def test_store_refuses_exact_precision(stored, key):
         stored(*key, None)
 
 
+STORED_KEYS = [
+    (phi_threehalf, ()), (phi_weak_weight_minus1, ()), (xi06, ()),
+    *((generator, (m,)) for m in (1, 2, 3, 4, 6, 8, 12)),
+    (generator_monomial, (0, 0, 0, 0)), (generator_monomial, (2, 1, 0, 1)),
+    *((basis_psi, (m, n)) for m, n in ((1, 1), (5, 1), (5, 3), (6, 2), (12, 7), (12, 12))),
+]
+
+
+@pytest.mark.parametrize("qprec", [0, -24, 1])
+@pytest.mark.parametrize("stored, key", STORED_KEYS)
+def test_stored_constructors_at_empty_and_one_term_windows(stored, key, qprec):
+    """A window below q**1 is the truncation of a wider one, from a cold
+    store: empty below q**0, the q**0 row at qprec 1."""
+    assert {fn for fn, _ in STORED_KEYS} == set(STORED)
+    clear_stores()
+    form = stored(*key, qprec)
+    wide = stored(*key, 48)
+    assert form.series.qprec == qprec
+    assert form.series.terms == wide.series.truncate(qprec).terms
+    assert (form.weight2, form.index2) == (wide.weight2, wide.index2)
+    assert bool(form.series.terms) == (qprec == 1 and bool(wide.series.q_slice(0)))
+
+
+def test_adding_a_non_form_is_a_validation_error():
+    """Nested Horner of a non-homogeneous polynomial adds a constant to a
+    form: a ValidationError, not an AttributeError."""
+    gens = tuple(generator(m, 48) for m in (1, 2, 3, 4))
+    with pytest.raises(ValidationError, match="equal weight and index"):
+        parse_generator_polynomial("Phi1^2+Phi1").evaluate(gens)
+    with pytest.raises(ValidationError, match="equal weight and index"):
+        gens[0] - 1
+
+
 def test_store_raises_on_short_computation():
     @_form_store
     def short(qprec):

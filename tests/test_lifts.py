@@ -1,7 +1,7 @@
 """Siegel lifts: exponential products, arithmetic sums, SQEG, Humbert data."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,9 +12,11 @@ from jacobilift.genus import K3, CYInvariants, elliptic_genus
 from jacobilift.jacobi import JacobiForm, generator, psi2_variant
 from jacobilift.lifts import (
     _clip,
+    _divisor_char_sum,
     _input_qprec,
     _prefactor_key,
     _window_terms,
+    arithmetic_lift,
     delta_half_theta,
     even_characteristics,
     exp_lift,
@@ -29,6 +31,7 @@ from jacobilift.lifts import (
     theta_block,
     window_equal,
 )
+from jacobilift.modular import kronecker
 from jacobilift.series import DEN2, DEN3, Series
 
 
@@ -478,3 +481,53 @@ def test_exp_lift_interior_is_exact(name, ywindow):
     narrow = interior(exp_lift(form, qp, sp, ywindow=ywindow))
     assert narrow == interior(exp_lift(form, qp, sp, ywindow=ywindow + 400))
     assert narrow
+
+
+def reference_arithmetic_terms(name, qprec, sprec):
+    """The two loops that arithmetic_lift's table replaced, one per lift:
+    (terms, (weight2, character order, index_t))."""
+    terms = {}
+    if name == "Delta2":
+        for n in range(1, (qprec - 1) // 6 + 1, 4):
+            for m in range(1, (sprec - 1) // 12 + 1, 4):
+                lbound = isqrt(2 * n * m)
+                for l in range(-lbound, lbound + 1):
+                    nn = 2 * n * m - l * l
+                    if nn <= 0 or isqrt(nn) ** 2 != nn:
+                        continue
+                    big_n = isqrt(nn)
+                    c = big_n * kronecker(-4, big_n * l) * _divisor_char_sum(n, l, m, -4)
+                    if c:
+                        key = (6 * n, 2 * l, 12 * m)
+                        terms[key] = terms.get(key, 0) + c
+        meta = (4, 4, 2)
+    else:
+        for n in range(1, (qprec - 1) // 4 + 1, 6):
+            for m in range(1, (sprec - 1) // 12 + 1, 6):
+                lbound = isqrt((4 * n * m) // 3)
+                for l in range(-lbound, lbound + 1):
+                    mm = 4 * n * m - 3 * l * l
+                    if mm <= 0 or isqrt(mm) ** 2 != mm:
+                        continue
+                    c = kronecker(-4, l) * kronecker(12, isqrt(mm)) * _divisor_char_sum(n, l, m, -12)
+                    if c:
+                        key = (4 * n, 2 * l, 12 * m)
+                        terms[key] = terms.get(key, 0) + c
+        meta = (2, 6, 3)
+    return {k: c for k, c in terms.items() if c}, meta
+
+
+@pytest.mark.parametrize("name", ["Delta2", "Delta1"])
+def test_arithmetic_lift_table_equals_the_two_loops(name):
+    for qorders in range(1, 11):
+        for sorders in range(1, 11):
+            qp, sp = 24 * qorders + 1, 24 * sorders + 1
+            got = arithmetic_lift(name, qp, sp)
+            terms, meta = reference_arithmetic_terms(name, qp, sp)
+            assert got.series.terms == terms and got.series.qprec == qp
+            assert (got.weight2, got.character_order, got.index_t) == meta
+
+
+def test_arithmetic_lift_refuses_unknown_name():
+    with pytest.raises(ValidationError, match="unknown arithmetic lift"):
+        arithmetic_lift("Delta3", 25, 25)

@@ -1,10 +1,12 @@
 """One-variable building blocks: eta powers, theta constants, characters."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from jacobilift.modular import (
     discriminant_form,
     eta_power,
+    eta_quotient,
     euler_product,
     kronecker,
     sigma1,
@@ -67,3 +69,37 @@ def binomial_product(qprec, scale):
 @settings(max_examples=60, deadline=None)
 def test_pentagonal_euler_product_equals_binomial_product(qprec, scale):
     assert euler_product(qprec, scale) == binomial_product(qprec, scale)
+
+
+@given(st.integers(-30, 30), st.sampled_from([1, 2, 3]), st.integers(-80, 24 * 6))
+@settings(max_examples=200, deadline=None)
+def test_eta_power_is_a_truncation_at_every_window(power, scale, qprec):
+    """A window that ends at or below the leading exponent is the empty
+    series, not an inverted empty Euler product."""
+    got = eta_power(power, qprec, scale)
+    assert got.qprec == qprec
+    assert got.terms == eta_power(power, 24 * 8, scale).truncate(qprec).terms
+
+
+# the eta quotients of the special-value identities, against exact division
+QUOTIENTS = [
+    (((2, 24), (1, -24)), ((2, 24),), ((1, 24),)),
+    (((3, 12), (1, -12)), ((3, 12),), ((1, 12),)),
+    (((4, 12), (2, -12)), ((4, 12),), ((2, 12),)),
+    (((1, 12), (6, 12), (2, -12), (3, -12)), ((1, 12), (6, 12)), ((2, 12), (3, 12))),
+]
+
+
+@pytest.mark.parametrize("spec, num, den", QUOTIENTS)
+def test_eta_quotient_equals_exact_division(spec, num, den):
+    qprec = 24 * 12
+
+    def product(factors):
+        acc = Series.const(1, DEN2, qprec)
+        for scale, power in factors:
+            acc = acc * eta_power(power, qprec, scale=scale)
+        return acc
+
+    want = product(num).exact_div(product(den))
+    got = eta_quotient(spec, qprec)
+    assert got.qprec == want.qprec and got.terms == want.terms
