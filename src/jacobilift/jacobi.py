@@ -12,12 +12,11 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import wraps
 from math import factorial, gcd, isqrt
-from operator import add, mul
 
 from .errors import PrecisionError, ValidationError
 from .genpoly import GeneratorPolynomial, _horner
 from .modular import e2_series, eta_power, kronecker
-from .series import DEN2, Series
+from .series import DEN2, Series, _Rows, _unpack_rows
 
 
 class JacobiForm:
@@ -199,31 +198,6 @@ def unit_form(qprec):
 PACKED_MAX_ORDERS = 24
 
 
-class _Rows:
-    """The first q-rows of a form, one integer per row: row n of an index-m
-    form is its y-polynomial read from y**-(m + 2n) upward, at y = 2**w for
-    a slot width of w bits.  Those origins add under products and agree under
-    sums, so the ring operations on rows below the precision are those of
-    the forms: a product row is a schoolbook sum over the row pairs."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        self.rows = rows
-
-    def __add__(self, other):
-        return _Rows(list(map(add, self.rows, other.rows)))
-
-    def __mul__(self, other):
-        a = self.rows
-        if isinstance(other, int):
-            return _Rows([other * r for r in a])
-        b = other.rows
-        return _Rows([sum(map(mul, a[:k + 1], b[k::-1])) for k in range(len(a))])
-
-    __rmul__ = __mul__
-
-
 def evaluate_packed(poly, values):
     """poly(values) for a GeneratorPolynomial and four JacobiForms, by the
     nested Horner of GeneratorPolynomial.evaluate on packed q-rows
@@ -239,7 +213,7 @@ def evaluate_packed(poly, values):
     * a q-precision of at most PACKED_MAX_ORDERS whole orders, the same
       for all of them,
     * a nonzero q**0 row,
-    * every term q**n y**l in the weak-form support n >= 0, |l| <= m + 2n.
+    * every term q**n y**l in the layout of ``_Rows``: n >= 0, |l| <= m + 2n.
     The common precision and the nonzero q**0 rows make every product of
     that Horner keep the precision."""
     terms = poly.terms
@@ -257,26 +231,18 @@ def evaluate_packed(poly, values):
     if len(types) != 1:
         return None
     orders = (qprec + 23) // 24
-    slots, norms = {}, [None] * 4
+    norms = [None] * 4
     for i in used:
         form = values[i]
         if form.series.qprec != qprec or form.index2 < 2 or form.index2 % 2:
             return None
-        m = form.index2 // 2
-        rows = [[] for _ in range(orders)]
-        for (nq, ly), c in form.series.terms.items():
-            n, l = nq // 24, ly // 4
-            if n < 0 or abs(l) > m + 2 * n:
-                return None
-            rows[n].append((l + m + 2 * n, c))
-        if not rows[0]:
+        norms[i] = rows = _Rows.norms(form.series.terms, form.index2 // 2, orders)
+        if not rows or not rows[0]:
             return None
-        slots[i] = rows
-        norms[i] = [sum(abs(c) for _, c in row) for row in rows]
     width = (_row_bound(terms, norms, orders).bit_length() + 8) // 8  # bytes, with a sign bit
     packed = [None] * 4
-    for i, rows in slots.items():
-        packed[i] = _Rows([sum(c << (8 * width * k) for k, c in row) for row in rows])
+    for i in used:
+        packed[i] = _Rows.pack(values[i].series.terms, values[i].index2 // 2, orders, width)
     (weight2, index2), = types
     series_terms = _unpack_rows(_horner(terms, packed).rows, index2 // 2, width)
     polys = [v.poly for v in values]
@@ -299,24 +265,6 @@ def _row_bound(terms, norms, orders):
     ])
     mask = (1 << b) - 1
     return max((total >> (b * n)) & mask for n in range(orders))
-
-
-def _unpack_rows(rows, m, width):
-    """The terms {(24 n, 4 l): c} of packed rows of an index-m form whose
-    coefficients lie below 2**(8 width - 1) in absolute value: each slot
-    is read after adding half of its range."""
-    half = 1 << (8 * width - 1)
-    zero = bytes(width - 1) + b"\x80"
-    terms = {}
-    for n, row in enumerate(rows):
-        reach = m + 2 * n
-        count = 2 * reach + 1
-        data = (row + int.from_bytes(zero * count, "little")).to_bytes(width * count, "little")
-        for k in range(count):
-            c = int.from_bytes(data[k * width:(k + 1) * width], "little") - half
-            if c:
-                terms[(24 * n, 4 * (k - reach))] = c
-    return terms
 
 
 # ---- theta functions and generators -------------------------------------

@@ -17,7 +17,10 @@ with the sign flipped (Dijkgraaf-Moore-Verlinde-Verlinde).  The division
 by M is exact over Z and every H_M is a finite y-polynomial at each
 q-order.  The engine does only the work its q-window keeps: each T_-(k)
 image is read from the input rows n*k/a**2 of the window's rows n, and
-each sum over k is one packed product (``series.mul_sum``).  The s**0
+the recursion runs on packed q-rows (``series._Rows``), one integer per
+q-row, with each image and each H_M packed once.  That layout holds the
+weak-form support n >= 0, l**2 <= 4tn + t**2, so an input term outside
+it is refused.  The s**0
 part F_0 of the lift is the theta block
 eta^(c(0,0) - sum_{l>0} c(0,l)) prod_{l>0} theta(tau, l z)^c(0,l)
 (Gritsenko-Nikulin), and the Hodge anomaly is one too; ``theta_block``
@@ -35,7 +38,7 @@ from .errors import IdentityError, InexactDivisionError, PrecisionError, Validat
 from .genus import elliptic_genus
 from .jacobi import generator, psi2_variant, q_rows, theta_jacobi, tminus_terms
 from .modular import euler_product, kronecker
-from .series import DEN2, DEN3, Series, mul_sum, series_to_dict
+from .series import DEN2, DEN3, Series, _Rows, _unpack_rows, series_to_dict
 
 
 class SiegelSeries:
@@ -282,49 +285,78 @@ def _prefactor_key(form):
 
 def _fj_rows(form, sign, qprec, count):
     """The s-rows H_0..H_count of exp(sign * sum_k s^k (form|T_-(k))/k),
-    as (q, y) series below qprec:
+    as (q, y) series below qprec (none when count < 0):
 
         H_0 = 1,    H_M = (sign/M) sum_{k=1..M} (form|T_-(k)) H_{M-k}
 
-    Only the window is computed.  The form's terms are grouped by q-order
-    once, and T_-(k) is read row by row (``jacobi.tminus_terms``) for the
-    q-orders n <= nmax = (qprec - 1)//24 that are kept.  It reads the input
-    at q-orders below k*nmax + 1, so a shorter input raises PrecisionError.
-    Each row's sum over k is one ``mul_sum``, divided by M exactly,
-    coefficient by coefficient, and H_M is built as a clean series.  A
-    half-integral index is lifted to an integral one by z -> 2z and the
-    y-exponents are halved back at the end."""
+    Only the q-orders n <= nmax = (qprec - 1)//24 are computed, on packed
+    q-rows (``series._Rows``).  T_-(k) is read from the input rows
+    n*k/a**2 (``jacobi.tminus_terms``), so the input must reach q-order
+    k*nmax, else PrecisionError.  Each image I_k, of index tk, is packed
+    once; M H_M, the schoolbook sum of the row products I_k H_{M-k}, is
+    read back once, divided by M exactly coefficient by coefficient (else
+    InexactDivisionError naming the row and the key), and H_M is packed
+    once.  One slot width serves the recursion: the images' per-row l1
+    norms, carried through the same recursion, bound every M H_M.
+
+    An input term the lift reads outside the weak-form support n >= 0,
+    l**2 <= 4tn + t**2 of index t is a ValidationError.  T_-(k) keeps that
+    support at index tk (4tkN - (al)**2 >= -(at)**2 >= -(tk)**2 for a | k),
+    which puts every image in the layout |l| <= tk + 2N; products stay in
+    it.  A half-integral index is lifted to an integral one by z -> 2z,
+    and the y-exponents are halved back at the end."""
     half = form.index2 % 2
     if half:
         form = form.double_z()
     if form.weight2:
         raise ValidationError("T_-(m) needs a weight-0 form of integral index")
+    t = form.index2 // 2
     nmax = (qprec - 1) // 24
+    if nmax < 0 or count < 0:
+        return [Series(DEN2, {}, qprec, _clean=True)] * (count + 1)
     orders = form.qprec_orders()
     by_order = q_rows(form.series, 24 * (count * nmax + 1))
-    rows = [{(0, 0): 1} if qprec > 0 else {}]
-    images = []
-    for m in range(1, count + 1):
-        if orders is not None and orders < m * nmax + 1:
-            raise PrecisionError(
-                f"lift needs the T_-({m}) image through q-order {nmax}, which reads "
-                f"{m * nmax + 1} q-orders of the input form; it has {orders}"
+    for n, row in by_order.items():
+        if n < 0 or max(min(row)[0] ** 2, max(row)[0] ** 2) > 16 * t * (4 * n + t):
+            ly, c = next(term for term in row if n < 0 or term[0] ** 2 > 16 * t * (4 * n + t))
+            raise ValidationError(
+                f"lift input term {c} q^{n} y^{ly / 4:g}{' (z -> 2z)' if half else ''} "
+                f"lies outside the weak-form support n >= 0, l^2 <= 4*{t}*n + {t}^2"
             )
-        images.append(tminus_terms(by_order, m, nmax))
-        acc = mul_sum([(images[k - 1], rows[m - k]) for k in range(1, m + 1)], qprec, 2)
+    images = []
+    for k in range(1, count + 1):
+        if orders is not None and orders < k * nmax + 1:
+            raise PrecisionError(
+                f"lift needs the T_-({k}) image through q-order {nmax}, which reads "
+                f"{k * nmax + 1} q-orders of the input form; it has {orders}"
+            )
+        images.append(tminus_terms(by_order, k, nmax))
+    # per-row l1 norms through the recursion bound every M H_M and image
+    norms = [_Rows(_Rows.norms(image, t * k, nmax + 1)) for k, image in enumerate(images, 1)]
+    top, bounds = 0, [None]
+    for m in range(1, count + 1):
+        acc = sum((norms[k - 1] * bounds[m - k] for k in range(1, m)), norms[m - 1])
+        top = max(top, *acc.rows)
+        bounds.append(_Rows([v // m for v in acc.rows]))
+    width = (top.bit_length() + 8) // 8  # bytes, with a sign bit
+    images = [_Rows.pack(image, t * k, nmax + 1, width) for k, image in enumerate(images, 1)]
+    out, packed = [{(0, 0): 1}], [None]
+    for m in range(1, count + 1):
+        acc = sum((images[k - 1] * packed[m - k] for k in range(1, m)), images[m - 1])
         terms = {}
-        for key, c in acc.items():
+        for key, c in _unpack_rows(acc.rows, t * m, width).items():
             quot, rem = divmod(c, m)
             if rem:
                 raise InexactDivisionError(
-                    f"Fourier-Jacobi row {m}: coefficient {c} at {key} is not "
-                    f"divisible by {m}"
+                    f"Fourier-Jacobi row {m}: coefficient {c} at {key} is not divisible by {m}"
                 )
             terms[key] = sign * quot
-        rows.append(terms)
+        out.append(terms)
+        if m < count:
+            packed.append(_Rows.pack(terms, t * m, nmax + 1, width))
     if half:
-        rows = [{(nq, ly // 2): c for (nq, ly), c in row.items()} for row in rows]
-    return [Series(DEN2, row, qprec, _clean=True) for row in rows]
+        out = [{(nq, ly // 2): c for (nq, ly), c in row.items()} for row in out]
+    return [Series(DEN2, row, qprec, _clean=True) for row in out]
 
 
 def exp_lift(form, qprec, sprec, ywindow=None):
@@ -444,7 +476,8 @@ def sqeg(form, qprec, pprec, ywindow=None):
 
     as a triple series whose third variable is p (graded in 1/24 units
     on the s-slot).  No prefactor.  Every row is exact; ywindow, if given,
-    only clips the output to |ly| <= ywindow."""
+    only clips the output to |ly| <= ywindow.  An empty window in q or in
+    p (qprec <= 0 or pprec <= 0) gives the empty series."""
     _check_ywindow(ywindow)
     terms = {}
     for n, row in enumerate(_fj_rows(form, 1, qprec, (pprec - 1) // 24)):
@@ -456,7 +489,9 @@ def sqeg(form, qprec, pprec, ywindow=None):
 
 def symmetric_product_genus(form, n, qprec):
     """The p**n coefficient of the second-quantized genus: the orbifold
-    elliptic genus of the n-th symmetric product."""
+    elliptic genus of the n-th symmetric product, n >= 0."""
+    if n < 0:
+        raise ValidationError(f"a symmetric product needs n >= 0, got {n}")
     return _fj_rows(form, 1, qprec, n)[n]
 
 

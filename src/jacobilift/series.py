@@ -20,7 +20,7 @@ from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, groupby, product
 from math import gcd, prod
-from operator import add, gt, itemgetter, sub
+from operator import add, gt, itemgetter, mul, sub
 
 from .errors import (
     InexactDivisionError,
@@ -192,8 +192,11 @@ class Series:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b, qa, qb = b, a, qb, qa
-        out = _sum_products([(a, b, qa, qb)], qprec, len(self.den))
-        return Series(self.den, out, qprec, _clean=True)
+        if len(a) >= PACK_MIN_TERMS and len(a) ** 2 > len(b):
+            packing = _Kronecker(a, b, qa, qb, qprec)
+            if packing.pays():
+                return Series(self.den, packing.multiply(), qprec, _clean=True)
+        return Series(self.den, _mul_dict(a, b, qprec, len(self.den)), qprec, _clean=True)
 
     __rmul__ = __mul__
 
@@ -416,47 +419,13 @@ def _level_ceiling(level, beta, tops_a, tops_b, tops_c):
 
 
 # A Z-product whose smaller operand has fewer terms, or at most the square
-# root of the larger's (a sparse factor), stays on the dict loop.  A sum of
-# products passes the same gate on its sums: of |a|, and of |a|**2 against
-# those of |b|.
+# root of the larger's (a sparse factor), stays on the dict loop.
 PACK_MIN_TERMS = 16
 
 
-def mul_sum(pairs, qprec, nvars):
-    """The terms of sum a*b over pairs (a, b) of Z term dicts on nvars
-    axes, below qprec (None keeps every term): one Kronecker product of the
-    whole sum when the route rule says packing pays, else one dict loop.
-    Series.__mul__ is its one-pair case."""
-    quads = []
-    for a, b in pairs:
-        if a and b:
-            if len(a) > len(b):
-                a, b = b, a
-            quads.append((a, b, min(a)[0], min(b)[0]))
-    return _sum_products(quads, qprec, nvars)
-
-
-def _sum_products(quads, qprec, nvars):
-    """The route rule of mul_sum over (a, b, qa, qb): operands with the
-    smaller first, and their lowest q-exponents."""
-    small = [len(quad[0]) for quad in quads]
-    if sum(small) >= PACK_MIN_TERMS and sum(n * n for n in small) > sum(
-        len(quad[1]) for quad in quads
-    ):
-        packing = _Kronecker(quads, qprec)
-        if packing.pays():
-            return packing.multiply()
+def _mul_dict(a, b, qprec, nvars):
+    """Term dicts a (the smaller) times b, one dict update per pair."""
     out = {}
-    for a, b, _, _ in quads:
-        _mul_dict(a, b, qprec, nvars, out)
-    return out
-
-
-def _mul_dict(a, b, qprec, nvars, out=None):
-    """Term dicts a (the smaller) times b, one dict update per pair, added
-    into out when it is given."""
-    if out is None:
-        out = {}
     bitems = sorted(b.items())
     for ka, ca in a.items():
         nqa = ka[0]
@@ -486,21 +455,17 @@ def _row_norms(terms, cols):
     return sorted((nq, total, top) for nq, (total, top) in norms.items())
 
 
-def _window_bound(kept, qprec):
-    """A bound on |c| over the operands' terms and the coefficients of the
-    sum of products below qprec, summed over the products.  Below qprec,
-    row a_i of a meets only rows b_j of b with i + j < qprec, so a
-    product's coefficients there are at most the sum over i of |a_i|_1
-    times the largest |c| in those rows of b (or the same with a and b
-    swapped).  Slots past qprec are never read, and a carry only moves to
-    higher slots, so they need no room."""
-    bound = top = 0
-    for a, b, cols_a, cols_b in kept:
-        rows_a = _row_norms(a, cols_a)
-        rows_b = rows_a if b is a else _row_norms(b, cols_b)
-        top = max(top, *(t for _, _, t in rows_a + rows_b))
-        bound += min(_meet(rows_a, rows_b, qprec), _meet(rows_b, rows_a, qprec))
-    return max(top, bound)
+def _window_bound(a, b, cols_a, cols_b, qprec):
+    """A bound on |c| over the operands' terms and the coefficients of
+    their product below qprec.  Below qprec, row a_i of a meets only rows
+    b_j of b with i + j < qprec, so the product's coefficients there are
+    at most the sum over i of |a_i|_1 times the largest |c| in those rows
+    of b (or the same with a and b swapped).  Slots past qprec are never
+    read, and a carry only moves to higher slots, so they need no room."""
+    rows_a = _row_norms(a, cols_a)
+    rows_b = rows_a if b is a else _row_norms(b, cols_b)
+    top = max(t for _, _, t in rows_a + rows_b)
+    return max(top, min(_meet(rows_a, rows_b, qprec), _meet(rows_b, rows_a, qprec)))
 
 
 def _meet(rows, other, qprec):
@@ -526,95 +491,70 @@ def _below(terms, qprec):
 
 
 class _Kronecker:
-    """A sum of products of Z term dicts by Kronecker substitution: each
-    operand becomes a single integer, one big-integer multiplication per
-    product (Karatsuba in CPython) yields its coefficients (D. Harvey,
-    J. Symb. Comp. 2009), and the products are added as integers and read
-    back once.
+    """The product of two Z term dicts by Kronecker substitution: each
+    operand becomes a single integer, and one big-integer multiplication
+    (Karatsuba in CPython) yields every coefficient (D. Harvey, J. Symb.
+    Comp. 2009), read back once.
 
     Terms that cannot reach qprec are dropped first.  Each exponent axis is
-    divided by one gcd stride: of every operand's exponents measured from
-    that operand's minimum, and of each product's lowest exponent measured
-    from the lowest of all (forms use only q in 24Z and y in 4Z or 4Z + 2).
-    The bounding box of all the products is laid out row-major with q
-    slowest, and each product is shifted to the slot of its lowest
-    exponent.  A slot holds width bytes, signed, wide enough for every
-    operand coefficient and every coefficient of the sum below qprec
-    (``_window_bound``).  ``quads`` lists (a, b, qa, qb): the operands and
-    their lowest q-exponents.
+    divided by one gcd stride of both operands' exponents measured from
+    their minima (forms use only q in 24Z and y in 4Z or 4Z + 2).  The
+    product's bounding box is laid out row-major with q slowest.  A slot
+    holds width bytes, signed, wide enough for every operand coefficient
+    and every coefficient of the product below qprec (``_window_bound``).
+    qa and qb are the operands' lowest q-exponents.
     """
 
-    __slots__ = ("quads", "lo", "step", "shape", "spans", "offsets", "rows", "width", "pairs")
+    __slots__ = ("a", "b", "cols_a", "cols_b", "lo", "step", "shape", "rows", "width", "pairs")
 
-    def __init__(self, quads, qprec):
+    def __init__(self, a, b, qa, qb, qprec):
         self.pairs = 0
-        self.quads = kept = []
-        for a, b, qa, qb in quads:
-            if qprec is not None and qa + qb >= qprec:
-                continue
-            square = a is b
-            a, cols_a = _below(a, None if qprec is None else qprec - qb)
-            b, cols_b = (a, cols_a) if square else _below(b, None if qprec is None else qprec - qa)
-            kept.append((a, b, cols_a, cols_b))
-        if not kept:
+        if qprec is not None and qa + qb >= qprec:
             return
-        boxes = []  # per product and axis: lowest and highest exponent, gcd
-        for a, b, cols_a, cols_b in kept:
-            box = []
-            for ca, cb in zip(cols_a, cols_b):
-                va, vb = set(ca), set(cb)
-                la, lb = min(va), min(vb)
-                g = gcd(*[v - la for v in va], *[v - lb for v in vb])
-                box.append((la + lb, max(va) + max(vb), g))
-            boxes.append(box)
+        square = a is b
+        a, cols_a = _below(a, None if qprec is None else qprec - qb)
+        b, cols_b = (a, cols_a) if square else _below(b, None if qprec is None else qprec - qa)
+        self.a, self.b, self.cols_a, self.cols_b = a, b, cols_a, cols_b
         self.lo, self.step, self.shape = [], [], []
-        for axis in zip(*boxes):
-            lo = min(lo for lo, _, _ in axis)
-            g = gcd(*[g for _, _, g in axis], *[v - lo for v, _, _ in axis]) or 1
-            self.lo.append(lo)
+        for ca, cb in zip(cols_a, cols_b):
+            va, vb = set(ca), set(cb)
+            la, lb = min(va), min(vb)
+            g = gcd(*[v - la for v in va], *[v - lb for v in vb]) or 1
+            self.lo.append(la + lb)
             self.step.append(g)
-            self.shape.append((max(hi for _, hi, _ in axis) - lo) // g + 1)
-        stride = [prod(self.shape[i + 1:]) for i in range(len(self.shape))]
-        self.spans = [(box[0][1] - box[0][0]) // self.step[0] + 1 for box in boxes]
-        self.offsets = [
-            sum((v - lo) // g * s for (v, _, _), lo, g, s in zip(box, self.lo, self.step, stride))
-            for box in boxes
-        ]
+            self.shape.append((max(va) + max(vb) - la - lb) // g + 1)
         self.rows = self.shape[0]
         if qprec is None:
-            self.pairs = sum(len(a) * len(b) for a, b, _, _ in kept)
+            self.pairs = len(a) * len(b)
         else:
             self.rows = min(self.rows, (qprec - self.lo[0] - 1) // self.step[0] + 1)
-            for a, b, cols_a, cols_b in kept:
-                qs = sorted(cols_b[0])
-                self.pairs += sum(
-                    n * bisect_left(qs, qprec - nq) for nq, n in Counter(cols_a[0]).items()
-                )
-        self.width = (_window_bound(kept, qprec).bit_length() + 2 + 7) // 8
+            qs = sorted(cols_b[0])
+            self.pairs = sum(
+                n * bisect_left(qs, qprec - nq) for nq, n in Counter(cols_a[0]).items()
+            )
+        self.width = (_window_bound(a, b, cols_a, cols_b, qprec).bit_length() + 2 + 7) // 8
 
     def pays(self):
         """The route rule: pack when the in-window pairs of the dict loop
         cost more than packing the terms, reading the window's slots and
-        the multiplications (each product's size in kB to the power
-        log2(3)), with a fixed cost per product.  Fitted on one product at
-        a time, by timing both routes on every Z product of a forms round,
-        a lifts round and verify all, in units of one dict-loop pair.
-        multiply stages little-endian words, so a big-endian host keeps the
-        dict loop."""
+        the multiplication (the product's size in kB to the power
+        log2(3)), with a fixed cost.  Fitted by timing both routes on every
+        Z product of a forms round, a lifts round and verify all, in units
+        of one dict-loop pair.  multiply stages little-endian words, so a
+        big-endian host keeps the dict loop."""
         if not self.pairs or sys.byteorder != "little":
             return False
         row = prod(self.shape[1:])
-        terms = sum(len(a) + len(b) for a, b, _, _ in self.quads)
-        kbytes = [span * row * self.width / 1000 for span in self.spans]
-        cost = 64 * len(self.quads) + 3 * terms + self.rows * row
-        return self.pairs > cost + sum(40 * k**1.585 for k in kbytes)
+        kbytes = self.shape[0] * row * self.width / 1000
+        cost = 64 + 3 * (len(self.a) + len(self.b)) + self.rows * row
+        return self.pairs > cost + 40 * kbytes**1.585
 
     def multiply(self):
-        """The sum's terms below qprec.
+        """The product's terms below qprec.
 
         Each operand is staged in array('Q'), one slot of ``words`` 64-bit
         limbs per grid point and one store per term, then narrowed to
-        width-byte slots by width strided byte copies; the sum is read
+        width-byte slots by width strided byte copies; the product is read
         back by the reverse copies."""
         if not self.pairs:
             return {}
@@ -655,29 +595,105 @@ class _Kronecker:
                         neg_bytes[i:i + wide] = (-c).to_bytes(wide, "little")
             return narrow(pos) - narrow(neg)
 
-        packed = 0
-        for (a, b, cols_a, cols_b), offset in zip(self.quads, self.offsets):
-            term = pack(a, cols_a)
-            term *= term if b is a else pack(b, cols_b)
-            packed += term << (8 * width * offset) if offset else term
-        # slot i holds d_i + half in [0, 2**(8 width)): read the window's slots
-        slots = self.rows * stride[0]
+        packed = pack(self.a, self.cols_a)
+        packed *= packed if self.b is self.a else pack(self.b, self.cols_b)
+        values = _read_slots(packed, self.rows * stride[0], width)
         half = 1 << (8 * width - 1)
-        zero = bytes(width - 1) + b"\x80"
-        packed += int.from_bytes(zero * slots, "little")
-        data = (packed & ((1 << (8 * width * slots)) - 1)).to_bytes(width * slots, "little")
-        staged = bytearray(wide * slots)
-        for j in range(width):
-            staged[j::wide] = data[j::width]
-        limbs = memoryview(staged).cast("Q").tolist()
-        values = limbs[::words]
-        for j in range(1, words):
-            values = [v | h << 64 * j for v, h in zip(values, limbs[j::words])]
         axes = [
             range(lo, lo + g * n, g)
             for lo, g, n in zip(self.lo, step, [self.rows] + self.shape[1:])
         ]
         return {key: v - half for key, v in zip(product(*axes), values) if v != half}
+
+
+def _read_slots(packed, slots, width):
+    """The first slots width-byte slots of packed, whose coefficients c
+    lie below 2**(8 width - 1) in absolute value, as the list of c + half,
+    half = 2**(8 width - 1): adding half to every slot leaves each in
+    [0, 2**(8 width)) with no borrow.  The slots are widened to whole
+    64-bit words by width strided byte copies."""
+    words = -(-width // 8)
+    wide = 8 * words
+    packed += int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+    data = (packed & ((1 << (8 * width * slots)) - 1)).to_bytes(width * slots, "little")
+    staged = bytearray(wide * slots)
+    for j in range(width):
+        staged[j::wide] = data[j::width]
+    limbs = memoryview(staged).cast("Q").tolist()
+    values = limbs[::words]
+    for j in range(1, words):
+        values = [v | h << 64 * j for v, h in zip(values, limbs[j::words])]
+    return values
+
+
+# ---- packed q-rows of Jacobi forms ----------------------------------------
+
+
+class _Rows:
+    """The first q-rows of a Jacobi form, one integer per row: row n of an
+    index-m form is its y-polynomial read from y**-(m + 2n) upward, at
+    y = 2**(8 width) for a slot width of width bytes.  Those origins add
+    under products and agree under sums, so the ring operations on rows
+    below the precision are those of the forms: a product row is a
+    schoolbook sum over the row pairs, and no row past the last is formed.
+    The layout holds the weak-form support 0 <= n, |l| <= m + 2n, which
+    every weak form of index m has (4mn - l**2 >= -m**2)."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    @staticmethod
+    def norms(terms, m, orders):
+        """The l1 norms of the rows n < orders of an index-m form given by
+        its terms {(24 n, 4 l): c}, or None when a term lies outside the
+        layout: n < 0, n >= orders or |l| > m + 2n."""
+        rows = [0] * orders
+        for (nq, ly), c in terms.items():
+            n = nq // 24
+            if n < 0 or n >= orders or abs(ly) > 4 * (m + 2 * n):
+                return None
+            rows[n] += abs(c)
+        return rows
+
+    @classmethod
+    def pack(cls, terms, m, orders, width):
+        """The rows n < orders of an index-m form given by its terms
+        {(24 n, 4 l): c}, each in the layout (``norms`` is not None)."""
+        rows = [0] * orders
+        bits = 8 * width
+        for (nq, ly), c in terms.items():
+            n = nq // 24
+            rows[n] += c << (bits * (ly // 4 + m + 2 * n))
+        return cls(rows)
+
+    def __add__(self, other):
+        return _Rows(list(map(add, self.rows, other.rows)))
+
+    def __mul__(self, other):
+        a = self.rows
+        if isinstance(other, int):
+            return _Rows([other * r for r in a])
+        b = other.rows
+        return _Rows([sum(map(mul, a[:k + 1], b[k::-1])) for k in range(len(a))])
+
+    __rmul__ = __mul__
+
+
+def _unpack_rows(rows, m, width):
+    """The terms {(24 n, 4 l): c} of packed rows of an index-m form whose
+    coefficients lie below 2**(8 width - 1) in absolute value.  The rows
+    are laid end to end, row n in its 2(m + 2n) + 1 slots, and read at
+    once."""
+    half = 1 << (8 * width - 1)
+    keys = [(24 * n, 4 * l) for n in range(len(rows)) for l in range(-m - 2 * n, m + 2 * n + 1)]
+    joined, start = 0, 0
+    for n, row in enumerate(rows):
+        joined += row << (8 * width * start)
+        start += 2 * (m + 2 * n) + 1
+    values = _read_slots(joined, start, width)
+    return {key: v - half for key, v in zip(keys, values) if v != half}
 
 
 # ---- serialization -----------------------------------------------------

@@ -1,5 +1,6 @@
 """Siegel lifts: exponential products, arithmetic sums, SQEG, Humbert data."""
 
+import re
 from fractions import Fraction
 from math import comb, isqrt
 
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jacobilift import lifts, series
-from jacobilift.errors import PrecisionError, ValidationError
+from jacobilift.errors import InexactDivisionError, PrecisionError, ValidationError
 from jacobilift.genus import K3, CYInvariants, elliptic_genus
-from jacobilift.jacobi import JacobiForm, generator, psi2_variant
+from jacobilift.jacobi import JacobiForm, generator, phi_threehalf, psi2_variant, q_rows, tminus_terms
 from jacobilift.lifts import (
     _clip,
     _divisor_char_sum,
@@ -322,39 +323,188 @@ def test_lifts_refuse_an_input_one_order_short():
         sqeg(elliptic_genus(K3, qprec=need - 24), qprec, pprec)
 
 
-def test_engine_makes_one_packed_sum_per_row(monkeypatch):
-    """exp_lift(phi01) at q,s <= 9: the recursion makes one mul_sum per row
-    H_M, packed from M = 2 on (H_1 is phi01 itself), and no Series product."""
+def fj_rows_oracle(form, sign, qprec, count):
+    """The Fourier-Jacobi rows H_0..H_count by the engine the packed rows
+    replaced: each T_-(k) image and each H_M a Series, each row's sum over
+    k a sum of Series products, divided by M exactly."""
+    half = form.index2 % 2
+    if half:
+        form = form.double_z()
+    nmax = (qprec - 1) // 24
+    by_order = q_rows(form.series, 24 * (count * nmax + 1))
+    rows = [Series(DEN2, {(0, 0): 1} if qprec > 0 else {}, qprec)]
+    images = []
+    for m in range(1, count + 1):
+        images.append(Series(DEN2, tminus_terms(by_order, m, nmax), qprec))
+        acc = Series(DEN2, {}, qprec)
+        for k in range(1, m + 1):
+            acc = acc + images[k - 1] * rows[m - k]
+        terms = {}
+        for key, c in acc.terms.items():
+            quot, rem = divmod(c, m)
+            if rem:
+                raise InexactDivisionError(f"row {m}: {c} at {key}")
+            terms[key] = sign * quot
+        rows.append(Series(DEN2, terms, qprec))
+    if half:
+        rows = [Series(DEN2, {(nq, ly // 2): c for (nq, ly), c in row.terms.items()}, qprec)
+                for row in rows]
+    return rows
+
+
+ORACLE_ORDERS = 5 * 4 + 1  # count 5 at qprec 97 reads 21 q-orders
+ORACLE_INPUTS = {
+    "K3": lambda: elliptic_genus(K3, qprec=24 * ORACLE_ORDERS),
+    "CY4(1,4,6,4,1)": lambda: elliptic_genus(CYInvariants(4, (1, 4, 6, 4, 1)),
+                                           qprec=24 * ORACLE_ORDERS),
+    "CY3(e=-200)": lambda: elliptic_genus(CYInvariants.from_euler(3, -200),
+                                        qprec=24 * ORACLE_ORDERS),
+    "phi_{0,3/2}": lambda: phi_threehalf(24 * ORACLE_ORDERS),
+}
+
+
+@given(st.sampled_from(sorted(ORACLE_INPUTS) + ["a phi02 + b psiA"]), st.integers(-3, 3),
+       st.integers(-3, 3), st.sampled_from([-1, 1]), st.integers(0, 5),
+       st.sampled_from([1, 24, 25, 73, 97]))
+@settings(max_examples=100, deadline=None)
+def test_packed_engine_equals_oracle(name, a, b, sign, count, qprec):
+    """On a phi02 + b psi_A, on K3, CY4 and CY3 genera and on phi_{0,3/2}
+    (the half-index path): the same rows, term for term, and the same
+    q-precision."""
+    if name in ORACLE_INPUTS:
+        form = ORACLE_INPUTS[name]()
+    else:
+        inq = 24 * ORACLE_ORDERS
+        form = JacobiForm(generator(2, inq).series.scale(a)
+                          + psi2_variant(2, inq, variant="A").series.scale(b), 0, 4)
+    got = lifts._fj_rows(form, sign, qprec, count)
+    assert got == fj_rows_oracle(form, sign, qprec, count)
+
+
+@pytest.mark.parametrize("kind", ["exp_lift(phi01)", "sqeg(K3)"])
+def test_packed_engine_equals_oracle_at_14(monkeypatch, kind):
+    """exp_lift(phi01) at q,s <= 14 and sqeg(K3) at q,p <= 14 equal the
+    same lifts on the oracle's rows, term for term."""
+    if kind == "sqeg(K3)":
+        qprec = pprec = 24 * 14 + 1
+        form = elliptic_genus(K3, qprec=_input_qprec(qprec, pprec))
+        lift = lambda: sqeg(form, qprec, pprec)  # noqa: E731
+    else:
+        qp, sp, inq = lift_window_for(generator(1, 24), 14, 14)
+        form = generator(1, inq)
+        lift = lambda: exp_lift(form, qp, sp).series  # noqa: E731
+    got = lift()
+    monkeypatch.setattr(lifts, "_fj_rows", fj_rows_oracle)
+    want = lift()
+    assert got.qprec == want.qprec and got.terms == want.terms
+
+
+def test_engine_packs_each_operand_once(monkeypatch):
+    """exp_lift(phi01) at q,s <= 9: the recursion makes no Series product
+    and no _Kronecker.  It packs each of the 9 images once, reads each
+    M H_M back once, packs each H_M with M < 9 once, and multiplies the
+    packed I_k by the packed H_(M-k) once for each M and k < M."""
     qp, sp, inq = lift_window_for(generator(1, 24), 9, 9)
     form = generator(1, inq)
-    sums, packed, products, inside = [], [], [], []
-    mul_sum, multiply, mul = lifts.mul_sum, series._Kronecker.multiply, Series.__mul__
-
-    def counted_sum(pairs, qprec, nvars):
-        sums.append(len(pairs))
-        inside.append(len(pairs))
-        try:
-            return mul_sum(pairs, qprec, nvars)
-        finally:
-            inside.pop()
-
-    def counted_multiply(self):
-        if inside:
-            packed.append((inside[-1], len(self.quads)))
-        return multiply(self)
-
-    monkeypatch.setattr(lifts, "mul_sum", counted_sum)
-    monkeypatch.setattr(series._Kronecker, "multiply", counted_multiply)
-    monkeypatch.setattr(Series, "__mul__", lambda a, b: products.append(1) or mul(a, b))
     nq, _, ms = _prefactor_key(form)
-    rows = lifts._fj_rows(form, -1, qp - nq, (sp - ms - 1) // 24)
-    assert len(rows) == 10 and sums == list(range(1, 10))
-    assert packed == [(m, m) for m in range(2, 10)]
-    assert products == []
-    sums.clear()
-    packed.clear()
-    exp_lift(form, qp, sp)
-    assert sums == list(range(1, 10)) and packed == [(m, m) for m in range(2, 10)]
+    count = (sp - ms - 1) // 24
+    packs, products, reads, series_products, kroneckers = [], [], [], [], []
+    pack, mul, unpack = series._Rows.pack.__func__, series._Rows.__mul__, lifts._unpack_rows
+    init, series_mul = series._Kronecker.__init__, Series.__mul__
+
+    def counted_pack(cls, terms, m, orders, width):
+        packs.append((m, pack(cls, terms, m, orders, width)))
+        return packs[-1][1]
+
+    def counted_mul(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(series._Rows, "pack", classmethod(counted_pack))
+    monkeypatch.setattr(series._Rows, "__mul__", counted_mul)
+    monkeypatch.setattr(lifts, "_unpack_rows",
+                        lambda rows, m, width: reads.append(m) or unpack(rows, m, width))
+    monkeypatch.setattr(series._Kronecker, "__init__",
+                        lambda self, *args: kroneckers.append(1) or init(self, *args))
+    monkeypatch.setattr(Series, "__mul__", lambda a, b: series_products.append(1) or series_mul(a, b))
+    rows = lifts._fj_rows(form, -1, qp - nq, count)
+    assert len(rows) == count + 1 == 10
+    assert series_products == [] and kroneckers == []
+    assert [m for m, _ in packs] == list(range(1, count + 1)) + list(range(1, count))
+    assert reads == list(range(1, count + 1))
+    images = [packed for _, packed in packs[:count]]
+    hs = [packed for _, packed in packs[count:]]  # H_1 .. H_(count-1)
+    engine = [(a, b) for a, b in products if any(a is image for image in images)]
+    assert [
+        ([i for i, image in enumerate(images) if a is image],
+         [j for j, h in enumerate(hs) if b is h])
+        for a, b in engine
+    ] == [([k - 1], [m - k - 1]) for m in range(2, count + 1) for k in range(1, m)]
+
+
+def plus_term(form, key, c):
+    """form with c q**(key[0]/24) y**(key[1]/4) added, kept as a form."""
+    terms = dict(form.series.terms)
+    terms[key] = terms.get(key, 0) + c
+    return JacobiForm(Series(DEN2, terms, form.series.qprec), form.weight2, form.index2)
+
+
+@pytest.mark.parametrize("key, c, name", [
+    ((24, 20), 1, "1 q^1 y^5"),  # l^2 = 25 > 4 + 1
+    ((48, 20), 1, "1 q^2 y^5"),  # |l| <= 1 + 2n, but l^2 = 25 > 8 + 1
+    ((48, -20), 1, "1 q^2 y^-5"),
+    ((24, 12), -2, "-2 q^1 y^3"),  # l^2 = 9 > 4 + 1
+    ((-24, 0), 1, "1 q^-1 y^0"),  # n < 0
+])
+def test_lifts_refuse_input_outside_the_weak_support(key, c, name):
+    qp, sp, inq = lift_window_for(generator(1, 24), 3, 3)
+    form = plus_term(generator(1, inq), key, c)
+    for run in (lambda: exp_lift(form, qp, sp), lambda: sqeg(form, 73, 73),
+                lambda: symmetric_product_genus(form, 2, 73)):
+        with pytest.raises(ValidationError, match=re.escape(f"term {name} lies outside the weak-form")):
+            run()
+
+
+@pytest.mark.parametrize("key, name", [
+    ((24, 18), "1 q^1 y^9"),  # y^(9/2) -> y^9: 81 > 4*6*1 + 36
+    ((96, 26), "1 q^4 y^13"),  # y^(13/2) -> y^13: |l| <= 6 + 8, but 169 > 4*6*4 + 36
+])
+def test_half_index_input_is_checked_after_z_doubling(key, name):
+    form = plus_term(phi_threehalf(24 * 10), key, 1)
+    with pytest.raises(ValidationError, match=re.escape(f"term {name} (z -> 2z) lies outside")):
+        sqeg(form, 49, 49)
+
+
+def test_inexact_row_names_the_row_and_the_key(monkeypatch):
+    """Every integral input in the weak support divides exactly (the
+    product formula has integral coefficients), so a fault stands in for
+    an inexact row: the T_-(2) image of phi01 with 1 added at q**0 y**0
+    makes that coefficient of 2 H_2 odd."""
+    tminus = lifts.tminus_terms
+
+    def faulty(rows, m, top=None):
+        terms = tminus(rows, m, top)
+        if m == 2:
+            terms[(0, 0)] = terms.get((0, 0), 0) + 1
+        return terms
+
+    monkeypatch.setattr(lifts, "tminus_terms", faulty)
+    form = generator(1, 24 * 10)
+    with pytest.raises(InexactDivisionError,
+                       match=re.escape("Fourier-Jacobi row 2: coefficient ") + r"-?\d+"
+                       + re.escape(" at (0, 0) is not divisible by 2")):
+        sqeg(form, 73, 73)
+
+
+def test_empty_p_window_and_negative_symmetric_power():
+    chi = elliptic_genus(K3, qprec=24 * 4)
+    for pprec in (0, -24):
+        z = sqeg(chi, 49, pprec)
+        assert z.terms == {} and z.qprec == 49
+    assert sqeg(chi, 49, 1).terms == {(0, 0, 0): 1}
+    assert symmetric_product_genus(chi, 0, 49).terms == {(0, 0): 1}
+    with pytest.raises(ValidationError, match="n >= 0"):
+        symmetric_product_genus(chi, -1, 49)
 
 
 def abc_exponents_fraction(form):

@@ -50,3 +50,23 @@ def test_imports_are_standard_library_only():
                 assert name.split(".")[0] in sys.stdlib_module_names, f"{path.name} imports {name}"
                 checked += 1
     assert checked > 10
+
+
+def test_int_byte_conversions_name_length_and_byteorder():
+    """Python 3.10 has no defaults for int.to_bytes(length, byteorder) and
+    int.from_bytes(bytes, byteorder): every call in the package passes
+    them, positionally or by keyword."""
+    params = {"to_bytes": ("length", "byteorder"), "from_bytes": ("bytes", "byteorder")}
+    checked = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            names = params.get(node.func.attr)
+            if names is None:
+                continue
+            given = set(names[:len(node.args)]) | {kw.arg for kw in node.keywords}
+            missing = [name for name in names if name not in given]
+            assert not missing, f"{path.name}:{node.lineno} {node.func.attr} lacks {missing}"
+            checked += 1
+    assert checked >= 4

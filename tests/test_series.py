@@ -13,7 +13,6 @@ from jacobilift.series import (
     _Kronecker,
     _min_prec,
     _mul_dict,
-    mul_sum,
     series_from_dict,
     series_to_dict,
 )
@@ -354,7 +353,7 @@ def both_routes(a, b, qprec):
     small, large = sorted((a, b), key=len)
     qs, ql = min(k[0] for k in small), min(k[0] for k in large)
     nvars = len(next(iter(a)))
-    packed = _Kronecker([(small, large, qs, ql)], qprec).multiply()
+    packed = _Kronecker(small, large, qs, ql, qprec).multiply()
     return packed, _mul_dict(small, large, qprec, nvars)
 
 
@@ -375,7 +374,7 @@ def test_packed_product_equals_dict_product(data):
     packed, plain = both_routes(a.terms, b.terms, window)
     assert packed == plain
     qa = min(k[0] for k in a.terms)
-    assert _Kronecker([(a.terms, a.terms, qa, qa)], window).multiply() == _mul_dict(
+    assert _Kronecker(a.terms, a.terms, qa, qa, window).multiply() == _mul_dict(
         a.terms, a.terms, window, nvars
     )
 
@@ -409,7 +408,7 @@ def test_packed_product_at_slot_widths_around_whole_words(width, sign, nvars, sq
     a = sized(width, sign, nvars)
     b = a if square else sized(width, sign, nvars, yoff=2)
     for qprec in (None, 49):
-        packing = _Kronecker([(a, b, 0, 0)], qprec)
+        packing = _Kronecker(a, b, 0, 0, qprec)
         assert packing.width == width
         assert packing.multiply() == _mul_dict(a, b, qprec, nvars)
 
@@ -422,7 +421,7 @@ def test_packed_product_slots_past_the_window_overflow_harmlessly(nvars):
     a = {(0, 0, 0): 1, (0, 4, 0): -3, (24, 0, 24): big, (24, 8, 0): -big}
     b = {(0, 2, 0): 5, (24, 2, 24): -big, (24, -2, 0): big - 1}
     a, b = ({k[:nvars]: c for k, c in t.items()} for t in (a, b))
-    packing = _Kronecker([(a, b, 0, 0)], 25)
+    packing = _Kronecker(a, b, 0, 0, 25)
     assert packing.width == 51
     assert packing.multiply() == _mul_dict(a, b, 25, nvars)
     assert packing.width < (max(map(abs, _mul_dict(a, b, None, nvars).values())).bit_length() + 2) // 8
@@ -431,7 +430,7 @@ def test_packed_product_slots_past_the_window_overflow_harmlessly(nvars):
 @pytest.mark.parametrize("c, d", [(3, -5), (-(2**70), -(2**70)), (2**63 - 1, 1), (-(2**69), 1)])
 def test_packed_product_of_one_slot(c, d):
     key = (24, 6)
-    assert _Kronecker([({key: c}, {key: d}, 24, 24)], None).multiply() == {(48, 12): c * d}
+    assert _Kronecker({key: c}, {key: d}, 24, 24, None).multiply() == {(48, 12): c * d}
 
 
 @pytest.mark.parametrize("small, large, qprec, route", [
@@ -452,7 +451,7 @@ def test_product_route_at_the_rule_boundary(monkeypatch, small, large, qprec, ro
     assert ("packed" if calls else "dict") == route
 
 
-# ---- packed sums of products against the dict loop ------------------------
+# ---- sums of products against the dict loop --------------------------------
 
 
 def dict_sum(pairs, qprec, nvars):
@@ -465,10 +464,33 @@ def dict_sum(pairs, qprec, nvars):
     return {key: c for key, c in out.items() if c}
 
 
+def series_sum(pairs, qprec, nvars):
+    """sum a*b over pairs below qprec by Series.__mul__ and Series addition:
+    each operand is cut where it stops reaching qprec, so each product
+    keeps qprec (a pair whose lowest terms meet at or past qprec adds
+    nothing below it)."""
+    den = DEN3 if nvars == 3 else DEN2
+    total = Series(den, {}, qprec)
+    for a, b in pairs:
+        if a and b:
+            qa, qb = min(a)[0], min(b)[0]
+            if qprec is None:
+                total = total + Series(den, a, None) * Series(den, b, None)
+            elif qa + qb < qprec:
+                total = total + Series(den, a, qprec - qb) * Series(den, b, qprec - qa)
+    return total.terms
+
+
 def packed_sum(pairs, qprec):
-    """The packed route for a sum, whatever the route rule says."""
-    quads = [(a, b, min(a)[0], min(b)[0]) for a, b in (sorted(p, key=len) for p in pairs) if a]
-    return _Kronecker(quads, qprec).multiply() if quads else {}
+    """The packed route for each product, whatever the route rule says,
+    added in a dict."""
+    out = {}
+    for a, b in pairs:
+        if a and b:
+            a, b = sorted((a, b), key=len)
+            for key, c in _Kronecker(a, b, min(a)[0], min(b)[0], qprec).multiply().items():
+                out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
 
 
 @given(st.data())
@@ -486,25 +508,25 @@ def test_packed_sum_equals_dict_products(data):
         pairs += [(a, {k: -c for k, c in b.items()}) for a, b in pairs]
     qprec = data.draw(st.one_of(st.none(), st.integers(-48, 300)))
     want = dict_sum(pairs, qprec, nvars)
-    assert mul_sum(pairs, qprec, nvars) == want
+    assert series_sum(pairs, qprec, nvars) == want
     assert packed_sum(pairs, qprec) == want
 
 
 @pytest.mark.parametrize("width", [7, 8, 9, 16, 17])
 @pytest.mark.parametrize("nvars", [2, 3])
 def test_packed_sum_at_slot_widths_with_offsets_apart_mod_4(width, nvars):
-    """A wide pair on y in 4Z and a narrow one on y in 4Z + 2 whose lowest
-    keys sit elsewhere: the sum's y-stride is 2, its width the wide
-    pair's."""
+    """A wide pair on y in 4Z and a narrow one whose operands sit on y in
+    4Z + 2 and 4Z, with lowest keys elsewhere: each product by
+    Series.__mul__ and by the packed route equals the dict loop, and the
+    sums cancel to nothing."""
     wide = (sized(width, 1, nvars), sized(width, -1, nvars))
     narrow = (grid(3, 5, -1, 2), grid(4, 2, 3))
     if nvars == 3:
         narrow = tuple({k + (24,): c for k, c in t.items()} for t in narrow)
     pairs = [wide, narrow]
     for qprec in (None, 49):
-        quads = [(a, b, min(a)[0], min(b)[0]) for a, b in pairs]
-        packing = _Kronecker(quads, qprec)
-        assert packing.width == width and packing.step[1] == 2
-        assert packing.multiply() == dict_sum(pairs, qprec, nvars)
+        assert _Kronecker(*wide, 0, 0, qprec).width == width
+        want = dict_sum(pairs, qprec, nvars)
+        assert series_sum(pairs, qprec, nvars) == want == packed_sum(pairs, qprec)
         cancel = pairs + [(a, {k: -c for k, c in b.items()}) for a, b in pairs]
-        assert packed_sum(cancel, qprec) == {} == mul_sum(cancel, qprec, nvars)
+        assert series_sum(cancel, qprec, nvars) == {} == packed_sum(cancel, qprec)
