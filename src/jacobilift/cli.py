@@ -155,7 +155,13 @@ def _emit(args, text_fn, json_obj):
         else text_fn()
     )
     if args.out:
-        with open(args.out, "w") as fh:
+        # only the open is an input error: a failed write to standard
+        # output (BrokenPipeError is an OSError too) must reach main
+        try:
+            fh = open(args.out, "w")
+        except OSError as exc:
+            raise ValidationError(f"cannot write --out {args.out}: {exc.strerror}") from exc
+        with fh:
             fh.write(out + "\n")
     else:
         print(out)

@@ -110,9 +110,8 @@ class GeneratorPolynomial:
 
         Four JacobiForms go to jacobi.evaluate_packed, which runs the same
         Horner on packed q-rows when it applies (weak forms of integral
-        index at few enough q-orders) and gives the same form.  The package
-        evaluates at the generators themselves through
-        jacobi.polynomial_form, which reuses stored monomials."""
+        index at few enough q-orders) and gives the same form.
+        jacobi.polynomial_form takes this route at the generators."""
         if not self.terms:
             return None
         from .jacobi import JacobiForm, evaluate_packed  # jacobi imports this module

@@ -199,12 +199,13 @@ PACKED_MAX_ORDERS = 24
 
 
 def evaluate_packed(poly, values):
-    """poly(values) for a GeneratorPolynomial and four JacobiForms, by the
-    nested Horner of GeneratorPolynomial.evaluate on packed q-rows
-    (``_Rows``): the form, precision and polynomial that Horner on the
-    forms gives, with no Series product.  One slot width serves the whole
-    evaluation: the polynomial's |coefficients| applied to the values'
-    per-row l1 norms bound the l1 norm of every row of the result.
+    """poly(values) for a GeneratorPolynomial and four JacobiForms (None
+    for one poly does not use), by the nested Horner of
+    GeneratorPolynomial.evaluate on packed q-rows (``_Rows``): the form,
+    precision and polynomial that Horner on the forms gives, with no Series
+    product.  One slot width serves the whole evaluation: the same Horner
+    of the polynomial's |coefficients| on the values' per-row l1 norms
+    bounds the l1 norm of every row of the result.
 
     Returns None, leaving the evaluation to Horner on the forms, unless
     the polynomial is nonconstant with one weight and index in every
@@ -239,32 +240,18 @@ def evaluate_packed(poly, values):
         norms[i] = rows = _Rows.norms(form.series.terms, form.index2 // 2, orders)
         if not rows or not rows[0]:
             return None
-    width = (_row_bound(terms, norms, orders).bit_length() + 8) // 8  # bytes, with a sign bit
+    size = {k: abs(c) for k, c in terms.items()}
+    bound = max(_horner(size, [None if rows is None else _Rows(rows) for rows in norms]).rows)
+    width = (bound.bit_length() + 8) // 8  # bytes, with a sign bit
     packed = [None] * 4
     for i in used:
         packed[i] = _Rows.pack(values[i].series.terms, values[i].index2 // 2, orders, width)
     (weight2, index2), = types
     series_terms = _unpack_rows(_horner(terms, packed).rows, index2 // 2, width)
-    polys = [v.poly for v in values]
+    polys = [None if v is None else v.poly for v in values]
     result_poly = None if any(polys[i] is None for i in used) else _horner(terms, polys)
     series = Series(DEN2, series_terms, qprec, _clean=True)
     return JacobiForm._trusted(series, weight2, index2, result_poly)
-
-
-def _row_bound(terms, norms, orders):
-    """The largest of the first q-rows of |poly|(norms), poly given by its
-    terms and norms[i] listing the nonnegative row values of value i (None
-    when unused).  The series are packed one row per slot of b bits and
-    evaluated as integers; b comes from |poly| at the norms' sums, which
-    bounds every coefficient of the untruncated product."""
-    size = {k: abs(c) for k, c in terms.items()}
-    b = _horner(size, [None if rows is None else sum(rows) for rows in norms]).bit_length()
-    total = _horner(size, [
-        None if rows is None else sum(v << (b * n) for n, v in enumerate(rows))
-        for rows in norms
-    ])
-    mask = (1 << b) - 1
-    return max((total >> (b * n)) & mask for n in range(orders))
 
 
 # ---- theta functions and generators -------------------------------------
@@ -468,34 +455,22 @@ def generator(m, qprec):
     raise ValidationError(f"no canonical generator of index {m}")
 
 
-@_form_store
-def generator_monomial(e1, e2, e3, e4, qprec):
-    """The monomial phi01**e1 phi02**e2 phi03**e3 phi04**e4: its parent
-    monomial, with one fewer of its last generator, times that generator."""
-    exps = [e1, e2, e3, e4]
-    if min(exps) < 0:
-        raise ValidationError(f"bad generator exponent tuple {tuple(exps)}")
-    if not any(exps):
-        return unit_form(qprec)
-    last = max(i for i, e in enumerate(exps) if e)
-    exps[last] -= 1
-    gen = generator(last + 1, qprec)
-    return generator_monomial(*exps, qprec) * gen if any(exps) else gen
-
-
 def polynomial_form(poly, qprec):
     """The weight-0 form poly(phi01, ..., phi04) at qprec, whose ``poly``
-    is poly: one integer combination of the stored generator monomials,
-    summed in one pass.  poly must be nonzero and index-homogeneous.
-    GeneratorPolynomial.evaluate (nested Horner) gives the same form and
-    stores nothing."""
+    is poly, which must be nonzero and index-homogeneous.  It is the nested
+    Horner of GeneratorPolynomial.evaluate at the generators poly uses, no
+    other one built: on packed q-rows when evaluate_packed takes it, on the
+    forms otherwise.  The values carry no polynomial, so none is rebuilt."""
     index = poly.index()
-    terms = {}
-    for key, coeff in poly.terms.items():
-        for k, c in generator_monomial(*key, qprec).series.terms.items():
-            terms[k] = terms.get(k, 0) + coeff * c
-    series = Series(DEN2, {k: c for k, c in terms.items() if c}, qprec, _clean=True)
-    return JacobiForm._trusted(series, 0, 2 * index, poly)
+    if not index:
+        return unit_form(qprec) * poly.terms[(0, 0, 0, 0)]
+    used = {i for key in poly.terms for i, e in enumerate(key) if e}
+    values = tuple(
+        JacobiForm._trusted(generator(i + 1, qprec).series, 0, 2 * i + 2) if i in used else None
+        for i in range(4)
+    )
+    form = evaluate_packed(poly, values) or _horner(poly.terms, values)
+    return JacobiForm._trusted(form.series, 0, 2 * index, poly)
 
 
 # ---- the canonical basis (weight 0, integral index) ----------------------
@@ -577,10 +552,11 @@ def _psi_raw(m, n, qprec):
         return _psi1_raw(m, qprec)
     if n == 2:
         return _psi2_raw(m, qprec)
+    phi1 = GeneratorPolynomial.generator(1)
     if n == m:
-        return generator_monomial(m, 0, 0, 0, qprec)
+        return polynomial_form(phi1 ** m, qprec)
     if n == m - 1:
-        return generator_monomial(m - 2, 1, 0, 0, qprec)
+        return polynomial_form(phi1 ** (m - 2) * GeneratorPolynomial.generator(2), qprec)
     return generator(3, qprec) * basis_psi(m - 3, n - 1, qprec)
 
 

@@ -332,6 +332,31 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["weight2"] == 0
 
 
+OUT_ARGS = {
+    "expand": ["expand", "Phi1", "--qmax", "1"],
+    "genus": ["genus", "--d", "2", "--chi", "2,-20,2", "--qmax", "1"],
+    "lift": ["lift", "arith", "--name", "Delta2", "--bound", "1"],
+    "verify": ["verify", "hecke"],
+}
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("command", sorted(OUT_ARGS))
+def test_unwritable_out_is_an_input_error(tmp_path, capsys, command, as_json):
+    """--out into a directory that does not exist exits 2 and names the
+    path, as text or as a JSON error, with no traceback."""
+    target = str(tmp_path / "missing" / "out")
+    argv = OUT_ARGS[command] + ["--out", target] + ["--json"] * as_json
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    if as_json:
+        data = json.loads(out)
+        assert err == "" and data["error"] == "input" and data["exit"] == 2
+        assert f"cannot write --out {target}" in data["message"]
+    else:
+        assert out == "" and err.startswith(f"error: cannot write --out {target}")
+
+
 @pytest.mark.parametrize("argv, kind, code, says", [
     (["expand", "Phi1*Phi9", "--json"], "input", 2, "Phi9"),
     (["expand", "Phi1", "--json", "--bogus"], "input", 2, "unrecognized arguments: --bogus"),

@@ -20,7 +20,6 @@ from jacobilift.jacobi import (
     divide_by_xi06,
     evaluate_packed,
     generator,
-    generator_monomial,
     hecke_t0_2,
     hecke_tminus,
     linear_residuals,
@@ -43,7 +42,7 @@ from jacobilift.verify import ALPHA_COEFFS, GOLDEN_Q0_ROWS, GOLDEN_Q1_ROWS, rand
 
 QP = 24 * 6
 GENERATOR_INDICES = (1, 2, 3, 4, 6, 8, 12)
-STORED = (phi_threehalf, phi_weak_weight_minus1, xi06, generator, basis_psi, generator_monomial)
+STORED = (phi_threehalf, phi_weak_weight_minus1, xi06, generator, basis_psi)
 
 
 def clear_stores():
@@ -178,7 +177,6 @@ def test_generator_lower_after_higher_is_fresh(m):
 
 @pytest.mark.parametrize("stored, key", [
     (basis_psi, (5, 1)), (basis_psi, (7, 4)), (basis_psi, (12, 12)), (xi06, ()),
-    (generator_monomial, (2, 1, 0, 1)),
 ])
 def test_store_lower_after_higher_is_fresh(stored, key):
     lo, hi = 24 * 2 + 6, 24 * 5
@@ -204,7 +202,7 @@ def test_store_keeps_one_form_per_key():
 
 @pytest.mark.parametrize("stored, key", [
     (generator, (1,)), (basis_psi, (3, 1)), (xi06, ()), (phi_threehalf, ()),
-    (phi_weak_weight_minus1, ()), (generator_monomial, (1, 0, 1, 0)),
+    (phi_weak_weight_minus1, ()),
 ])
 def test_store_refuses_exact_precision(stored, key):
     with pytest.raises(ValidationError, match="infinite series"):
@@ -214,7 +212,7 @@ def test_store_refuses_exact_precision(stored, key):
 STORED_KEYS = [
     (phi_threehalf, ()), (phi_weak_weight_minus1, ()), (xi06, ()),
     *((generator, (m,)) for m in (1, 2, 3, 4, 6, 8, 12)),
-    (generator_monomial, (0, 0, 0, 0)), (generator_monomial, (2, 1, 0, 1)),
+    (basis_psi, (4, 3)), (basis_psi, (5, 4)),  # phi01**(m - 2) phi02, reduced
     *((basis_psi, (m, n)) for m, n in ((1, 1), (5, 1), (5, 3), (6, 2), (12, 7), (12, 12))),
 ]
 
@@ -538,45 +536,47 @@ def test_evaluate_walk_equals_per_monomial_evaluation_on_integers(poly, values):
     assert poly.evaluate(values) == evaluate_per_monomial(poly, values)
 
 
-@given(phi_polynomial(homogeneous=True), st.integers(1, 72), st.integers(73, 24 * 5),
-       st.booleans())
-@settings(max_examples=60, deadline=None)
-def test_polynomial_form_equals_evaluate(poly, lo, hi, grow):
-    """polynomial_form agrees with Horner evaluation whether the stored
-    monomials grow (lo, then hi) or are truncated (hi, then lo)."""
-    generator_monomial.store.clear()
-    for qp in (lo, hi) if grow else (hi, lo):
-        want = poly.evaluate(tuple(generator(i, qp) for i in (1, 2, 3, 4)))
-        if want is None:  # the empty polynomial has no index
-            with pytest.raises(ValidationError, match="zero polynomial has no index"):
-                polynomial_form(poly, qp)
-            continue
-        if isinstance(want, int):  # a constant
-            want = unit_form(qp) * want
-        got = polynomial_form(poly, qp)
-        assert got.series == want.series and got.poly == want.poly == poly
-        assert (got.weight2, got.index2) == (want.weight2, want.index2)
+@st.composite
+def phi_polynomial_leaving_generators_unused(draw):
+    """A homogeneous phi_polynomial with the monomials of a random set of
+    generators dropped: sometimes a constant, sometimes empty."""
+    poly = draw(phi_polynomial(homogeneous=True))
+    unused = draw(st.sets(st.integers(0, 3), max_size=3))
+    return GeneratorPolynomial._trusted(
+        {key: c for key, c in poly.terms.items() if not any(key[i] for i in unused)}
+    )
 
 
-def test_polynomial_form_reuses_stored_monomials():
-    """One product per monomial prefix not yet stored, and none for a
-    second polynomial over stored monomials, at or below their precision."""
-    first = parse_generator_polynomial("Phi1^2*Phi2 - 3*Phi2^2 + Phi1*Phi3")
-    second = parse_generator_polynomial("5*Phi2^2 - Phi1^2*Phi2 + 2*Phi1^4")
-    generator_monomial.store.clear()
-    for i in (1, 2, 3, 4):
-        generator(i, 72)
-    for qp in (72, 48):
-        with counted_products() as products:
-            polynomial_form(first, qp)
-        assert len(products) == (degree_two_prefixes(first) if qp == 72 else 0)
-    with counted_products() as products:
-        polynomial_form(second, 72)  # only Phi1^3 and Phi1^4 are new
-    assert len(products) == 2
-    with counted_products() as products:
-        polynomial_form(second, 72)
-        polynomial_form(second, 50)
-    assert not products
+@given(phi_polynomial_leaving_generators_unused(),
+       st.sampled_from((1, 47, 72, 24 * PACKED_MAX_ORDERS, 24 * PACKED_MAX_ORDERS + 1)))
+@settings(max_examples=40, deadline=None)
+def test_polynomial_form_equals_evaluate(poly, qp):
+    """polynomial_form, on packed q-rows up to PACKED_MAX_ORDERS whole
+    orders and on the forms above, equals each monomial built from the
+    generators and summed."""
+    gens = tuple(generator(i, qp) for i in (1, 2, 3, 4))
+    want = evaluate_per_monomial(poly, gens)
+    if want is None:  # the empty polynomial has no index
+        with pytest.raises(ValidationError, match="zero polynomial has no index"):
+            polynomial_form(poly, qp)
+        return
+    if isinstance(want, int):  # a constant
+        want = unit_form(qp) * want
+    got = polynomial_form(poly, qp)
+    assert got.series == want.series and got.poly == poly
+    assert (got.weight2, got.index2) == (want.weight2, want.index2)
+
+
+@pytest.mark.parametrize("qp", [24 * 16, 24 * (PACKED_MAX_ORDERS + 1)])
+def test_polynomial_form_builds_only_the_generators_it_uses(qp):
+    """psi_A = Phi1^2 - 20 Phi2 from cold stores builds phi01 and phi02 only,
+    and the form carries the polynomial it was given, unchanged."""
+    poly = parse_generator_polynomial("Phi1^2 - 20*Phi2")
+    terms = dict(poly.terms)
+    clear_stores()
+    form = polynomial_form(poly, qp)
+    assert sorted(generator.store) == [(1,), (2,)]
+    assert form.poly is poly and poly.terms == terms
 
 
 # ---- evaluation on packed q-rows --------------------------------------------
