@@ -22,7 +22,7 @@ from .series import DEN2, Series, _Rows, _unpack_rows
 class JacobiForm:
     """A weak Jacobi form given by its exact truncated Fourier expansion."""
 
-    __slots__ = ("series", "weight2", "index2", "poly")
+    __slots__ = ("series", "weight2", "index2", "poly", "_table")
 
     def __init__(self, series, weight2, index2, poly=None):
         if series.den != DEN2:
@@ -39,6 +39,7 @@ class JacobiForm:
         self.weight2 = weight2
         self.index2 = index2
         self.poly = poly
+        self._table = None
 
     @classmethod
     def _trusted(cls, series, weight2, index2, poly=None):
@@ -46,6 +47,7 @@ class JacobiForm:
         negation, scaling, truncation), whose keys need no re-check."""
         form = object.__new__(cls)
         form.series, form.weight2, form.index2, form.poly = series, weight2, index2, poly
+        form._table = None
         return form
 
     # ---- queries --------------------------------------------------------
@@ -74,6 +76,12 @@ class JacobiForm:
     def q_row(self, n):
         """The q**n row as a dict {l4: coeff}."""
         return {k[1]: c for k, c in self.series.q_slice(24 * n)}
+
+    def theta_table(self):
+        """The form's ``ThetaTable``, built on first use; forms do not change."""
+        if self._table is None:
+            self._table = ThetaTable(self)
+        return self._table
 
     def __repr__(self):
         return (
@@ -591,137 +599,129 @@ def basis_psi(m, n, qprec):
     return current
 
 
-# ---- Hecke operators -------------------------------------------------------
+# ---- the theta decomposition and Hecke operators ---------------------------
+
+
+class ThetaTable:
+    """A Jacobi form of index t by class: c(n, l) depends only on
+    D = 4tn - l**2 and on l mod 2t (Eichler-Zagier, Thm 2.2), so ``classes``
+    maps (D, l mod 2t) -> c.  The one statement of that reduction, built
+    once per form (``JacobiForm.theta_table``) from all of its terms.
+    * Domain: index t >= 1 and a finite precision of ``orders`` = P whole
+      q-orders, else ValidationError.  A half-integral index h is read as
+      phi(tau, 2z), of index 4h, terms named with the marker (z -> 2z).
+    * Support: a term with n < 0 or D < -t**2 is a ValidationError naming it.
+    * Consistency: two terms of one class with different coefficients are a
+      ValidationError naming both.
+    * Determined classes: with r0 = l mod 2t in (-t, t], class (D, l) sits
+      at q-order n0 = (D + r0**2)/4t and is known when n0 < P; ``coeff``
+      past that raises PrecisionError naming the class, the needed q-order
+      and the available one.  A class with D != -l**2 mod 4t, or n0 < 0, is 0.
+    * Images: f|T_-(m) at (N, L) is the sum over a | (N, L, m) of
+      (m/a) C((4tmN - L**2)/a**2, (L/a) mod 2t) (``tminus``)."""
+
+    __slots__ = ("t", "orders", "classes")
+
+    def __init__(self, form):
+        half = form.index2 % 2
+        t = 2 * form.index2 if half else form.index2 // 2
+        orders = form.qprec_orders()
+        if t < 1 or orders is None:
+            raise ValidationError("a theta decomposition needs a positive index and a finite "
+                                  f"q-precision (Jacobi forms are infinite series), got {form!r}")
+        unit, marker = (2, " (z -> 2z)") if half else (4, "")  # ly per unit of l
+        self.t, self.orders, self.classes = t, orders, {}
+        classes, first = self.classes, {}  # first: class -> its first term (n, l)
+        t4, t2, floor = 4 * t, 2 * t, -t * t
+        for (nq, ly), c in form.series.terms.items():
+            n, l = nq // 24, ly // unit
+            d = t4 * n - l * l
+            if n < 0 or d < floor:
+                raise ValidationError(f"input term {c} q^{n} y^{l}{marker} lies outside the "
+                                      f"weak-form support n >= 0, l^2 <= 4*{t}*n + {t}^2")
+            key = (d, l % t2)
+            known = classes.get(key)
+            if known is None:
+                classes[key], first[key] = c, (n, l)
+            elif known != c:
+                raise ValidationError(
+                    f"input terms {known} q^{first[key][0]} y^{first[key][1]} and {c} q^{n} y^{l}"
+                    f"{marker} differ in the class (D, l mod {t2}) = {key}, on which a "
+                    f"Jacobi form of index {t} is constant")
+
+    def coeff(self, d, l):
+        """The coefficient of class (d, l mod 2t)."""
+        t = self.t
+        r0 = (l + t - 1) % (2 * t) - t + 1
+        n0, rest = divmod(d + r0 * r0, 4 * t)
+        if rest or n0 < 0:
+            return 0
+        if n0 >= self.orders:
+            raise PrecisionError(f"class (D, l mod {2 * t}) = ({d}, {l % (2 * t)}) sits at q-order "
+                                 f"{n0}, which reads {n0 + 1} q-orders of the input form; it has "
+                                 f"{self.orders}")
+        return self.classes.get((d, l % (2 * t)), 0)
+
+    def tminus(self, m, top):
+        """The terms {(24N, 4L): c} of f|T_-(m) at q-orders N <= top.  Part a
+        at (a*n, a*l) reads class (4t(m/a)n - l**2, l), 0 unless
+        l**2 <= 4t(m/a)n + t**2, and (4tm*top, 0) sits furthest, at m*top."""
+        t, t2, classes = self.t, 2 * self.t, self.classes
+        if top >= 0:
+            self.coeff(4 * t * m * top, 0)  # PrecisionError past the input
+        out = {}
+        for a in (a for a in range(1, m + 1) if m % a == 0):
+            w = m // a
+            for n in range(top // a + 1):
+                d = 4 * t * w * n
+                bound = isqrt(d + t * t)
+                for l in range(-bound, bound + 1):
+                    c = classes.get((d - l * l, l % t2))
+                    if c:
+                        key = (24 * a * n, 4 * a * l)
+                        out[key] = out.get(key, 0) + w * c
+        return {key: c for key, c in out.items() if c}
 
 
 def hecke_tminus(form, m):
     """The index-raising Hecke operator T_-(m) on weight-0 integral-index
-    forms, on every q-order its input determines (``tminus_terms``)."""
+    forms, on every q-order its input determines: (P - 1)//m + 1 of the
+    input's P (``ThetaTable.tminus``)."""
     if form.weight2 != 0 or form.index2 % 2:
         raise ValidationError("T_-(m) needs a weight-0 form of integral index")
     if m < 1:
         raise ValidationError("Hecke parameter must be positive")
-    orders_in = form.qprec_orders()
-    top = None if orders_in is None else (orders_in - 1) // m
-    terms = tminus_terms(q_rows(form.series), m, top)
-    qprec = None if top is None else 24 * (top + 1)
-    series = Series(DEN2, terms, qprec, _clean=True)
+    table = form.theta_table()
+    top = (table.orders - 1) // m
+    series = Series(DEN2, table.tminus(m, top), 24 * (top + 1), _clean=True)
     return JacobiForm(series, 0, form.index2 * m, None)
-
-
-def q_rows(series, qprec=None):
-    """The terms of a series on whole q-orders below qprec (None: all)
-    grouped by q-order: {n: [(ly, c), ...]}."""
-    rows = {}
-    for (nq, ly), c in series.terms.items():
-        if qprec is None or nq < qprec:
-            rows.setdefault(nq // 24, []).append((ly, c))
-    return rows
-
-
-def tminus_terms(rows, m, top=None):
-    """The terms of f|T_-(m) at q-orders N <= top (all when top is None),
-    f given by its q-rows (``q_rows``): f|T_-(m) has coefficients sum over
-    a | (N, l, m) of (m/a) * f(N*m/a**2, l/a).  So row N sums, over a | m
-    with a | N and a**2 | N*m, (m/a) * c at y**(a*l) for c*y**l in row
-    N*m/a**2 of f, and no other row of f is read.  Input row n reaches
-    output row n*a**2/m exactly when m | n*a."""
-    divisors = [a for a in range(1, m + 1) if m % a == 0]
-    orders = sorted({n * a * a // m for n in rows for a in divisors if n * a % m == 0})
-    out = {}
-    for big_n in orders:
-        if top is not None and big_n > top:
-            break
-        nq = 24 * big_n
-        parts = []
-        for a in divisors:
-            if big_n % a == 0 and big_n * m % (a * a) == 0:
-                row = rows.get(big_n * m // (a * a))
-                if row:
-                    parts.append((a, m // a, row))
-        if len(parts) == 1:
-            a, w, row = parts[0]
-            out.update({(nq, a * ly): w * c for ly, c in row})
-            continue
-        acc = {}
-        for a, w, row in parts:
-            for ly, c in row:
-                key = (nq, a * ly)
-                acc[key] = acc.get(key, 0) + w * c
-        out.update({k: c for k, c in acc.items() if c})
-    return out
-
-
-def norm_table(form):
-    """Map norm 4*t*n - l**2 -> coefficient, for a norm-determined form.
-
-    Valid for weight-0 forms of prime (or 1) index, where the coefficient
-    depends only on the norm.  Consistency across representatives is
-    enforced.
-    """
-    t2 = form.index2
-    table = {}
-    for (nq, ly), c in form.series.terms.items():
-        n = nq // 24
-        norm = 2 * t2 * n - (ly // 4) ** 2  # = 4*t*n - l**2 for integral index
-        if norm in table and table[norm] != c:
-            raise ValidationError(
-                f"form is not norm-determined: norm {norm} has two values"
-            )
-        table[norm] = c
-    return table
-
-
-def _norm_rep_order(norm, t):
-    """Smallest q-order holding a representative of the given norm at index t,
-    or None when the norm is not represented."""
-    for l in range(0, 2 * t):
-        if (norm + l * l) % (4 * t) == 0:
-            n = (norm + l * l) // (4 * t)
-            if n >= 0:
-                return n
-    return None
 
 
 def hecke_t0_2(form):
     """The index-preserving operator T_0(2) on index-2 weight-0 forms,
     acting on norm-indexed coefficients by
-    g2(N) = 8 g(4N) + 2 (-N/2) g(N) + g(N/4)."""
+    g2(N) = 8 g(4N) + 2 (-N/2) g(N) + g(N/4), g read from the form's
+    ``ThetaTable`` (at index 2, D = 0, 4, 7 mod 8 fix l = 0, 2, +-1 mod 4,
+    and no other D is a norm), on the (P - 1)//4 + 1 q-orders n whose
+    g(32n) the input's P determine."""
     if form.weight2 != 0 or form.index2 != 4:
         raise ValidationError("T_0(2) is implemented for weight 0, index 2")
-    table = norm_table(form)
-    orders_in = form.qprec_orders()
+    table = form.theta_table()
 
-    def g(x):
-        if x != int(x):
-            return 0
-        x = int(x)
-        rep = _norm_rep_order(x, 2)
-        if rep is None:
-            return 0
-        if rep >= orders_in:
-            raise PrecisionError(f"need q-order {rep} for norm {x}")
-        return table.get(x, 0)
+    def g(norm):
+        return table.coeff(norm, (0, 0, 0, 0, 2, 0, 0, 1)[norm % 8])
 
-    orders_out = 0
-    while True:
-        worst = _norm_rep_order(4 * (8 * orders_out), 2)
-        if worst is None or worst >= orders_in:
-            break
-        orders_out += 1
-    if orders_out == 0:
+    orders_out = (table.orders - 1) // 4 + 1
+    if orders_out <= 0:
         raise PrecisionError("input precision too small for T_0(2)")
     out = {}
     for n in range(orders_out):
-        for l in range(-isqrt(8 * n + 4) - 2, isqrt(8 * n + 4) + 3):
+        bound = isqrt(8 * n + 4)  # norm >= -4
+        for l in range(-bound, bound + 1):
             norm = 8 * n - l * l
-            if norm < -4:
-                continue
-            val = (
-                8 * g(4 * norm)
-                + 2 * kronecker(-norm, 2) * g(norm)
-                + g(Fraction(norm, 4))
-            )
+            val = 8 * g(4 * norm) + 2 * kronecker(-norm, 2) * g(norm)
+            if norm % 4 == 0:
+                val += g(norm // 4)
             if val:
                 out[(24 * n, 4 * l)] = val
     series = Series(DEN2, out, 24 * orders_out, _clean=True)

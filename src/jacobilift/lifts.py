@@ -16,12 +16,13 @@ product of phi, satisfy
 with the sign flipped (Dijkgraaf-Moore-Verlinde-Verlinde).  The division
 by M is exact over Z and every H_M is a finite y-polynomial at each
 q-order.  The engine does only the work its q-window keeps: each T_-(k)
-image is read from the input rows n*k/a**2 of the window's rows n, and
-the recursion runs on packed q-rows (``series._Rows``), one integer per
+image is read, on the window's rows only, from the input's
+theta-decomposition table (``jacobi.ThetaTable``: c(n, l) by
+D = 4tn - l**2 and l mod 2t), which each form builds once, and the
+recursion runs on packed q-rows (``series._Rows``), one integer per
 q-row, with each image and each H_M packed once.  That layout holds the
-weak-form support n >= 0, l**2 <= 4tn + t**2, so an input term outside
-it is refused.  The s**0
-part F_0 of the lift is the theta block
+weak-form support n >= 0, l**2 <= 4tn + t**2, and the table refuses an
+input term outside it.  The s**0 part F_0 of the lift is the theta block
 eta^(c(0,0) - sum_{l>0} c(0,l)) prod_{l>0} theta(tau, l z)^c(0,l)
 (Gritsenko-Nikulin), and the Hodge anomaly is one too; ``theta_block``
 builds both.  A negative theta power has unbounded y-support, so the
@@ -36,7 +37,7 @@ from math import gcd, inf, isqrt
 
 from .errors import IdentityError, InexactDivisionError, PrecisionError, ValidationError
 from .genus import elliptic_genus
-from .jacobi import generator, psi2_variant, q_rows, theta_jacobi, tminus_terms
+from .jacobi import generator, psi2_variant, theta_jacobi
 from .modular import euler_product, kronecker
 from .series import DEN2, DEN3, Series, _Rows, _unpack_rows, series_to_dict
 
@@ -290,47 +291,31 @@ def _fj_rows(form, sign, qprec, count):
         H_0 = 1,    H_M = (sign/M) sum_{k=1..M} (form|T_-(k)) H_{M-k}
 
     Only the q-orders n <= nmax = (qprec - 1)//24 are computed, on packed
-    q-rows (``series._Rows``).  T_-(k) is read from the input rows
-    n*k/a**2 (``jacobi.tminus_terms``), so the input must reach q-order
-    k*nmax, else PrecisionError.  Each image I_k, of index tk, is packed
-    once; M H_M, the schoolbook sum of the row products I_k H_{M-k}, is
-    read back once, divided by M exactly coefficient by coefficient (else
+    q-rows (``series._Rows``).  Each image I_k is read from the form's
+    ``jacobi.ThetaTable``, built once per form; its furthest class sits at
+    q-order k*nmax, so the input must reach that q-order, else
+    PrecisionError.  Each I_k, of index tk, is packed once; M H_M, the
+    schoolbook sum of the row products I_k H_{M-k}, is read back once,
+    divided by M exactly coefficient by coefficient (else
     InexactDivisionError naming the row and the key), and H_M is packed
     once.  One slot width serves the recursion: the images' per-row l1
     norms, carried through the same recursion, bound every M H_M.
 
-    An input term the lift reads outside the weak-form support n >= 0,
-    l**2 <= 4tn + t**2 of index t is a ValidationError.  T_-(k) keeps that
+    The table refuses an input term outside the weak-form support n >= 0,
+    l**2 <= 4tn + t**2 of index t, and two terms of one class with
+    different coefficients, with ValidationError.  T_-(k) keeps that
     support at index tk (4tkN - (al)**2 >= -(at)**2 >= -(tk)**2 for a | k),
     which puts every image in the layout |l| <= tk + 2N; products stay in
-    it.  A half-integral index is lifted to an integral one by z -> 2z,
-    and the y-exponents are halved back at the end."""
-    half = form.index2 % 2
-    if half:
-        form = form.double_z()
+    it.  The table reads a half-integral index through z -> 2z, and the
+    y-exponents are halved back at the end."""
     if form.weight2:
         raise ValidationError("T_-(m) needs a weight-0 form of integral index")
-    t = form.index2 // 2
     nmax = (qprec - 1) // 24
     if nmax < 0 or count < 0:
         return [Series(DEN2, {}, qprec, _clean=True)] * (count + 1)
-    orders = form.qprec_orders()
-    by_order = q_rows(form.series, 24 * (count * nmax + 1))
-    for n, row in by_order.items():
-        if n < 0 or max(min(row)[0] ** 2, max(row)[0] ** 2) > 16 * t * (4 * n + t):
-            ly, c = next(term for term in row if n < 0 or term[0] ** 2 > 16 * t * (4 * n + t))
-            raise ValidationError(
-                f"lift input term {c} q^{n} y^{ly / 4:g}{' (z -> 2z)' if half else ''} "
-                f"lies outside the weak-form support n >= 0, l^2 <= 4*{t}*n + {t}^2"
-            )
-    images = []
-    for k in range(1, count + 1):
-        if orders is not None and orders < k * nmax + 1:
-            raise PrecisionError(
-                f"lift needs the T_-({k}) image through q-order {nmax}, which reads "
-                f"{k * nmax + 1} q-orders of the input form; it has {orders}"
-            )
-        images.append(tminus_terms(by_order, k, nmax))
+    table = form.theta_table()
+    t = table.t
+    images = [table.tminus(k, nmax) for k in range(1, count + 1)]
     # per-row l1 norms through the recursion bound every M H_M and image
     norms = [_Rows(_Rows.norms(image, t * k, nmax + 1)) for k, image in enumerate(images, 1)]
     top, bounds = 0, [None]
@@ -354,7 +339,7 @@ def _fj_rows(form, sign, qprec, count):
         out.append(terms)
         if m < count:
             packed.append(_Rows.pack(terms, t * m, nmax + 1, width))
-    if half:
+    if form.index2 % 2:
         out = [{(nq, ly // 2): c for (nq, ly), c in row.items()} for row in out]
     return [Series(DEN2, row, qprec, _clean=True) for row in out]
 
@@ -745,52 +730,22 @@ def theta_product_delta5_squared(qprec, sprec):
 # ---- Humbert surface multiplicities ----------------------------------------
 
 
-def _reduced_fourier(form, n, l):
-    """f(n, l) for integer l, reduced by the index-t periodicity
-    f(n, l) = f(n - (l^2 - l0^2)/(4t), l0) with l0 = l mod 2t in (-t, t]."""
-    if form.index2 % 2 != 0:
-        raise ValidationError("orbit reduction needs integral index")
-    t = form.index2 // 2
-    l0 = l % (2 * t)
-    if l0 > t:
-        l0 -= 2 * t
-    n0 = n - (l * l - l0 * l0) // (4 * t)
-    if n0 < 0:
-        return 0
-    if form.series.qprec is not None and 24 * n0 >= form.series.qprec:
-        raise PrecisionError(
-            f"Humbert sum needs the coefficient f({n0}, {l0}) beyond the "
-            "available precision"
-        )
-    return form.fourier(n0, 4 * l0)
-
-
 def humbert_multiplicity(form, a, b):
     """The multiplicity  m_{D,b} = -sum_{n>0} f(n^2 a, n b)  of the
     Humbert surface of discriminant D = b^2 - 4 t a in the divisor of the
     exponential lift of minus the form (f = Fourier coefficients of the
-    form itself, e.g. the elliptic genus)."""
+    form itself, e.g. the elliptic genus).  f(n^2 a, n b) is the class
+    (-n^2 D, n b) of the form's ``ThetaTable``, which is 0 below -t^2, so
+    the sum runs while n^2 D <= t^2; a class past the form's precision
+    raises PrecisionError."""
     if form.index2 % 2 != 0:
         raise ValidationError("Humbert data needs integral index")
     t = form.index2 // 2
     disc = b * b - 4 * t * a
     if disc <= 0:
         raise ValidationError("Humbert discriminant must be positive")
-    if form.qprec_orders() is not None and form.qprec_orders() <= t // 4 + 1:
-        raise PrecisionError(
-            "form precision too small to certify the negative-norm support"
-        )
-    min_norm = 0
-    for (nq, ly), coeff in form.series.terms.items():
-        if coeff:
-            norm = 4 * t * (nq // 24) - (ly // 4) ** 2
-            min_norm = min(min_norm, norm)
-    total = 0
-    n = 1
-    while -n * n * disc >= min_norm:
-        total -= _reduced_fourier(form, n * n * a, n * b)
-        n += 1
-    return total
+    table = form.theta_table()
+    return -sum(table.coeff(-n * n * disc, n * b) for n in range(1, isqrt(t * t // disc) + 1))
 
 
 # ---- assembly identities at the Jacobi level --------------------------------

@@ -34,7 +34,6 @@ from .jacobi import (
     hecke_t0_2,
     hecke_tminus,
     linear_residuals,
-    norm_table,
     phi_threehalf,
     polynomial_form,
     psi2_variant,
@@ -259,8 +258,10 @@ def suite_hecke(qmax=6):
     )
     out = hecke_t0_2(generator(2, 24 * (4 * qmax + 2)))
     try:
-        table = norm_table(out)
-        structural = out.weight2 == 0 and out.index2 == 4 and bool(table)
+        classes = out.theta_table().classes
+        norms = {}  # norm-determined: one coefficient per D over the classes
+        structural = (out.weight2 == 0 and out.index2 == 4 and bool(classes)
+                      and all(norms.setdefault(d, c) == c for (d, _), c in classes.items()))
     except JacobiLiftError:
         structural = False
     checks.append(

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from jacobilift.cli import main
+from jacobilift.jacobi import JacobiForm
+from jacobilift.series import DEN2, Series
 
 RESULTS = []
 
@@ -44,3 +46,24 @@ def named_checks(report, names):
         found.append(hits[0])
     return found
 
+
+
+def hecke_tminus_scan(form, m):
+    """T_-(m) of a weight-0 form by one pass over every input term and each
+    a | m, on the (P - 1)//m + 1 q-orders its P input orders determine: an
+    oracle independent of the theta-decomposition table."""
+    orders_out = (form.qprec_orders() - 1) // m + 1
+    divisors = [a for a in range(1, m + 1) if m % a == 0]
+    out = {}
+    for (nq, ly), c in form.series.terms.items():
+        n, l = nq // 24, ly // 4
+        for a in divisors:
+            na = n * a * a
+            if na % m:
+                continue
+            big_n = na // m
+            if big_n >= orders_out or big_n % a:
+                continue
+            key = (24 * big_n, 4 * l * a)
+            out[key] = out.get(key, 0) + (m // a) * c
+    return JacobiForm(Series(DEN2, out, 24 * orders_out), 0, form.index2 * m, None)

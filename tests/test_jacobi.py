@@ -2,10 +2,12 @@
 
 import contextlib
 import random
+import re
 from fractions import Fraction
 from math import factorial, gcd, isqrt
 
 import pytest
+from conftest import hecke_tminus_scan
 from hypothesis import given, settings, strategies as st
 
 from jacobilift.errors import PrecisionError, ValidationError
@@ -23,19 +25,17 @@ from jacobilift.jacobi import (
     hecke_t0_2,
     hecke_tminus,
     linear_residuals,
-    norm_table,
     phi_threehalf,
     phi_weak_weight_minus1,
     polynomial_form,
     psi2_variant,
-    q_rows,
     specialize_torsion,
     taylor_coeffs,
     theta_jacobi,
-    tminus_terms,
     unit_form,
     xi06,
 )
+from jacobilift.lifts import humbert_multiplicity
 from jacobilift.modular import eta_power, kronecker, sigma1, theta_constant
 from jacobilift.series import DEN2, DEN3, Series
 from jacobilift.verify import ALPHA_COEFFS, GOLDEN_Q0_ROWS, GOLDEN_Q1_ROWS, random_form
@@ -309,10 +309,46 @@ def test_hecke_tminus3_gives_psi33():
     assert lhs.truncate(qp).same_terms(basis_psi(3, 3, qp))
 
 
+def hecke_t0_2_by_norms(form):
+    """T_0(2) from a dict {norm: coefficient} of every term, each norm's
+    q-order found by a search over l: an oracle independent of the
+    theta-decomposition table."""
+    orders = form.qprec_orders()
+    table = {8 * (nq // 24) - (ly // 4) ** 2: c for (nq, ly), c in form.series.terms.items()}
+
+    def g(x):
+        rep = next(((x + l * l) // 8 for l in range(4) if (x + l * l) % 8 == 0), None)
+        if x != int(x) or rep is None or rep < 0:
+            return 0
+        assert rep < orders
+        return table.get(int(x), 0)
+
+    orders_out = next(o for o in range(orders + 1) if 4 * o >= orders)
+    out = {}
+    for n in range(orders_out):
+        for l in range(-isqrt(8 * n + 4), isqrt(8 * n + 4) + 1):
+            norm = 8 * n - l * l
+            out[(24 * n, 4 * l)] = (8 * g(4 * norm) + 2 * kronecker(-norm, 2) * g(norm)
+                                    + g(Fraction(norm, 4)))
+    return JacobiForm(Series(DEN2, out, 24 * orders_out), 0, 4)
+
+
 def test_hecke_t0_2_norm_determined():
     out = hecke_t0_2(generator(2, 24 * 10))
     assert (out.weight2, out.index2) == (0, 4)
-    assert norm_table(out)
+    classes = out.theta_table().classes
+    assert classes
+    norms = {}
+    assert all(norms.setdefault(d, c) == c for (d, _), c in classes.items())
+
+
+@pytest.mark.parametrize("name, orders", [("phi02", o) for o in (1, 2, 5, 9, 10, 13)]
+                         + [("psi_A", 12)])
+def test_hecke_t0_2_equals_the_norm_scan(name, orders):
+    form = generator(2, 24 * orders) if name == "phi02" else psi2_variant(2, 24 * orders, "A")
+    out = hecke_t0_2(form)
+    assert out == hecke_t0_2_by_norms(form)
+    assert out.qprec_orders() == (orders - 1) // 4 + 1
 
 
 def test_specialize_torsion_alpha():
@@ -338,54 +374,32 @@ def test_residuals_on_random_polynomials(seed):
 
 
 def test_hecke_tminus_on_exact_form():
+    """A truncation made exact is refused: through the index reduction it
+    would give terms the truncation lacks (phi01 at 9 orders, T_-(3) at
+    q**24 y**16 reads c(8, 0) through the class (32, 0))."""
     phi1 = generator(1, 24 * 9)
     exact = JacobiForm(Series(DEN2, phi1.series.terms, None), 0, 2)
-    out = hecke_tminus(exact, 3)
-    assert out.series.qprec is None
-    assert out.series.same_terms(hecke_tminus(phi1, 3).series)
-    const = hecke_tminus(JacobiForm(Series.const(1, DEN2), 0, 2), 6)
-    assert const.series == Series.const(12, DEN2)  # sigma_1(6)
+    for run in (lambda: hecke_tminus(exact, 3),
+                lambda: hecke_tminus(JacobiForm(Series.const(1, DEN2), 0, 2), 6)):
+        with pytest.raises(ValidationError, match="finite q-precision"):
+            run()
 
 
-def hecke_tminus_scan(form, m):
-    """T_-(m) by one pass over every input term and each a | m: the route
-    the row reader replaced."""
-    orders_in = form.qprec_orders()
-    orders_out = None if orders_in is None else (orders_in - 1) // m + 1
-    divisors = [a for a in range(1, m + 1) if m % a == 0]
-    out = {}
-    for (nq, ly), c in form.series.terms.items():
-        n, l = nq // 24, ly // 4
-        for a in divisors:
-            na = n * a * a
-            if na % m:
-                continue
-            big_n = na // m
-            if orders_out is not None and big_n >= orders_out or big_n % a:
-                continue
-            key = (24 * big_n, 4 * l * a)
-            out[key] = out.get(key, 0) + (m // a) * c
-    qprec = None if orders_out is None else 24 * orders_out
-    return JacobiForm(Series(DEN2, out, qprec), 0, form.index2 * m, None)
-
-
-class ReadRows(dict):
-    """q-rows that record which rows are read."""
-
-    def __init__(self, rows):
-        super().__init__(rows)
-        self.read = set()
-
-    def get(self, n, default=None):
-        self.read.add(n)
-        return super().get(n, default)
+def test_table_readers_refuse_exact_and_index_0_forms():
+    phi2 = generator(2, 24 * 6)
+    exact = JacobiForm(Series(DEN2, phi2.series.terms, None), 0, 4)
+    index0 = unit_form(24 * 3)
+    for run in (lambda: hecke_t0_2(exact), lambda: humbert_multiplicity(exact, 0, 1),
+                lambda: hecke_tminus(index0, 2), lambda: humbert_multiplicity(index0, 0, 1)):
+        with pytest.raises(ValidationError, match="positive index and a finite q-precision"):
+            run()
 
 
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_tminus_rows_equal_the_term_scan(data):
-    """Whole and windowed T_-(m) images by rows equal the per-term scan, and
-    output row N reads only input rows N*m/a**2."""
+    """Whole and windowed T_-(m) images from the theta-decomposition table
+    equal the per-term scan."""
     index = data.draw(st.integers(1, 4))
     poly = {key: data.draw(st.integers(-3, 3)) for key in index_monomials(index)}
     poly = GeneratorPolynomial(poly) or GeneratorPolynomial({index_monomials(index)[0]: 1})
@@ -399,13 +413,20 @@ def test_tminus_rows_equal_the_term_scan(data):
     want = hecke_tminus_scan(form, m)
     assert hecke_tminus(form, m) == want
     top = data.draw(st.integers(-1, (orders - 1) // m))
-    rows = ReadRows(q_rows(form.series))
-    window = tminus_terms(rows, m, top)
+    window = form.theta_table().tminus(m, top)
     assert window == {k: c for k, c in want.series.terms.items() if k[0] <= 24 * top}
-    divisors = [a for a in range(1, m + 1) if m % a == 0]
-    reachable = {big_n * m // (a * a) for big_n in range(top + 1) for a in divisors
-                 if big_n % a == 0 and big_n * m % (a * a) == 0}
-    assert rows.read <= reachable
+
+
+def test_table_precision_names_the_class():
+    table = generator(2, 24 * 3).theta_table()
+    assert (table.coeff(-1, 1), table.coeff(0, 0), table.coeff(-1, 3)) == (1, 4, 1)  # y + 4 + 1/y
+    assert table.coeff(-2, 0) == table.coeff(-8, 0) == 0  # no class: D != -l**2 mod 8; n0 < 0
+    with pytest.raises(PrecisionError, match=re.escape(
+            "class (D, l mod 4) = (23, 1) sits at q-order 3, which reads 4 q-orders "
+            "of the input form; it has 3")):
+        table.coeff(23, 5)
+    with pytest.raises(PrecisionError, match=r"\(D, l mod 4\) = \(24, 0\) sits at q-order 3"):
+        table.tminus(3, 1)
 
 
 # ---- evaluation of generator polynomials -------------------------------------

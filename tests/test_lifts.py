@@ -5,12 +5,13 @@ from fractions import Fraction
 from math import comb, isqrt
 
 import pytest
+from conftest import hecke_tminus_scan
 from hypothesis import given, settings, strategies as st
 
-from jacobilift import lifts, series
+from jacobilift import jacobi, lifts, series
 from jacobilift.errors import InexactDivisionError, PrecisionError, ValidationError
 from jacobilift.genus import K3, CYInvariants, elliptic_genus
-from jacobilift.jacobi import JacobiForm, generator, phi_threehalf, psi2_variant, q_rows, tminus_terms
+from jacobilift.jacobi import JacobiForm, generator, hecke_tminus, phi_threehalf, psi2_variant
 from jacobilift.lifts import (
     _clip,
     _divisor_char_sum,
@@ -325,17 +326,15 @@ def test_lifts_refuse_an_input_one_order_short():
 
 def fj_rows_oracle(form, sign, qprec, count):
     """The Fourier-Jacobi rows H_0..H_count by the engine the packed rows
-    replaced: each T_-(k) image and each H_M a Series, each row's sum over
-    k a sum of Series products, divided by M exactly."""
+    replaced: each T_-(k) image the per-term scan, each H_M a Series, each
+    row's sum over k a sum of Series products, divided by M exactly."""
     half = form.index2 % 2
     if half:
         form = form.double_z()
-    nmax = (qprec - 1) // 24
-    by_order = q_rows(form.series, 24 * (count * nmax + 1))
     rows = [Series(DEN2, {(0, 0): 1} if qprec > 0 else {}, qprec)]
     images = []
     for m in range(1, count + 1):
-        images.append(Series(DEN2, tminus_terms(by_order, m, nmax), qprec))
+        images.append(Series(DEN2, hecke_tminus_scan(form, m).series.terms, qprec))
         acc = Series(DEN2, {}, qprec)
         for k in range(1, m + 1):
             acc = acc + images[k - 1] * rows[m - k]
@@ -475,20 +474,58 @@ def test_half_index_input_is_checked_after_z_doubling(key, name):
         sqeg(form, 49, 49)
 
 
+def test_input_that_breaks_the_periodicity_is_refused():
+    """A term inside the weak support whose coefficient differs from the
+    others of its class (D, l mod 2t) is named with one of them."""
+    qp, sp, inq = lift_window_for(generator(1, 24), 3, 3)
+    form = plus_term(generator(1, inq), (48, 4), 1)  # class (7, 1): c(2, 1) against c(2, -1)
+    runs = (lambda: exp_lift(form, qp, sp), lambda: sqeg(form, 73, 73), lambda: hecke_tminus(form, 2))
+    for run in runs:
+        with pytest.raises(ValidationError) as err:
+            run()
+        terms = set(re.findall(r"-?\d+ q\^\d+ y\^-?\d+", str(err.value)))
+        assert len(terms) == 2 and "in the class (D, l mod 2) = (7, 1)" in str(err.value)
+        assert {t for t in terms if t.endswith(("q^2 y^1", "q^2 y^-1"))} == terms
+
+
+def test_two_lifts_of_one_form_build_its_table_once(monkeypatch):
+    builds = []
+    table = jacobi.ThetaTable
+    monkeypatch.setattr(jacobi, "ThetaTable", lambda form: builds.append(form) or table(form))
+    qp, sp, inq = lift_window_for(generator(1, 24), 3, 3)
+    form = generator(1, inq)
+    assert exp_lift(form, qp, sp).series == exp_lift(form, qp, sp).series
+    half = phi_threehalf(24 * 10)
+    assert sqeg(half, 49, 49) == sqeg(half, 49, 49)
+    assert builds == [form, half]
+
+
+def test_humbert_guard_comes_from_the_precision():
+    assert humbert_multiplicity(elliptic_genus(K3, qprec=24), 0, 1) == -2
+    chi3 = -(phi_threehalf(48).double_z())
+    assert (humbert_multiplicity(chi3, 0, 1), humbert_multiplicity(chi3, 1, 5)) == (1, -1)
+    chi3 = -(phi_threehalf(24).double_z())
+    assert humbert_multiplicity(chi3, 0, 1) == 1
+    with pytest.raises(PrecisionError, match=re.escape(
+            "class (D, l mod 12) = (-1, 5) sits at q-order 1, which reads 2 q-orders "
+            "of the input form; it has 1")):
+        humbert_multiplicity(chi3, 1, 5)
+
+
 def test_inexact_row_names_the_row_and_the_key(monkeypatch):
     """Every integral input in the weak support divides exactly (the
     product formula has integral coefficients), so a fault stands in for
     an inexact row: the T_-(2) image of phi01 with 1 added at q**0 y**0
     makes that coefficient of 2 H_2 odd."""
-    tminus = lifts.tminus_terms
+    tminus = jacobi.ThetaTable.tminus
 
-    def faulty(rows, m, top=None):
-        terms = tminus(rows, m, top)
+    def faulty(table, m, top):
+        terms = tminus(table, m, top)
         if m == 2:
             terms[(0, 0)] = terms.get((0, 0), 0) + 1
         return terms
 
-    monkeypatch.setattr(lifts, "tminus_terms", faulty)
+    monkeypatch.setattr(jacobi.ThetaTable, "tminus", faulty)
     form = generator(1, 24 * 10)
     with pytest.raises(InexactDivisionError,
                        match=re.escape("Fourier-Jacobi row 2: coefficient ") + r"-?\d+"
