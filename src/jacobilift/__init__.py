@@ -23,8 +23,6 @@ from .genus import (
     divisibility_report,
     elliptic_genus,
     relation_check,
-    special_value_suite,
-    xi06_torsion_values,
 )
 from .jacobi import (
     Decomposition,
@@ -49,10 +47,6 @@ from .jacobi import (
 from .lifts import (
     SiegelSeries,
     arithmetic_lift,
-    assembly_check_d4,
-    assembly_check_d8,
-    delta11_identity_check,
-    delta_half_theta,
     e_form,
     exp_lift,
     exp_lift_homomorphic,
@@ -60,14 +54,10 @@ from .lifts import (
     hodge_anomaly,
     humbert_multiplicity,
     lift_window_for,
-    quotient_reduction_check,
     siegel_omega_half_shift,
     siegel_scale,
-    siegel_theta_constant,
     sqeg,
     symmetric_product_genus,
-    theta_product_delta5_squared,
-    window_equal,
 )
 from .modular import discriminant_form, eta_power, eta_quotient, theta_constant
 from .series import Series, series_from_dict, series_to_dict
@@ -89,13 +79,9 @@ __all__ = [
     "SiegelSeries",
     "ValidationError",
     "arithmetic_lift",
-    "assembly_check_d4",
-    "assembly_check_d8",
     "basis_psi",
     "chi_y_polynomial",
     "decompose",
-    "delta11_identity_check",
-    "delta_half_theta",
     "discriminant_form",
     "divide_by_xi06",
     "divisibility_report",
@@ -118,15 +104,12 @@ __all__ = [
     "phi_weak_weight_minus1",
     "polynomial_form",
     "psi2_variant",
-    "quotient_reduction_check",
     "relation_check",
     "run_suite",
     "series_from_dict",
     "series_to_dict",
     "siegel_omega_half_shift",
     "siegel_scale",
-    "siegel_theta_constant",
-    "special_value_suite",
     "specialize_center",
     "specialize_torsion",
     "sqeg",
@@ -134,10 +117,7 @@ __all__ = [
     "taylor_coeffs",
     "theta_constant",
     "theta_jacobi",
-    "theta_product_delta5_squared",
-    "window_equal",
     "xi06",
-    "xi06_torsion_values",
 ]
 
 

@@ -238,7 +238,7 @@ def cmd_genus(args):
 # the options each lift kind reads, besides --json and --out
 LIFT_OPTIONS = {
     "explift": ("form", "qmax", "smax", "ywindow"),
-    "sqeg": ("d", "chi", "euler", "qmax", "pmax", "ywindow"),
+    "sqeg": ("d", "chi", "euler", "qmax", "pmax"),
     "eform": ("d", "chi", "euler", "qmax", "smax", "ywindow"),
     "arith": ("name", "bound"),
 }
@@ -268,7 +268,7 @@ def cmd_lift(args):
         pmax = args.pmax if args.pmax is not None else 2
         qprec, pprec = 24 * qmax + 1, 24 * pmax + 1
         chi = elliptic_genus(inv, qprec=_input_qprec(qprec, pprec))
-        series = sqeg(chi, qprec, pprec, ywindow=args.ywindow)
+        series = sqeg(chi, qprec, pprec)
         data = series_to_dict(series)
         _emit(args, lambda: "\n".join(_triple_lines(series, "p")), data)
         return EXIT_OK
@@ -362,8 +362,7 @@ def build_parser():
                    help=f"whole q- and s-orders (arith, default {DEFAULT_ORDERS})")
     p.add_argument("--ywindow", type=int, default=None,
                    help="clip y-exponents to |l| <= ywindow/4: the theta block F_0 of"
-                   " explift and eform, the output of sqeg (exact interior:"
-                   " lifts.theta_block)")
+                   " explift and eform (exact interior: lifts.theta_block)")
     common(p, lift=True)
     p.set_defaults(fn=cmd_lift)
 

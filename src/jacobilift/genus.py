@@ -1,6 +1,6 @@
 """Elliptic genera of Calabi-Yau manifolds of complex dimension up to 12,
-with the forced linear relations among the chi_p invariants, divisibility
-batteries for torsion specializations, and the special-value identities."""
+with the forced linear relations among the chi_p invariants and
+divisibility batteries for torsion specializations."""
 
 from fractions import Fraction
 
@@ -9,11 +9,9 @@ from .jacobi import (
     JacobiForm,
     _solve_row,
     basis_psi,
-    generator,
     phi_threehalf,
     specialize_torsion,
 )
-from .modular import eta_quotient, theta_constant
 from .series import DEN2, Series
 
 
@@ -270,68 +268,4 @@ def divisibility_report(form, d=None):
     if d is not None:
         e = sum(form.q_row(0).values())
         report["d*e mod 24 == 0"] = ((d * e) % 24 == 0, d * e)
-    return report
-
-
-def special_value_suite(qprec=240):
-    """The special-value identities tying torsion values of the generators
-    to eta quotients and theta constants.  Returns name -> bool."""
-    report = {}
-    p1 = generator(1, qprec)
-    p2 = generator(2, qprec)
-    p3 = generator(3, qprec)
-    alpha = specialize_torsion(p1, 2)
-    beta = specialize_torsion(p2, 3)
-    gamma2 = specialize_torsion(p3, 4)
-    # phi03(tau, 1/4) = 2*gamma with gamma = theta00(2tau)/theta01(2tau)
-    t00 = theta_constant(0, 0, qprec, scale=2)
-    t01 = theta_constant(0, 1, qprec, scale=2)
-    gamma = t00.exact_div(t01)
-    report["phi03(1/4) = 2*theta00(2t)/theta01(2t)"] = gamma2.same_terms(
-        gamma.scale(2)
-    )
-    # alpha = 16*gamma**4 - 8
-    lhs = alpha
-    rhs = (gamma ** 4).scale(16) - Series.const(8, DEN2, gamma.qprec)
-    report["alpha = 16*gamma**4 - 8"] = lhs.same_terms(rhs)
-    # alpha**2 - 64 = 2**12 Delta(2tau)/Delta(tau)
-    quot2 = eta_quotient(((2, 24), (1, -24)), qprec)
-    lhs = alpha * alpha - Series.const(64, DEN2, alpha.qprec)
-    report["alpha**2 - 64 = 2**12 Delta(2t)/Delta(t)"] = lhs.same_terms(
-        quot2.scale(4096)
-    )
-    # beta**3 - 27 = 3**6 (eta(3t)/eta(t))**12
-    quot3 = eta_quotient(((3, 12), (1, -12)), qprec)
-    lhs = beta * beta * beta - Series.const(27, DEN2, beta.qprec)
-    report["beta**3 - 27 = 3**6 (eta(3t)/eta(t))**12"] = lhs.same_terms(
-        quot3.scale(729)
-    )
-    # positivity of the alpha and gamma expansions
-    report["alpha has positive coefficients"] = all(
-        c > 0 for c in alpha.terms.values()
-    )
-    report["gamma has positive coefficients"] = all(
-        c > 0 for c in gamma.terms.values()
-    )
-    return report
-
-
-def xi06_torsion_values(qprec=240):
-    """Torsion values of the index-6 ideal generator as eta quotients."""
-    from .jacobi import xi06
-
-    xi = xi06(qprec)
-    report = {}
-    v2 = specialize_torsion(xi, 2)
-    q2 = eta_quotient(((2, 24), (1, -24)), qprec)
-    report["xi06(1/2) = 2**12 Delta(2t)/Delta(t)"] = v2.same_terms(q2.scale(4096))
-    v3 = specialize_torsion(xi, 3)
-    q3 = eta_quotient(((3, 12), (1, -12)), qprec)
-    report["xi06(1/3) = 3**6 (eta(3t)/eta(t))**12"] = v3.same_terms(q3.scale(729))
-    v4 = specialize_torsion(xi, 4)
-    q4 = eta_quotient(((4, 12), (2, -12)), qprec)
-    report["xi06(1/4) = 2**6 (eta(4t)/eta(2t))**12"] = v4.same_terms(q4.scale(64))
-    v6 = specialize_torsion(xi, 6)
-    q6 = eta_quotient(((1, 12), (6, 12), (2, -12), (3, -12)), qprec)
-    report["xi06(1/6) = (eta(t)eta(6t)/(eta(2t)eta(3t)))**12"] = v6.same_terms(q6)
     return report

@@ -60,13 +60,6 @@ class JacobiForm:
     def index(self):
         return Fraction(self.index2, 2)
 
-    def fourier(self, n, l4):
-        """Coefficient f(n, l) with l given in 1/4 units (l4 = 4*l)."""
-        nq = 24 * n
-        if self.series.qprec is not None and nq >= self.series.qprec:
-            raise PrecisionError(f"coefficient at q**{n} is beyond precision")
-        return self.series.coeff((nq, l4))
-
     def qprec_orders(self):
         """Number of complete whole q-orders available."""
         if self.series.qprec is None:
@@ -613,6 +606,10 @@ class ThetaTable:
     * Support: a term with n < 0 or D < -t**2 is a ValidationError naming it.
     * Consistency: two terms of one class with different coefficients are a
       ValidationError naming both.
+    * Completeness: a class present has every representative (n, l) with
+      n < P among the terms, else ValidationError naming the class and one
+      missing (n, l).  A representative with n < 0 is never a term, so a
+      class whose lowest representative has n0 < 0 is refused too.
     * Determined classes: with r0 = l mod 2t in (-t, t], class (D, l) sits
       at q-order n0 = (D + r0**2)/4t and is known when n0 < P; ``coeff``
       past that raises PrecisionError naming the class, the needed q-order
@@ -648,6 +645,23 @@ class ThetaTable:
                     f"input terms {known} q^{first[key][0]} y^{first[key][1]} and {c} q^{n} y^{l}"
                     f"{marker} differ in the class (D, l mod {t2}) = {key}, on which a "
                     f"Jacobi form of index {t} is constant")
+        # each term is one of its class's representatives, so the terms fill
+        # every class they meet exactly when they are as many as those
+        top, terms = t4 * (orders - 1), form.series.terms
+
+        def reps(d, r):  # the l = r mod 2t with n = (D + l**2)/4t < P
+            b = isqrt(top - d)
+            return range(-b + (r + b) % t2, b + 1, t2)
+
+        if sum(len(reps(d, r)) for d, r in classes) != len(terms):
+            for d, r in classes:
+                for l in reps(d, r):
+                    n = (d + l * l) // t4
+                    if (24 * n, unit * l) not in terms:
+                        raise ValidationError(
+                            f"input class (D, l mod {t2}) = {(d, r)} lacks its term q^{n} y^{l}"
+                            f"{marker} below the precision of {orders} q-orders: a Jacobi form "
+                            f"of index {t} is constant on the class")
 
     def coeff(self, d, l):
         """The coefficient of class (d, l mod 2t)."""
@@ -880,17 +894,16 @@ def taylor_coeffs(form, count):
 def linear_residuals(form):
     """The two linear residuals that vanish on weight-0 weak forms:
     r1 = m*sum f(0,l) - 6*sum l**2 f(0,l),
-    r2 = 24*m*sum f(0,l) - sum (m - 6*n**2) f(1,n)."""
-    m = Fraction(form.index2, 2)
+    r2 = 24*m*sum f(0,l) - sum (m - 6*n**2) f(1,n).
+    With m = index2/2 and l = l4/4, both are summed over Z in eighths and
+    divided once."""
+    m2 = form.index2
     row0 = form.q_row(0)
     row1 = form.q_row(1)
     s0 = sum(row0.values())
-    s2 = sum(Fraction(l4, 4) ** 2 * c for l4, c in row0.items())
-    r1 = m * s0 - 6 * s2
-    r2 = 24 * m * s0 - sum(
-        (m - 6 * Fraction(l4, 4) ** 2) * c for l4, c in row1.items()
-    )
-    return r1, r2
+    r1 = 4 * m2 * s0 - 3 * sum(l4 * l4 * c for l4, c in row0.items())
+    r2 = 96 * m2 * s0 - sum((4 * m2 - 3 * l4 * l4) * c for l4, c in row1.items())
+    return Fraction(r1, 8), Fraction(r2, 8)
 
 
 # ---- specializations -------------------------------------------------------

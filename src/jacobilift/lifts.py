@@ -1,7 +1,7 @@
 """Siegel modular forms from Jacobi forms: Borcherds-style exponential
-products, second-quantized elliptic genera, the Hodge-anomaly factor,
-explicit arithmetic lift sums, genus-2 theta constants, and the product
-identities connecting them.
+products, second-quantized elliptic genera, the Hodge-anomaly factor and
+explicit arithmetic lift sums.  The identities connecting them are checks
+in ``jacobilift.verify``.
 
 Triple series live on the exponent lattice (q**(1/24), y**(1/4),
 s**(1/24)).
@@ -35,9 +35,9 @@ import heapq
 from fractions import Fraction
 from math import gcd, inf, isqrt
 
-from .errors import IdentityError, InexactDivisionError, PrecisionError, ValidationError
+from .errors import InexactDivisionError, PrecisionError, ValidationError
 from .genus import elliptic_genus
-from .jacobi import generator, psi2_variant, theta_jacobi
+from .jacobi import theta_jacobi
 from .modular import euler_product, kronecker
 from .series import DEN2, DEN3, Series, _Rows, _unpack_rows, series_to_dict
 
@@ -60,27 +60,11 @@ class SiegelSeries:
     def weight(self):
         return Fraction(self.weight2, 2)
 
-    def coeff(self, key):
-        return self.series.coeff(key)
-
     def __repr__(self):
         return (
             f"SiegelSeries(weight={self.weight}, index_t={self.index_t}, "
             f"character_order={self.character_order}, "
             f"qprec={self.series.qprec})"
-        )
-
-    def __mul__(self, other):
-        if not isinstance(other, SiegelSeries):
-            return NotImplemented
-        order = self.character_order * other.character_order
-        order //= gcd(self.character_order, other.character_order)
-        index_t = self.index_t if self.index_t == other.index_t else None
-        return SiegelSeries(
-            self.series * other.series,
-            self.weight2 + other.weight2,
-            order,
-            index_t,
         )
 
     def to_dict(self):
@@ -453,21 +437,17 @@ def exp_lift_homomorphic(pairs, qprec, sprec, ywindow=None):
 # ---- second-quantized elliptic genus --------------------------------------
 
 
-def sqeg(form, qprec, pprec, ywindow=None):
+def sqeg(form, qprec, pprec):
     """The second-quantized elliptic genus of a weight-0 form
 
         prod_{m>=0, n>0, l} (1 - q^m y^l p^n)^{-f(mn, l)}
             = sum_n p^n H_n,   H_n = (1/n) sum_{k=1..n} (f|T_-(k)) H_{n-k}
 
     as a triple series whose third variable is p (graded in 1/24 units
-    on the s-slot).  No prefactor.  Every row is exact; ywindow, if given,
-    only clips the output to |ly| <= ywindow.  An empty window in q or in
-    p (qprec <= 0 or pprec <= 0) gives the empty series."""
-    _check_ywindow(ywindow)
+    on the s-slot).  No prefactor, and every row is exact.  An empty window
+    in q or in p (qprec <= 0 or pprec <= 0) gives the empty series."""
     terms = {}
     for n, row in enumerate(_fj_rows(form, 1, qprec, (pprec - 1) // 24)):
-        if ywindow is not None:
-            row = row.clip_y(ywindow)
         terms.update({(nq, ly, 24 * n): c for (nq, ly), c in row.terms.items()})
     return Series(DEN3, terms, qprec, _clean=True)
 
@@ -572,7 +552,7 @@ def factorization_product(inv, qprec, sprec, ywindow=None):
     sint = sprec - min(ms_shift, 0)
     pprec = (sint + t - 1) // t
     chi = elliptic_genus(inv, qprec=_input_qprec(qint, pprec))
-    psi = sqeg(chi, qint, pprec, ywindow=ywindow)
+    psi = sqeg(chi, qint, pprec)
     psi = psi.substitute([[1, 0, 0], [0, 1, 0], [0, 0, t]], qint)
     series = _clip(anomaly.series * psi, ywindow, sprec)
     return SiegelSeries(series, anomaly.weight2, anomaly.character_order, t)
@@ -634,99 +614,6 @@ def arithmetic_lift(name, qprec, sprec):
     return SiegelSeries(Series(DEN3, terms, qprec, _clean=True), *meta)
 
 
-def delta_half_theta(qprec, sprec):
-    """The 'most odd' even genus-2 theta constant as an explicit sum:
-
-        (1/2) sum_{n,m odd} (-4/n)(-4/m) q^{n^2/8} y^{nm/4} s^{m^2/8}
-
-    folded over (n, m) -> (-n, -m)."""
-    terms = {}
-    nmax = isqrt(max(qprec - 1, 0) // 3)
-    mmax = isqrt(max(sprec - 1, 0) // 3)
-    for n in range(1, nmax + 1, 2):
-        cn = kronecker(-4, n)
-        for m in range(-mmax, mmax + 1):
-            if m % 2 == 0:
-                continue
-            c = cn * kronecker(-4, m)
-            key = (3 * n * n, n * m, 3 * m * m)
-            terms[key] = terms.get(key, 0) + c
-    terms = {k: c for k, c in terms.items() if c != 0}
-    return SiegelSeries(Series(DEN3, terms, qprec, _clean=True), 1, 0, None)
-
-
-# ---- genus-2 theta constants ----------------------------------------------
-
-
-def even_characteristics():
-    chars = []
-    for a1 in (0, 1):
-        for a2 in (0, 1):
-            for b1 in (0, 1):
-                for b2 in (0, 1):
-                    if (a1 * b1 + a2 * b2) % 2 == 0:
-                        chars.append(((a1, a2), (b1, b2)))
-    return chars
-
-
-def siegel_theta_constant(a, b, qprec, sprec):
-    """The genus-2 theta constant with characteristic (a, b), a, b in
-    {0,1}^2 with a.b even, as a triple series on the (1/8)-step lattice
-    (stored keys: nq = 3 u^2, ly = u v, ms = 3 v^2 for u = 2 n1 + a1,
-    v = 2 n2 + a2)."""
-    a1, a2 = a
-    b1, b2 = b
-    if (a1 * b1 + a2 * b2) % 2 != 0:
-        raise ValidationError("odd theta characteristic")
-    sign0 = (-1) ** ((a1 * b1 + a2 * b2) // 2)
-    terms = {}
-    ubound = isqrt(max(qprec - 1, 0) // 3)
-    vbound = isqrt(max(sprec - 1, 0) // 3)
-    n1min = (-ubound - a1) // 2 - 1
-    n1max = (ubound - a1) // 2 + 1
-    n2min = (-vbound - a2) // 2 - 1
-    n2max = (vbound - a2) // 2 + 1
-    for n1 in range(n1min, n1max + 1):
-        u = 2 * n1 + a1
-        nq = 3 * u * u
-        if nq >= qprec:
-            continue
-        for n2 in range(n2min, n2max + 1):
-            v = 2 * n2 + a2
-            ms = 3 * v * v
-            if ms >= sprec:
-                continue
-            c = sign0 * (-1) ** ((n1 * b1 + n2 * b2) % 2)
-            key = (nq, u * v, ms)
-            new = terms.get(key, 0) + c
-            if new:
-                terms[key] = new
-            else:
-                terms.pop(key, None)
-    return Series(DEN3, terms, qprec, _clean=True)
-
-
-def theta_product_delta5_squared(qprec, sprec):
-    """2^{-12} times the product of the squares of the ten even genus-2
-    theta constants; equals the square of the first weight-5 cusp form."""
-    acc = Series.const(1, DEN3, qprec)
-    for a, b in even_characteristics():
-        theta = siegel_theta_constant(a, b, qprec, sprec)
-        acc = (acc * theta).truncate_s(sprec)
-        acc = (acc * theta).truncate_s(sprec)
-    terms = {}
-    for key, coeff in acc.terms.items():
-        quot, rem = divmod(coeff, 4096)
-        if rem:
-            raise IdentityError(
-                f"theta-constant product coefficient {coeff} at {key} "
-                "is not divisible by 2**12"
-            )
-        if quot:
-            terms[key] = quot
-    return SiegelSeries(Series(DEN3, terms, qprec, _clean=True), 20, 1, 1)
-
-
 # ---- Humbert surface multiplicities ----------------------------------------
 
 
@@ -746,122 +633,3 @@ def humbert_multiplicity(form, a, b):
         raise ValidationError("Humbert discriminant must be positive")
     table = form.theta_table()
     return -sum(table.coeff(-n * n * disc, n * b) for n in range(1, isqrt(t * t // disc) + 1))
-
-
-# ---- assembly identities at the Jacobi level --------------------------------
-
-
-def assembly_check_d4(inv):
-    """For fourfold data, minus the elliptic genus must decompose over
-    the lift inputs of the two basic paramodular cusp forms:
-
-        -chi(M4) = -chi0 * psi_A + chi1 * phi_{0,2}
-
-    which, through the exponential homomorphism, is the statement that
-    the attached Siegel form is Delta11^{-chi0} * Delta2^{chi1}."""
-    if inv.d != 4:
-        raise ValidationError("fourfold data expected")
-    qp = 24 * 6
-    chi = elliptic_genus(inv, qprec=qp)
-    psi_a = psi2_variant(2, qp, variant="A")
-    phi2 = generator(2, qp)
-    rhs = psi_a.series.scale(-inv.chi[0]) + phi2.series.scale(inv.chi[1])
-    return (-chi.series).same_terms(rhs, qp)
-
-
-def quotient_reduction_check():
-    """The ratio of the two index-6 lift inputs 3*phi3**2 - 2*phi2*phi4
-    and 5*phi3**2 - 4*phi2*phi4 differs by twice the canonical index-6
-    generator; under the exponential homomorphism this identifies the
-    corresponding quotient of Siegel forms with exp_lift(2*phi_{0,6}).
-    Compared on 10 q-orders."""
-    qprec = 240
-    pad = qprec + 12
-    p2, p3, p4 = (generator(i, pad) for i in (2, 3, 4))
-    sq3 = (p3 * p3).series
-    prod24 = (p2 * p4).series
-    lhs = sq3.scale(3) - prod24.scale(2)
-    rhs = sq3.scale(5) - prod24.scale(4)
-    diff = lhs - rhs
-    return diff.same_terms(generator(6, pad).series.scale(2), qprec)
-
-
-def assembly_check_d8(inv):
-    """For eightfold data the decomposition over the four index-4 lift
-    inputs carries alternating Hodge-invariant exponents:
-
-        -chi(M8) = chi3 * phi_{0,4} - chi2 * phi_{0,1}(tau, 2z)
-                   + chi1 * psi^{(3)} - chi0 * psi^{(4)}
-    """
-    from .jacobi import basis_psi
-
-    if inv.d != 8:
-        raise ValidationError("eightfold data expected")
-    qp = 24 * 6
-    chi = elliptic_genus(inv, qprec=qp)
-    rhs = (
-        generator(4, qp).series.scale(inv.chi[3])
-        + generator(1, qp).double_z().series.scale(-inv.chi[2])
-        + basis_psi(4, 3, qp).series.scale(inv.chi[1])
-        + basis_psi(4, 4, qp).series.scale(-inv.chi[0])
-    )
-    return (-chi.series).same_terms(rhs, qp)
-
-
-# ---- identity checks -------------------------------------------------------
-
-
-def _window_terms(series, qlimit, slimit, ybound=None):
-    """The terms of a triple series with nq <= qlimit, ms <= slimit and
-    (optionally) |ly| <= ybound."""
-    return {
-        k: c
-        for k, c in series.terms.items()
-        if k[0] <= qlimit and k[2] <= slimit and (ybound is None or abs(k[1]) <= ybound)
-    }
-
-
-def window_equal(s1, s2, qlimit, slimit, ybound=None):
-    """Compare two triple series on all keys with nq <= qlimit,
-    ms <= slimit, and (optionally) |ly| <= ybound.
-
-    Raises PrecisionError when the window holds no term of either series:
-    such a comparison would hold without comparing anything."""
-    w1 = _window_terms(s1, qlimit, slimit, ybound)
-    w2 = _window_terms(s2, qlimit, slimit, ybound)
-    if not w1 and not w2:
-        bound = "" if ybound is None else f", |ly| <= {ybound}/4"
-        raise PrecisionError(
-            f"compared window nq <= {qlimit}/24, ms <= {slimit}/24{bound} "
-            "holds no term of either series"
-        )
-    return w1 == w2
-
-
-def delta11_identity_check():
-    """Verify  Delta11 * Delta2^2 ==
-    Delta5(Z) * Delta5(tau,2z,4omega) * Delta5(tau,z,omega+1/2)
-    up to a Gaussian unit on q, s <= 4, and name the unit.  The half-period
-    factor is i**k times an integral series (``siegel_omega_half_shift``),
-    so both sides are multiplied over Z and the unit is +-i**k."""
-    qprec = sprec = 97
-    d11 = _lift_at(lambda qp: psi2_variant(2, qp, variant="A"), qprec, sprec)
-    d2 = _lift_at(lambda qp: generator(2, qp), qprec, sprec)
-    lhs = ((d11.series * d2.series).truncate_s(sprec) * d2.series).truncate_s(sprec)
-
-    d5 = _lift_at(lambda qp: generator(1, qp), qprec, sprec)
-    d5_doubled = siegel_scale(d5, 2, 4)
-    k, d5_shifted = siegel_omega_half_shift(d5)
-    rhs = (d5.series * d5_doubled.series).truncate_s(sprec)
-    rhs = (rhs * d5_shifted.series).truncate_s(sprec)
-
-    qlimit = min(lhs.qprec, rhs.qprec) - 1
-    sign = next((u for u in (1, -1) if window_equal(rhs, lhs.scale(u), qlimit, sprec - 1)), None)
-    unit = None if sign is None else f"{sign}i" if k else str(sign)
-    return {
-        "proportional": unit is not None,
-        "unit": unit,
-        "qlimit": qlimit,
-        "slimit": sprec - 1,
-        "terms": len(_window_terms(lhs, qlimit, sprec - 1)),
-    }

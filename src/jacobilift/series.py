@@ -78,10 +78,6 @@ class Series:
 
     # ---- basic queries ------------------------------------------------
 
-    @property
-    def nvars(self):
-        return len(self.den)
-
     def is_zero(self):
         return not self.terms
 

@@ -3,18 +3,22 @@
 Each suite function returns a list of check dicts {"name", "ok", "detail"};
 run_suite wraps one suite (or "all") into a JSON-friendly report.  The
 suites are the one statement of the identities the library is built
-around: generator goldens and ring relations, the canonical-basis
-structure, Hecke identities, torsion-specialization congruences, the
-Calabi-Yau layer, and the Siegel-lift batteries (dual constructions,
-factorization, Humbert multiplicities, homomorphism, mirror inversion).
-The acceptance tests group these checks by name into thirteen criteria.
+around: generator goldens, ring relations and the torsion special values,
+the canonical-basis structure, Hecke identities, torsion-specialization
+congruences, the Calabi-Yau layer, and the Siegel-lift batteries (dual
+constructions, the theta-constant product, factorization, Humbert
+multiplicities, homomorphism, mirror inversion, the Delta11 product and
+the assemblies of Calabi-Yau genera from lift inputs).  The library
+modules hold constructions only; an oracle that only a check uses is a
+private helper here.  The acceptance tests group these checks by name
+into thirteen criteria.
 """
 
 import random
 import time
-from math import gcd
+from math import gcd, isqrt
 
-from .errors import JacobiLiftError, PrecisionError, ValidationError
+from .errors import IdentityError, JacobiLiftError, PrecisionError, ValidationError
 from .genpoly import GeneratorPolynomial
 from .genus import (
     CY_RELATIONS,
@@ -24,8 +28,6 @@ from .genus import (
     divisibility_report,
     elliptic_genus,
     relation_check,
-    special_value_suite,
-    xi06_torsion_values,
 )
 from .jacobi import (
     JacobiForm,
@@ -42,26 +44,22 @@ from .jacobi import (
     xi06,
 )
 from .lifts import (
+    SiegelSeries,
+    _lift_at,
     _prefactor_key,
     arithmetic_lift,
-    assembly_check_d4,
-    assembly_check_d8,
-    delta11_identity_check,
-    delta_half_theta,
     e_form,
     exp_lift,
     exp_lift_homomorphic,
     factorization_product,
     humbert_multiplicity,
     lift_window_for,
-    quotient_reduction_check,
+    siegel_omega_half_shift,
     siegel_scale,
     sqeg,
-    theta_product_delta5_squared,
-    window_equal,
 )
-from .modular import eta_quotient
-from .series import DEN2, Series
+from .modular import eta_quotient, kronecker
+from .series import DEN2, DEN3, Series
 
 GOLDEN_Q0_ROWS = {
     1: {4: 1, 0: 10, -4: 1},
@@ -76,6 +74,24 @@ GOLDEN_Q1_ROWS = {
     4: {-16: -1, -12: -1, -4: 1, 0: 2, 4: 1, 12: -1, 16: -1},
 }
 ALPHA_COEFFS = [8, 2 ** 8, 2 ** 11, 11 * 2 ** 10, 3 * 2 ** 14, 359 * 2 ** 9]
+
+# gamma = theta_00(2 tau)/theta_01(2 tau) as an eta_quotient spec
+GAMMA = ((2, 6), (1, -4), (4, -2))
+
+# The torsion values that are c times an eta quotient, by check name:
+# ((form, k, e, a), c, spec) states form(tau, 1/k)**e - a == c * eta_quotient(spec),
+# for the forms phi_01..phi_03 and xi_06 (alpha, beta and 2 gamma are the
+# values of phi_01, phi_02 and phi_03 at z = 1/2, 1/3 and 1/4).
+TORSION_ETA_QUOTIENTS = {
+    "phi03(1/4) = 2*theta00(2t)/theta01(2t)": (("phi03", 4, 1, 0), 2, GAMMA),
+    "alpha**2 - 64 = 2**12 Delta(2t)/Delta(t)": (("phi01", 2, 2, 64), 4096, ((2, 24), (1, -24))),
+    "beta**3 - 27 = 3**6 (eta(3t)/eta(t))**12": (("phi02", 3, 3, 27), 729, ((3, 12), (1, -12))),
+    "xi06(1/2) = 2**12 Delta(2t)/Delta(t)": (("xi06", 2, 1, 0), 4096, ((2, 24), (1, -24))),
+    "xi06(1/3) = 3**6 (eta(3t)/eta(t))**12": (("xi06", 3, 1, 0), 729, ((3, 12), (1, -12))),
+    "xi06(1/4) = 2**6 (eta(4t)/eta(2t))**12": (("xi06", 4, 1, 0), 64, ((4, 12), (2, -12))),
+    "xi06(1/6) = (eta(t)eta(6t)/(eta(2t)eta(3t)))**12":
+        (("xi06", 6, 1, 0), 1, ((1, 12), (6, 12), (2, -12), (3, -12))),
+}
 
 
 def _check(name, ok, detail=None):
@@ -127,10 +143,24 @@ def suite_ring(qmax=10):
     alpha = specialize_torsion(generator(1, 24 * len(ALPHA_COEFFS)), 2)
     got = [alpha.coeff((24 * n, 0)) for n in range(6)]
     checks.append(_check("alpha q^0..q^5 coefficients", got == ALPHA_COEFFS, got))
-    for name, ok in special_value_suite(qp).items():
-        checks.append(_check(name, ok))
-    for name, ok in xi06_torsion_values(qp).items():
-        checks.append(_check(name, ok))
+    # each eta quotient is asked for half an order past qp: a negative
+    # power of eta(4 tau) ends gamma's expansion half an order short
+    forms = {"phi01": p1, "phi02": p2, "phi03": p3, "xi06": xi06(qp)}
+    torsion = []
+    for name, ((form, k, e, a), c, spec) in TORSION_ETA_QUOTIENTS.items():
+        value = specialize_torsion(forms[form], k) ** e - Series.const(a, DEN2, qp)
+        quotient = eta_quotient(spec, qp + 12).truncate(qp)
+        torsion.append(_check(name, value.same_terms(quotient.scale(c))))
+    alpha = specialize_torsion(p1, 2)
+    gamma = eta_quotient(GAMMA, qp + 12).truncate(qp)
+    # in the report's order: the gamma checks sit among the generators' values
+    checks += torsion[:1] + [
+        _check("alpha = 16*gamma**4 - 8",
+               alpha.same_terms((gamma ** 4).scale(16) - Series.const(8, DEN2, qp))),
+    ] + torsion[1:3] + [
+        _check("alpha has positive coefficients", all(c > 0 for c in alpha.terms.values())),
+        _check("gamma has positive coefficients", all(c > 0 for c in gamma.terms.values())),
+    ] + torsion[3:]
     # center specializations (hat series)
     hat = {m: specialize_center(generator(m, qp)) for m in (1, 2, 3, 4)}
     for m, h in hat.items():
@@ -356,6 +386,121 @@ def _cy_checks(qmax):
     return checks
 
 
+# ---- oracles of the lift checks ---------------------------------------------
+
+
+def _window_terms(series, qlimit, slimit, ybound=None):
+    """The terms of a triple series with nq <= qlimit, ms <= slimit and
+    (optionally) |ly| <= ybound."""
+    return {
+        k: c
+        for k, c in series.terms.items()
+        if k[0] <= qlimit and k[2] <= slimit and (ybound is None or abs(k[1]) <= ybound)
+    }
+
+
+def _window_equal(s1, s2, qlimit, slimit, ybound=None):
+    """Compare two triple series on all keys with nq <= qlimit,
+    ms <= slimit, and (optionally) |ly| <= ybound.
+
+    Raises PrecisionError when the window holds no term of either series:
+    such a comparison would hold without comparing anything."""
+    w1 = _window_terms(s1, qlimit, slimit, ybound)
+    w2 = _window_terms(s2, qlimit, slimit, ybound)
+    if not w1 and not w2:
+        bound = "" if ybound is None else f", |ly| <= {ybound}/4"
+        raise PrecisionError(
+            f"compared window nq <= {qlimit}/24, ms <= {slimit}/24{bound} "
+            "holds no term of either series"
+        )
+    return w1 == w2
+
+
+def _delta_half_theta(qprec, sprec):
+    """The 'most odd' even genus-2 theta constant as an explicit sum:
+
+        (1/2) sum_{n,m odd} (-4/n)(-4/m) q^{n^2/8} y^{nm/4} s^{m^2/8}
+
+    folded over (n, m) -> (-n, -m)."""
+    terms = {}
+    nmax = isqrt(max(qprec - 1, 0) // 3)
+    mmax = isqrt(max(sprec - 1, 0) // 3)
+    for n in range(1, nmax + 1, 2):
+        cn = kronecker(-4, n)
+        for m in range(-mmax, mmax + 1):
+            if m % 2 == 0:
+                continue
+            c = cn * kronecker(-4, m)
+            key = (3 * n * n, n * m, 3 * m * m)
+            terms[key] = terms.get(key, 0) + c
+    terms = {k: c for k, c in terms.items() if c != 0}
+    return SiegelSeries(Series(DEN3, terms, qprec, _clean=True), 1, 0, None)
+
+
+def _even_characteristics():
+    """The ten even genus-2 theta characteristics (a, b), a.b even."""
+    pairs = [(a1, a2) for a1 in (0, 1) for a2 in (0, 1)]
+    return [(a, b) for a in pairs for b in pairs if (a[0] * b[0] + a[1] * b[1]) % 2 == 0]
+
+
+def _siegel_theta_constant(a, b, qprec, sprec):
+    """The genus-2 theta constant with characteristic (a, b), a, b in
+    {0,1}^2 with a.b even, as a triple series on the (1/8)-step lattice
+    (stored keys: nq = 3 u^2, ly = u v, ms = 3 v^2 for u = 2 n1 + a1,
+    v = 2 n2 + a2)."""
+    a1, a2 = a
+    b1, b2 = b
+    if (a1 * b1 + a2 * b2) % 2 != 0:
+        raise ValidationError("odd theta characteristic")
+    sign0 = (-1) ** ((a1 * b1 + a2 * b2) // 2)
+    terms = {}
+    ubound = isqrt(max(qprec - 1, 0) // 3)
+    vbound = isqrt(max(sprec - 1, 0) // 3)
+    n1min = (-ubound - a1) // 2 - 1
+    n1max = (ubound - a1) // 2 + 1
+    n2min = (-vbound - a2) // 2 - 1
+    n2max = (vbound - a2) // 2 + 1
+    for n1 in range(n1min, n1max + 1):
+        u = 2 * n1 + a1
+        nq = 3 * u * u
+        if nq >= qprec:
+            continue
+        for n2 in range(n2min, n2max + 1):
+            v = 2 * n2 + a2
+            ms = 3 * v * v
+            if ms >= sprec:
+                continue
+            c = sign0 * (-1) ** ((n1 * b1 + n2 * b2) % 2)
+            key = (nq, u * v, ms)
+            new = terms.get(key, 0) + c
+            if new:
+                terms[key] = new
+            else:
+                terms.pop(key, None)
+    return Series(DEN3, terms, qprec, _clean=True)
+
+
+def _theta_product_delta5_squared(qprec, sprec):
+    """2^{-12} times the product of the squares of the ten even genus-2
+    theta constants; equals the square of the first weight-5 cusp form."""
+    acc = Series.const(1, DEN3, qprec)
+    for a, b in _even_characteristics():
+        theta = _siegel_theta_constant(a, b, qprec, sprec)
+        acc = (acc * theta).truncate_s(sprec)
+        acc = (acc * theta).truncate_s(sprec)
+    terms = {}
+    for key, coeff in acc.terms.items():
+        quot, rem = divmod(coeff, 4096)
+        if rem:
+            raise IdentityError(
+                f"theta-constant product coefficient {coeff} at {key} "
+                "is not divisible by 2**12"
+            )
+        if quot:
+            terms[key] = quot
+    return Series(DEN3, terms, qprec, _clean=True)
+
+
 def suite_lifts():
     """The Siegel-lift batteries: dual constructions, the theta-product
     square, factorization, SQEG sanity, Humbert multiplicities, the
@@ -371,7 +516,7 @@ def suite_lifts():
             _check(
                 f"exp_lift(phi_0{idx}) == {name} arithmetic sum, weight2 {weight2},"
                 f" character order {order} (q,s <= 3,3)",
-                window_equal(lifted.series, summed.series, qp - 1, sp - 1)
+                _window_equal(lifted.series, summed.series, qp - 1, sp - 1)
                 and meta == {(weight2, order)},
             )
         )
@@ -384,12 +529,12 @@ def suite_lifts():
         )
     )
     # theta-constant product
-    tp = theta_product_delta5_squared(73, 73)
+    tp = _theta_product_delta5_squared(73, 73)
     two_phi1 = exp_lift_homomorphic([(generator(1, 24 * 8), 2)], 73, 73)
     checks.append(
         _check(
             "2^(-12) prod Theta_ab^2 == exp_lift(2 phi_01) (q,s <= 2)",
-            window_equal(tp.series, two_phi1.series, 48, 48),
+            _window_equal(tp, two_phi1.series, 48, 48),
         )
     )
     d5 = exp_lift(generator(1, 24 * 8), 73, 73)
@@ -403,12 +548,12 @@ def suite_lifts():
         )
     )
     # Delta_{1/2} substitution
-    dh = siegel_scale(delta_half_theta(80, 200), 2, 4)
+    dh = siegel_scale(_delta_half_theta(80, 200), 2, 4)
     e4 = exp_lift(generator(4, 24 * 12), 80, 80)
     checks.append(
         _check(
             "exp_lift(phi_04)(t,z,w) == Delta_1/2(t,2z,4w) (q,s <= 3)",
-            window_equal(e4.series, dh.series, 72, 72),
+            _window_equal(e4.series, dh.series, 72, 72),
         )
     )
     # factorization
@@ -419,7 +564,7 @@ def suite_lifts():
         checks.append(
             _check(
                 f"anomaly * SQEG == exp_lift(-genus) for {label} (q,s <= 2)",
-                window_equal(ef.series, fp.series, 48, 48, ybound=24),
+                _window_equal(ef.series, fp.series, 48, 48, ybound=24),
             )
         )
     # SQEG sanity
@@ -491,7 +636,7 @@ def suite_lifts():
                 [(phi, a), (psi, b)], qp, sp, ywindow=80
             )
             ql, sl = pref[0] + 24, pref[2] + 24
-            if not window_equal(lhs.series, rhs.series, ql, sl, ybound=12):
+            if not _window_equal(lhs.series, rhs.series, ql, sl, ybound=12):
                 hom_ok = False
                 bad = (a, b)
     checks.append(
@@ -505,21 +650,37 @@ def suite_lifts():
     checks.append(
         _check(
             "E(CY3, e=-2) * E(CY3, e=+2) == 1 (q,s <= 1)",
-            window_equal(prod, Series.const(1, prod.den, 49), 24, 24, ybound=16),
+            _window_equal(prod, Series.const(1, prod.den, 49), 24, 24, ybound=16),
         )
     )
-    # Delta11 identity: the half-period shift contributes the unit i
-    report = delta11_identity_check()
+    # Delta11 identity on q, s <= 4, up to a unit: the half-period factor is
+    # i**k times an integral series (siegel_omega_half_shift), so both sides
+    # are multiplied over Z and the unit is +-i**k
+    qp = sp = 97
+    d11 = _lift_at(lambda q: psi2_variant(2, q, variant="A"), qp, sp).series
+    d2 = _lift_at(lambda q: generator(2, q), qp, sp).series
+    lhs = ((d11 * d2).truncate_s(sp) * d2).truncate_s(sp)
+    d5 = _lift_at(lambda q: generator(1, q), qp, sp)
+    k, d5_shifted = siegel_omega_half_shift(d5)
+    rhs = (d5.series * siegel_scale(d5, 2, 4).series).truncate_s(sp)
+    rhs = (rhs * d5_shifted.series).truncate_s(sp)
+    qlimit = min(lhs.qprec, rhs.qprec) - 1
+    sign = next((u for u in (1, -1) if _window_equal(rhs, lhs.scale(u), qlimit, sp - 1)), None)
+    unit = None if sign is None else f"{sign}i" if k else str(sign)
     checks.append(
         _check(
             "Delta5(Z)Delta5(2z,4w)Delta5(z,w+1/2) == i Delta11 Delta2^2",
-            report["unit"] == "1i",
-            {"unit": report["unit"]},
+            unit == "1i",
+            {"unit": unit},
         )
     )
-    # assemblies and the quotient reduction
+    # the assemblies of Calabi-Yau genera from lift inputs, on 6 q-orders
+    qp = 24 * 6
+    psi_a, phi2 = psi2_variant(2, qp, variant="A"), generator(2, qp)
     d4_ok = all(
-        assembly_check_d4(inv)
+        (-elliptic_genus(inv, qprec=qp).series).same_terms(
+            psi_a.series.scale(-inv.chi[0]) + phi2.series.scale(inv.chi[1]), qp
+        )
         for inv in (
             CYInvariants(4, (1, 4, 6, 4, 1)),
             CYInvariants(4, (1, 0, 22, 0, 1)),
@@ -527,8 +688,14 @@ def suite_lifts():
         )
     )
     checks.append(_check("-chi(M4) == -chi0 psi_A + chi1 phi_02", d4_ok))
+    phi4, phi1_2z = generator(4, qp).series, generator(1, qp).double_z().series
+    psi3, psi4 = basis_psi(4, 3, qp).series, basis_psi(4, 4, qp).series
     d8_ok = all(
-        assembly_check_d8(inv)
+        (-elliptic_genus(inv, qprec=qp).series).same_terms(
+            phi4.scale(inv.chi[3]) + phi1_2z.scale(-inv.chi[2])
+            + psi3.scale(inv.chi[1]) + psi4.scale(-inv.chi[0]),
+            qp,
+        )
         for inv in (
             CYInvariants(8, (1, 2, 3, 4, 22, 4, 3, 2, 1)),
             CYInvariants(8, (0, 0, 0, 1, -1, 1, 0, 0, 0)),
@@ -541,10 +708,15 @@ def suite_lifts():
             d8_ok,
         )
     )
+    # the two index-6 lift inputs 3 phi3^2 - 2 phi2 phi4 and
+    # 5 phi3^2 - 4 phi2 phi4 differ by 2 phi_06, on 10 q-orders
+    p2, p3, p4 = (generator(m, 252) for m in (2, 3, 4))
+    sq3, prod24 = (p3 * p3).series, (p2 * p4).series
+    diff = (sq3.scale(3) - prod24.scale(2)) - (sq3.scale(5) - prod24.scale(4))
     checks.append(
         _check(
             "index-6 quotient reduction: difference of lift inputs == 2 phi_06",
-            quotient_reduction_check(),
+            diff.same_terms(generator(6, 252).series.scale(2), 240),
         )
     )
     return checks

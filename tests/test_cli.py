@@ -139,7 +139,7 @@ def test_lift_negative_ywindow_rejected(capsys, kind, as_json):
 # per lift kind, options it does not read; the first is also tried under --json
 UNREAD = {
     "explift": ["--pmax=2", "--d=2", "--chi=2,-20,2", "--euler=0", "--name=Delta2", "--bound=1"],
-    "sqeg": ["--smax=2", "--form=Phi1", "--name=Delta2", "--bound=1"],
+    "sqeg": ["--smax=2", "--form=Phi1", "--name=Delta2", "--bound=1", "--ywindow=4"],
     "eform": ["--pmax=2", "--form=Phi1", "--name=Delta2", "--bound=1"],
     "arith": ["--ywindow=4", "--smax=7", "--qmax=2", "--pmax=2", "--form=Phi1", "--d=2",
               "--chi=2,-20,2", "--euler=0"],

@@ -296,6 +296,30 @@ def test_residuals_on_generators_and_basis():
             assert linear_residuals(basis_psi(m, n, 72)) == (0, 0), (m, n)
 
 
+def fraction_residuals(form):
+    """The two linear residuals summed term by term in Fractions: the route
+    linear_residuals replaced."""
+    m = Fraction(form.index2, 2)
+    row0, row1 = form.q_row(0), form.q_row(1)
+    s0 = sum(row0.values())
+    r1 = m * s0 - 6 * sum(Fraction(l4, 4) ** 2 * c for l4, c in row0.items())
+    r2 = 24 * m * s0 - sum((m - 6 * Fraction(l4, 4) ** 2) * c for l4, c in row1.items())
+    return r1, r2
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_residuals_equal_the_fraction_sums(data):
+    """On random q**0 and q**1 rows of any index, not only on forms, so
+    that nonzero residuals are compared too."""
+    index2 = data.draw(st.integers(0, 24))
+    l4 = st.integers(-12, 12).map(lambda j: 4 * j + 2 * (index2 % 2))
+    terms = data.draw(st.dictionaries(st.tuples(st.sampled_from([0, 24]), l4),
+                                      st.integers(-10 ** 6, 10 ** 6), max_size=12))
+    form = JacobiForm(Series(DEN2, terms, 48), 0, index2)
+    assert linear_residuals(form) == fraction_residuals(form)
+
+
 def test_hecke_tminus2_identity():
     qp = 24 * 4
     lhs = hecke_tminus(generator(1, 2 * qp + 24), 2) - 2 * generator(2, qp)
@@ -814,11 +838,6 @@ def test_theta_jacobi_half_integral_scale():
     assert theta_jacobi(qp, y_scale=Fraction(3, 2)).lift_to_three(0) == theta_scaled(qp, 3)
     with pytest.raises(ValidationError):
         theta_jacobi(qp, y_scale=Fraction(1, 4))
-
-
-def test_fourier_beyond_precision_raises():
-    with pytest.raises(PrecisionError):
-        generator(1, 48).fourier(2, 0)
 
 
 def test_bad_index_row_rejected():

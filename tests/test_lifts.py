@@ -17,24 +17,26 @@ from jacobilift.lifts import (
     _divisor_char_sum,
     _input_qprec,
     _prefactor_key,
-    _window_terms,
     arithmetic_lift,
-    delta_half_theta,
-    even_characteristics,
     exp_lift,
     exp_lift_homomorphic,
     hodge_anomaly,
     humbert_multiplicity,
     lift_window_for,
     siegel_omega_half_shift,
-    siegel_theta_constant,
     sqeg,
     symmetric_product_genus,
     theta_block,
-    window_equal,
 )
 from jacobilift.modular import kronecker
 from jacobilift.series import DEN2, DEN3, Series
+from jacobilift.verify import (
+    _delta_half_theta,
+    _even_characteristics,
+    _siegel_theta_constant,
+    _window_equal,
+    _window_terms,
+)
 
 
 def test_exp_lift_prefactor_and_metadata():
@@ -47,10 +49,10 @@ def test_exp_lift_prefactor_and_metadata():
 
 def test_window_equal_refuses_empty_window():
     ss = exp_lift(generator(1, 24 * 8), 49, 49)  # lowest term at q^(1/2)
-    assert window_equal(ss.series, ss.series, 12, 12)
-    assert not window_equal(ss.series, Series.zero(DEN3, 49), 12, 12)
+    assert _window_equal(ss.series, ss.series, 12, 12)
+    assert not _window_equal(ss.series, Series.zero(DEN3, 49), 12, 12)
     with pytest.raises(PrecisionError, match="holds no term"):
-        window_equal(ss.series, ss.series, 11, 48)
+        _window_equal(ss.series, ss.series, 11, 48)
 
 
 def test_exp_lift_rejects_nonzero_weight():
@@ -100,10 +102,8 @@ def test_omega_half_shift_refuses_mixed_s_classes():
 
 
 def test_negative_ywindow_is_refused():
-    k3 = elliptic_genus(K3, qprec=48)
     calls = [
         lambda: exp_lift(generator(1, 24 * 8), 49, 49, ywindow=-4),
-        lambda: sqeg(k3, 25, 25, ywindow=-1),
         lambda: lifts.e_form(K3, 25, 25, ywindow=-1),
         lambda: theta_block(0, {1: -1}, 48, ywindow=-1),
     ]
@@ -113,21 +113,21 @@ def test_negative_ywindow_is_refused():
 
 
 def test_theta_constant_trivial_characteristic():
-    theta = siegel_theta_constant((0, 0), (0, 0), 49, 49)
+    theta = _siegel_theta_constant((0, 0), (0, 0), 49, 49)
     assert theta.coeff((0, 0, 0)) == 1
 
 
 def test_theta_constant_rejects_odd():
     with pytest.raises(ValidationError):
-        siegel_theta_constant((1, 0), (1, 0), 25, 25)
+        _siegel_theta_constant((1, 0), (1, 0), 25, 25)
 
 
 def test_even_characteristics_count():
-    assert len(even_characteristics()) == 10
+    assert len(_even_characteristics()) == 10
 
 
 def test_delta_half_integral_and_antisymmetric():
-    dh = delta_half_theta(49, 49)
+    dh = _delta_half_theta(49, 49)
     assert dh.series.coeff((3, 1, 3)) == 1
     assert dh.series.coeff((3, -1, 3)) == -1
     assert all(isinstance(c, int) for c in dh.series.terms.values())
@@ -309,7 +309,7 @@ def test_exp_lift_with_ywindow_equals_product_on_interior():
             oracle = product_exp_lift(form, qp, sp, ywindow=80)
             assert lifted.qprec == oracle.qprec
             assert _window_terms(lifted, qp - 1, sp - 1, 12), (a, b)
-            assert window_equal(lifted, oracle, qp - 1, sp - 1, ybound=12), (a, b)
+            assert _window_equal(lifted, oracle, qp - 1, sp - 1, ybound=12), (a, b)
 
 
 def test_lifts_refuse_an_input_one_order_short():
@@ -486,6 +486,32 @@ def test_input_that_breaks_the_periodicity_is_refused():
         terms = set(re.findall(r"-?\d+ q\^\d+ y\^-?\d+", str(err.value)))
         assert len(terms) == 2 and "in the class (D, l mod 2) = (7, 1)" in str(err.value)
         assert {t for t in terms if t.endswith(("q^2 y^1", "q^2 y^-1"))} == terms
+
+
+def test_input_that_lacks_a_representative_is_refused():
+    """A class present in the input holds every representative (n, l) with
+    n below the precision, else the class and one missing term are named:
+    the constant 1 read at index 1 (not a Jacobi form), a half-integral
+    form read through z -> 2z, and a form at a q-precision that is not a
+    multiple of 24, the last two each with one term dropped."""
+    one = JacobiForm(Series.const(1, DEN2, 96), 0, 2)
+    half = phi_threehalf(24 * 6)
+    odd = generator(1, 24 * 5 + 7)  # six q-orders
+    assert hecke_tminus(odd, 1).series.terms == odd.series.terms
+    assert sqeg(half, 49, 49).terms
+    drop = (24 * 5, 8)  # c(5, 2) of phi_01
+    half_drop = max(half.series.terms)  # read as c(5, l) at l = ly/2
+    runs = (
+        (lambda: hecke_tminus(one, 1), "(D, l mod 2) = (0, 0) lacks its term q^1 y^-2 "),
+        (lambda: exp_lift(one, 25, 25), "(D, l mod 2) = (0, 0) lacks its term q^1 y^-2 "),
+        (lambda: hecke_tminus(plus_term(odd, drop, -odd.series.terms[drop]), 2),
+         "(D, l mod 2) = (16, 0) lacks its term q^5 y^2 below the precision of 6 q-orders"),
+        (lambda: sqeg(plus_term(half, half_drop, -half.series.terms[half_drop]), 49, 49),
+         f"lacks its term q^5 y^{half_drop[1] // 2} (z -> 2z)"),
+    )
+    for run, message in runs:
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            run()
 
 
 def test_two_lifts_of_one_form_build_its_table_once(monkeypatch):

@@ -13,6 +13,7 @@ from jacobilift.modular import (
     theta_constant,
 )
 from jacobilift.series import DEN2, Series
+from jacobilift.verify import GAMMA
 
 # Ramanujan tau values for q, q^2, ..., q^6 in Delta = eta^24
 TAU = [1, -24, 252, -1472, 4830, -6048]
@@ -103,3 +104,11 @@ def test_eta_quotient_equals_exact_division(spec, num, den):
     want = product(num).exact_div(product(den))
     got = eta_quotient(spec, qprec)
     assert got.qprec == want.qprec and got.terms == want.terms
+
+
+@pytest.mark.parametrize("qprec", [72, 240, 288, 720])
+def test_gamma_eta_quotient_equals_the_theta_division(qprec):
+    """gamma = theta_00(2 tau)/theta_01(2 tau) = eta(2t)**6/(eta(t)**4 eta(4t)**2):
+    asked for half an order more, the quotient ends where the division does."""
+    want = theta_constant(0, 0, qprec, scale=2).exact_div(theta_constant(0, 1, qprec, scale=2))
+    assert eta_quotient(GAMMA, qprec + 12).truncate(qprec) == want
