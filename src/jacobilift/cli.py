@@ -253,7 +253,6 @@ def _check_lift_options(args):
 
 
 def cmd_lift(args):
-    _check_lift_options(args)
     qmax = DEFAULT_ORDERS if args.qmax is None else args.qmax
     smax = DEFAULT_ORDERS if args.smax is None else args.smax
     if args.kind == "explift":
@@ -361,8 +360,9 @@ def build_parser():
     p.add_argument("--bound", type=int, default=None,
                    help=f"whole q- and s-orders (arith, default {DEFAULT_ORDERS})")
     p.add_argument("--ywindow", type=int, default=None,
-                   help="clip y-exponents to |l| <= ywindow/4: the theta block F_0 of"
-                   " explift and eform (exact interior: lifts.theta_block)")
+                   help="keep the terms whose y-exponent lies within ywindow/4 of the"
+                   " leading monomial's (explift, eform; eform default 60); every"
+                   " printed term is exact")
     common(p, lift=True)
     p.set_defaults(fn=cmd_lift)
 
@@ -426,6 +426,9 @@ def _main(argv):
         message = usage.getvalue().strip().splitlines()[-1]
         return _error(True, "input", message.split("error: ", 1)[-1])
     try:
+        if args.command == "lift":
+            # an option the kind does not read is refused before its range is checked
+            _check_lift_options(args)
         _check_windows(args)
         return args.fn(args)
     except PrecisionError as exc:

@@ -24,20 +24,20 @@ q-row, with each image and each H_M packed once.  That layout holds the
 weak-form support n >= 0, l**2 <= 4tn + t**2, and the table refuses an
 input term outside it.  The s**0 part F_0 of the lift is the theta block
 eta^(c(0,0) - sum_{l>0} c(0,l)) prod_{l>0} theta(tau, l z)^c(0,l)
-(Gritsenko-Nikulin), and the Hodge anomaly is one too; ``theta_block``
-builds both.  A negative theta power has unbounded y-support, so the
-theta block alone takes the ``ywindow``, and ``theta_block`` states the
-interior on which a windowed block is exact.  Inverses of cusp forms take a
-``ywindow`` for the same reason.
+(Gritsenko-Nikulin), and the Hodge anomaly is one too.  By the triple
+product each theta unit is (1 - y^-lam) B_lam with B_lam finite at each
+q-order (``_theta_rest``), so every lift, F_0 and anomaly here is a
+monomial times R = prod (1 - y^-lam)^c_lam times an exact series.  R is
+infinite when some c_lam < 0; ``_y_factor`` multiplies it in, clipped to
+|ly| <= ``ywindow`` around the monomial, and is the one place a y-window
+is applied.  Every term it returns is exact.
 """
 
-import heapq
 from fractions import Fraction
-from math import gcd, inf, isqrt
+from math import gcd, isqrt
 
 from .errors import InexactDivisionError, PrecisionError, ValidationError
 from .genus import elliptic_genus
-from .jacobi import theta_jacobi
 from .modular import euler_product, kronecker
 from .series import DEN2, DEN3, Series, _Rows, _unpack_rows, series_to_dict
 
@@ -103,7 +103,7 @@ def siegel_omega_half_shift(ss):
     return k, SiegelSeries(series, ss.weight2, ss.character_order, ss.index_t)
 
 
-# ---- windowed unit inversion --------------------------------------------
+# ---- the y-factor and theta blocks ----------------------------------------
 
 
 def _check_ywindow(ywindow):
@@ -112,96 +112,65 @@ def _check_ywindow(ywindow):
         raise ValidationError(f"ywindow must be >= 0, got {ywindow}")
 
 
-def _clip(series, ywindow, sprec):
-    if ywindow is not None:
-        series = series.clip_y(ywindow)
-    if sprec is not None and series.den == DEN3:
-        series = series.truncate_s(sprec)
-    return series
+def _theta_rest(qprec, lam):
+    """B_lam = prod_{n>=1} (1 - q^n)(1 - q^n y^lam)(1 - q^n y^-lam) below
+    qprec, the theta unit theta(tau, lam z)/(q^(1/8) y^(lam/2)) divided by
+    1 - y^-lam.  By the triple product it is
+
+        sum_{m odd >= 1} (-4/m) q^((m^2-1)/8) (y^(lam(m-1)/2) + y^(lam(m-3)/2)
+                                                + ... + y^(-lam(m-1)/2)).
+    """
+    terms, m = {}, 1
+    while 3 * (m * m - 1) < qprec:
+        half = (m - 1) // 2
+        for j in range(-half, half + 1):
+            terms[(3 * (m * m - 1), int(4 * lam) * j)] = (-1) ** half
+        m += 2
+    return Series(DEN2, terms, qprec, _clean=True)
 
 
-def _unit_order(key):
-    """The order (nq, ms, -ly) in which a unit's inverse is solved."""
-    return (key[0],) + key[2:] + (-key[1],)
+def _block_rest(eta_exp, thetas, rel):
+    """G = prod_{n>=1} (1 - q^n)^eta_exp prod B_lam^thetas[lam] below rel.
+    Each factor has constant term 1 and finitely many terms at each q-order,
+    so G has too, and a negative power is q-adic exact division."""
+    g = euler_product(rel) ** eta_exp
+    for lam, c in sorted(thetas.items()):
+        g = g * _theta_rest(rel, lam) ** c
+    return g
 
 
-def clipped_inverse(unit, qprec, sprec=None, ywindow=None):
-    """Invert a series with constant term 1, truncating to the supplied
-    q-, s- and y-windows.  Needed when the exact inverse has unbounded
-    y-support (for example 1/(1 - y + ...)).
-
-    With w = 1 - unit the inverse solves inv = 1 + w*inv on the window.
-    Every other term of the unit comes after the constant term in the
-    order (nq, ms, -ly), so the system is triangular: one pass in that
-    order, reading keys outside the window as 0, solves it."""
-    one_key = (0,) * len(unit.den)
-    if unit.coeff(one_key) != 1 or qprec is None:
-        raise ValidationError("clipped_inverse needs constant term 1 and a q-precision")
-    w = _clip((Series.const(1, unit.den, qprec) - unit), ywindow, sprec)
-    if not w.terms:
-        return Series.const(1, unit.den, qprec)
-    for k in w.terms:
-        if _unit_order(k) < _unit_order(one_key):
-            raise ValidationError(f"clipped_inverse: term {k} precedes the constant term")
-        ms = k[2] if len(k) == 3 else 0
-        if k[0] == 0 and (sprec if ms else ywindow) is None:
-            axis = "s" if ms else "y"
-            raise PrecisionError(f"inverse has unbounded {axis}-support; supply a {axis}-window")
-
-    # w in q order: the scan of a row stops at the first key past qprec
-    wterms = sorted(w.terms.items())
-    three = len(one_key) == 3
-    ybound = inf if ywindow is None else ywindow
-    sbound = inf if sprec is None else sprec
-    pending = {one_key: 1}
-    heap = [(_unit_order(one_key), one_key)]
-    inv = {}
-    while heap:
-        k = heapq.heappop(heap)[1]
-        c = pending.pop(k)
-        if not c:
-            continue
-        inv[k] = c
-        for kw, cw in wterms:
-            nq = k[0] + kw[0]
-            if nq >= w.qprec:
-                break
-            key = (nq, k[1] + kw[1], k[2] + kw[2]) if three else (nq, k[1] + kw[1])
-            if abs(key[1]) > ybound or (three and key[2] >= sbound):
-                continue
-            if key not in pending:
-                pending[key] = 0
-                heapq.heappush(heap, (_unit_order(key), key))
-            pending[key] += c * cw
-    return Series(unit.den, inv, w.qprec, _clean=True)
+def _y_factor(series, thetas, ywindow):
+    """The (q, y) series times R = prod_lam (1 - y^-lam)^thetas[lam],
+    clipped to |ly| <= ywindow: the one step that applies a y-window.  R
+    only lowers ly, so the terms below -ywindow are dropped first and R is
+    expanded by binomials down to ywindow past the top ly of the series;
+    each returned term then sums every product that reaches it, so it is
+    exact.  Without a window R must be a polynomial, else PrecisionError."""
+    if ywindow is None:
+        if any(c < 0 for c in thetas.values()):
+            raise PrecisionError("a negative theta power has unbounded y-support; supply a ywindow")
+        depth = sum(int(4 * lam) * c for lam, c in thetas.items())
+    else:
+        terms = {k: c for k, c in series.terms.items() if k[1] >= -ywindow}
+        series = Series(DEN2, terms, series.qprec, _clean=True)
+        depth = ywindow + max((k[1] for k in terms), default=0)
+    factor = Series.const(1)
+    for lam, c in thetas.items():
+        step = int(4 * lam)
+        binomial, a, j = {}, 1, 0
+        while a and step * j <= depth:
+            binomial[(0, -step * j)] = a  # (-1)^j C(c, j)
+            j += 1
+            a = a * (j - 1 - c) // j
+        factor = (factor * Series(DEN2, binomial, None, _clean=True)).clip_y(depth)
+    product = series * factor
+    return product if ywindow is None else product.clip_y(ywindow)
 
 
-def power_with_window(series, exponent, qprec, sprec=None, ywindow=None):
-    """series**exponent with window truncation; negative exponents factor
-    out the minimal monomial (whose coefficient must be a unit)."""
-    if exponent >= 0:
-        result = Series.const(1, series.den, qprec)
-        for _ in range(exponent):
-            result = _clip(result * series, ywindow, sprec)
-        return result
-    # pivot on the y-maximal term of the lowest q-row, so the rest of that
-    # row has ly < 0 and the inverse grows in the -y direction: for a theta
-    # unit the row is 1 - y**-lam (see theta_block)
-    m0 = min(series.terms, key=_unit_order)
-    c0 = series.terms[m0]
-    if c0 not in (1, -1):
-        raise ValidationError("negative powers need a unit leading coefficient")
-    unit = series.shift(tuple(-v for v in m0)).scale(c0).with_qprec(qprec)
-    inv_unit = clipped_inverse(unit, qprec, sprec=sprec, ywindow=ywindow)
-    result = Series.const(1, series.den, qprec)
-    for _ in range(-exponent):
-        result = _clip(result * inv_unit, ywindow, sprec)
-    sign = -1 if (c0 == -1 and exponent % 2) else 1
-    shift_key = tuple(v * exponent for v in m0)
-    return _clip(result.shift(shift_key).with_qprec(qprec).scale(sign), ywindow, sprec)
-
-
-# ---- theta blocks -----------------------------------------------------------
+def _block_lead(eta_exp, thetas):
+    """The key of the leading monomial q^((eta_exp + 3 sum c)/24)
+    y^(sum lam c/2) of a theta block."""
+    return (eta_exp + 3 * sum(thetas.values()), int(sum(2 * lam * c for lam, c in thetas.items())))
 
 
 def theta_block(eta_exp, thetas, qprec, ywindow=None):
@@ -211,31 +180,17 @@ def theta_block(eta_exp, thetas, qprec, ywindow=None):
     the block divided by it, with constant term 1 and q-precision
     qprec - lead[0].
 
-    F is the product of prod (1 - q^n) to the power eta_exp and the theta
-    units theta(tau, lam z)/(q^(1/8) y^(lam/2)) =
-    prod_{n>=1} (1 - q^n)(1 - q^n y^lam)(1 - q^(n-1) y^-lam) to the powers
-    thetas[lam].  A negative power has unbounded y-support and needs a
-    ``ywindow``; every intermediate series is clipped to |ly| <= ywindow.
-
-    The coefficient of q^N y^(ly/4) in F is exact when |ly| + L N <=
-    ywindow, with L = 4 max{lam : thetas[lam] != 0}.  Every term of the eta
-    and theta units at q^N has ly <= L N, and each coefficient of F sums chains of unit
-    terms; a clip only ever sees a partial sum of one chain.  A part of a
-    chain ending at (N, ly) has q-order n <= N, so its y-exponent is at
-    most L n <= L N and at least ly minus L times the q-order of the rest,
-    hence at least ly - L N: inside the window, so no clip drops it.
-    """
+    F is G (``_block_rest``) times the y-factor prod (1 - y^-lam)^c.  A
+    negative power makes that factor an infinite series in y^-1, so it
+    needs a ``ywindow``; F is then returned on |ly| <= ywindow, every term
+    exact (``_y_factor``)."""
     _check_ywindow(ywindow)
     thetas = {lam: c for lam, c in thetas.items() if c}
-    lead = (eta_exp + 3 * sum(thetas.values()), int(sum(2 * lam * c for lam, c in thetas.items())))
+    lead = _block_lead(eta_exp, thetas)
     rel = qprec - lead[0]
     if rel <= 0:
         return Series.zero(DEN2, rel), lead
-    block = euler_product(rel) ** eta_exp
-    for lam, c in sorted(thetas.items()):
-        unit = theta_jacobi(rel + 3, lam).shift((-3, -int(2 * lam)))
-        block = _clip(block * power_with_window(unit, c, rel, ywindow=ywindow), ywindow, None)
-    return block, lead
+    return _y_factor(_block_rest(eta_exp, thetas, rel), thetas, ywindow), lead
 
 
 # ---- the exponential lift ------------------------------------------------
@@ -328,6 +283,36 @@ def _fj_rows(form, sign, qprec, count):
     return [Series(DEN2, row, qprec, _clean=True) for row in out]
 
 
+def _lift_parts(form, qprec, sprec):
+    """exp_lift(form) = q^A y^B s^C R G sum_M H_M s^{tM} taken apart as
+    (pref, thetas, G, rows, t): the key of q^A y^B s^C, the powers c(0, l)
+    of R = prod_{l>0} (1 - y^-l)^c(0,l), and G and the rows H_M below the
+    q-precision left past q^A."""
+    t = _lift_index(form)
+    pref = _prefactor_key(form)
+    pq, ps = qprec - pref[0], sprec - pref[2]
+    if pq <= 0 or ps <= 0:
+        raise PrecisionError("requested precision does not reach the leading term")
+    q0 = {k[1]: c for k, c in form.series.q_slice(0)}
+    if any(q0.get(-ly) != c for ly, c in q0.items()):
+        raise ValidationError("the q**0 row of a lift input must be even in y")
+    thetas = {ly // 4: c for ly, c in q0.items() if ly > 0}
+    g = _block_rest(q0.get(0, 0) - sum(thetas.values()), thetas, pq)
+    return pref, thetas, g, _fj_rows(form, -1, pq, (ps - 1) // (24 * t)), t
+
+
+def _assemble(lead, thetas, g, rows, t, ywindow):
+    """The triple series q^lead R G sum_M rows[M] s^{tM}, with the
+    y-factor R = prod (1 - y^-lam)^thetas[lam] multiplied into each G H_M
+    by ``_y_factor``; its q-precision is that of G past the lead."""
+    terms = {}
+    for m, row in enumerate(rows):
+        part = _y_factor(g * row, thetas, ywindow)
+        ms = 24 * t * m + lead[2]
+        terms.update({(nq + lead[0], ly + lead[1], ms): c for (nq, ly), c in part.terms.items()})
+    return Series(DEN3, terms, g.qprec + lead[0], _clean=True)
+
+
 def exp_lift(form, qprec, sprec, ywindow=None):
     """The Borcherds exponential product of a weight-0 Jacobi form of
     integral index t:
@@ -340,39 +325,17 @@ def exp_lift(form, qprec, sprec, ywindow=None):
     It is computed as q^A y^B s^C F_0 sum_M H_M s^{tM}: F_0 is the m = 0
     part, the theta block eta^(c(0,0) - sum_{l>0} c(0,l))
     prod_{l>0} theta(tau, l z)^c(0,l) divided by q^A y^B, and H_M are the
-    Fourier-Jacobi rows of the module's recursion, exact and finite.  Only
-    F_0 takes the ``ywindow``, and each F_0 H_M is clipped to
-    |ly| <= ywindow before the prefactor.  The coefficient of
-    q^N y^(ly/4) s^{tM} in F_0 H_M is exact when
-    |ly| + 4tM + (L + 8)N <= ywindow, where L is the largest |ly| in the
-    q**0 row of the form: F_0 is exact on |ly| + L N <= ywindow
-    (``theta_block``), and the q**N row of H_M, of index tM, has
-    |ly| <= 4(tM + 2N).
+    Fourier-Jacobi rows of the module's recursion, exact and finite.
+    F_0 = R G with R = prod_{l>0} (1 - y^-l)^c(0,l), and ``_y_factor``
+    multiplies R into each exact product G H_M: with a negative c(0, l) it
+    takes a ``ywindow``, and every term on |ly| <= ywindow around q^A y^B is
+    returned exact.
     """
     _check_ywindow(ywindow)
-    t = _lift_index(form)
-    pref = _prefactor_key(form)
-    pq = qprec - pref[0]
-    ps = sprec - pref[2]
-    if pq <= 0 or ps <= 0:
-        raise PrecisionError("requested precision does not reach the leading term")
-
-    q0 = {k[1]: c for k, c in form.series.q_slice(0)}
-    if any(q0.get(-ly) != c for ly, c in q0.items()):
-        raise ValidationError("the q**0 row of a lift input must be even in y")
-    thetas = {ly // 4: c for ly, c in q0.items() if ly > 0}
-    f0, _ = theta_block(q0.get(0, 0) - sum(thetas.values()), thetas, qprec, ywindow=ywindow)
-    terms = {}
-    for m, row in enumerate(_fj_rows(form, -1, pq, (ps - 1) // (24 * t))):
-        part = f0 * row
-        if ywindow is not None:
-            part = part.clip_y(ywindow)
-        ms = 24 * t * m + pref[2]
-        terms.update({(nq + pref[0], ly + pref[1], ms): c for (nq, ly), c in part.terms.items()})
-    a24 = pref[0]
-    weight2 = q0.get(0, 0)
-    character_order = 24 // gcd(24, a24) if a24 else 1
-    return SiegelSeries(Series(DEN3, terms, qprec, _clean=True), weight2, character_order, t)
+    pref, thetas, g, rows, t = _lift_parts(form, qprec, sprec)
+    series = _assemble(pref, thetas, g, rows, t, ywindow)
+    character_order = 24 // gcd(24, pref[0]) if pref[0] else 1
+    return SiegelSeries(series, form.series.coeff((0, 0)), character_order, t)
 
 
 def _lift_index(form):
@@ -417,21 +380,52 @@ def lift_window_for(form, qmax, smax):
     return qprec, sprec, _lift_input_for(form, qprec, sprec)
 
 
+def _rows_mul(x, y):
+    """The product of two row series sum_M x[M] s^M and sum_M y[M] s^M,
+    on the rows both reach."""
+    return [sum((x[j] * y[m - j] for j in range(1, m + 1)), x[0] * y[m])
+            for m in range(min(len(x), len(y)))]
+
+
+def _rows_power(rows, a):
+    """(sum_M rows[M] s^M)**a, rows[0] = 1, on as many rows; a negative
+    power inverts first, by K_0 = 1, K_M = -sum_{j>=1} rows[j] K_{M-j}."""
+    if a < 0:
+        inverse = rows[:1]
+        for m in range(1, len(rows)):
+            inverse.append(-sum((rows[j] * inverse[m - j] for j in range(2, m + 1)),
+                                rows[1] * inverse[m - 1]))
+        rows, a = inverse, -a
+    out = rows
+    for _ in range(a - 1):
+        out = _rows_mul(out, rows)
+    return out
+
+
 def exp_lift_homomorphic(pairs, qprec, sprec, ywindow=None):
-    """exp_lift(sum a_i phi_i) computed as prod exp_lift(phi_i)**a_i,
-    for checking the exponential homomorphism property."""
-    result = None
-    weight2 = 0
-    index_t = None
-    for form, exponent in pairs:
-        lifted = exp_lift(form, qprec, sprec, ywindow=ywindow)
-        piece = power_with_window(
-            lifted.series, exponent, qprec, sprec=sprec, ywindow=ywindow
-        )
-        weight2 += lifted.weight2 * exponent
-        index_t = lifted.index_t
-        result = piece if result is None else _clip(result * piece, ywindow, sprec)
-    return SiegelSeries(result, weight2, 0, index_t)
+    """exp_lift(sum a_i phi_i) computed as prod exp_lift(phi_i)**a_i, for
+    checking the exponential homomorphism property.  Each exp_lift(phi_i)
+    is taken apart at (qprec, sprec) (``_lift_parts``): the prefactors and
+    the powers of R add, the G's and the row series multiply (negative
+    powers by exact division and ``_rows_power``), and R is applied once.
+    The q-precision is what the products keep; the rows stop below sprec."""
+    _check_ywindow(ywindow)
+    parts = [(a, _lift_parts(form, qprec, sprec)) for form, a in pairs if a]
+    if not parts or len({part[4] for _, part in parts}) > 1:
+        raise ValidationError("exp_lift_homomorphic needs forms of one index, an exponent nonzero")
+    t = parts[0][1][4]
+    pref, thetas, g, rows = (0, 0, 0), {}, Series.const(1, DEN2), None
+    for a, (pref_i, thetas_i, g_i, rows_i, _) in parts:
+        pref = tuple(v + a * w for v, w in zip(pref, pref_i))
+        for lam, c in thetas_i.items():
+            thetas[lam] = thetas.get(lam, 0) + a * c
+        g, rows_i = g * g_i ** a, _rows_power(rows_i, a)
+        rows = rows_i if rows is None else _rows_mul(rows, rows_i)
+    thetas = {lam: c for lam, c in thetas.items() if c}
+    count = (sprec - pref[2] - 1) // (24 * t)
+    series = _assemble(pref, thetas, g, rows[:max(count + 1, 0)], t, ywindow)
+    weight2 = sum(a * form.series.coeff((0, 0)) for form, a in pairs)
+    return SiegelSeries(series, weight2, 0, t)
 
 
 # ---- second-quantized elliptic genus --------------------------------------
@@ -463,27 +457,11 @@ def symmetric_product_genus(form, n, qprec):
 # ---- the Hodge anomaly -----------------------------------------------------
 
 
-def hodge_anomaly(inv, qprec, sprec, ywindow=None):
-    """The anomaly factor H(M; Z) of the factorization theorem: the theta
-    block of an eta power and theta powers at multiple z, times an
-    s-monomial, depending only on the signed Hodge invariants.
-
-        d = 2 d0:     eta^{(e - 3 chi'_{d0})/2}
-                      prod_{p=1..d0} theta(tau, p z)^{-chi'_{d0-p}}
-                      s^{-(1/2) sum p^2 chi'_{d0-p}}
-        d = 2 d0 + 1: eta^{e/2}
-                      prod_{p=1..d0+1} theta(tau, (2p-1) z / 2)^{-chi'_{d0-p+1}}
-                      s^{-(1/8) sum (2p-1)^2 chi'_{d0-p+1}}
-
-    with chi'_p = (-1)^p chi_p.  (The eta exponent signs here are fixed
-    by requiring that H times the second-quantized genus reproduce the
-    exponential lift of minus the elliptic genus; see the factorization
-    check.)  Under a ``ywindow`` the coefficient at (nq, ly) is exact when
-    (nq, ly) minus the leading key lies in the interior ``theta_block``
-    states; there L <= 2d."""
-    d = inv.d
-    chi = inv.chi
-    e = inv.euler
+def _anomaly_block(inv):
+    """The Hodge anomaly of inv as (eta_exp, thetas, ms, meta): the theta
+    block eta^eta_exp prod theta(tau, lam z)^thetas[lam], the s-exponent
+    ms of its monomial and (weight2, character order) (``hodge_anomaly``)."""
+    d, chi, e = inv.d, inv.chi, inv.euler
 
     def chip(p):
         return (-1) ** p * chi[p]
@@ -506,12 +484,33 @@ def hodge_anomaly(inv, qprec, sprec, ywindow=None):
         weight2 = 0
         for p in range(1, d0 + 2):
             thetas[Fraction(2 * p - 1, 2)] = -chip(d0 - p + 1)
-    ms_total = sum(12 * lam * lam * ep for lam, ep in thetas.items())
+    ms = int(sum(12 * lam * lam * ep for lam, ep in thetas.items()))
+    meta = (weight2, 24 // gcd(24, e) if e else 1)
+    return eta_exp, {lam: c for lam, c in thetas.items() if c}, ms, meta
+
+
+def hodge_anomaly(inv, qprec, sprec, ywindow=None):
+    """The anomaly factor H(M; Z) of the factorization theorem: the theta
+    block of an eta power and theta powers at multiple z, times an
+    s-monomial, depending only on the signed Hodge invariants.
+
+        d = 2 d0:     eta^{(e - 3 chi'_{d0})/2}
+                      prod_{p=1..d0} theta(tau, p z)^{-chi'_{d0-p}}
+                      s^{-(1/2) sum p^2 chi'_{d0-p}}
+        d = 2 d0 + 1: eta^{e/2}
+                      prod_{p=1..d0+1} theta(tau, (2p-1) z / 2)^{-chi'_{d0-p+1}}
+                      s^{-(1/8) sum (2p-1)^2 chi'_{d0-p+1}}
+
+    with chi'_p = (-1)^p chi_p.  (The eta exponent signs here are fixed
+    by requiring that H times the second-quantized genus reproduce the
+    exponential lift of minus the elliptic genus; see the factorization
+    check.)  Under a ``ywindow`` the terms on |ly| <= ywindow around the
+    leading monomial are returned, each exact (``theta_block``)."""
+    eta_exp, thetas, ms, meta = _anomaly_block(inv)
     block, lead = theta_block(eta_exp, thetas, qprec, ywindow=ywindow)
-    acc = block.shift(lead).lift_to_three(int(ms_total))
-    character_order = 24 // gcd(24, e) if e else 1
-    index_t = d // 2 if d % 2 == 0 else 2 * d
-    return SiegelSeries(acc, weight2, character_order, index_t)
+    acc = block.shift(lead).lift_to_three(ms)
+    index_t = inv.d // 2 if inv.d % 2 == 0 else 2 * inv.d
+    return SiegelSeries(acc, *meta, index_t)
 
 
 # ---- assembled Siegel forms for Calabi-Yau data ---------------------------
@@ -539,23 +538,22 @@ def e_form(inv, qprec, sprec, ywindow=None):
 
 def factorization_product(inv, qprec, sprec, ywindow=None):
     """Hodge anomaly times the second-quantized genus, with the p-grading
-    rescaled to the paramodular s-lattice (p -> s^t)."""
+    rescaled to the paramodular s-lattice (p -> s^t).  The anomaly's
+    y-factor is multiplied once (``_y_factor``) into the exact product of
+    its G with the rows of ``sqeg``, on the windows past its monomial."""
     if inv.d % 2 != 0:
         raise ValidationError("the factorization product is assembled for even d")
+    _check_ywindow(ywindow)
     t = inv.d // 2
-    anomaly = hodge_anomaly(inv, qprec, sprec, ywindow=ywindow)
-    # offset the anomaly's (possibly negative) leading monomial so the
-    # product still reaches the requested window
-    nq_shift = min((k[0] for k in anomaly.series.terms), default=0)
-    ms_shift = min((k[2] for k in anomaly.series.terms), default=0)
-    qint = qprec - min(nq_shift, 0)
-    sint = sprec - min(ms_shift, 0)
-    pprec = (sint + t - 1) // t
-    chi = elliptic_genus(inv, qprec=_input_qprec(qint, pprec))
-    psi = sqeg(chi, qint, pprec)
-    psi = psi.substitute([[1, 0, 0], [0, 1, 0], [0, 0, t]], qint)
-    series = _clip(anomaly.series * psi, ywindow, sprec)
-    return SiegelSeries(series, anomaly.weight2, anomaly.character_order, t)
+    eta_exp, thetas, ms, meta = _anomaly_block(inv)
+    lead = _block_lead(eta_exp, thetas) + (ms,)
+    rel, count = qprec - lead[0], (sprec - ms - 1) // (24 * t)
+    series = Series(DEN3, {}, qprec, _clean=True)
+    if rel > 0:
+        chi = elliptic_genus(inv, qprec=_input_qprec(rel, sprec - ms, t))
+        rows = _fj_rows(chi, 1, rel, count)
+        series = _assemble(lead, thetas, _block_rest(eta_exp, thetas, rel), rows, t, ywindow)
+    return SiegelSeries(series, *meta, t)
 
 
 # ---- arithmetic (additive) lifts ------------------------------------------

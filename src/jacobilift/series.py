@@ -352,12 +352,6 @@ class Series:
         }
         return Series(self.den, terms, qprec, _clean=True)
 
-    def with_qprec(self, qprec):
-        """Assert-and-set a q-precision on an exact (qprec=None) series."""
-        if self.qprec is not None:
-            return self.truncate(qprec)
-        return Series(self.den, dict(self.terms), qprec)
-
     # ---- three-variable helpers ---------------------------------------
 
     def lift_to_three(self, ms=0):

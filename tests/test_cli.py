@@ -125,24 +125,29 @@ LIFT_ARGS = {
 @pytest.mark.parametrize("as_json", [False, True])
 @pytest.mark.parametrize("kind", sorted(LIFT_ARGS))
 def test_lift_negative_ywindow_rejected(capsys, kind, as_json):
+    """A kind that reads --ywindow refuses a negative one by its range; a
+    kind that does not read it refuses it as unread, before any range."""
     argv = ["lift", kind, *LIFT_ARGS[kind], "--ywindow", "-4"] + ["--json"] * as_json
     code, out, err = run(capsys, *argv)
+    message = ("--ywindow must be >= 0, got -4" if kind in ("explift", "eform")
+               else f"lift {kind} does not read --ywindow")
     assert code == 2
     if as_json:
         data = json.loads(out)
         assert err == "" and data["error"] == "input" and data["exit"] == 2
-        assert "--ywindow must be >= 0, got -4" in data["message"]
+        assert message in data["message"]
     else:
-        assert out == "" and "--ywindow must be >= 0, got -4" in err
+        assert out == "" and message in err
 
 
 # per lift kind, options it does not read; the first is also tried under --json
 UNREAD = {
     "explift": ["--pmax=2", "--d=2", "--chi=2,-20,2", "--euler=0", "--name=Delta2", "--bound=1"],
-    "sqeg": ["--smax=2", "--form=Phi1", "--name=Delta2", "--bound=1", "--ywindow=4"],
+    "sqeg": ["--smax=2", "--form=Phi1", "--name=Delta2", "--bound=1", "--ywindow=4",
+             "--ywindow=-4"],
     "eform": ["--pmax=2", "--form=Phi1", "--name=Delta2", "--bound=1"],
     "arith": ["--ywindow=4", "--smax=7", "--qmax=2", "--pmax=2", "--form=Phi1", "--d=2",
-              "--chi=2,-20,2", "--euler=0"],
+              "--chi=2,-20,2", "--euler=0", "--ywindow=-4"],
 }
 
 
@@ -199,6 +204,21 @@ def test_lift_explift_leading_minus_form(capsys):
                        "--smax", "1", "--ywindow", "40")
     assert code == 0
     assert out.startswith("weight2 -10")  # 1/Delta5
+
+
+def test_lift_explift_windowed_terms_are_exact(capsys):
+    """Every term of 1/Delta5 under --ywindow 40 equals the run at
+    --ywindow 440, whose terms within 40 quarter units of the leading
+    y-exponent (y^(-1/2)) are the same set."""
+    def lift(ywindow):
+        code, out, _ = run(capsys, "lift", "explift", "--form=-Phi1", "--qmax", "2",
+                           "--smax", "2", "--ywindow", str(ywindow), "--json")
+        assert code == 0
+        return series_from_dict(json.loads(out)).terms
+
+    narrow, wide = lift(40), lift(440)
+    assert len(narrow) == 117
+    assert narrow == {k: c for k, c in wide.items() if abs(k[1] + 2) <= 40}
 
 
 def test_expand_constant_is_the_index_0_form(capsys):

@@ -11,9 +11,15 @@ from hypothesis import given, settings, strategies as st
 from jacobilift import jacobi, lifts, series
 from jacobilift.errors import InexactDivisionError, PrecisionError, ValidationError
 from jacobilift.genus import K3, CYInvariants, elliptic_genus
-from jacobilift.jacobi import JacobiForm, generator, hecke_tminus, phi_threehalf, psi2_variant
+from jacobilift.jacobi import (
+    JacobiForm,
+    generator,
+    hecke_tminus,
+    phi_threehalf,
+    psi2_variant,
+    theta_jacobi,
+)
 from jacobilift.lifts import (
-    _clip,
     _divisor_char_sum,
     _input_qprec,
     _prefactor_key,
@@ -160,7 +166,7 @@ def test_humbert_zero_form():
     assert humbert_multiplicity(zero, 0, 1) == 0
 
 
-# ---- the product route and the fixed-point inverse, kept as oracles ----------
+# ---- the product route, kept as the oracle -----------------------------------
 
 
 def gen_binomial(e, j):
@@ -192,8 +198,11 @@ def product_expand(factors, qprec, sprec=None, ybound=None):
     acc = Series.const(1, DEN3, qprec)
     for key, exponent in factors:
         if exponent:
-            factor = binomial_factor(key, exponent, qprec, sprec=sprec, ybound=ybound)
-            acc = _clip(acc * factor, ybound, sprec)
+            acc = acc * binomial_factor(key, exponent, qprec, sprec=sprec, ybound=ybound)
+            if ybound is not None:
+                acc = acc.clip_y(ybound)
+            if sprec is not None:
+                acc = acc.truncate_s(sprec)
     return acc
 
 
@@ -243,21 +252,6 @@ def product_hodge_anomaly(inv, qprec, ywindow):
         factors += [((0, -ly, 0), c)] + [((24 * n, -ly, 0), c) for n in orders]
         factors += [((24 * n, ly, 0), c) for n in orders]
     return product_expand(factors, qprec - lead[0], ybound=ywindow).shift(lead), lead
-
-
-def fixed_point_inverse(unit, qprec, sprec=None, ywindow=None):
-    """clipped_inverse as the fixed point of inv = clip(1 + (1 - unit)*inv)."""
-    one = Series.const(1, unit.den, qprec)
-    w = _clip(one - unit, ywindow, sprec)
-    if not w.terms:
-        return one
-    inv = one
-    for _ in range(10000):
-        nxt = _clip(one + w * inv, ywindow, sprec)
-        if nxt.terms == inv.terms:
-            return nxt
-        inv = nxt
-    raise AssertionError("fixed point did not stabilize")
 
 
 LIFT_INPUTS = {
@@ -310,6 +304,40 @@ def test_exp_lift_with_ywindow_equals_product_on_interior():
             assert lifted.qprec == oracle.qprec
             assert _window_terms(lifted, qp - 1, sp - 1, 12), (a, b)
             assert _window_equal(lifted, oracle, qp - 1, sp - 1, ybound=12), (a, b)
+
+
+@pytest.mark.parametrize("a, b", [(-2, None), (-1, None), (2, None), (3, None),
+                                  (2, 1), (-2, -1), (1, -2), (-1, 2)])
+def test_exp_lift_homomorphic_equals_exp_lift_on_its_window(a, b):
+    """exp_lift_homomorphic of phi01**a, or of phi02**a psi_A**b, equals
+    exp_lift of the sum under one ywindow on every term it returns: q
+    below both precisions, and every s-row it keeps."""
+    if b is None:
+        pairs, smax = [(generator(1, 24 * 20), a)], 3
+    else:
+        pairs, smax = [(generator(2, 24 * 20), a), (psi2_variant(2, 24 * 20, variant="A"), b)], 5
+    series = [form.series.scale(e) for form, e in pairs]
+    combo = JacobiForm(sum(series[1:], series[0]), 0, pairs[0][0].index2)
+    qp, sp, _ = lift_window_for(combo, 3, smax)
+    rhs = exp_lift_homomorphic(pairs, qp, sp, ywindow=40).series
+    lhs = exp_lift(combo, qp, sp, ywindow=40).series
+    slimit = max(k[2] for k in rhs.terms)
+    assert len({k[2] for k in rhs.terms}) >= 2
+    assert _window_equal(lhs, rhs, min(lhs.qprec, rhs.qprec) - 1, slimit)
+
+
+def test_negative_theta_power_needs_a_ywindow_and_one_index():
+    """1/Delta5 has infinitely many y-terms at each order, so without a
+    ywindow it raises PrecisionError; a homomorphic lift refuses forms of
+    two indices and an all-zero exponent list."""
+    minus_phi = JacobiForm(generator(1, 24 * 20).series.scale(-1), 0, 2)
+    qp, sp, _ = lift_window_for(minus_phi, 2, 2)
+    with pytest.raises(PrecisionError, match="supply a ywindow"):
+        exp_lift(minus_phi, qp, sp)
+    phi1, phi2 = generator(1, 24 * 20), generator(2, 24 * 20)
+    for pairs in ([(phi1, 1), (phi2, 1)], [(phi1, 0)]):
+        with pytest.raises(ValidationError, match="one index"):
+            exp_lift_homomorphic(pairs, 49, 49)
 
 
 def test_lifts_refuse_an_input_one_order_short():
@@ -602,34 +630,6 @@ def test_abc_exponents_equal_the_fraction_sums(half, c0, row, q1):
     assert lifts.abc_exponents(form) == abc_exponents_fraction(form)
 
 
-def test_clipped_inverse_equals_fixed_point(monkeypatch):
-    """Every unit that verify's homomorphism and factorization checks
-    invert, and the theta-block unit of exp_lift(-phi01), which has no
-    s-window, inverted in one pass and by the fixed point."""
-    one_pass = lifts.clipped_inverse
-    seen = []  # (sprec, number of terms) of each inversion
-
-    def both(unit, qprec, sprec=None, ywindow=None):
-        got = one_pass(unit, qprec, sprec=sprec, ywindow=ywindow)
-        assert got == fixed_point_inverse(unit, qprec, sprec=sprec, ywindow=ywindow)
-        seen.append((sprec, len(got.terms)))
-        return got
-
-    monkeypatch.setattr(lifts, "clipped_inverse", both)
-    phi, psi = generator(2, 24 * 17), psi2_variant(2, 24 * 17, variant="A")
-    for a, b in ((-2, -1), (1, -2)):
-        form = JacobiForm(phi.series.scale(a) + psi.series.scale(b), 0, 4)
-        qp, sp, _ = lift_window_for(form, 3, 3)
-        exp_lift_homomorphic([(phi, a), (psi, b)], qp, sp, ywindow=80)
-    for inv in (K3, CYInvariants(4, (1, 4, 6, 4, 1))):
-        hodge_anomaly(inv, 49, 49, ywindow=60)
-    assert len(seen) >= 4 and all(n for _, n in seen)
-    seen.clear()
-    qp, sp, inq = lift_window_for(-generator(1, 24), 3, 3)
-    exp_lift(-generator(1, inq), qp, sp, ywindow=40)
-    assert seen and all(sprec is None and n for sprec, n in seen)
-
-
 ANOMALY_DATA = {
     "K3": K3,
     "CY4(1,4,6,4,1)": CYInvariants(4, (1, 4, 6, 4, 1)),
@@ -638,21 +638,31 @@ ANOMALY_DATA = {
 }
 
 
+def clip_around(series, lead_ly, ywindow):
+    """The terms of series with |ly - lead_ly| <= ywindow."""
+    return {k: c for k, c in series.terms.items() if abs(k[1] - lead_ly) <= ywindow}
+
+
 @pytest.mark.parametrize("name", sorted(ANOMALY_DATA))
 def test_hodge_anomaly_equals_product_on_interior(name):
-    """On the interior lifts.theta_block states, |ly| + L N <= ywindow
-    around the leading key, here with 2d >= L in place of L, the windowed
-    anomaly is exact."""
-    inv, qprec, ywindow = ANOMALY_DATA[name], 49, 60
-    got = hodge_anomaly(inv, qprec, qprec, ywindow=ywindow).series
-    want, lead = product_hodge_anomaly(inv, qprec, ywindow)
+    """Every term of the windowed anomaly, on |ly| <= ywindow around the
+    leading key, equals the product route at a window 400 wider."""
+    inv, qprec = ANOMALY_DATA[name], 49
+    for ywindow in (20, 60):
+        got = hodge_anomaly(inv, qprec, qprec, ywindow=ywindow).series
+        want, lead = product_hodge_anomaly(inv, qprec, ywindow + 400)
+        assert got.qprec == want.qprec == qprec
+        assert got.terms and got.terms == clip_around(want, lead[1], ywindow), ywindow
 
-    def interior(series):
-        return {k: c for k, c in series.terms.items()
-                if abs(k[1] - lead[1]) + 2 * inv.d * (k[0] - lead[0]) // 24 <= ywindow}
 
-    assert got.qprec == want.qprec == qprec
-    assert interior(want) and interior(got) == interior(want)
+@pytest.mark.parametrize("lam", [Fraction(1, 2), 1, Fraction(3, 2), 2, 3])
+def test_theta_rest_times_its_y_factor_is_the_theta_unit(lam):
+    """B_lam (1 - y^-lam) = theta(tau, lam z)/(q^(1/8) y^(lam/2))."""
+    step = int(4 * lam)
+    factor = Series(DEN2, {(0, 0): 1, (0, -step): -1}, None)
+    for qprec in (1, 24, 25, 73, 97, 241):
+        unit = theta_jacobi(qprec + 3, lam).shift((-3, -int(2 * lam)))
+        assert lifts._theta_rest(qprec, lam) * factor == unit
 
 
 def theta_block_inputs():
@@ -675,25 +685,17 @@ def theta_block_inputs():
 THETA_BLOCK_INPUTS = theta_block_inputs()
 
 
-@given(st.sampled_from(sorted(THETA_BLOCK_INPUTS)), st.integers(min_value=8, max_value=80))
-@settings(max_examples=30, deadline=None)
-def test_exp_lift_interior_is_exact(name, ywindow):
-    """Every term of exp_lift inside |ly| + 4tM + (L + 8)N <= ywindow (the
-    interior its docstring states) is unchanged by a window 400 wider."""
-    make = THETA_BLOCK_INPUTS[name]
-    qp, sp, inq = lift_window_for(make(24), 3, 3)
-    form = make(inq)
-    pref = _prefactor_key(form)
-    top = max(abs(ly) for ly in form.q_row(0))
-
-    def interior(ss):
-        return {k: c for k, c in ss.series.terms.items()
-                if abs(k[1] - pref[1]) + 4 * ((k[2] - pref[2]) // 24)
-                + (top + 8) * ((k[0] - pref[0]) // 24) <= ywindow}
-
-    narrow = interior(exp_lift(form, qp, sp, ywindow=ywindow))
-    assert narrow == interior(exp_lift(form, qp, sp, ywindow=ywindow + 400))
-    assert narrow
+def test_exp_lift_interior_is_exact():
+    """Every term exp_lift returns under a ywindow, on |ly| <= ywindow
+    around its prefactor, is unchanged by a window 400 wider."""
+    for name, make in sorted(THETA_BLOCK_INPUTS.items()):
+        qp, sp, inq = lift_window_for(make(24), 3, 3)
+        form = make(inq)
+        pref = _prefactor_key(form)
+        for ywindow in (8, 24, 40, 80):
+            narrow = exp_lift(form, qp, sp, ywindow=ywindow).series
+            wide = exp_lift(form, qp, sp, ywindow=ywindow + 400).series
+            assert narrow.terms and narrow.terms == clip_around(wide, pref[1], ywindow), (name, ywindow)
 
 
 def reference_arithmetic_terms(name, qprec, sprec):
