@@ -19,6 +19,7 @@ import sys
 from fractions import Fraction
 
 from .errors import (
+    IdentityError,
     InexactDivisionError,
     JacobiLiftError,
     PrecisionError,
@@ -433,7 +434,7 @@ def _main(argv):
         return args.fn(args)
     except PrecisionError as exc:
         return _error(args.json, "precision", str(exc))
-    except InexactDivisionError as exc:
+    except (IdentityError, InexactDivisionError) as exc:
         return _error(args.json, "identity", str(exc))
     except (ValidationError, JacobiLiftError, ValueError) as exc:
         return _error(args.json, "input", str(exc))

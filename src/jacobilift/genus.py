@@ -12,7 +12,7 @@ from .jacobi import (
     phi_threehalf,
     specialize_torsion,
 )
-from .series import DEN2, Series
+from .series import DEN2, Series, _divide_row
 
 
 class CYInvariants:
@@ -82,28 +82,6 @@ K3 = CYInvariants(2, (2, -20, 2))
 ENRIQUES = CYInvariants(2, (1, -10, 1))
 
 
-def _divide_row_by_halfint(row, d):
-    """Divide a symmetric odd row (keys 4*l, l half-integral) by the row
-    y**(1/2) + y**(-1/2); returns the quotient row or raises."""
-    work = dict(row)
-    quotient = {}
-    for e in range(2 * d - 2, -2 * d - 1, -4):
-        c = work.pop(e + 2, 0)
-        if c:
-            quotient[e] = c
-            k = e - 2
-            new = work.get(k, 0) - c
-            if new:
-                work[k] = new
-            else:
-                work.pop(k, None)
-    if work:
-        raise ValidationError(
-            "chi vector is incompatible with the half-integral index factor"
-        )
-    return quotient
-
-
 SECOND_MOMENT = "second_moment: e*d/12 == sum (-1)^p chi_p (d/2-p)^2"
 
 # The forced relations among the chi_p of a Calabi-Yau d-fold besides the
@@ -154,8 +132,13 @@ def elliptic_genus(inv, qprec=96):
     m = d // 2 if d % 2 == 0 else (d - 3) // 2
     try:
         row = inv.q0_row()
-        if d % 2:  # odd d: peel off the half-integral generator
-            row = _divide_row_by_halfint(row, d)
+        if d % 2:
+            # odd d: peel off the half-integral generator's q**0 row
+            # y**(1/2) + y**(-1/2).  By Serre duality the row is symmetric in
+            # odd powers of y**(1/2), so it vanishes at y**(1/2) = +-i and
+            # divides exactly.
+            row = _divide_row({(0, e): c for e, c in row.items()}, {(0, -2): 1, (0, 2): 1})
+            row = {e: c for (_, e), c in row.items()}
         if d == 3 and set(row) - {0}:
             raise ValidationError("chi vector invalid for dimension 3")
         coords = _solve_row(row, m, qprec) if d != 3 else None

@@ -412,15 +412,8 @@ def phi_weak_weight_minus1(qprec):
 def xi06(qprec):
     """The weight-0 index-6 form theta**12/eta**12 generating the ideal of
     forms that vanish at the centers of torsion specialization."""
-    poly = (
-        -(GeneratorPolynomial.generator(1) ** 2 * GeneratorPolynomial.generator(4))
-        + 9
-        * GeneratorPolynomial.generator(1)
-        * GeneratorPolynomial.generator(2)
-        * GeneratorPolynomial.generator(3)
-        - 8 * GeneratorPolynomial.generator(2) ** 3
-        - 27 * GeneratorPolynomial.generator(3) ** 2
-    )
+    p1, p2, p3, p4 = map(GeneratorPolynomial.generator, (1, 2, 3, 4))
+    poly = -(p1**2 * p4) + 9 * p1 * p2 * p3 - 8 * p2**3 - 27 * p3**2
     return JacobiForm(_xi06_series(qprec), 0, 12, poly)
 
 
@@ -746,10 +739,13 @@ def hecke_t0_2(form):
 
 
 def divide_by_xi06(form):
-    """Exact division by theta**12/eta**12 (weight 0, index 6)."""
-    xi = xi06(form.series.qprec + 48 if form.series.qprec else 240)
-    quotient = form.series.exact_div(xi.series)
-    return JacobiForm(quotient, form.weight2, form.index2 - 12, None)
+    """Exact division by theta**12/eta**12 (weight 0, index 6), which starts
+    at q**1: xi06 to qprec + 24 - min_nq, and past its q**1 term, leaves the
+    quotient qprec - 24."""
+    if form.series.qprec is None:
+        raise ValidationError("divide_by_xi06 needs a form with a qprec")
+    xi = xi06(max(form.series.qprec - form.series.min_nq(), 1) + 24)
+    return JacobiForm(form.series.exact_div(xi.series), form.weight2, form.index2 - 12, None)
 
 
 class Decomposition:

@@ -408,7 +408,11 @@ def exp_lift_homomorphic(pairs, qprec, sprec, ywindow=None):
     is taken apart at (qprec, sprec) (``_lift_parts``): the prefactors and
     the powers of R add, the G's and the row series multiply (negative
     powers by exact division and ``_rows_power``), and R is applied once.
-    The q-precision is what the products keep; the rows stop below sprec."""
+
+    With q^A_i s^C_i the prefactor of exp_lift(phi_i) and q^A s^C that of
+    the product, the result keeps q-precision min_i(qprec - A_i) + A, less
+    than qprec when some A_i > A, and only the s-rows that every pair
+    reaches: s^(C + tM) for 24tM < sprec - max(C, max_i C_i)."""
     _check_ywindow(ywindow)
     parts = [(a, _lift_parts(form, qprec, sprec)) for form, a in pairs if a]
     if not parts or len({part[4] for _, part in parts}) > 1:

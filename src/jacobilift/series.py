@@ -20,7 +20,7 @@ from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, groupby, product
 from math import gcd, prod
-from operator import add, gt, itemgetter, mul, sub
+from operator import add, itemgetter, mul, sub
 
 from .errors import (
     InexactDivisionError,
@@ -220,85 +220,54 @@ class Series:
         return one.exact_div(self)
 
     def exact_div(self, other):
-        """Exact long division, one quotient term per step in increasing key
-        order; the pending keys of the remainder are kept in a heap.
-
-        Terminates when the quotient is an honest sparse series up to the
-        derived q-precision; raises InexactDivisionError on a coefficient
-        that does not divide.  Between exact (qprec=None) series, a = b*c
-        gives c the extent of a minus that of b on every axis, so a quotient
-        term outside that box raises at once.  Otherwise every q-level of
-        the quotient has a ceiling on each axis after q (``_level_ceiling``),
-        and a quotient term above it raises at once.
-        """
+        """Exact division by q-rows.  With alpha and beta the operands'
+        lowest q-levels and g the gcd of their level offsets, quotient row
+        c_n for n = alpha - beta, alpha - beta + g, ... below the quotient's
+        qprec is the remainder row a_{beta+n} - sum_{j>0} b_{beta+j} c_{n-j}
+        divided by the divisor's lowest row b_beta (``_divide_row``, which
+        raises InexactDivisionError at once on a row that does not divide).
+        Between exact (qprec=None) series the quotient stops at q-level
+        max(a) - max(b), and a nonzero remainder row past it raises."""
         if not isinstance(other, Series) or self.den != other.den:
             raise ValidationError("division needs series over the same variables")
         if other.is_zero():
             raise ZeroDivisionError("division by the zero series")
-        kb = other.min_key()
-        cb = other.terms[kb]
-        alpha = self.min_nq()
-        beta = kb[0]
+        alpha, beta = self.min_nq(), other.min_nq()
         qprec = _min_prec(
             None if self.qprec is None else self.qprec - beta,
             None if other.qprec is None else other.qprec - 2 * beta + alpha,
         )
         if self.is_zero():
             return Series.zero(self.den, qprec)
-        rem_bound = None if qprec is None else qprec + beta
-        rem = {k: c for k, c in self.terms.items() if rem_bound is None or k[0] < rem_bound}
-        heap = list(rem)
-        heapq.heapify(heap)
-        # the leading term cancels the popped key exactly; it is not applied
-        rest = sorted(other.terms.items())[1:]
-        if qprec is None:
-            box = [
-                (min(ca) - min(cb), max(ca) - max(cb))
-                for ca, cb in zip(zip(*self.terms), zip(*other.terms))
-            ]
-        else:
-            tops_a, tops_b, tops_c = _level_tops(rem), _level_tops(other.terms), {}
-            level = None
+        rem, rows = {}, {}
+        for terms, out in ((self.terms, rem), (other.terms, rows)):
+            for k, c in terms.items():
+                out.setdefault(k[0], {})[k] = c
+        stop = qprec if qprec is not None else max(rem) - max(rows) + 1
+        lead = rows.pop(beta)
+        rest = [(nq, list(row.items())) for nq, row in sorted(rows.items())]
+        step = gcd(*(nq - alpha for nq in rem), *(nq - beta for nq in rows)) or 1
         quot = {}
-        while heap:
-            k = heapq.heappop(heap)
-            c = rem.pop(k)
-            if not c:
+        for n in range(alpha - beta, stop, step):
+            row = {k: c for k, c in rem.pop(beta + n, {}).items() if c}
+            if not row:
                 continue
-            qk = tuple(map(sub, k, kb))
-            if qprec is None:
-                if any(not lo <= v <= hi for v, (lo, hi) in zip(qk, box)):
-                    raise InexactDivisionError(
-                        f"division is not exact: quotient term {qk} lies outside "
-                        f"the box {box} (per axis, the dividend's extent minus "
-                        "the divisor's) that an exact quotient fills"
-                    )
-            elif qk[0] >= qprec:
-                break
-            else:
-                if qk[0] != level:
-                    level = qk[0]
-                    ceiling = _level_ceiling(level, beta, tops_a, tops_b, tops_c)
-                    tops_c[level] = top = list(qk[1:])
-                if any(map(gt, qk[1:], ceiling)):
-                    raise InexactDivisionError(
-                        f"division is not exact: quotient term {qk} exceeds the ceiling "
-                        f"{ceiling} of an exact quotient's q-level {level} (axes after q)"
-                    )
-                top[:] = map(max, top, qk[1:])
-            qc, r = divmod(c, cb)
-            if r:
-                raise InexactDivisionError(f"{c} not divisible by {cb} over Z")
-            quot[qk] = qc
-            for kbi, cbi in rest:
-                key = tuple(map(add, qk, kbi))
-                if rem_bound is not None and key[0] >= rem_bound:
-                    break
-                if key in rem:
-                    rem[key] -= qc * cbi
-                else:
-                    rem[key] = -qc * cbi
-                    heapq.heappush(heap, key)
+            c = _divide_row(row, lead)
+            for nq, b in rest:
+                if qprec is not None and n + nq >= qprec + beta:
+                    break  # rows from qprec + beta on are never divided
+                target = rem.setdefault(n + nq, {})
+                for kc, cc in c.items():
+                    for kb, cb in b:
+                        key = tuple(map(add, kc, kb))
+                        target[key] = target.get(key, 0) - cc * cb
+            quot.update(c)
+        left = [nq - beta for nq, row in rem.items() if any(row.values())] if qprec is None else []
+        if left:
+            raise InexactDivisionError(
+                f"division is not exact: quotient q-level {min(left)} lies past "
+                f"{stop - 1}, the dividend's top q-level minus the divisor's"
+            )
         return Series(self.den, quot, qprec, _clean=True)
 
     # ---- exponent substitutions ---------------------------------------
@@ -381,31 +350,46 @@ class Series:
         return Series(self.den, terms, self.qprec, _clean=True)
 
 
-def _level_tops(terms):
-    """{nq: [max exponent on each axis after q]} over the q-levels of terms."""
-    tops = {}
-    for k in terms:
-        tops[k[0]] = list(map(max, tops.get(k[0], k[1:]), k[1:]))
-    return tops
-
-
-def _level_ceiling(level, beta, tops_a, tops_b, tops_c):
-    """Per axis after q, the largest exponent that q-level ``level`` of an
-    exact quotient c = a/b can reach, from the levels of a, of b (lowest
-    level beta) and of the complete lower levels of c.
-
-    Level by level, c_n b_beta = a_{beta+n} - sum_{j>0} b_{beta+j} c_{n-j}.
-    Over an integral domain the top (on any one axis) of a product is the
-    sum of the tops of its factors, so
-    top(c_n) <= max(top(a_{beta+n}), max_{j>0} top(b_{beta+j}) + top(c_{n-j}))
-    - top(b_beta).
-    """
-    tops = [tops_a[beta + level]] if beta + level in tops_a else []
-    for nq, top_b in tops_b.items():
-        top_c = tops_c.get(level - (nq - beta))
-        if nq > beta and top_c is not None:
-            tops.append([u + v for u, v in zip(top_b, top_c)])
-    return [max(col) - t for col, t in zip(zip(*tops), tops_b[beta])]
+def _divide_row(row, divisor):
+    """The quotient of two q-rows, finite polynomials given as Series terms
+    {key: c} at one q-level each, by long division in increasing key order.
+    An exact quotient fills the box of the row's extent minus the divisor's
+    on each axis after q, so a quotient term outside it, or a coefficient
+    that does not divide, raises InexactDivisionError naming the quotient's
+    q-level and the box."""
+    cols = list(zip(zip(*row), zip(*divisor)))
+    lo = [min(r) - min(d) for r, d in cols]
+    hi = [max(r) - max(d) for r, d in cols]
+    (kd, cd), *rest = sorted(divisor.items())
+    rem = dict(row)
+    heap = list(rem)
+    heapq.heapify(heap)
+    quot = {}
+    while heap:
+        k = heapq.heappop(heap)
+        c = rem.pop(k)
+        if not c:
+            continue
+        qk = tuple(map(sub, k, kd))
+        if any(not a <= v <= b for v, a, b in zip(qk, lo, hi)):
+            raise InexactDivisionError(
+                f"division is not exact at q-level {qk[0]}: quotient term {qk} leaves the box "
+                f"{lo[1:]} to {hi[1:]} (per axis after q, the row's extent minus the divisor's)"
+            )
+        qc, r = divmod(c, cd)
+        if r:
+            raise InexactDivisionError(
+                f"division is not exact at q-level {qk[0]}: {c} is not divisible by {cd} over Z"
+            )
+        quot[qk] = qc
+        for kr, cr in rest:
+            key = tuple(map(add, qk, kr))
+            if key in rem:
+                rem[key] -= qc * cr
+            else:
+                rem[key] = -qc * cr
+                heapq.heappush(heap, key)
+    return quot
 
 
 # A Z-product whose smaller operand has fewer terms, or at most the square

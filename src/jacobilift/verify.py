@@ -635,8 +635,9 @@ def suite_lifts():
             rhs = exp_lift_homomorphic(
                 [(phi, a), (psi, b)], qp, sp, ywindow=80
             )
-            ql, sl = pref[0] + 24, pref[2] + 24
-            if not _window_equal(lhs.series, rhs.series, ql, sl):
+            # every s-row the right side returns (its rows lie 24t apart)
+            sl = max(k[2] for k in rhs.series.terms)
+            if not _window_equal(lhs.series, rhs.series, pref[0] + 24, sl):
                 hom_ok = False
                 bad = (a, b)
     checks.append(

@@ -391,6 +391,23 @@ def test_json_errors(capsys, argv, kind, code, says):
     assert data["error"] == kind and data["exit"] == code and says in data["message"]
 
 
+def test_identity_error_exits_3(capsys, monkeypatch):
+    """A failed identity raised inside a suite (an IdentityError, as a
+    coefficient of the theta product not divisible by 2**12) is an identity
+    failure, exit 3, not an input error."""
+    from jacobilift.errors import IdentityError
+    from jacobilift.verify import SUITES
+
+    def suite(*args):
+        raise IdentityError("coefficient 3 of the theta product is not divisible by 2**12")
+
+    monkeypatch.setitem(SUITES, "ring", suite)
+    got, out, err = run(capsys, "verify", "ring", "--json")
+    data = json.loads(out)
+    assert got == 3 and err == ""
+    assert data["error"] == "identity" and data["exit"] == 3 and "2**12" in data["message"]
+
+
 def test_usage_error_without_json_keeps_argparse_text(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["expand", "Phi1", "--bogus"])

@@ -733,6 +733,10 @@ def test_divide_by_xi06_exact():
     prod = (xi06(120) * generator(2, 120)).truncate(96)
     quotient = divide_by_xi06(prod)
     assert quotient.series.same_terms(generator(2, 96).series, 72)
+    # an empty window still divides by xi06 past its leading q**1 term
+    assert divide_by_xi06(JacobiForm(Series.zero(DEN2, 0), 0, 16)).series == Series.zero(DEN2, -24)
+    with pytest.raises(ValidationError, match="needs a form with a qprec"):
+        divide_by_xi06(JacobiForm(Series(DEN2, prod.series.terms, None), 0, 16))
 
 
 def taylor_fraction_oracle(form, count):

@@ -326,6 +326,29 @@ def test_exp_lift_homomorphic_equals_exp_lift_on_its_window(a, b):
     assert _window_equal(lhs, rhs, min(lhs.qprec, rhs.qprec) - 1, slimit)
 
 
+def test_verify_homomorphism_check_compares_every_returned_s_row(monkeypatch):
+    """With the first term K_1 of _rows_power's inverse recursion negated,
+    the s^C row of every homomorphic lift is unchanged, so only a check that
+    compares the later s-rows it returns can fail."""
+    from jacobilift import lifts
+    from jacobilift.verify import suite_lifts
+
+    original = lifts._rows_power
+
+    def negated_k1(rows, a):
+        if a < 0:
+            inverse = rows[:1]
+            for m in range(1, len(rows)):
+                k = -sum((rows[j] * inverse[m - j] for j in range(2, m + 1)), rows[1] * inverse[m - 1])
+                inverse.append(-k if m == 1 else k)
+            rows, a = inverse, -a
+        return original(rows, a)
+
+    monkeypatch.setattr(lifts, "_rows_power", negated_k1)
+    checks = {c["name"]: c["ok"] for c in suite_lifts()}
+    assert checks["exp_lift(a*phi + b*psi) == exp_lift(phi)^a exp_lift(psi)^b, |a|,|b| <= 2"] is False
+
+
 def test_negative_theta_power_needs_a_ywindow_and_one_index():
     """1/Delta5 has infinitely many y-terms at each order, so without a
     ywindow it raises PrecisionError; a homomorphic lift refuses forms of

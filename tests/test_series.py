@@ -189,7 +189,7 @@ def test_deserialization_refuses_other_rings():
 
 def test_inexact_division_of_exact_series_raises_at_once():
     one = Series.const(1, DEN2, None)
-    with pytest.raises(InexactDivisionError, match=r"outside the box \[\(0, -24\), \(0, 0\)\]"):
+    with pytest.raises(InexactDivisionError, match=r"quotient q-level 0 lies past -24"):
         one.exact_div(Series(DEN2, {(0, 0): 1, (24, 0): -1}, None))
 
 
@@ -199,27 +199,27 @@ def test_exact_division_of_exact_series():
     assert (b.lift_to_three() * c).exact_div(b.lift_to_three()) == c
 
 
-@pytest.mark.parametrize("den, tail, ceiling", [
+@pytest.mark.parametrize("den, tail, top", [
     (DEN2, (0, 4), r"\[-4\]"),  # 1/(1 - y)
     (DEN3, (0, 0, 24), r"\[0, -24\]"),  # 1/(1 - s), once an endless loop
 ])
-def test_inexact_division_with_an_endless_tail_raises_at_once(den, tail, ceiling):
-    # the first quotient term already lies above the ceiling of an exact
-    # quotient's q**0 level: the dividend's top minus the divisor's
+def test_inexact_division_with_an_endless_tail_raises_at_once(den, tail, top):
+    # the first quotient term already lies above the top of the box an
+    # exact quotient's q**0 row fills: the row's top minus the divisor's
     one = Series.const(1, den, 24 * 40)
-    with pytest.raises(InexactDivisionError, match=r"exceeds the ceiling " + ceiling):
+    with pytest.raises(InexactDivisionError, match=r"at q-level 0: .* to " + top):
         one.exact_div(Series(den, {(0,) * len(den): 1, tail: -1}, None))
 
 
 def test_inexact_division_deep_in_q_raises_at_that_level():
     # theta(2z)/theta(z) is exact; one changed coefficient at q**5 gives the
-    # quotient a y-tail there, stopped at the level's ceiling
+    # quotient a y-tail there, stopped at the top of that row's box
     from jacobilift.jacobi import theta_jacobi
 
     num, den = theta_jacobi(24 * 12, y_scale=2), theta_jacobi(24 * 12)
     assert num.exact_div(den).qprec == 24 * 12 - 3
     bad = num + Series(DEN2, {(123, 6): 1}, None)
-    with pytest.raises(InexactDivisionError, match=r"ceiling \[22\] of an exact quotient.s q-level 120"):
+    with pytest.raises(InexactDivisionError, match=r"at q-level 120: .* to \[22\]"):
         bad.exact_div(den)
 
 
