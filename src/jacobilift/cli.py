@@ -11,8 +11,6 @@ on standard error.
 """
 
 import argparse
-import contextlib
-import io
 import json
 import os
 import sys
@@ -34,14 +32,7 @@ from .genus import (
     relation_check,
 )
 from .jacobi import polynomial_form, xi06
-from .lifts import (
-    _input_qprec,
-    arithmetic_lift,
-    e_form,
-    exp_lift,
-    lift_window_for,
-    sqeg,
-)
+from .lifts import _input_qprec, arithmetic_lift, e_form, exp_lift, lift_window_for, sqeg
 from .series import series_to_dict
 
 EXIT_OK = 0
@@ -60,12 +51,7 @@ ERRORS = {
     "precision": (EXIT_PRECISION, "precision error: "),
 }
 
-NAMED_FORMS = {
-    "phi01": "Phi1",
-    "phi02": "Phi2",
-    "phi03": "Phi3",
-    "phi04": "Phi4",
-}
+NAMED_FORMS = {f"phi0{i}": f"Phi{i}" for i in range(1, 5)}
 
 
 def _resolve_form(text, qprec):
@@ -121,11 +107,7 @@ def _form_text(form):
 
 
 def _form_json(form):
-    return {
-        "weight2": form.weight2,
-        "index2": form.index2,
-        "series": series_to_dict(form.series),
-    }
+    return {"weight2": form.weight2, "index2": form.index2, "series": series_to_dict(form.series)}
 
 
 def _triple_lines(series, third):
@@ -150,11 +132,8 @@ def _siegel_text(ss):
 
 
 def _emit(args, text_fn, json_obj):
-    out = (
-        json.dumps(json_obj, indent=2, sort_keys=True)
-        if args.json
-        else text_fn()
-    )
+    """Write the output, as JSON under --json, and return EXIT_OK."""
+    out = json.dumps(json_obj, indent=2, sort_keys=True) if args.json else text_fn()
     if args.out:
         # only the open is an input error: a failed write to standard
         # output (BrokenPipeError is an OSError too) must reach main
@@ -166,32 +145,21 @@ def _emit(args, text_fn, json_obj):
             fh.write(out + "\n")
     else:
         print(out)
-
-
-def _whole_orders(command, qmax):
-    """A printed expansion has at least one whole q-order."""
-    if qmax < 1:
-        raise ValidationError(f"{command} needs at least one whole q-order, got --qmax {qmax}")
-
-
-def cmd_expand(args):
-    _whole_orders("expand", args.qmax)
-    form = _resolve_form(args.form, 24 * (args.qmax + 1)).truncate(24 * args.qmax)
-    _emit(args, lambda: _form_text(form), _form_json(form))
     return EXIT_OK
 
 
+def cmd_expand(args):
+    form = _resolve_form(args.form, 24 * (args.qmax + 1)).truncate(24 * args.qmax)
+    return _emit(args, lambda: _form_text(form), _form_json(form))
+
+
 def _invariants_from_args(args):
-    if args.chi is not None:
-        chi = [int(x) for x in args.chi.split(",")]
-        return CYInvariants(args.d, chi)
     if args.euler is not None:
         return CYInvariants.from_euler(args.d, args.euler)
-    raise ValidationError("provide --chi or --euler")
+    return CYInvariants(args.d, [int(x) for x in args.chi.split(",")])
 
 
 def cmd_genus(args):
-    _whole_orders("genus", args.qmax)
     inv = _invariants_from_args(args)
     relations = relation_check(inv)
     broken = [k for k, (ok, _) in relations.items() if not ok]
@@ -236,63 +204,36 @@ def cmd_genus(args):
     return EXIT_OK
 
 
-# the options each lift kind reads, besides --json and --out
-LIFT_OPTIONS = {
-    "explift": ("form", "qmax", "smax", "ywindow"),
-    "sqeg": ("d", "chi", "euler", "qmax", "pmax"),
-    "eform": ("d", "chi", "euler", "qmax", "smax", "ywindow"),
-    "arith": ("name", "bound"),
-}
+def cmd_explift(args):
+    probe = _resolve_form(args.form, 48)
+    qprec, sprec, inq = lift_window_for(probe, args.qmax, args.smax)
+    ss = exp_lift(_resolve_form(args.form, inq), qprec, sprec, ywindow=args.ywindow)
+    return _emit(args, lambda: _siegel_text(ss), ss.to_dict())
 
 
-def _check_lift_options(args):
-    """A lift kind refuses an option it does not read, rather than drop a
-    window request unnoticed."""
-    for dest in ("form", "d", "chi", "euler", "name", "bound", "qmax", "smax", "pmax", "ywindow"):
-        if getattr(args, dest) is not None and dest not in LIFT_OPTIONS[args.kind]:
-            raise ValidationError(f"lift {args.kind} does not read --{dest}")
+def cmd_sqeg(args):
+    inv = _invariants_from_args(args)
+    qprec, pprec = 24 * args.qmax + 1, 24 * args.pmax + 1
+    chi = elliptic_genus(inv, qprec=_input_qprec(qprec, pprec))
+    series = sqeg(chi, qprec, pprec)
+    return _emit(args, lambda: "\n".join(_triple_lines(series, "p")), series_to_dict(series))
 
 
-def cmd_lift(args):
-    qmax = DEFAULT_ORDERS if args.qmax is None else args.qmax
-    smax = DEFAULT_ORDERS if args.smax is None else args.smax
-    if args.kind == "explift":
-        if not args.form:
-            raise ValidationError("lift explift needs --form")
-        probe = _resolve_form(args.form, 48)
-        qprec, sprec, inq = lift_window_for(probe, qmax, smax)
-        form = _resolve_form(args.form, inq)
-        ss = exp_lift(form, qprec, sprec, ywindow=args.ywindow)
-    elif args.kind == "sqeg":
-        inv = _invariants_from_args(args)
-        pmax = args.pmax if args.pmax is not None else 2
-        qprec, pprec = 24 * qmax + 1, 24 * pmax + 1
-        chi = elliptic_genus(inv, qprec=_input_qprec(qprec, pprec))
-        series = sqeg(chi, qprec, pprec)
-        data = series_to_dict(series)
-        _emit(args, lambda: "\n".join(_triple_lines(series, "p")), data)
-        return EXIT_OK
-    elif args.kind == "eform":
-        inv = _invariants_from_args(args)
-        ywindow = args.ywindow if args.ywindow is not None else 60
-        ss = e_form(inv, 24 * qmax + 1, 24 * smax + 1, ywindow=ywindow)
-    elif args.kind == "arith":
-        if args.name not in ("Delta2", "Delta1"):
-            raise ValidationError("lift arith needs --name Delta2 or Delta1")
-        bound = DEFAULT_ORDERS if args.bound is None else args.bound
-        if bound < 1:
-            raise ValidationError(f"lift arith needs a bound of at least 1 order, got {bound}")
-        ss = arithmetic_lift(args.name, 24 * bound + 1, 24 * bound + 1)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValidationError(f"unknown lift kind {args.kind!r}")
-    _emit(args, lambda: _siegel_text(ss), ss.to_dict())
-    return EXIT_OK
+def cmd_eform(args):
+    inv = _invariants_from_args(args)
+    ss = e_form(inv, 24 * args.qmax + 1, 24 * args.smax + 1, ywindow=args.ywindow)
+    return _emit(args, lambda: _siegel_text(ss), ss.to_dict())
+
+
+def cmd_arith(args):
+    ss = arithmetic_lift(args.name, 24 * args.bound + 1, 24 * args.bound + 1)
+    return _emit(args, lambda: _siegel_text(ss), ss.to_dict())
 
 
 def cmd_verify(args):
     from .verify import run_suite
 
-    report = run_suite(args.suite, qmax=args.qmax_opt)
+    report = run_suite(args.suite, qmax=args.qmax)
 
     def text():
         lines = []
@@ -312,82 +253,107 @@ def cmd_verify(args):
     return EXIT_OK if report["ok"] else EXIT_IDENTITY
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes no abbreviated option and raises a
+    usage error as ValidationError, so that it is reported like any other
+    input error."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
+def _count(least):
+    """An argparse type: a whole number of orders (of quarter units, for
+    --ywindow) of at least least."""
+    def count(text):
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+    return count
+
+
+def _output(p, fn):
+    p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
+    p.add_argument("--out", default=None, help="write output to a file")
+    p.set_defaults(fn=fn)
+
+
+def _orders(p, *axes, least=0):
+    for axis in axes:
+        p.add_argument(f"--{axis}max", type=_count(least), default=DEFAULT_ORDERS,
+                       help=f"whole {axis}-orders to compute (default {DEFAULT_ORDERS})")
+
+
+def _invariants(p):
+    p.add_argument("--d", type=int, required=True, help="complex dimension")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--chi", help="comma-separated chi_0..chi_d")
+    given.add_argument("--euler", type=int, help="Euler number (d = 3 or 5)")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="jacobilift",
         description="Exact expansions of weak Jacobi forms, Calabi-Yau "
         "elliptic genera and their Siegel paramodular lifts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, lift=False):
-        # lift leaves --qmax/--smax unset when absent, so that a kind can
-        # refuse one it does not read; it applies DEFAULT_ORDERS itself
-        default = None if lift else DEFAULT_ORDERS
-        p.add_argument("--qmax", type=int, default=default,
-                       help=f"whole q-orders to compute (default {DEFAULT_ORDERS})")
-        if lift:
-            p.add_argument("--smax", type=int, default=None,
-                           help=f"whole s-orders to compute (default {DEFAULT_ORDERS})")
-            p.add_argument("--pmax", type=int, default=None,
-                           help="whole p-orders for the symmetric-product genus (default 2)")
-        p.add_argument("--json", action="store_true",
-                       help="emit machine-readable JSON")
-        p.add_argument("--out", default=None, help="write output to a file")
-
     p = sub.add_parser("expand", help="expand a weak Jacobi form")
     p.add_argument("form", help="name (phi01..phi04, xi06) or Phi-polynomial"
                    " such as 'Phi1*Phi3-Phi2^2'; put a polynomial with a leading"
                    " minus after '--': expand -- '-7*Phi4+Phi1*Phi3'")
-    common(p)
-    p.set_defaults(fn=cmd_expand)
+    _orders(p, "q", least=1)
+    _output(p, cmd_expand)
 
     p = sub.add_parser("genus", help="elliptic genus of Calabi-Yau data")
-    p.add_argument("--d", type=int, required=True, help="complex dimension")
-    p.add_argument("--chi", default=None, help="comma-separated chi_0..chi_d")
-    p.add_argument("--euler", type=int, default=None,
-                   help="Euler number (d = 3 or 5)")
-    common(p)
-    p.set_defaults(fn=cmd_genus)
+    _invariants(p)
+    _orders(p, "q", least=1)
+    _output(p, cmd_genus)
 
-    p = sub.add_parser("lift", help="Siegel lifts and related series")
-    p.add_argument("kind", choices=("explift", "sqeg", "eform", "arith"))
-    p.add_argument("--form", default=None, help="lift input (explift); write"
-                   " one with a leading minus as --form=-Phi1")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--chi", default=None)
-    p.add_argument("--euler", type=int, default=None)
-    p.add_argument("--name", default=None, help="Delta2 or Delta1 (arith)")
-    p.add_argument("--bound", type=int, default=None,
-                   help=f"whole q- and s-orders (arith, default {DEFAULT_ORDERS})")
-    p.add_argument("--ywindow", type=int, default=None,
-                   help="keep the terms whose y-exponent lies within ywindow/4 of the"
-                   " leading monomial's (explift, eform; eform default 60); every"
-                   " printed term is exact")
-    common(p, lift=True)
-    p.set_defaults(fn=cmd_lift)
+    kinds = sub.add_parser("lift", help="Siegel lifts and related series").add_subparsers(
+        dest="kind", required=True)
+    p = kinds.add_parser("explift", help="exponential lift of a weak Jacobi form")
+    p.add_argument("--form", required=True, help="lift input; write one with a"
+                   " leading minus as --form=-Phi1")
+    _orders(p, "q", "s")
+    p.add_argument("--ywindow", type=_count(0), help="keep the terms whose y-exponent lies"
+                   " within ywindow/4 of the leading monomial's; every printed term is exact")
+    _output(p, cmd_explift)
+
+    p = kinds.add_parser("sqeg", help="second-quantized elliptic genus")
+    _invariants(p)
+    _orders(p, "q")
+    p.add_argument("--pmax", type=_count(0), default=2,
+                   help="whole p-orders for the symmetric-product genus (default 2)")
+    _output(p, cmd_sqeg)
+
+    p = kinds.add_parser("eform", help="the Siegel form E(M) of Calabi-Yau data")
+    _invariants(p)
+    _orders(p, "q", "s")
+    p.add_argument("--ywindow", type=_count(0), default=60,
+                   help="the y-window, as for explift (default 60)")
+    _output(p, cmd_eform)
+
+    p = kinds.add_parser("arith", help="the arithmetic lifts Delta2 and Delta1")
+    p.add_argument("--name", required=True, choices=("Delta2", "Delta1"))
+    p.add_argument("--bound", type=_count(1), default=DEFAULT_ORDERS,
+                   help=f"whole q- and s-orders (default {DEFAULT_ORDERS})")
+    _output(p, cmd_arith)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=("ring", "basis", "hecke", "congruences",
                                      "lifts", "all"))
-    p.add_argument("--qmax", type=int, default=None, dest="qmax_opt",
+    p.add_argument("--qmax", type=_count(0), default=None,
                    help="q-order window of the ring, basis, hecke and congruences"
                    " checks that take one (a check whose name carries a window"
                    " shows it); lifts refuses it")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_verify)
+    _output(p, cmd_verify)
     return parser
-
-
-def _check_windows(args):
-    """Window options count whole orders (--ywindow: quarter units of the
-    y-exponent), so a negative one is invalid."""
-    for dest in ("qmax", "smax", "pmax", "bound", "ywindow", "qmax_opt"):
-        value = getattr(args, dest, None)
-        if value is not None and value < 0:
-            name = dest.removesuffix("_opt")
-            raise ValidationError(f"--{name} must be >= 0, got {value}")
 
 
 def _error(as_json, kind, message):
@@ -415,29 +381,18 @@ def main(argv=None):
 
 def _main(argv):
     argv = sys.argv[1:] if argv is None else list(argv)
-    usage = io.StringIO()
+    # no parser takes an abbreviation, so this finds a usage error's --json
+    as_json = "--json" in argv
     try:
-        with contextlib.redirect_stderr(usage):
-            args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse has printed its usage text into `usage` and exits 2
-        if exc.code != EXIT_PARSE or "--json" not in argv:
-            sys.stderr.write(usage.getvalue())
-            raise
-        message = usage.getvalue().strip().splitlines()[-1]
-        return _error(True, "input", message.split("error: ", 1)[-1])
-    try:
-        if args.command == "lift":
-            # an option the kind does not read is refused before its range is checked
-            _check_lift_options(args)
-        _check_windows(args)
+        args = build_parser().parse_args(argv)
+        as_json = args.json
         return args.fn(args)
     except PrecisionError as exc:
-        return _error(args.json, "precision", str(exc))
+        return _error(as_json, "precision", str(exc))
     except (IdentityError, InexactDivisionError) as exc:
-        return _error(args.json, "identity", str(exc))
-    except (ValidationError, JacobiLiftError, ValueError) as exc:
-        return _error(args.json, "input", str(exc))
+        return _error(as_json, "identity", str(exc))
+    except (JacobiLiftError, ValueError) as exc:
+        return _error(as_json, "input", str(exc))
 
 
 if __name__ == "__main__":

@@ -232,7 +232,10 @@ def parse_generator_polynomial(text):
             return GeneratorPolynomial.generator(int(tok[3]))
         raise ValidationError(f"unexpected token {tok!r}")
 
-    result = parse_expr()
+    try:
+        result = parse_expr()
+    except RecursionError:
+        raise ValidationError("expression nests too deeply") from None
     if peek() is not None:
         raise ValidationError(f"trailing input at token {peek()!r}")
     return result

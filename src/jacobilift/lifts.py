@@ -509,12 +509,15 @@ def hodge_anomaly(inv, qprec, sprec, ywindow=None):
     by requiring that H times the second-quantized genus reproduce the
     exponential lift of minus the elliptic genus; see the factorization
     check.)  Under a ``ywindow`` the terms on |ly| <= ywindow around the
-    leading monomial are returned, each exact (``theta_block``)."""
+    leading monomial are returned, each exact (``theta_block``).  The
+    series is empty when its s-exponent ms is not below sprec."""
     eta_exp, thetas, ms, meta = _anomaly_block(inv)
-    block, lead = theta_block(eta_exp, thetas, qprec, ywindow=ywindow)
-    acc = block.shift(lead).lift_to_three(ms)
     index_t = inv.d // 2 if inv.d % 2 == 0 else 2 * inv.d
-    return SiegelSeries(acc, *meta, index_t)
+    if ms >= sprec:
+        _check_ywindow(ywindow)
+        return SiegelSeries(Series(DEN3, {}, qprec, _clean=True), *meta, index_t)
+    block, lead = theta_block(eta_exp, thetas, qprec, ywindow=ywindow)
+    return SiegelSeries(block.shift(lead).lift_to_three(ms), *meta, index_t)
 
 
 # ---- assembled Siegel forms for Calabi-Yau data ---------------------------

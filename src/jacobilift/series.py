@@ -514,9 +514,8 @@ class _Kronecker:
         the multiplication (the product's size in kB to the power
         log2(3)), with a fixed cost.  Fitted by timing both routes on every
         Z product of a forms round, a lifts round and verify all, in units
-        of one dict-loop pair.  multiply stages little-endian words, so a
-        big-endian host keeps the dict loop."""
-        if not self.pairs or sys.byteorder != "little":
+        of one dict-loop pair."""
+        if not self.pairs:
             return False
         row = prod(self.shape[1:])
         kbytes = self.shape[0] * row * self.width / 1000
@@ -526,8 +525,9 @@ class _Kronecker:
     def multiply(self):
         """The product's terms below qprec.
 
-        Each operand is staged in array('Q'), one slot of ``words`` 64-bit
-        limbs per grid point and one store per term, then narrowed to
+        Each operand is staged in array('Q'), one slot of ``words``
+        little-endian 64-bit limbs per grid point and one store per term
+        (byte-swapped on a big-endian host), then narrowed to
         width-byte slots by width strided byte copies; the product is read
         back by the reverse copies."""
         if not self.pairs:
@@ -559,6 +559,9 @@ class _Kronecker:
                         pos[i] = c
                     else:
                         neg[i] = -c
+                if sys.byteorder == "big":
+                    pos.byteswap()
+                    neg.byteswap()
             else:
                 pos_bytes, neg_bytes = memoryview(pos).cast("B"), memoryview(neg).cast("B")
                 for i, c in zip(offset, terms.values()):
@@ -593,7 +596,10 @@ def _read_slots(packed, slots, width):
     staged = bytearray(wide * slots)
     for j in range(width):
         staged[j::wide] = data[j::width]
-    limbs = memoryview(staged).cast("Q").tolist()
+    limbs = array("Q", staged)
+    if sys.byteorder == "big":
+        limbs.byteswap()
+    limbs = limbs.tolist()
     values = limbs[::words]
     for j in range(1, words):
         values = [v | h << 64 * j for v, h in zip(values, limbs[j::words])]

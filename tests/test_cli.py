@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -126,11 +127,11 @@ LIFT_ARGS = {
 @pytest.mark.parametrize("kind", sorted(LIFT_ARGS))
 def test_lift_negative_ywindow_rejected(capsys, kind, as_json):
     """A kind that reads --ywindow refuses a negative one by its range; a
-    kind that does not read it refuses it as unread, before any range."""
+    kind that does not read it refuses it as unrecognized, before any range."""
     argv = ["lift", kind, *LIFT_ARGS[kind], "--ywindow", "-4"] + ["--json"] * as_json
     code, out, err = run(capsys, *argv)
-    message = ("--ywindow must be >= 0, got -4" if kind in ("explift", "eform")
-               else f"lift {kind} does not read --ywindow")
+    message = ("argument --ywindow: must be >= 0, got -4" if kind in ("explift", "eform")
+               else "unrecognized arguments: --ywindow -4")
     assert code == 2
     if as_json:
         data = json.loads(out)
@@ -156,14 +157,13 @@ def test_lift_refuses_options_its_kind_does_not_read(capsys, kind):
     """An option the kind would ignore exits 2 and is named, rather than
     a window request being dropped unnoticed."""
     for option in UNREAD[kind]:
-        name = option.split("=")[0]
         code, out, err = run(capsys, "lift", kind, *LIFT_ARGS[kind], option)
         assert code == 2 and out == ""
-        assert f"error: lift {kind} does not read {name}" in err
+        assert f"error: unrecognized arguments: {option}" in err
     code, out, err = run(capsys, "lift", kind, *LIFT_ARGS[kind], UNREAD[kind][0], "--json")
     data = json.loads(out)
     assert code == 2 and err == "" and data["error"] == "input" and data["exit"] == 2
-    assert f"lift {kind} does not read {UNREAD[kind][0].split('=')[0]}" in data["message"]
+    assert f"unrecognized arguments: {UNREAD[kind][0]}" in data["message"]
 
 
 def test_lift_arith_refuses_windows_without_bound(capsys):
@@ -174,7 +174,7 @@ def test_lift_arith_refuses_windows_without_bound(capsys):
     assert code == 0 and out == want
     for option in ("--qmax", "--smax"):
         code, out, err = run(capsys, "lift", "arith", "--name", "Delta2", option, "3")
-        assert code == 2 and out == "" and f"lift arith does not read {option}" in err
+        assert code == 2 and out == "" and f"unrecognized arguments: {option} 3" in err
 
 
 def test_closed_standard_output_exits_quietly():
@@ -313,9 +313,9 @@ def test_zero_qmax_rejected(capsys, argv, as_json):
     if as_json:
         data = json.loads(out)
         assert err == "" and data["error"] == "input" and data["exit"] == 2
-        assert "needs at least one whole q-order" in data["message"]
+        assert "argument --qmax: must be >= 1, got 0" in data["message"]
     else:
-        assert out == "" and "needs at least one whole q-order" in err
+        assert out == "" and "argument --qmax: must be >= 1, got 0" in err
 
 
 @pytest.mark.parametrize("poly", ["0", "Phi1-Phi1"])
@@ -408,8 +408,68 @@ def test_identity_error_exits_3(capsys, monkeypatch):
     assert data["error"] == "identity" and data["exit"] == 3 and "2**12" in data["message"]
 
 
-def test_usage_error_without_json_keeps_argparse_text(capsys):
+def test_usage_error_without_json_is_one_line(capsys):
+    code, out, err = run(capsys, "expand", "Phi1", "--bogus")
+    assert code == 2 and out == "" and err == "error: unrecognized arguments: --bogus\n"
+
+
+CY_ARGS = {
+    "genus": ["genus", "--d", "3", "--chi", "0,-1,1,0", "--euler", "100"],
+    "sqeg": ["lift", "sqeg", "--d", "3", "--chi", "0,-1,1,0", "--euler", "100"],
+    "eform": ["lift", "eform", "--d", "3", "--chi", "0,-1,1,0", "--euler", "100"],
+}
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("command", sorted(CY_ARGS))
+def test_chi_with_euler_rejected(capsys, command, as_json):
+    """--chi and --euler are two ways to give one manifold: both together
+    exit 2 rather than one of them being ignored."""
+    code, out, err = run(capsys, *CY_ARGS[command], *["--json"] * as_json)
+    message = "argument --euler: not allowed with argument --chi"
+    assert code == 2
+    if as_json:
+        data = json.loads(out)
+        assert err == "" and data["error"] == "input" and data["exit"] == 2
+        assert message in data["message"]
+    else:
+        assert out == "" and err == f"error: {message}\n"
+
+
+def test_abbreviated_option_refused(capsys):
+    """--js is not read as --json: no option takes an abbreviation."""
+    code, out, err = run(capsys, "expand", "Phi1", "--qmax", "1", "--js")
+    assert code == 2 and out == "" and "unrecognized arguments: --js" in err
+
+
+# per lift kind, the options it reads besides --json and --out
+LIFT_READS = {
+    "explift": {"--form", "--qmax", "--smax", "--ywindow"},
+    "sqeg": {"--d", "--chi", "--euler", "--qmax", "--pmax"},
+    "eform": {"--d", "--chi", "--euler", "--qmax", "--smax", "--ywindow"},
+    "arith": {"--name", "--bound"},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LIFT_READS))
+def test_lift_kind_help_lists_only_its_options(capsys, kind):
     with pytest.raises(SystemExit) as exc:
-        main(["expand", "Phi1", "--bogus"])
-    err = capsys.readouterr().err
-    assert exc.value.code == 2 and err.startswith("usage: ") and "--bogus" in err
+        main(["lift", kind, "--help"])
+    out = capsys.readouterr().out
+    listed = set(re.findall(r"(?<![\w-])--[a-z]+", out))
+    assert exc.value.code == 0
+    assert listed == LIFT_READS[kind] | {"--help", "--json", "--out"}
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_deeply_nested_polynomial_rejected(capsys, as_json):
+    """An expression nested past the interpreter's recursion limit is an
+    input error, not a traceback."""
+    poly = "(" * 400 + "Phi1" + ")" * 400
+    code, out, err = run(capsys, "expand", "--qmax", "1", *["--json"] * as_json, "--", poly)
+    assert code == 2
+    if as_json:
+        data = json.loads(out)
+        assert err == "" and data["error"] == "input" and "nests too deeply" in data["message"]
+    else:
+        assert out == "" and err == "error: expression nests too deeply\n"

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from jacobilift import jacobi, lifts, series
 from jacobilift.errors import InexactDivisionError, PrecisionError, ValidationError
-from jacobilift.genus import K3, CYInvariants, elliptic_genus
+from jacobilift.genus import ENRIQUES, K3, CYInvariants, elliptic_genus
 from jacobilift.jacobi import (
     JacobiForm,
     generator,
@@ -676,6 +676,30 @@ def test_hodge_anomaly_equals_product_on_interior(name):
         want, lead = product_hodge_anomaly(inv, qprec, ywindow + 400)
         assert got.qprec == want.qprec == qprec
         assert got.terms and got.terms == clip_around(want, lead[1], ywindow), ywindow
+
+
+# invariants and the s-exponent ms of their anomaly's monomial
+ANOMALY_MS = {
+    "K3": (K3, -24),
+    "CY4(1,4,6,4,1)": (CYInvariants(4, (1, 4, 6, 4, 1)), 0),
+    "CY3(e=2)": (CYInvariants.from_euler(3, 2), -3),
+    "Enriques": (ENRIQUES, -12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANOMALY_MS))
+def test_hodge_anomaly_honours_sprec(name):
+    """The anomaly is the one s-row s^ms, so sprec (exclusive) = ms gives
+    the empty series, with its weight, character and index kept, and any
+    sprec past ms the same row."""
+    inv, ms = ANOMALY_MS[name]
+    row = hodge_anomaly(inv, 49, ms + 1, ywindow=40)
+    assert row.series.terms and {k[2] for k in row.series.terms} == {ms}
+    assert row.series == hodge_anomaly(inv, 49, ms + 240, ywindow=40).series
+    empty = hodge_anomaly(inv, 49, ms, ywindow=40)
+    assert not empty.series.terms and empty.series.qprec == 49
+    meta = (row.weight2, row.character_order, row.index_t)
+    assert (empty.weight2, empty.character_order, empty.index_t) == meta
 
 
 @pytest.mark.parametrize("lam", [Fraction(1, 2), 1, Fraction(3, 2), 2, 3])
