@@ -32,7 +32,7 @@ from .genus import (
     relation_check,
 )
 from .jacobi import polynomial_form, xi06
-from .lifts import _input_qprec, arithmetic_lift, e_form, exp_lift, lift_window_for, sqeg
+from .lifts import ADDITIVE_LIFTS, _input_qprec, arithmetic_lift, e_form, exp_lift, lift_window_for, sqeg
 from .series import series_to_dict
 
 EXIT_OK = 0
@@ -339,8 +339,8 @@ def build_parser():
                    help="the y-window, as for explift (default 60)")
     _output(p, cmd_eform)
 
-    p = kinds.add_parser("arith", help="the arithmetic lifts Delta2 and Delta1")
-    p.add_argument("--name", required=True, choices=("Delta2", "Delta1"))
+    p = kinds.add_parser("arith", help="the additive lifts of eta^d theta: " + ", ".join(ADDITIVE_LIFTS))
+    p.add_argument("--name", required=True, choices=tuple(ADDITIVE_LIFTS))
     p.add_argument("--bound", type=_count(1), default=DEFAULT_ORDERS,
                    help=f"whole q- and s-orders (default {DEFAULT_ORDERS})")
     _output(p, cmd_arith)

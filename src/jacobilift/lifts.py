@@ -1,7 +1,7 @@
 """Siegel modular forms from Jacobi forms: Borcherds-style exponential
 products, second-quantized elliptic genera, the Hodge-anomaly factor and
-explicit arithmetic lift sums.  The identities connecting them are checks
-in ``jacobilift.verify``.
+the additive lifts of eta^d theta(tau, z).  The identities connecting
+them are checks in ``jacobilift.verify``.
 
 Triple series live on the exponent lattice (q**(1/24), y**(1/4),
 s**(1/24)).
@@ -38,7 +38,8 @@ from math import gcd, isqrt
 
 from .errors import InexactDivisionError, PrecisionError, ValidationError
 from .genus import elliptic_genus
-from .modular import euler_product, kronecker
+from .jacobi import theta_jacobi
+from .modular import euler_product, eta_power, kronecker
 from .series import DEN2, DEN3, Series, _Rows, _unpack_rows, series_to_dict
 
 
@@ -405,16 +406,19 @@ def _rows_power(rows, a):
 def exp_lift_homomorphic(pairs, qprec, sprec, ywindow=None):
     """exp_lift(sum a_i phi_i) computed as prod exp_lift(phi_i)**a_i, for
     checking the exponential homomorphism property.  Each exp_lift(phi_i)
-    is taken apart at (qprec, sprec) (``_lift_parts``): the prefactors and
-    the powers of R add, the G's and the row series multiply (negative
-    powers by exact division and ``_rows_power``), and R is applied once.
+    is taken apart (``_lift_parts``): the prefactors and the powers of R
+    add, the G's and the row series multiply (negative powers by exact
+    division and ``_rows_power``), and R is applied once.
 
     With q^A_i s^C_i the prefactor of exp_lift(phi_i) and q^A s^C that of
-    the product, the result keeps q-precision min_i(qprec - A_i) + A, less
-    than qprec when some A_i > A, and only the s-rows that every pair
-    reaches: s^(C + tM) for 24tM < sprec - max(C, max_i C_i)."""
+    the product, exp_lift(phi_i) is taken apart at (qprec - A + A_i, sprec),
+    so every G and row keeps qprec - A past its prefactor and the result
+    keeps qprec, as exp_lift of the sum does.  It keeps only the s-rows
+    that every pair reaches: s^(C + tM) for 24tM < sprec - max(C, max_i C_i)."""
     _check_ywindow(ywindow)
-    parts = [(a, _lift_parts(form, qprec, sprec)) for form, a in pairs if a]
+    prefs = [(form, a, _prefactor_key(form)) for form, a in pairs if a]
+    rel = qprec - sum(a * pref[0] for _, a, pref in prefs)
+    parts = [(a, _lift_parts(form, rel + pref[0], sprec)) for form, a, pref in prefs]
     if not parts or len({part[4] for _, part in parts}) > 1:
         raise ValidationError("exp_lift_homomorphic needs forms of one index, an exponent nonzero")
     t = parts[0][1][4]
@@ -565,58 +569,48 @@ def factorization_product(inv, qprec, sprec, ywindow=None):
 
 # ---- arithmetic (additive) lifts ------------------------------------------
 
-
-def _divisor_char_sum(n, l, m, top):
-    g = gcd(gcd(n, abs(l)), m)
-    total = 0
-    for a in range(1, g + 1):
-        if g % a == 0:
-            total += kronecker(top, a)
-    return total
-
-
-# name -> (den, (a, b), coefficient, divisor character, metadata): the sum
-# runs over n, m = 1 mod den with a*n*m - b*l^2 = R^2 > 0, the term of
-# q^{n/den} y^{l/2} s^{m/2} is coefficient(l, R) times the divisor sum of
-# the character, and the metadata is (weight2, character order, index_t).
-_ARITHMETIC_LIFTS = {
-    "Delta2": (4, (2, 1), lambda l, r: r * kronecker(-4, r * l), -4, (4, 4, 2)),
-    "Delta1": (6, (4, 3), lambda l, r: kronecker(-4, l) * kronecker(12, r), -12, (2, 6, 3)),
-}
+# name -> (d, chi): the cusp form is the additive lift of eta^d theta(tau, z)
+# with the divisor character (chi/a), chi = 1 the trivial one
+ADDITIVE_LIFTS = {"Delta5": (9, 1), "Delta2": (3, -4), "Delta1": (1, 1)}
 
 
 def arithmetic_lift(name, qprec, sprec):
-    """Explicit Fourier sums for two cusp forms that also arise as
-    exponential lifts:
+    """The additive (Maass) lift of phi = eta^d theta(tau, z), (d, chi) =
+    ADDITIVE_LIFTS[name]: a cusp form that is also an exponential lift
+    (Gritsenko-Nikulin).  phi has weight k = (d + 1)/2 and index 1/2, and
+    d + 3 divides 24, so its q-exponents lie in 1/Q + Z with
+    Q = 24/(d + 3).  With f(N, L) its coefficient of q^N y^(L/2), the
+    coefficient of q^(n/Q) y^(L/2) s^(m/2), n, m = 1 mod Q, is
 
-      Delta2: sum over n, m = 1 mod 4, 2nm - l^2 = N^2 > 0 of
-              N (-4/(N l)) sum_{a | (n,l,m)} (-4/a) q^{n/4} y^{l/2} s^{m/2}
-      Delta1: sum over n, m = 1 mod 6, 4nm - 3l^2 = M^2 > 0 of
-              (-4/l)(12/M) sum_{a | (n,l,m)} (-12/a) q^{n/6} y^{l/2} s^{m/2}
+        sum_{a | (n, L, m)} a^(k-1) (chi/a) f(nm/(Q a^2), L/a),
 
-    The divisor character (-12/a) in Delta1 is forced by unfolding the
-    sum from the Maass lift of eta * theta: the a-th term must equal
-    (-4/(l/a)) (12/(M/a)), and multiplicativity of the Kronecker symbols
-    turns that into (-4/l)(12/M)(-4/a)(12/a).  The first key where a
-    weaker character choice would differ is n = l = m = 7.
-    """
-    if name not in _ARITHMETIC_LIFTS:
+    read here as a sum over a | (n, m) and the terms of one q-row of phi:
+    the term q^N y^(L'/2) lands at L = a L'.  The lift has weight2 d + 1,
+    character order Q and index Q/2; every term below (qprec, sprec) is
+    returned."""
+    if name not in ADDITIVE_LIFTS:
         raise ValidationError(f"unknown arithmetic lift {name!r}")
-    den, (a, b), coefficient, character, meta = _ARITHMETIC_LIFTS[name]
-    unit = 24 // den
+    d, chi = ADDITIVE_LIFTS[name]
+    unit = d + 3
+    order = 24 // unit
+    nmax, mmax = (qprec - 1) // unit, (sprec - 1) // 12
+    top = unit * max(nmax, 0) * max(mmax, 0) + 1
+    rows = {}
+    for (nq, ly), c in (eta_power(d, top) * theta_jacobi(top)).terms.items():
+        rows.setdefault(nq, []).append((ly, c))
     terms = {}
-    for n in range(1, (qprec - 1) // unit + 1, den):
-        for m in range(1, (sprec - 1) // 12 + 1, den):
-            lbound = isqrt(a * n * m // b)
-            for l in range(-lbound, lbound + 1):
-                square = a * n * m - b * l * l  # >= 0 by the choice of lbound
-                root = isqrt(square)
-                if not root or root * root != square:
+    for n in range(1, nmax + 1, order):
+        for m in range(1, mmax + 1, order):
+            g = gcd(n, m)
+            for a in range(1, g + 1):
+                if g % a:
                     continue
-                c = coefficient(l, root) * _divisor_char_sum(n, l, m, character)
-                if c:
-                    terms[(unit * n, 2 * l, 12 * m)] = c
-    return SiegelSeries(Series(DEN3, terms, qprec, _clean=True), *meta)
+                weight = a ** ((d - 1) // 2) * kronecker(chi, a)
+                for ly, c in rows.get(unit * (n // a) * (m // a), ()):
+                    key = (unit * n, a * ly, 12 * m)
+                    terms[key] = terms.get(key, 0) + weight * c
+    series = Series(DEN3, {k: c for k, c in terms.items() if c}, qprec, _clean=True)
+    return SiegelSeries(series, d + 1, order, order // 2)
 
 
 # ---- Humbert surface multiplicities ----------------------------------------

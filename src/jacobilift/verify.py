@@ -44,6 +44,7 @@ from .jacobi import (
     xi06,
 )
 from .lifts import (
+    ADDITIVE_LIFTS,
     SiegelSeries,
     _lift_at,
     _prefactor_key,
@@ -506,18 +507,20 @@ def suite_lifts():
     square, factorization, SQEG sanity, Humbert multiplicities, the
     exponential homomorphism, mirror inversion and the assemblies."""
     checks = []
-    # dual constructions, with the weight and character of both sides
-    for name, idx, weight2, order in (("Delta2", 2, 4, 4), ("Delta1", 3, 2, 6)):
-        qp, sp, inq = lift_window_for(generator(idx, 24), 3, 3)
-        lifted = exp_lift(generator(idx, inq), qp, sp)
+    # dual constructions: each additive lift is exp_lift(phi_0t), t = Q/2,
+    # with the weight2 d + 1, character order Q = 24/(d + 3) and index t
+    for name, (d, _) in ADDITIVE_LIFTS.items():
+        t = 12 // (d + 3)
+        qp, sp, inq = lift_window_for(generator(t, 24), 3, 3)
+        lifted = exp_lift(generator(t, inq), qp, sp)
         summed = arithmetic_lift(name, qp, sp)
-        meta = {(f.weight2, f.character_order) for f in (lifted, summed)}
+        meta = {(f.weight2, f.character_order, f.index_t) for f in (lifted, summed)}
         checks.append(
             _check(
-                f"exp_lift(phi_0{idx}) == {name} arithmetic sum, weight2 {weight2},"
-                f" character order {order} (q,s <= 3,3)",
+                f"exp_lift(phi_0{t}) == arithmetic_lift({name}), weight2 {d + 1},"
+                f" character order {2 * t} (q,s <= 3,3)",
                 _window_equal(lifted.series, summed.series, qp - 1, sp - 1)
-                and meta == {(weight2, order)},
+                and meta == {(d + 1, 2 * t, t)},
             )
         )
     # smallest terms of Delta2: q^{1/4} s^{1/2} (y^{1/2} - y^{-1/2})
@@ -637,7 +640,8 @@ def suite_lifts():
             )
             # every s-row the right side returns (its rows lie 24t apart)
             sl = max(k[2] for k in rhs.series.terms)
-            if not _window_equal(lhs.series, rhs.series, pref[0] + 24, sl):
+            if lhs.series.qprec != rhs.series.qprec or not _window_equal(
+                    lhs.series, rhs.series, pref[0] + 24, sl):
                 hom_ok = False
                 bad = (a, b)
     checks.append(

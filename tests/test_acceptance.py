@@ -61,10 +61,11 @@ CRITERIA = {
         "-chi(M4) == -chi0 psi_A + chi1 phi_02",
         "-chi(M8) == chi3 phi_04 - chi2 phi_01(2z) + chi1 psi^(3) - chi0 psi^(4)",
     ]),
-    9: ("dual constructions: Delta2, Delta1 sums, the theta-constant product,"
-        " Delta_1/2, Delta11 and the index-6 quotient", [
-        "exp_lift(phi_02) == Delta2 arithmetic sum, weight2 4, character order 4 (q,s <= 3,3)",
-        "exp_lift(phi_03) == Delta1 arithmetic sum, weight2 2, character order 6 (q,s <= 3,3)",
+    9: ("dual constructions: the Delta5, Delta2, Delta1 additive lifts, the"
+        " theta-constant product, Delta_1/2, Delta11 and the index-6 quotient", [
+        "exp_lift(phi_01) == arithmetic_lift(Delta5), weight2 10, character order 2 (q,s <= 3,3)",
+        "exp_lift(phi_02) == arithmetic_lift(Delta2), weight2 4, character order 4 (q,s <= 3,3)",
+        "exp_lift(phi_03) == arithmetic_lift(Delta1), weight2 2, character order 6 (q,s <= 3,3)",
         "Delta2 leading terms q^(1/4)s^(1/2)(y^(1/2) - y^(-1/2))",
         "2^(-12) prod Theta_ab^2 == exp_lift(2 phi_01) (q,s <= 2)",
         "Delta5 antisymmetric under y -> 1/y",

@@ -1,8 +1,8 @@
-"""Siegel lifts: exponential products, arithmetic sums, SQEG, Humbert data."""
+"""Siegel lifts: exponential products, additive lifts, SQEG, Humbert data."""
 
 import re
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, gcd, isqrt
 
 import pytest
 from conftest import hecke_tminus_scan
@@ -20,7 +20,7 @@ from jacobilift.jacobi import (
     theta_jacobi,
 )
 from jacobilift.lifts import (
-    _divisor_char_sum,
+    ADDITIVE_LIFTS,
     _input_qprec,
     _prefactor_key,
     arithmetic_lift,
@@ -323,7 +323,31 @@ def test_exp_lift_homomorphic_equals_exp_lift_on_its_window(a, b):
     lhs = exp_lift(combo, qp, sp, ywindow=40).series
     slimit = max(k[2] for k in rhs.terms)
     assert len({k[2] for k in rhs.terms}) >= 2
-    assert _window_equal(lhs, rhs, min(lhs.qprec, rhs.qprec) - 1, slimit)
+    assert rhs.qprec == lhs.qprec
+    assert _window_equal(lhs, rhs, lhs.qprec - 1, slimit)
+
+
+def test_exp_lift_homomorphic_keeps_the_q_precision_of_exp_lift():
+    """On the 24 pairs of the verify homomorphism check, each pair is lifted
+    at qprec - A + A_i, so the product keeps exp_lift's q-precision.  Each
+    pair lifted at qprec would keep min_i(qprec - A_i) + A: 13 for
+    phi02**-2 psi_A**-1 at (73, 121) (the q,s <= 3,5 case of the test
+    above), 73 for (-2, 1) at (85, 97) and 121 for (2, 1) at (109, 145).
+    The inputs are those of the check: at least 17 q-orders, and as many
+    as exp_lift of the sum reads."""
+    for a in range(-2, 3):
+        for b in range(-2, 3):
+            if a == b == 0:
+                continue
+            probe = JacobiForm(generator(2, 24).series.scale(a)
+                               + psi2_variant(2, 24, variant="A").series.scale(b), 0, 4)
+            qp, sp, inq = lift_window_for(probe, 3, 3)
+            phi = generator(2, max(inq, 24 * 17))
+            psi = psi2_variant(2, max(inq, 24 * 17), variant="A")
+            combo = JacobiForm(phi.series.scale(a) + psi.series.scale(b), 0, 4)
+            want = exp_lift(combo, qp, sp, ywindow=80).series.qprec
+            got = exp_lift_homomorphic([(phi, a), (psi, b)], qp, sp, ywindow=80).series.qprec
+            assert got == want == qp, (a, b)
 
 
 def test_verify_homomorphism_check_compares_every_returned_s_row(monkeypatch):
@@ -745,9 +769,15 @@ def test_exp_lift_interior_is_exact():
             assert narrow.terms and narrow.terms == clip_around(wide, pref[1], ywindow), (name, ywindow)
 
 
+def divisor_char_sum(n, l, m, top):
+    """sum_{a | (n, l, m)} (top/a)."""
+    g = gcd(gcd(n, abs(l)), m)
+    return sum(kronecker(top, a) for a in range(1, g + 1) if g % a == 0)
+
+
 def reference_arithmetic_terms(name, qprec, sprec):
-    """The two loops that arithmetic_lift's table replaced, one per lift:
-    (terms, (weight2, character order, index_t))."""
+    """The two hand-written loops, one per lift, that the additive-lift
+    engine replaced: (terms, (weight2, character order, index_t))."""
     terms = {}
     if name == "Delta2":
         for n in range(1, (qprec - 1) // 6 + 1, 4):
@@ -758,7 +788,7 @@ def reference_arithmetic_terms(name, qprec, sprec):
                     if nn <= 0 or isqrt(nn) ** 2 != nn:
                         continue
                     big_n = isqrt(nn)
-                    c = big_n * kronecker(-4, big_n * l) * _divisor_char_sum(n, l, m, -4)
+                    c = big_n * kronecker(-4, big_n * l) * divisor_char_sum(n, l, m, -4)
                     if c:
                         key = (6 * n, 2 * l, 12 * m)
                         terms[key] = terms.get(key, 0) + c
@@ -771,7 +801,7 @@ def reference_arithmetic_terms(name, qprec, sprec):
                     mm = 4 * n * m - 3 * l * l
                     if mm <= 0 or isqrt(mm) ** 2 != mm:
                         continue
-                    c = kronecker(-4, l) * kronecker(12, isqrt(mm)) * _divisor_char_sum(n, l, m, -12)
+                    c = kronecker(-4, l) * kronecker(12, isqrt(mm)) * divisor_char_sum(n, l, m, -12)
                     if c:
                         key = (4 * n, 2 * l, 12 * m)
                         terms[key] = terms.get(key, 0) + c
@@ -793,3 +823,38 @@ def test_arithmetic_lift_table_equals_the_two_loops(name):
 def test_arithmetic_lift_refuses_unknown_name():
     with pytest.raises(ValidationError, match="unknown arithmetic lift"):
         arithmetic_lift("Delta3", 25, 25)
+
+
+@given(st.sampled_from(sorted(ADDITIVE_LIFTS)), st.integers(1, 4), st.integers(1, 4))
+@settings(max_examples=30, deadline=None)
+def test_arithmetic_lift_equals_exp_lift_of_phi0t(name, qmax, smax):
+    """Each table lift of eta^d theta equals exp_lift(phi_0t), t = Q/2 and
+    Q = 24/gcd(24, d + 3), term for term on q,s <= 4, with weight2 d + 1,
+    character order Q and index t on both sides."""
+    d, _ = ADDITIVE_LIFTS[name]
+    order = 24 // gcd(24, d + 3)
+    t = order // 2
+    qp, sp, inq = lift_window_for(generator(t, 24), qmax, smax)
+    lifted = exp_lift(generator(t, inq), qp, sp)
+    summed = arithmetic_lift(name, qp, sp)
+    assert summed.series.terms and summed.series == lifted.series
+    for ss in (lifted, summed):
+        assert (ss.weight2, ss.character_order, ss.index_t) == (d + 1, order, t)
+
+
+def test_delta1_divisor_character_is_trivial(monkeypatch):
+    """Delta1 = exp_lift(phi_03) on q <= 5, s <= 13 with the trivial divisor
+    character.  The character (-12/a) first parts from it at a = 5, which
+    needs n = m = 25 (q^(25/6), s^(25/2)): it changes the two keys
+    (100, +-50, 300) there and no other key on the window, so on
+    q,s <= 12 the two agree."""
+    qp, sp, inq = lift_window_for(generator(3, 24), 5, 13)
+    lifted = exp_lift(generator(3, inq), qp, sp).series
+    window = {k: c for k, c in lifted.terms.items() if k[0] <= 120 and k[2] <= 312}
+    trivial = arithmetic_lift("Delta1", 121, 313).series.terms
+    assert trivial == window
+    monkeypatch.setitem(lifts.ADDITIVE_LIFTS, "Delta1", (1, -12))
+    twisted = arithmetic_lift("Delta1", 121, 313).series.terms
+    parted = {k for k in trivial.keys() | twisted.keys() if trivial.get(k) != twisted.get(k)}
+    assert parted == {(100, 50, 300), (100, -50, 300)}
+    assert {trivial[k] for k in parted} == {1, -1}
