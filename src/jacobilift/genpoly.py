@@ -7,6 +7,7 @@ e1 + 2*e2 + 3*e3 + 4*e4.
 """
 
 import re
+from math import comb
 
 from .errors import ValidationError
 
@@ -86,6 +87,29 @@ class GeneratorPolynomial:
         for _ in range(e):
             result = result * self
         return result
+
+    def divide(self, d):
+        """self / d with integer coefficients, or None.  The generators
+        satisfy 4*Phi4 = Phi1*Phi3 - Phi2^2, so when a coefficient of self
+        is not divisible by d, self is reduced modulo that relation (each
+        Phi1*Phi3 becomes Phi2^2 + 4*Phi4) and divided again."""
+        poly = self
+        if any(c % d for c in poly.terms.values()):
+            poly = self._reduced()
+            if any(c % d for c in poly.terms.values()):
+                return None
+        return GeneratorPolynomial._trusted({k: c // d for k, c in poly.terms.items()})
+
+    def _reduced(self):
+        """The same form with no monomial divisible by Phi1*Phi3:
+        Phi1^k Phi3^k = sum_j C(k, j) 4^j Phi2^(2k - 2j) Phi4^j."""
+        out = {}
+        for (e1, e2, e3, e4), c in self.terms.items():
+            k = min(e1, e3)
+            for j in range(k + 1):
+                key = (e1 - k, e2 + 2 * (k - j), e3 - k, e4 + j)
+                out[key] = out.get(key, 0) + c * comb(k, j) * 4 ** j
+        return GeneratorPolynomial._trusted(out)
 
     def indices(self):
         """Set of Jacobi indices of the monomials present."""

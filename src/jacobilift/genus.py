@@ -5,14 +5,8 @@ divisibility batteries for torsion specializations."""
 from fractions import Fraction
 
 from .errors import ValidationError
-from .jacobi import (
-    JacobiForm,
-    _solve_row,
-    basis_psi,
-    phi_threehalf,
-    specialize_torsion,
-)
-from .series import DEN2, Series, _divide_row
+from .jacobi import _solve_row, basis_sum, phi_threehalf, specialize_torsion
+from .series import _divide_row
 
 
 class CYInvariants:
@@ -153,20 +147,8 @@ def elliptic_genus(inv, qprec=96):
         ) from exc
     if d == 3:
         return phi_threehalf(qprec) * row.get(0, 0)
-    form = _assemble(coords, m, qprec)
+    form = basis_sum(m, coords, qprec)
     return form if d % 2 == 0 else phi_threehalf(qprec) * form
-
-
-def _assemble(coords, m, qprec):
-    form = None
-    for n, x in coords.items():
-        if not x:
-            continue
-        term = x * basis_psi(m, n, qprec)
-        form = term if form is None else form + term
-    if form is None:
-        form = JacobiForm(Series.zero(DEN2, qprec), 0, 2 * m, None)
-    return form
 
 
 def chi_y_polynomial(form, d):

@@ -151,7 +151,8 @@ class JacobiForm:
     __rmul__ = __mul__
 
     def scale_div(self, d):
-        """Exact division of every coefficient (and the polynomial) by d."""
+        """Exact division of every coefficient by d; the polynomial is
+        divided by ``GeneratorPolynomial.divide``, None when it does not."""
         terms = {}
         for k, c in self.series.terms.items():
             q, r = divmod(c, d)
@@ -159,17 +160,7 @@ class JacobiForm:
                 raise ValidationError(f"coefficient {c} at {k} not divisible by {d}")
             terms[k] = q
         series = Series(DEN2, terms, self.series.qprec, _clean=True)
-        poly = None
-        if self.poly is not None:
-            pterms = {}
-            for k, c in self.poly.terms.items():
-                q, r = divmod(c, d)
-                if r:
-                    poly = None
-                    break
-                pterms[k] = q
-            else:
-                poly = GeneratorPolynomial(pterms)
+        poly = None if self.poly is None else self.poly.divide(d)
         return JacobiForm._trusted(series, self.weight2, self.index2, poly)
 
     def double_z(self):
@@ -474,41 +465,23 @@ def _psi_tilde(m, qprec):
     return basis_psi(m, 1, qprec) * gcd(12, m)
 
 
+# psi_m^(1) off the generators is sum_k x_k psi~_{m-k} phi_0k / d, with
+# d = gcd(12, m) -> {k: x_k} and psi~_j = gcd(12, j) psi_j^(1).  Each sum has
+# the q**0 row m(y + 1/y) + c, so its quotient by d is canonical.
+_PSI1_LADDER = {
+    **dict.fromkeys((1, 2), {4: 1, 2: 1, 3: -2}),
+    **dict.fromkeys((3, 6, 12), {3: 2, 4: -3, 6: 1}),
+    4: {12: 1, 4: 1, 8: -1},
+}
+
+
 def _psi1_raw(m, qprec):
     if m in (1, 2, 3, 4, 6, 8, 12):
         return generator(m, qprec)
-    t2 = _psi_tilde(m - 2, qprec)
-    t3 = _psi_tilde(m - 3, qprec)
-    t4 = _psi_tilde(m - 4, qprec)
-    p2 = generator(2, qprec)
-    p3 = generator(3, qprec)
-    p4 = generator(4, qprec)
-    variant_i = t4 * p4 + t2 * p2 - 2 * (t3 * p3)
     d = gcd(12, m)
-    if d == 1:
-        return variant_i
-    if d == 2:
-        return variant_i.scale_div(2)
-    if d in (3, 6):
-        t6 = _psi_tilde(m - 6, qprec)
-        p6 = generator(6, qprec)
-        variant_iii = (2 * (t3 * p3) + t6 * p6).scale_div(3) - t4 * p4
-        if d == 3:
-            return variant_iii
-        return variant_iii.scale_div(2)
-    if d == 4:
-        t12 = _psi_tilde(m - 12, qprec)
-        t8 = _psi_tilde(m - 8, qprec)
-        p12 = generator(12, qprec)
-        p8 = generator(8, qprec)
-        return (t12 * p12 + t4 * p4 - t8 * p8).scale_div(4)
-    # d == 12
-    t6 = _psi_tilde(m - 6, qprec)
-    t12 = _psi_tilde(m - 12, qprec)
-    p6 = generator(6, qprec)
-    p12 = generator(12, qprec)
-    combo = 8 * (t3 * p3) - 6 * (t4 * p4) - 2 * (t6 * p6) + t12 * p12
-    return combo.scale_div(12)
+    terms = [_psi_tilde(m - k, qprec) * (generator(k, qprec) * x)
+             for k, x in _PSI1_LADDER[d].items()]
+    return sum(terms[1:], terms[0]).scale_div(d)
 
 
 def psi2_variant(m, qprec, variant="B"):
@@ -558,10 +531,11 @@ def _psi_raw(m, n, qprec):
 def basis_psi(m, n, qprec):
     """Element n of the canonical basis of weight-0 index-m weak forms.
 
-    Construction follows the recursive ladder over the generators; elements
-    with n >= 3 are then put in a Hermite-style canonical shape: monic at
-    y**n, zero q**0 coefficients at y**j for 2 <= j < n, and the y**1
-    coefficient reduced modulo the leading coefficient of element 1.
+    Construction follows the recursive ladder over the generators
+    (``_PSI1_LADDER`` for n = 1); elements with n >= 3 are then put in a
+    Hermite-style canonical shape: monic at y**n, zero q**0 coefficients at
+    y**j for 2 <= j < n, and the y**1 coefficient reduced modulo the
+    leading coefficient of element 1.
     """
     if m < 1:
         raise ValidationError("basis index must be >= 1")
@@ -583,6 +557,15 @@ def basis_psi(m, n, qprec):
         elif coeff:
             current = current - coeff * lower
     return current
+
+
+def basis_sum(m, coords, qprec):
+    """sum_n coords[n] psi_m^(n) at qprec, its polynomial included."""
+    form = JacobiForm._trusted(Series.zero(DEN2, qprec), 0, 2 * m, GeneratorPolynomial())
+    for n, x in coords.items():
+        if x:
+            form = form + basis_psi(m, n, qprec) * x
+    return form
 
 
 # ---- the theta decomposition and Hecke operators ---------------------------
@@ -825,14 +808,9 @@ def decompose(form):
             break
         coords = _solve_row(current.q_row(0), mm, current.series.qprec)
         levels.append({n: x for n, x in coords.items() if x})
-        reduction = current
-        for n, x in coords.items():
-            if x:
-                psi = basis_psi(mm, n, current.series.qprec).truncate(
-                    current.series.qprec
-                )
-                poly = poly + (xi_poly ** level) * (psi.poly * x)
-                reduction = reduction - x * psi
+        part = basis_sum(mm, coords, current.series.qprec)
+        poly = poly + (xi_poly ** level) * part.poly
+        reduction = current - part
         if reduction.series.is_zero():
             break
         if mm < 6:

@@ -335,8 +335,7 @@ def exp_lift(form, qprec, sprec, ywindow=None):
     _check_ywindow(ywindow)
     pref, thetas, g, rows, t = _lift_parts(form, qprec, sprec)
     series = _assemble(pref, thetas, g, rows, t, ywindow)
-    character_order = 24 // gcd(24, pref[0]) if pref[0] else 1
-    return SiegelSeries(series, form.series.coeff((0, 0)), character_order, t)
+    return SiegelSeries(series, form.series.coeff((0, 0)), 24 // gcd(24, pref[0]), t)
 
 
 def _lift_index(form):
@@ -433,7 +432,7 @@ def exp_lift_homomorphic(pairs, qprec, sprec, ywindow=None):
     count = (sprec - pref[2] - 1) // (24 * t)
     series = _assemble(pref, thetas, g, rows[:max(count + 1, 0)], t, ywindow)
     weight2 = sum(a * form.series.coeff((0, 0)) for form, a in pairs)
-    return SiegelSeries(series, weight2, 0, t)
+    return SiegelSeries(series, weight2, 24 // gcd(24, pref[0]), t)
 
 
 # ---- second-quantized elliptic genus --------------------------------------

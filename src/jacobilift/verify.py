@@ -59,7 +59,7 @@ from .lifts import (
     siegel_scale,
     sqeg,
 )
-from .modular import eta_quotient, kronecker
+from .modular import eta_quotient
 from .series import DEN2, DEN3, Series
 
 GOLDEN_Q0_ROWS = {
@@ -210,17 +210,16 @@ def suite_basis(qmax=3):
     shape_ok = True
     bad = None
     for m in range(1, 13):
+        pivot = m // gcd(12, m)
         for n in range(1, m + 1):
-            psi = basis_psi(m, n, qp)
-            row = psi.q_row(0)
-            if n == 1:
-                ok = row.get(4, 0) == m // gcd(12, m)
+            row = basis_psi(m, n, qp).q_row(0)
+            if n == 1:  # pivot * (y + 1/y) + c
+                ok = set(row) <= {-4, 0, 4} and row.get(4) == pivot
             elif n == 2:
                 ok = row == psi2_row
-            else:
-                ok = row.get(4 * n, 0) == 1 and all(
-                    row.get(4 * j, 0) == 0 for j in range(2, n)
-                )
+            else:  # top degree n, monic, no y^2..y^(n-1), y^1 reduced mod the pivot
+                ok = (max(row) == 4 * n and row[4 * n] == 1 and 0 <= row.get(4, 0) < pivot
+                      and all(row.get(4 * j, 0) == 0 for j in range(2, n)))
             if not ok:
                 shape_ok = False
                 bad = (m, n, row)
@@ -417,27 +416,6 @@ def _window_equal(s1, s2, qlimit, slimit, ybound=None):
     return w1 == w2
 
 
-def _delta_half_theta(qprec, sprec):
-    """The 'most odd' even genus-2 theta constant as an explicit sum:
-
-        (1/2) sum_{n,m odd} (-4/n)(-4/m) q^{n^2/8} y^{nm/4} s^{m^2/8}
-
-    folded over (n, m) -> (-n, -m)."""
-    terms = {}
-    nmax = isqrt(max(qprec - 1, 0) // 3)
-    mmax = isqrt(max(sprec - 1, 0) // 3)
-    for n in range(1, nmax + 1, 2):
-        cn = kronecker(-4, n)
-        for m in range(-mmax, mmax + 1):
-            if m % 2 == 0:
-                continue
-            c = cn * kronecker(-4, m)
-            key = (3 * n * n, n * m, 3 * m * m)
-            terms[key] = terms.get(key, 0) + c
-    terms = {k: c for k, c in terms.items() if c != 0}
-    return SiegelSeries(Series(DEN3, terms, qprec, _clean=True), 1, 0, None)
-
-
 def _even_characteristics():
     """The ten even genus-2 theta characteristics (a, b), a.b even."""
     pairs = [(a1, a2) for a1 in (0, 1) for a2 in (0, 1)]
@@ -550,8 +528,10 @@ def suite_lifts():
             ),
         )
     )
-    # Delta_{1/2} substitution
-    dh = siegel_scale(_delta_half_theta(80, 200), 2, 4)
+    # Delta_{1/2} = -(1/2) Theta_{(1,1),(1,1)}, substituted
+    theta = _siegel_theta_constant((1, 1), (1, 1), 80, 200)
+    half = Series(DEN3, {k: -c // 2 for k, c in theta.terms.items()}, theta.qprec, _clean=True)
+    dh = siegel_scale(SiegelSeries(half, 1, 0, None), 2, 4)
     e4 = exp_lift(generator(4, 24 * 12), 80, 80)
     checks.append(
         _check(
@@ -640,8 +620,8 @@ def suite_lifts():
             )
             # every s-row the right side returns (its rows lie 24t apart)
             sl = max(k[2] for k in rhs.series.terms)
-            if lhs.series.qprec != rhs.series.qprec or not _window_equal(
-                    lhs.series, rhs.series, pref[0] + 24, sl):
+            meta = [(ss.weight2, ss.character_order, ss.index_t, ss.series.qprec) for ss in (lhs, rhs)]
+            if meta[0] != meta[1] or not _window_equal(lhs.series, rhs.series, pref[0] + 24, sl):
                 hom_ok = False
                 bad = (a, b)
     checks.append(

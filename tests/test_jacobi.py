@@ -272,16 +272,62 @@ def test_xi06_polynomial_relation():
 
 
 def test_basis_structure():
+    """Every psi_m^(n), m <= 36, has the canonical q**0 row: psi^(1) is
+    (m/gcd(12, m))(y + 1/y) + c, psi^(2) is (y - 2 + 1/y)**2, and psi^(n>=3)
+    has top degree n, is monic, has no y**2..y**(n-1) and its y**1
+    coefficient lies in [0, m/gcd(12, m)).  The ladder's d = 12 row first
+    acts at m = 24."""
     psi2_row = {8: 1, 4: -4, 0: 6, -4: -4, -8: 1}
-    for m in range(1, 13):
-        assert basis_psi(m, 1, 48).q_row(0).get(4, 0) == m // gcd(12, m)
+    for m in range(1, 37):
+        pivot = m // gcd(12, m)
+        row = basis_psi(m, 1, 48).q_row(0)
+        assert set(row) <= {-4, 0, 4} and row[4] == row[-4] == pivot, (m, row)
         for n in range(2, m + 1):
             row = basis_psi(m, n, 48).q_row(0)
             if n == 2:
                 assert row == psi2_row, (m, n)
             else:
-                assert row.get(4 * n, 0) == 1, (m, n)
+                assert max(row) == 4 * n and row[4 * n] == 1, (m, n)
                 assert all(row.get(4 * j, 0) == 0 for j in range(2, n)), (m, n)
+                assert 0 <= row.get(4, 0) < pivot, (m, n)
+
+
+def test_basis_polynomials_evaluate_back():
+    """The ``poly`` of psi_m^(n) evaluates to psi_m^(n): for n <= 3 at every
+    m <= 36, where the ladder's divisions act, and for every n at m = 24 and
+    25, the first indices whose polynomials need the reduction modulo
+    4 Phi4 = Phi1 Phi3 - Phi2^2."""
+    cases = [(m, n) for m in range(1, 37) for n in range(1, min(m, 3) + 1)]
+    cases += [(m, n) for m in (24, 25) for n in range(4, m + 1)]
+    for m, n in cases:
+        psi = basis_psi(m, n, 48)
+        assert polynomial_form(psi.poly, 48).series == psi.series, (m, n)
+
+
+def test_polynomial_reduction_keeps_the_form():
+    """Reducing modulo 4 Phi4 = Phi1 Phi3 - Phi2^2 leaves no monomial with
+    both Phi1 and Phi3, and the same form; ``divide`` divides the reduction
+    when self does not divide, and gives None when neither does."""
+    rng = random.Random(24)
+    for _ in range(20):
+        poly = random_form(rng, 24).poly
+        reduced = poly._reduced()
+        assert not any(k[0] and k[2] for k in reduced.terms)
+        assert polynomial_form(reduced, 48).series == polynomial_form(poly, 48).series
+    relation = GEN(1) * GEN(3) - GEN(2) ** 2
+    assert relation.divide(4) == GEN(4)
+    assert (relation * 2).divide(2) == relation
+    assert (relation + GEN(4)).divide(4) is None
+
+
+@pytest.mark.parametrize("text", ["Phi1^24", "Phi3^8", "Phi1^21*Phi3 - 5*Phi2^12"])
+def test_decompose_roundtrip_at_index_24(text):
+    """At index 24 psi^(1) comes from the ladder's d = 12 row, and the
+    basis polynomials from the reduction modulo 4 Phi4 = Phi1 Phi3 - Phi2^2."""
+    poly = parse_generator_polynomial(text)
+    form = polynomial_form(poly, 24 * 6)
+    dec = decompose(form)
+    assert polynomial_form(dec.poly, 24 * 6).series == form.series
 
 
 def test_psi_05_1_row():

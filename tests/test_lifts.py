@@ -37,7 +37,6 @@ from jacobilift.lifts import (
 from jacobilift.modular import kronecker
 from jacobilift.series import DEN2, DEN3, Series
 from jacobilift.verify import (
-    _delta_half_theta,
     _even_characteristics,
     _siegel_theta_constant,
     _window_equal,
@@ -133,10 +132,13 @@ def test_even_characteristics_count():
 
 
 def test_delta_half_integral_and_antisymmetric():
-    dh = _delta_half_theta(49, 49)
-    assert dh.series.coeff((3, 1, 3)) == 1
-    assert dh.series.coeff((3, -1, 3)) == -1
-    assert all(isinstance(c, int) for c in dh.series.terms.values())
+    """Delta_{1/2} = -(1/2) Theta_{(1,1),(1,1)}: every coefficient of the
+    theta constant is even, and Delta_{1/2} starts at q^(1/8) s^(1/8)
+    (y^(1/4) - y^(-1/4))."""
+    theta = _siegel_theta_constant((1, 1), (1, 1), 49, 49)
+    assert all(c % 2 == 0 for c in theta.terms.values())
+    assert theta.coeff((3, 1, 3)) == -2
+    assert theta.coeff((3, -1, 3)) == 2
 
 
 @pytest.fixture(scope="module")
@@ -311,7 +313,8 @@ def test_exp_lift_with_ywindow_equals_product_on_interior():
 def test_exp_lift_homomorphic_equals_exp_lift_on_its_window(a, b):
     """exp_lift_homomorphic of phi01**a, or of phi02**a psi_A**b, equals
     exp_lift of the sum under one ywindow on every term it returns: q
-    below both precisions, and every s-row it keeps."""
+    below both precisions, and every s-row it keeps.  Both have the same
+    weight, index and character order 24/gcd(24, 24A)."""
     if b is None:
         pairs, smax = [(generator(1, 24 * 20), a)], 3
     else:
@@ -319,8 +322,12 @@ def test_exp_lift_homomorphic_equals_exp_lift_on_its_window(a, b):
     series = [form.series.scale(e) for form, e in pairs]
     combo = JacobiForm(sum(series[1:], series[0]), 0, pairs[0][0].index2)
     qp, sp, _ = lift_window_for(combo, 3, smax)
-    rhs = exp_lift_homomorphic(pairs, qp, sp, ywindow=40).series
-    lhs = exp_lift(combo, qp, sp, ywindow=40).series
+    rhs = exp_lift_homomorphic(pairs, qp, sp, ywindow=40)
+    lhs = exp_lift(combo, qp, sp, ywindow=40)
+    assert (rhs.weight2, rhs.character_order, rhs.index_t) == (
+        lhs.weight2, lhs.character_order, lhs.index_t)
+    assert lhs.character_order == 24 // gcd(24, _prefactor_key(combo)[0])
+    lhs, rhs = lhs.series, rhs.series
     slimit = max(k[2] for k in rhs.terms)
     assert len({k[2] for k in rhs.terms}) >= 2
     assert rhs.qprec == lhs.qprec
