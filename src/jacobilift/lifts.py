@@ -26,11 +26,13 @@ input term outside it.  The s**0 part F_0 of the lift is the theta block
 eta^(c(0,0) - sum_{l>0} c(0,l)) prod_{l>0} theta(tau, l z)^c(0,l)
 (Gritsenko-Nikulin), and the Hodge anomaly is one too.  By the triple
 product each theta unit is (1 - y^-lam) B_lam with B_lam finite at each
-q-order (``_theta_rest``), so every lift, F_0 and anomaly here is a
-monomial times R = prod (1 - y^-lam)^c_lam times an exact series.  R is
-infinite when some c_lam < 0; ``_y_factor`` multiplies it in, clipped to
-|ly| <= ``ywindow`` around the monomial, and is the one place a y-window
-is applied.  Every term it returns is exact.
+q-order (``_theta_rest``), so every lift, F_0 and anomaly here is the
+monomial of ``_block_lead`` times R = prod (1 - y^-lam)^c_lam times an
+exact series, built by one route (``_block_rest``, ``_assemble``); its
+theta powers are keyed by the y-step 4 lam.  R is infinite when some
+c_lam < 0; ``_y_factor`` multiplies it in, clipped to |ly| <= ``ywindow``
+around the monomial, and is the one place a y-window is applied.  Every
+term it returns is exact.
 """
 
 from fractions import Fraction
@@ -113,10 +115,10 @@ def _check_ywindow(ywindow):
         raise ValidationError(f"ywindow must be >= 0, got {ywindow}")
 
 
-def _theta_rest(qprec, lam):
+def _theta_rest(qprec, step):
     """B_lam = prod_{n>=1} (1 - q^n)(1 - q^n y^lam)(1 - q^n y^-lam) below
     qprec, the theta unit theta(tau, lam z)/(q^(1/8) y^(lam/2)) divided by
-    1 - y^-lam.  By the triple product it is
+    1 - y^-lam, for the y-step step = 4 lam.  By the triple product it is
 
         sum_{m odd >= 1} (-4/m) q^((m^2-1)/8) (y^(lam(m-1)/2) + y^(lam(m-3)/2)
                                                 + ... + y^(-lam(m-1)/2)).
@@ -125,23 +127,23 @@ def _theta_rest(qprec, lam):
     while 3 * (m * m - 1) < qprec:
         half = (m - 1) // 2
         for j in range(-half, half + 1):
-            terms[(3 * (m * m - 1), int(4 * lam) * j)] = (-1) ** half
+            terms[(3 * (m * m - 1), step * j)] = (-1) ** half
         m += 2
     return Series(DEN2, terms, qprec, _clean=True)
 
 
 def _block_rest(eta_exp, thetas, rel):
-    """G = prod_{n>=1} (1 - q^n)^eta_exp prod B_lam^thetas[lam] below rel.
+    """G = prod_{n>=1} (1 - q^n)^eta_exp prod B_lam^thetas[4 lam] below rel.
     Each factor has constant term 1 and finitely many terms at each q-order,
     so G has too, and a negative power is q-adic exact division."""
     g = euler_product(rel) ** eta_exp
-    for lam, c in sorted(thetas.items()):
-        g = g * _theta_rest(rel, lam) ** c
+    for step, c in sorted(thetas.items()):
+        g = g * _theta_rest(rel, step) ** c
     return g
 
 
 def _y_factor(series, thetas, ywindow):
-    """The (q, y) series times R = prod_lam (1 - y^-lam)^thetas[lam],
+    """The (q, y) series times R = prod_lam (1 - y^-lam)^thetas[4 lam],
     clipped to |ly| <= ywindow: the one step that applies a y-window.  R
     only lowers ly, so the terms below -ywindow are dropped first and R is
     expanded by binomials down to ywindow past the top ly of the series;
@@ -150,14 +152,13 @@ def _y_factor(series, thetas, ywindow):
     if ywindow is None:
         if any(c < 0 for c in thetas.values()):
             raise PrecisionError("a negative theta power has unbounded y-support; supply a ywindow")
-        depth = sum(int(4 * lam) * c for lam, c in thetas.items())
+        depth = sum(step * c for step, c in thetas.items())
     else:
         terms = {k: c for k, c in series.terms.items() if k[1] >= -ywindow}
         series = Series(DEN2, terms, series.qprec, _clean=True)
         depth = ywindow + max((k[1] for k in terms), default=0)
     factor = Series.const(1)
-    for lam, c in thetas.items():
-        step = int(4 * lam)
+    for step, c in thetas.items():
         binomial, a, j = {}, 1, 0
         while a and step * j <= depth:
             binomial[(0, -step * j)] = a  # (-1)^j C(c, j)
@@ -170,28 +171,13 @@ def _y_factor(series, thetas, ywindow):
 
 def _block_lead(eta_exp, thetas):
     """The key of the leading monomial q^((eta_exp + 3 sum c)/24)
-    y^(sum lam c/2) of a theta block."""
-    return (eta_exp + 3 * sum(thetas.values()), int(sum(2 * lam * c for lam, c in thetas.items())))
-
-
-def theta_block(eta_exp, thetas, qprec, ywindow=None):
-    """The theta block eta^eta_exp prod_lam theta(tau, lam z)^thetas[lam],
-    lam integral or half-integral, as (F, lead): lead is the key of its
-    leading monomial q^((eta_exp + 3 sum c)/24) y^(sum lam c/2), and F is
-    the block divided by it, with constant term 1 and q-precision
-    qprec - lead[0].
-
-    F is G (``_block_rest``) times the y-factor prod (1 - y^-lam)^c.  A
-    negative power makes that factor an infinite series in y^-1, so it
-    needs a ``ywindow``; F is then returned on |ly| <= ywindow, every term
-    exact (``_y_factor``)."""
-    _check_ywindow(ywindow)
-    thetas = {lam: c for lam, c in thetas.items() if c}
-    lead = _block_lead(eta_exp, thetas)
-    rel = qprec - lead[0]
-    if rel <= 0:
-        return Series.zero(DEN2, rel), lead
-    return _y_factor(_block_rest(eta_exp, thetas, rel), thetas, ywindow), lead
+    y^(sum lam c/2) s^(sum lam^2 c/2) of the theta block
+    eta^eta_exp prod theta(tau, lam z)^c, c = thetas[4 lam]: its s-part is
+    the block's index, the C of an exponential lift and the ms of a Hodge
+    anomaly."""
+    return (eta_exp + 3 * sum(thetas.values()),
+            sum(step * c for step, c in thetas.items()) // 2,
+            3 * sum(step * step * c for step, c in thetas.items()) // 4)
 
 
 # ---- the exponential lift ------------------------------------------------
@@ -213,15 +199,27 @@ def abc_exponents(form):
     return Fraction(a, 24), Fraction(b, 8), Fraction(c, 64)
 
 
+def _lift_block(form):
+    """A lift input, a weight-0 form of positive integral index t, as
+    (t, eta_exp, thetas): its q**0 row, even in y, read as the theta block
+    eta^(c(0,0) - sum_{l>0} c(0,l)) prod_{l>0} theta(tau, l z)^c(0,l) with
+    thetas[4l] = c(0, l)."""
+    if form.weight2 != 0:
+        raise ValidationError("exponential lifts take weight-0 forms")
+    if form.index2 % 2 != 0:
+        raise ValidationError("exponential lifts take integral-index forms")
+    if form.index2 <= 0:
+        raise ValidationError("exponential lifts need positive index")
+    q0 = {k[1]: c for k, c in form.series.q_slice(0)}
+    if any(q0.get(-ly) != c for ly, c in q0.items()):
+        raise ValidationError("the q**0 row of a lift input must be even in y")
+    thetas = {ly: c for ly, c in q0.items() if ly > 0}
+    return form.index2 // 2, q0.get(0, 0) - sum(thetas.values()), thetas
+
+
 def _prefactor_key(form):
-    a, b, c = abc_exponents(form)
-    nq, ly, ms = 24 * a, 4 * b, 24 * c
-    for v in (nq, ly, ms):
-        if v.denominator != 1:
-            raise ValidationError(
-                "lift prefactor exponents are not on the (1/24, 1/4, 1/24) lattice"
-            )
-    return int(nq), int(ly), int(ms)
+    """The key (24A, 4B, 24C) of the lift prefactor q^A y^B s^C."""
+    return _block_lead(*_lift_block(form)[1:])
 
 
 def _fj_rows(form, sign, qprec, count):
@@ -286,25 +284,21 @@ def _fj_rows(form, sign, qprec, count):
 
 def _lift_parts(form, qprec, sprec):
     """exp_lift(form) = q^A y^B s^C R G sum_M H_M s^{tM} taken apart as
-    (pref, thetas, G, rows, t): the key of q^A y^B s^C, the powers c(0, l)
-    of R = prod_{l>0} (1 - y^-l)^c(0,l), and G and the rows H_M below the
-    q-precision left past q^A."""
-    t = _lift_index(form)
-    pref = _prefactor_key(form)
+    (pref, thetas, G, rows, t): the key of q^A y^B s^C, the powers
+    thetas[4l] = c(0, l) of R = prod_{l>0} (1 - y^-l)^c(0,l), and G and the
+    rows H_M below the q-precision left past q^A."""
+    t, eta_exp, thetas = _lift_block(form)
+    pref = _block_lead(eta_exp, thetas)
     pq, ps = qprec - pref[0], sprec - pref[2]
     if pq <= 0 or ps <= 0:
         raise PrecisionError("requested precision does not reach the leading term")
-    q0 = {k[1]: c for k, c in form.series.q_slice(0)}
-    if any(q0.get(-ly) != c for ly, c in q0.items()):
-        raise ValidationError("the q**0 row of a lift input must be even in y")
-    thetas = {ly // 4: c for ly, c in q0.items() if ly > 0}
-    g = _block_rest(q0.get(0, 0) - sum(thetas.values()), thetas, pq)
+    g = _block_rest(eta_exp, thetas, pq)
     return pref, thetas, g, _fj_rows(form, -1, pq, (ps - 1) // (24 * t)), t
 
 
 def _assemble(lead, thetas, g, rows, t, ywindow):
     """The triple series q^lead R G sum_M rows[M] s^{tM}, with the
-    y-factor R = prod (1 - y^-lam)^thetas[lam] multiplied into each G H_M
+    y-factor R = prod (1 - y^-lam)^thetas[4 lam] multiplied into each G H_M
     by ``_y_factor``; its q-precision is that of G past the lead."""
     terms = {}
     for m, row in enumerate(rows):
@@ -338,19 +332,6 @@ def exp_lift(form, qprec, sprec, ywindow=None):
     return SiegelSeries(series, form.series.coeff((0, 0)), 24 // gcd(24, pref[0]), t)
 
 
-def _lift_index(form):
-    """The index t of a lift input, a weight-0 form of positive integral
-    index."""
-    if form.weight2 != 0:
-        raise ValidationError("exponential lifts take weight-0 forms")
-    if form.index2 % 2 != 0:
-        raise ValidationError("exponential lifts take integral-index forms")
-    t = form.index2 // 2
-    if t <= 0:
-        raise ValidationError("exponential lifts need positive index")
-    return t
-
-
 def _input_qprec(pq, ps, t=1):
     """q-precision (1/24 units) an input form needs for a lift that keeps
     q-precision pq and s-precision ps past its prefactor, at index t:
@@ -364,8 +345,8 @@ def _input_qprec(pq, ps, t=1):
 def _lift_input_for(form, qprec, sprec):
     """The input q-precision of exp_lift(form, qprec, sprec); only the
     q**0 row of form is read, so a one-order form serves."""
-    t = _lift_index(form)
-    pref = _prefactor_key(form)
+    t, eta_exp, thetas = _lift_block(form)
+    pref = _block_lead(eta_exp, thetas)
     return _input_qprec(qprec - pref[0], sprec - pref[2], t)
 
 
@@ -412,23 +393,29 @@ def exp_lift_homomorphic(pairs, qprec, sprec, ywindow=None):
     With q^A_i s^C_i the prefactor of exp_lift(phi_i) and q^A s^C that of
     the product, exp_lift(phi_i) is taken apart at (qprec - A + A_i, sprec),
     so every G and row keeps qprec - A past its prefactor and the result
-    keeps qprec, as exp_lift of the sum does.  It keeps only the s-rows
-    that every pair reaches: s^(C + tM) for 24tM < sprec - max(C, max_i C_i)."""
+    keeps qprec, as exp_lift of the sum does.  Each pair is taken apart at
+    the one sprec, so it keeps only the s-rows that every pair reaches:
+    s^(C + tM) for 24tM < sprec - max(C, max_i C_i).  A pair whose C_i is
+    not below sprec reaches none, and raises PrecisionError."""
     _check_ywindow(ywindow)
-    prefs = [(form, a, _prefactor_key(form)) for form, a in pairs if a]
-    rel = qprec - sum(a * pref[0] for _, a, pref in prefs)
-    parts = [(a, _lift_parts(form, rel + pref[0], sprec)) for form, a, pref in prefs]
+    prefs = [(i, form, a, _prefactor_key(form)) for i, (form, a) in enumerate(pairs) if a]
+    for i, _, _, (_, _, ms) in prefs:
+        if ms >= sprec:
+            raise PrecisionError(f"pair {i} has its s-prefactor at ms = {ms}, not below sprec = "
+                                 f"{sprec}: only the s-rows every pair reaches are kept")
+    rel = qprec - sum(a * pref[0] for _, _, a, pref in prefs)
+    parts = [(a, _lift_parts(form, rel + pref[0], sprec)) for _, form, a, pref in prefs]
     if not parts or len({part[4] for _, part in parts}) > 1:
         raise ValidationError("exp_lift_homomorphic needs forms of one index, an exponent nonzero")
     t = parts[0][1][4]
     pref, thetas, g, rows = (0, 0, 0), {}, Series.const(1, DEN2), None
     for a, (pref_i, thetas_i, g_i, rows_i, _) in parts:
         pref = tuple(v + a * w for v, w in zip(pref, pref_i))
-        for lam, c in thetas_i.items():
-            thetas[lam] = thetas.get(lam, 0) + a * c
+        for step, c in thetas_i.items():
+            thetas[step] = thetas.get(step, 0) + a * c
         g, rows_i = g * g_i ** a, _rows_power(rows_i, a)
         rows = rows_i if rows is None else _rows_mul(rows, rows_i)
-    thetas = {lam: c for lam, c in thetas.items() if c}
+    thetas = {step: c for step, c in thetas.items() if c}
     count = (sprec - pref[2] - 1) // (24 * t)
     series = _assemble(pref, thetas, g, rows[:max(count + 1, 0)], t, ywindow)
     weight2 = sum(a * form.series.coeff((0, 0)) for form, a in pairs)
@@ -465,9 +452,9 @@ def symmetric_product_genus(form, n, qprec):
 
 
 def _anomaly_block(inv):
-    """The Hodge anomaly of inv as (eta_exp, thetas, ms, meta): the theta
-    block eta^eta_exp prod theta(tau, lam z)^thetas[lam], the s-exponent
-    ms of its monomial and (weight2, character order) (``hodge_anomaly``)."""
+    """The Hodge anomaly of inv as (eta_exp, thetas, meta): the theta
+    block eta^eta_exp prod theta(tau, lam z)^thetas[4 lam] and (weight2,
+    character order) (``hodge_anomaly``)."""
     d, chi, e = inv.d, inv.chi, inv.euler
 
     def chip(p):
@@ -482,7 +469,7 @@ def _anomaly_block(inv):
         eta_exp = num // 2
         weight2 = -chip(d0)
         for p in range(1, d0 + 1):
-            thetas[p] = -chip(d0 - p)
+            thetas[4 * p] = -chip(d0 - p)
     else:
         d0 = (d - 1) // 2
         if e % 2 != 0:
@@ -490,10 +477,29 @@ def _anomaly_block(inv):
         eta_exp = e // 2
         weight2 = 0
         for p in range(1, d0 + 2):
-            thetas[Fraction(2 * p - 1, 2)] = -chip(d0 - p + 1)
-    ms = int(sum(12 * lam * lam * ep for lam, ep in thetas.items()))
+            thetas[4 * p - 2] = -chip(d0 - p + 1)
     meta = (weight2, 24 // gcd(24, e) if e else 1)
-    return eta_exp, {lam: c for lam, c in thetas.items() if c}, ms, meta
+    return eta_exp, {step: c for step, c in thetas.items() if c}, meta
+
+
+def _anomaly_times(inv, qprec, sprec, ywindow, t, genus):
+    """The Hodge anomaly of inv, times the second-quantized genus of its
+    elliptic genus (p -> s^t) when genus is set, as a SiegelSeries of index
+    t: q^lead R G sum_M rows[M] s^(tM) (``_assemble``) with the rows [1] or
+    those of ``sqeg`` below the windows past the lead; empty when the lead
+    does not lie below (qprec, sprec)."""
+    _check_ywindow(ywindow)
+    eta_exp, thetas, meta = _anomaly_block(inv)
+    lead = _block_lead(eta_exp, thetas)
+    rel, ps = qprec - lead[0], sprec - lead[2]
+    series = Series(DEN3, {}, qprec, _clean=True)
+    if rel > 0 and ps > 0:
+        rows = [1]
+        if genus:
+            chi = elliptic_genus(inv, qprec=_input_qprec(rel, ps, t))
+            rows = _fj_rows(chi, 1, rel, (ps - 1) // (24 * t))
+        series = _assemble(lead, thetas, _block_rest(eta_exp, thetas, rel), rows, t, ywindow)
+    return SiegelSeries(series, *meta, t)
 
 
 def hodge_anomaly(inv, qprec, sprec, ywindow=None):
@@ -512,15 +518,10 @@ def hodge_anomaly(inv, qprec, sprec, ywindow=None):
     by requiring that H times the second-quantized genus reproduce the
     exponential lift of minus the elliptic genus; see the factorization
     check.)  Under a ``ywindow`` the terms on |ly| <= ywindow around the
-    leading monomial are returned, each exact (``theta_block``).  The
+    leading monomial are returned, each exact (``_y_factor``).  The
     series is empty when its s-exponent ms is not below sprec."""
-    eta_exp, thetas, ms, meta = _anomaly_block(inv)
     index_t = inv.d // 2 if inv.d % 2 == 0 else 2 * inv.d
-    if ms >= sprec:
-        _check_ywindow(ywindow)
-        return SiegelSeries(Series(DEN3, {}, qprec, _clean=True), *meta, index_t)
-    block, lead = theta_block(eta_exp, thetas, qprec, ywindow=ywindow)
-    return SiegelSeries(block.shift(lead).lift_to_three(ms), *meta, index_t)
+    return _anomaly_times(inv, qprec, sprec, ywindow, index_t, False)
 
 
 # ---- assembled Siegel forms for Calabi-Yau data ---------------------------
@@ -537,8 +538,6 @@ def e_form(inv, qprec, sprec, ywindow=None):
     """The Siegel form attached to Calabi-Yau invariants: the exponential
     lift of minus the elliptic genus (with z doubled first when the
     dimension is odd)."""
-    _check_ywindow(ywindow)
-
     def minus_genus(qp):
         form = -elliptic_genus(inv, qprec=qp)
         return form.double_z() if inv.d % 2 == 1 else form
@@ -553,17 +552,7 @@ def factorization_product(inv, qprec, sprec, ywindow=None):
     its G with the rows of ``sqeg``, on the windows past its monomial."""
     if inv.d % 2 != 0:
         raise ValidationError("the factorization product is assembled for even d")
-    _check_ywindow(ywindow)
-    t = inv.d // 2
-    eta_exp, thetas, ms, meta = _anomaly_block(inv)
-    lead = _block_lead(eta_exp, thetas) + (ms,)
-    rel, count = qprec - lead[0], (sprec - ms - 1) // (24 * t)
-    series = Series(DEN3, {}, qprec, _clean=True)
-    if rel > 0:
-        chi = elliptic_genus(inv, qprec=_input_qprec(rel, sprec - ms, t))
-        rows = _fj_rows(chi, 1, rel, count)
-        series = _assemble(lead, thetas, _block_rest(eta_exp, thetas, rel), rows, t, ywindow)
-    return SiegelSeries(series, *meta, t)
+    return _anomaly_times(inv, qprec, sprec, ywindow, inv.d // 2, True)
 
 
 # ---- arithmetic (additive) lifts ------------------------------------------

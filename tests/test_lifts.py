@@ -32,7 +32,6 @@ from jacobilift.lifts import (
     siegel_omega_half_shift,
     sqeg,
     symmetric_product_genus,
-    theta_block,
 )
 from jacobilift.modular import kronecker
 from jacobilift.series import DEN2, DEN3, Series
@@ -110,7 +109,9 @@ def test_negative_ywindow_is_refused():
     calls = [
         lambda: exp_lift(generator(1, 24 * 8), 49, 49, ywindow=-4),
         lambda: lifts.e_form(K3, 25, 25, ywindow=-1),
-        lambda: theta_block(0, {1: -1}, 48, ywindow=-1),
+        lambda: hodge_anomaly(K3, 49, 49, ywindow=-1),
+        lambda: lifts.factorization_product(K3, 49, 49, ywindow=-1),
+        lambda: exp_lift_homomorphic([(generator(1, 24 * 8), 2)], 73, 73, ywindow=-1),
     ]
     for call in calls:
         with pytest.raises(ValidationError, match="ywindow must be >= 0"):
@@ -378,6 +379,22 @@ def test_verify_homomorphism_check_compares_every_returned_s_row(monkeypatch):
     monkeypatch.setattr(lifts, "_rows_power", negated_k1)
     checks = {c["name"]: c["ok"] for c in suite_lifts()}
     assert checks["exp_lift(a*phi + b*psi) == exp_lift(phi)^a exp_lift(psi)^b, |a|,|b| <= 2"] is False
+
+
+def test_exp_lift_homomorphic_refuses_a_pair_past_sprec():
+    """2 phi02 - psi_A at its q,s <= 1 window (25, 25): exp_lift of the sum
+    reaches s^0, but psi_A's s-prefactor s^2 (ms = 48) lies past sprec, so
+    the homomorphic product, which keeps only the s-rows every pair
+    reaches, refuses it and names the pair, its ms and sprec."""
+    phi, psi = generator(2, 24 * 8), psi2_variant(2, 24 * 8, variant="A")
+    combo = JacobiForm(phi.series.scale(2) - psi.series, 0, 4)
+    qp, sp, _ = lift_window_for(combo, 1, 1)
+    assert (qp, sp) == (25, 25) and _prefactor_key(psi)[2] == 48
+    assert exp_lift(combo, qp, sp, ywindow=40).series.terms
+    with pytest.raises(PrecisionError, match=re.escape(
+            "pair 1 has its s-prefactor at ms = 48, not below sprec = 25: "
+            "only the s-rows every pair reaches are kept")):
+        exp_lift_homomorphic([(phi, 2), (psi, -1)], qp, sp, ywindow=40)
 
 
 def test_negative_theta_power_needs_a_ywindow_and_one_index():
@@ -733,14 +750,31 @@ def test_hodge_anomaly_honours_sprec(name):
     assert (empty.weight2, empty.character_order, empty.index_t) == meta
 
 
-@pytest.mark.parametrize("lam", [Fraction(1, 2), 1, Fraction(3, 2), 2, 3])
-def test_theta_rest_times_its_y_factor_is_the_theta_unit(lam):
-    """B_lam (1 - y^-lam) = theta(tau, lam z)/(q^(1/8) y^(lam/2))."""
-    step = int(4 * lam)
+@pytest.mark.parametrize("name", ["K3", "CY4(1,4,6,4,1)"])
+def test_factorization_product_is_the_anomaly_on_its_first_s_row(name):
+    """With only the row H_0 = 1 of the second-quantized genus in the
+    window, ms < sprec <= ms + 24t, the product is the anomaly, series and
+    metadata; at sprec = ms + 24t + 1 the row H_1 enters and they differ."""
+    inv, ms = ANOMALY_MS[name]
+    t = inv.d // 2
+    for sprec in (ms + 1, ms + 12 * t, ms + 24 * t, ms + 24 * t + 1):
+        anomaly = hodge_anomaly(inv, 49, sprec, ywindow=40)
+        product = lifts.factorization_product(inv, 49, sprec, ywindow=40)
+        meta = [(ss.weight2, ss.character_order, ss.index_t) for ss in (anomaly, product)]
+        assert meta[0] == meta[1] and anomaly.index_t == t
+        assert anomaly.series.terms
+        assert (anomaly.series == product.series) == (sprec <= ms + 24 * t), sprec
+
+
+@pytest.mark.parametrize("step", [pytest.param(step, id=str(Fraction(step, 4)))
+                                  for step in (2, 4, 6, 8, 12)])
+def test_theta_rest_times_its_y_factor_is_the_theta_unit(step):
+    """B_lam (1 - y^-lam) = theta(tau, lam z)/(q^(1/8) y^(lam/2)) for the
+    y-step step = 4 lam, the key of a theta power; the id is lam."""
     factor = Series(DEN2, {(0, 0): 1, (0, -step): -1}, None)
     for qprec in (1, 24, 25, 73, 97, 241):
-        unit = theta_jacobi(qprec + 3, lam).shift((-3, -int(2 * lam)))
-        assert lifts._theta_rest(qprec, lam) * factor == unit
+        unit = theta_jacobi(qprec + 3, Fraction(step, 4)).shift((-3, -step // 2))
+        assert lifts._theta_rest(qprec, step) * factor == unit
 
 
 def theta_block_inputs():
@@ -761,6 +795,15 @@ def theta_block_inputs():
 
 
 THETA_BLOCK_INPUTS = theta_block_inputs()
+
+
+@pytest.mark.parametrize("name", sorted(THETA_BLOCK_INPUTS) + sorted(LIFT_INPUTS))
+def test_prefactor_key_is_the_lead_of_abc_exponents(name):
+    """The lead of the q**0 row's theta block, summed over Z, is the
+    Fraction view (24A, 4B, 24C) of abc_exponents."""
+    form = {**THETA_BLOCK_INPUTS, **LIFT_INPUTS}[name](48)
+    a, b, c = lifts.abc_exponents(form)
+    assert _prefactor_key(form) == (24 * a, 4 * b, 24 * c)
 
 
 def test_exp_lift_interior_is_exact():
