@@ -333,7 +333,9 @@ def _phi04_series(qprec):
 
 
 def _xi06_series(qprec):
-    return (theta_jacobi(qprec) ** 12 * eta_power(-12, qprec - 12)).truncate(qprec)
+    """xi06 = (theta/eta)**12; theta/eta starts at q**(1/12), so it is taken to qprec - 22."""
+    rest = max(qprec - 22, 3)  # at least past its first term, so the product is not empty
+    return ((theta_jacobi(rest + 1) * eta_power(-1, rest - 3)) ** 12).truncate(qprec)
 
 
 def _form_store(build):

@@ -42,7 +42,7 @@ from .errors import InexactDivisionError, PrecisionError, ValidationError
 from .genus import elliptic_genus
 from .jacobi import theta_jacobi
 from .modular import euler_product, eta_power, kronecker
-from .series import DEN2, DEN3, Series, _Rows, _unpack_rows, series_to_dict
+from .series import DEN2, DEN3, Series, _miller, _Rows, _unpack_rows, series_to_dict
 
 
 class SiegelSeries:
@@ -266,20 +266,24 @@ def _fj_rows(form, sign, qprec, count):
     out, packed = [{(0, 0): 1}], [None]
     for m in range(1, count + 1):
         acc = sum((images[k - 1] * packed[m - k] for k in range(1, m)), images[m - 1])
-        terms = {}
-        for key, c in _unpack_rows(acc.rows, t * m, width).items():
-            quot, rem = divmod(c, m)
-            if rem:
-                raise InexactDivisionError(
-                    f"Fourier-Jacobi row {m}: coefficient {c} at {key} is not divisible by {m}"
-                )
-            terms[key] = sign * quot
+        terms = _row_over(_unpack_rows(acc.rows, t * m, width), m, sign)
         out.append(terms)
         if m < count:
             packed.append(_Rows.pack(terms, t * m, nmax + 1, width))
     if form.index2 % 2:
         out = [{(nq, ly // 2): c for (nq, ly), c in row.items()} for row in out]
     return [Series(DEN2, row, qprec, _clean=True) for row in out]
+
+
+def _row_over(terms, m, sign=1):
+    """sign * terms / m for Fourier-Jacobi row m, exactly, else
+    InexactDivisionError naming the row and the key."""
+    quots = {key: divmod(c, m) for key, c in terms.items()}
+    for key, (_, rem) in quots.items():
+        if rem:
+            raise InexactDivisionError(f"Fourier-Jacobi row {m}: coefficient {terms[key]} at "
+                                       f"{key} is not divisible by {m}")
+    return {key: sign * quot for key, (quot, _) in quots.items()}
 
 
 def _lift_parts(form, qprec, sprec):
@@ -368,27 +372,12 @@ def _rows_mul(x, y):
             for m in range(min(len(x), len(y)))]
 
 
-def _rows_power(rows, a):
-    """(sum_M rows[M] s^M)**a, rows[0] = 1, on as many rows; a negative
-    power inverts first, by K_0 = 1, K_M = -sum_{j>=1} rows[j] K_{M-j}."""
-    if a < 0:
-        inverse = rows[:1]
-        for m in range(1, len(rows)):
-            inverse.append(-sum((rows[j] * inverse[m - j] for j in range(2, m + 1)),
-                                rows[1] * inverse[m - 1]))
-        rows, a = inverse, -a
-    out = rows
-    for _ in range(a - 1):
-        out = _rows_mul(out, rows)
-    return out
-
-
 def exp_lift_homomorphic(pairs, qprec, sprec, ywindow=None):
     """exp_lift(sum a_i phi_i) computed as prod exp_lift(phi_i)**a_i, for
     checking the exponential homomorphism property.  Each exp_lift(phi_i)
     is taken apart (``_lift_parts``): the prefactors and the powers of R
-    add, the G's and the row series multiply (negative powers by exact
-    division and ``_rows_power``), and R is applied once.
+    add, the G's and the row series multiply (powers by Miller's recurrence,
+    ``series._miller``, row M of the s-rows divided by M exactly), and R is applied once.
 
     With q^A_i s^C_i the prefactor of exp_lift(phi_i) and q^A s^C that of
     the product, exp_lift(phi_i) is taken apart at (qprec - A + A_i, sprec),
@@ -413,7 +402,8 @@ def exp_lift_homomorphic(pairs, qprec, sprec, ywindow=None):
         pref = tuple(v + a * w for v, w in zip(pref, pref_i))
         for step, c in thetas_i.items():
             thetas[step] = thetas.get(step, 0) + a * c
-        g, rows_i = g * g_i ** a, _rows_power(rows_i, a)
+        g, rows_i = g * g_i ** a, _miller(rows_i, a, len(rows_i), rows_i[0], lambda acc, m: Series(
+            DEN2, _row_over(acc.terms, m), acc.qprec, _clean=True), Series.zero(DEN2))
         rows = rows_i if rows is None else _rows_mul(rows, rows_i)
     thetas = {step: c for step, c in thetas.items() if c}
     count = (sprec - pref[2] - 1) // (24 * t)

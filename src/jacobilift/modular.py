@@ -40,6 +40,8 @@ def euler_product(qprec, scale=1):
     """prod_{n>=1} (1 - q**(scale*n)) as a y-free series, to qprec (1/24
     units), by Euler's pentagonal number theorem: the sum over all integers
     k of (-1)**k q**(scale*k*(3k-1)/2)."""
+    if qprec is None:
+        raise ValidationError("eta powers and Euler products are infinite series; give a qprec")
     terms = {}
     k = 0
     while 12 * scale * k * (3 * k - 1) < qprec:
@@ -53,8 +55,7 @@ def euler_product(qprec, scale=1):
 def eta_power(power, qprec, scale=1):
     """eta(scale * tau) ** power as an exact q-series to qprec (1/24 units).
 
-    eta(tau) = q**(1/24) * prod (1 - q**n); negative powers are expanded by
-    exact inversion of the Euler product.
+    eta(tau) = q**(1/24) * prod (1 - q**n), raised by ``Series.__pow__``.
     """
     if scale <= 0:
         raise ValidationError("eta scale must be a positive integer")

@@ -196,28 +196,42 @@ class Series:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int):
-            raise ValidationError("series exponents must be integers")
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = Series.const(1, self.den, None)
-        if exponent == 0:
-            return result.truncate(self.qprec)
-        base = self
-        e = exponent
-        while True:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if not e:
-                break
-            base = base * base
-        return result
-
-    def inverse(self):
-        one = Series.const(1, self.den, None)
-        return one.exact_div(self)
+    def __pow__(self, k):
+        """self**k by ``_miller`` on packed q-rows, to qprec + (k - 1) q0; k < 0
+        needs a lowest q-row +-y**a, else InexactDivisionError.  With (q0, y0)
+        the lowest key and g, h the gcd steps, q**(q0 + g n) y**(y0 + h u) is
+        slot u + s n of row n, Y = 2**bits, with s >= 0 the least slope that
+        keeps slots >= 0, so origins add; each step divides by n b_0(Y) exactly,
+        as evaluation at Y is a ring map.  bits holds the majorant (sum
+        |b_j|_1 t**j)**k, for k < 0 (1 - sum_{j>=1} |b_j|_1 t**j)**k; y-free
+        series are the one-slot case."""
+        if not isinstance(k, int) or self.den != DEN2:
+            raise ValidationError("powers take an integer exponent of a two-variable series")
+        if k == 0 or not self.terms:
+            if k < 0:
+                raise ZeroDivisionError("division by the zero series")
+            return self if k else Series.const(1).truncate(self.qprec)
+        (q0, y0), coeffs = min(self.terms), self.terms.values()
+        g, h = (gcd(*(v - low for v in col)) for low, col in zip((q0, y0), zip(*self.terms)))
+        places = [((nq - q0) // (g or 1), (ly - y0) // (h or 1)) for nq, ly in self.terms]
+        last = max(n for n, _ in places)
+        norms, rows = [0] * (last + 1), [0] * (last + 1)
+        for (n, _), c in zip(places, coeffs):
+            norms[n] += abs(c)
+        if k < 0 and (norms[0] != 1 or self.qprec is None and last):
+            raise InexactDivisionError(f"power {k} needs a lowest q-row +-y**a, one if exact")
+        count = last * k + 1 if self.qprec is None or not g else (self.qprec - q0 - 1) // g + 1
+        s = max([0] + [-(u // n) for n, u in places if n])
+        norms = norms if k > 0 else [1] + [-v for v in norms[1:]]
+        top = max(_miller(norms, k, count, norms[0] ** abs(k))) if h else 0
+        bits = 8 * ((top.bit_length() + 8) // 8)  # with a sign bit
+        for (n, u), c in zip(places, coeffs):
+            rows[n] += c << (bits * (u + s * n))
+        out = _miller(rows, k, count, rows[0] ** abs(k))
+        terms = (_unpack_rows(out, 0, bits // 8, lambda n: (k * q0 + g * n, k * y0 - h * s * n, h))
+                 if h else {(k * q0 + g * n, k * y0): c for n, c in enumerate(out) if c})
+        qprec = None if self.qprec is None else self.qprec + (k - 1) * q0
+        return Series(DEN2, terms, qprec, _clean=True)
 
     def exact_div(self, other):
         """Exact division by q-rows.  With alpha and beta the operands'
@@ -348,6 +362,23 @@ class Series:
         """Drop terms with |y-exponent| > ybound (in 1/4 units)."""
         terms = {k: c for k, c in self.terms.items() if abs(k[1]) <= ybound}
         return Series(self.den, terms, self.qprec, _clean=True)
+
+
+def _miller(rows, k, count, first, divide=None, zero=0):
+    """c_0 = first = rows[0]**k, ..., c_(count-1) of (sum_j rows[j] t**j)**k
+    by J. C. P. Miller's recurrence (Knuth, TAOCP 2, 4.7): n rows[0] c_n =
+    sum_{j>=1} ((k + 1) j - n) rows[j] c_(n-j) = S, c_n = divide(S, n), by
+    default S // (n rows[0]), which must be exact."""
+    out = [first]
+    rest = [(j, row) for j, row in enumerate(rows[:count]) if j and row != 0]
+    for n in range(1, count):
+        acc = sum((((k + 1) * j - n) * row * out[n - j] for j, row in rest if j <= n), zero)
+        if divide is None:
+            acc, rem = divmod(acc, n * rows[0])
+            if rem:
+                raise InexactDivisionError(f"power {k}: row {n} is not divisible by {n} b_0")
+        out.append(acc if divide is None else divide(acc, n))
+    return out
 
 
 def _divide_row(row, divisor):
@@ -661,18 +692,19 @@ class _Rows:
     __rmul__ = __mul__
 
 
-def _unpack_rows(rows, m, width):
-    """The terms {(24 n, 4 l): c} of packed rows of an index-m form whose
-    coefficients lie below 2**(8 width - 1) in absolute value.  The rows
-    are laid end to end, row n in its 2(m + 2n) + 1 slots, and read at
-    once."""
-    half = 1 << (8 * width - 1)
-    keys = [(24 * n, 4 * l) for n in range(len(rows)) for l in range(-m - 2 * n, m + 2 * n + 1)]
-    joined, start = 0, 0
+def _unpack_rows(rows, m, width, origin=None):
+    """The terms of packed rows whose coefficients lie below
+    2**(8 width - 1) in absolute value: with origin(n) = (nq, ly, h), slot
+    u of row n is the key (nq, ly + h u), by default of an index-m form from
+    y**-(m + 2n).  A row's top nonzero slot is its bit length // (8 width)."""
+    origin = origin or (lambda n: (24 * n, -4 * (m + 2 * n), 4))
+    bits, joined, keys = 8 * width, 0, []
     for n, row in enumerate(rows):
-        joined += row << (8 * width * start)
-        start += 2 * (m + 2 * n) + 1
-    values = _read_slots(joined, start, width)
+        joined += row << (bits * len(keys))
+        nq, ly, h = origin(n)
+        keys += [(nq, ly + h * u) for u in range(row.bit_length() // bits + 1 if row else 0)]
+    half = 1 << (bits - 1)
+    values = _read_slots(joined, len(keys), width)
     return {key: v - half for key, v in zip(keys, values) if v != half}
 
 

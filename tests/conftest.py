@@ -67,3 +67,15 @@ def hecke_tminus_scan(form, m):
             key = (24 * big_n, 4 * l * a)
             out[key] = out.get(key, 0) + (m // a) * c
     return JacobiForm(Series(DEN2, out, 24 * orders_out), 0, form.index2 * m, None)
+
+
+def plain_power(b, k):
+    """b**k by plain products, for k < 0 of the exact_div inverse; k = 0
+    is 1 on b's window.  The reference for the power kernel: it never calls
+    Series.__pow__."""
+    if k < 0:
+        b, k = Series.const(1).exact_div(b), -k
+    out = Series.const(1).truncate(b.qprec) if k == 0 else b
+    for _ in range(k - 1):
+        out = out * b
+    return out

@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import factorial, gcd, isqrt
 
 import pytest
-from conftest import hecke_tminus_scan
+from conftest import hecke_tminus_scan, plain_power
 from hypothesis import given, settings, strategies as st
 
 from jacobilift.errors import PrecisionError, ValidationError
@@ -36,7 +36,7 @@ from jacobilift.jacobi import (
     xi06,
 )
 from jacobilift.lifts import humbert_multiplicity
-from jacobilift.modular import eta_power, kronecker, sigma1, theta_constant
+from jacobilift.modular import eta_power, euler_product, kronecker, sigma1, theta_constant
 from jacobilift.series import DEN2, DEN3, Series
 from jacobilift.verify import ALPHA_COEFFS, GOLDEN_Q0_ROWS, GOLDEN_Q1_ROWS, random_form
 
@@ -101,15 +101,22 @@ def test_integer_phi01_matches_rational_oracle(qprec):
 # ---- the division routes, kept as oracles for the theta/eta products ------
 
 
+def plain_eta_power(k, qprec):
+    """eta**k, k >= 1, as q**(k/24) times k plain products of the Euler
+    product: the oracles stay independent of the power kernel."""
+    return plain_power(euler_product(qprec - k), k).shift((k, 0))
+
+
 def half_division_oracle(qprec):
     """theta/eta**3 by long division by eta**3."""
-    return theta_jacobi(qprec + 6).exact_div(eta_power(3, qprec + 6)).truncate(qprec)
+    return theta_jacobi(qprec + 6).exact_div(plain_eta_power(3, qprec + 6)).truncate(qprec)
 
 
 def xi06_division_oracle(qprec):
     """xi06 = theta**12/eta**12 by long division by eta**12."""
     pad = qprec + 48
-    return (theta_jacobi(pad) ** 12).exact_div(eta_power(12, pad + 40)).truncate(qprec)
+    theta12 = plain_power(theta_jacobi(pad), 12)
+    return theta12.exact_div(plain_eta_power(12, pad + 40)).truncate(qprec)
 
 
 def phi01_pole_oracle(qprec):

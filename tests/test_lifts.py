@@ -359,24 +359,22 @@ def test_exp_lift_homomorphic_keeps_the_q_precision_of_exp_lift():
 
 
 def test_verify_homomorphism_check_compares_every_returned_s_row(monkeypatch):
-    """With the first term K_1 of _rows_power's inverse recursion negated,
-    the s^C row of every homomorphic lift is unchanged, so only a check that
+    """With the first step r_1 of the s-row power's recurrence negated, the s^C
+    row of every homomorphic lift is unchanged, so only a check that
     compares the later s-rows it returns can fail."""
     from jacobilift import lifts
     from jacobilift.verify import suite_lifts
 
-    original = lifts._rows_power
+    original = lifts._miller
 
-    def negated_k1(rows, a):
-        if a < 0:
-            inverse = rows[:1]
-            for m in range(1, len(rows)):
-                k = -sum((rows[j] * inverse[m - j] for j in range(2, m + 1)), rows[1] * inverse[m - 1])
-                inverse.append(-k if m == 1 else k)
-            rows, a = inverse, -a
-        return original(rows, a)
+    def negated_first_step(rows, k, count, first, divide, zero=0):
+        def flipped(acc, n):
+            row = divide(acc, n)
+            return -row if n == 1 else row
 
-    monkeypatch.setattr(lifts, "_rows_power", negated_k1)
+        return original(rows, k, count, first, flipped, zero)
+
+    monkeypatch.setattr(lifts, "_miller", negated_first_step)
     checks = {c["name"]: c["ok"] for c in suite_lifts()}
     assert checks["exp_lift(a*phi + b*psi) == exp_lift(phi)^a exp_lift(psi)^b, |a|,|b| <= 2"] is False
 

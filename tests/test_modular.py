@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jacobilift.errors import ValidationError
 from jacobilift.modular import (
     discriminant_form,
     eta_power,
@@ -35,6 +36,17 @@ def test_eta_negative_power_inverse():
     prod = eta_power(5, 240) * eta_power(-5, 240)
     assert prod.coeff((0, 0)) == 1
     assert all(c == 0 for k, c in prod.terms.items() if k != (0, 0))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: eta_power(-12, None), lambda: eta_power(3, None, scale=2),
+    lambda: euler_product(None), lambda: eta_quotient(((2, 24), (1, -24)), None),
+])
+def test_eta_series_need_a_qprec(build):
+    """eta powers are infinite series: qprec=None is an input error naming
+    the missing qprec, not a TypeError from comparing with None."""
+    with pytest.raises(ValidationError, match="infinite series; give a qprec"):
+        build()
 
 
 def test_theta_constant_squares():

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from conftest import plain_power
 from hypothesis import assume, given, settings, strategies as st
 
 from jacobilift.errors import InexactDivisionError, ValidationError
@@ -221,6 +222,106 @@ def test_inexact_division_deep_in_q_raises_at_that_level():
     bad = num + Series(DEN2, {(123, 6): 1}, None)
     with pytest.raises(InexactDivisionError, match=r"at q-level 120: .* to \[22\]"):
         bad.exact_div(den)
+
+
+# ---- powers by Miller's recurrence against plain products -----------------
+
+
+@st.composite
+def power_bases(draw):
+    """A two-variable series with rows at q-levels q0 + g i, some of them
+    empty (q-gaps): y-free (every ly one value), or y in steps of 4 from
+    an integral or a half-integral (ly = 2 mod 4) lowest exponent; its
+    lowest row a unit monomial +-y**a, another monomial c y**a or a
+    polynomial; qprec None or a window."""
+    q0, g = draw(st.integers(-6, 6)), draw(st.sampled_from([1, 3, 24]))
+    y_free = draw(st.booleans())
+    y0 = 4 * draw(st.integers(-2, 2)) + 2 * draw(st.integers(0, 1))
+    lead = draw(st.sampled_from(["unit", "monomial", "polynomial"]))
+    nonzero = st.integers(-5, 5).filter(bool)
+    terms = {(q0, y0): draw(st.sampled_from([1, -1]) if lead == "unit" else nonzero)}
+    if lead == "polynomial" and not y_free:
+        terms[(q0, y0 + 4 * draw(st.integers(1, 2)))] = draw(nonzero)
+    for i in range(1, draw(st.integers(1, 6))):
+        if draw(st.integers(0, 3)):  # else a q-gap
+            for u in [0] if y_free else draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3)):
+                terms[(q0 + g * i, y0 + 4 * u)] = draw(nonzero)
+    top = max(nq for nq, _ in terms)
+    qprec = draw(st.one_of(st.none(), st.integers(q0 + 1, top + 2 * g)))
+    return Series(DEN2, terms, qprec)
+
+
+@given(power_bases(), st.integers(0, 12))
+@settings(max_examples=150, deadline=None)
+def test_power_equals_plain_products(b, k):
+    got = b ** k
+    assert got == plain_power(b, k)
+    q0 = b.min_nq()
+    assert got.qprec == (b.qprec if k == 0 or b.qprec is None else b.qprec + (k - 1) * q0)
+
+
+@given(power_bases(), st.integers(-6, -1))
+@settings(max_examples=150, deadline=None)
+def test_negative_power_equals_inverse_products(b, k):
+    """A lowest row +-y**a gives the exact_div inverse times itself; any
+    other lowest row, or an exact series of several q-rows, raises."""
+    row0 = [c for (nq, _), c in b.terms.items() if nq == b.min_nq()]
+    rows = {nq for nq, _ in b.terms}
+    if row0 in ([1], [-1]) and (b.qprec is not None or len(rows) == 1):
+        got = b ** k
+        assert got == plain_power(b, k)
+        assert got.qprec == (None if b.qprec is None else b.qprec + (k - 1) * b.min_nq())
+    else:
+        with pytest.raises(InexactDivisionError, match="lowest q-row"):
+            b ** k
+
+
+@pytest.mark.parametrize("base, k", [
+    ("theta", 12), ("theta", -1), ("theta_rest", -3), ("theta_rest", 5), ("euler", -12),
+])
+def test_power_at_forty_orders_equals_plain_products(base, k):
+    """Coefficients past 2**40 at 40 q-orders: the slot width holds them."""
+    from jacobilift.jacobi import theta_jacobi
+    from jacobilift.lifts import _theta_rest
+    from jacobilift.modular import euler_product
+
+    if base == "theta" and k < 0:  # theta's lowest row y**(1/2) - y**(-1/2) is no monomial
+        with pytest.raises(InexactDivisionError, match="lowest q-row"):
+            theta_jacobi(24 * 40) ** k
+        return
+    b = {"theta": theta_jacobi, "theta_rest": lambda qp: _theta_rest(qp, 8),
+         "euler": euler_product}[base](24 * 40)
+    assert b ** k == plain_power(b, k)
+
+
+def test_negative_power_slots_hold_the_unsigned_majorant():
+    """1/(1 + 42 q**2 y - 32 q**3 y**-2)**4 at 8 orders: the slot width must
+    come from (1 - sum_{j>=1} |b_j|_1 t**j)**k, whose coefficients do not
+    cancel; the alternating (1 + sum_{j>=1} |b_j|_1 t**j)**k is too narrow."""
+    b = Series(DEN2, {(0, 0): 1, (48, 4): 42, (72, -8): -32}, 24 * 8)
+    assert b ** -4 == plain_power(b, -4)
+
+
+@pytest.mark.parametrize("b", [
+    Series(DEN2, {(0, 0): 1, (0, 4): 1, (24, 0): 1}, 240),  # 1 + y, then q
+    Series(DEN2, {(0, 0): 2, (24, 0): 1}, 240),  # 2 + q
+    Series(DEN2, {(0, 0): 1, (24, 4): 1}, None),  # 1 + q y: 1/b has no last q-row
+])
+def test_negative_power_needs_a_unit_monomial_lowest_row(b):
+    with pytest.raises(InexactDivisionError, match="lowest q-row"):
+        b ** -2
+    assert b ** 2 == b * b
+
+
+def test_power_refuses_three_variables_and_the_zero_inverse():
+    with pytest.raises(ValidationError, match="two-variable"):
+        Series.const(1, DEN3, 24) ** 2
+    with pytest.raises(ValidationError, match="integer exponent"):
+        Series.const(1, DEN2, 24) ** 0.5
+    with pytest.raises(ZeroDivisionError):
+        Series.zero(DEN2, 24) ** -1
+    assert Series.zero(DEN2, 24) ** 3 == Series.zero(DEN2, 24)
+    assert Series.zero(DEN2, 24) ** 0 == Series.const(1, DEN2, 24)
 
 
 # ---- heap-driven division against the min-scan long division ---------------
