@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .jacobi import _solve_row, basis_sum, phi_threehalf, specialize_torsion
-from .series import _divide_row
+from .series import DEN2, Series
 
 
 class CYInvariants:
@@ -131,8 +131,9 @@ def elliptic_genus(inv, qprec=96):
             # y**(1/2) + y**(-1/2).  By Serre duality the row is symmetric in
             # odd powers of y**(1/2), so it vanishes at y**(1/2) = +-i and
             # divides exactly.
-            row = _divide_row({(0, e): c for e, c in row.items()}, {(0, -2): 1, (0, 2): 1})
-            row = {e: c for (_, e), c in row.items()}
+            row = Series(DEN2, {(0, e): c for e, c in row.items()}, None).exact_div(
+                Series(DEN2, {(0, -2): 1, (0, 2): 1}, None))
+            row = {e: c for (_, e), c in row.terms.items()}
         if d == 3 and set(row) - {0}:
             raise ValidationError("chi vector invalid for dimension 3")
         coords = _solve_row(row, m, qprec) if d != 3 else None

@@ -16,7 +16,7 @@ from math import factorial, gcd, isqrt
 from .errors import PrecisionError, ValidationError
 from .genpoly import GeneratorPolynomial, _horner
 from .modular import e2_series, eta_power, kronecker
-from .series import DEN2, Series, _Rows, _unpack_rows
+from .series import DEN2, Series, _Rows, _unpack_rows, _weak_layout
 
 
 class JacobiForm:
@@ -206,7 +206,7 @@ def evaluate_packed(poly, values):
     * a q-precision of at most PACKED_MAX_ORDERS whole orders, the same
       for all of them,
     * a nonzero q**0 row,
-    * every term q**n y**l in the layout of ``_Rows``: n >= 0, |l| <= m + 2n.
+    * every term q**n y**l in the weak layout of ``_Rows``: n >= 0, |l| <= m + 2n.
     The common precision and the nonzero q**0 rows make every product of
     that Horner keep the precision."""
     terms = poly.terms
@@ -229,7 +229,7 @@ def evaluate_packed(poly, values):
         form = values[i]
         if form.series.qprec != qprec or form.index2 < 2 or form.index2 % 2:
             return None
-        norms[i] = rows = _Rows.norms(form.series.terms, form.index2 // 2, orders)
+        norms[i] = rows = _Rows.norms(form.series.terms, _weak_layout(form.index2 // 2), orders)
         if not rows or not rows[0]:
             return None
     size = {k: abs(c) for k, c in terms.items()}
@@ -237,9 +237,10 @@ def evaluate_packed(poly, values):
     width = (bound.bit_length() + 8) // 8  # bytes, with a sign bit
     packed = [None] * 4
     for i in used:
-        packed[i] = _Rows.pack(values[i].series.terms, values[i].index2 // 2, orders, width)
+        form = values[i]
+        packed[i] = _Rows.pack(form.series.terms, _weak_layout(form.index2 // 2), orders, width)
     (weight2, index2), = types
-    series_terms = _unpack_rows(_horner(terms, packed).rows, index2 // 2, width)
+    series_terms = _unpack_rows(_horner(terms, packed).rows, _weak_layout(index2 // 2), width)
     polys = [None if v is None else v.poly for v in values]
     result_poly = None if any(polys[i] is None for i in used) else _horner(terms, polys)
     series = Series(DEN2, series_terms, qprec, _clean=True)
@@ -256,6 +257,8 @@ def theta_jacobi(qprec, y_scale=1):
     step = 2 * Fraction(y_scale)
     if step.denominator != 1:
         raise ValidationError(f"theta_jacobi needs an integer or half-integer y_scale, got {y_scale}")
+    if qprec is None:
+        raise ValidationError("theta(tau, z) is an infinite series; give a qprec")
     terms = {}
     bound = isqrt(max(qprec, 0) // 3) + 2
     for m in range(-bound, bound + 1):

@@ -42,7 +42,7 @@ from .errors import InexactDivisionError, PrecisionError, ValidationError
 from .genus import elliptic_genus
 from .jacobi import theta_jacobi
 from .modular import euler_product, eta_power, kronecker
-from .series import DEN2, DEN3, Series, _miller, _Rows, _unpack_rows, series_to_dict
+from .series import DEN2, DEN3, Series, _miller, _Rows, _unpack_rows, _weak_layout, series_to_dict
 
 
 class SiegelSeries:
@@ -254,22 +254,23 @@ def _fj_rows(form, sign, qprec, count):
     table = form.theta_table()
     t = table.t
     images = [table.tminus(k, nmax) for k in range(1, count + 1)]
+    layouts = [_weak_layout(t * m) for m in range(count + 1)]
     # per-row l1 norms through the recursion bound every M H_M and image
-    norms = [_Rows(_Rows.norms(image, t * k, nmax + 1)) for k, image in enumerate(images, 1)]
+    norms = [_Rows(_Rows.norms(image, layouts[k], nmax + 1)) for k, image in enumerate(images, 1)]
     top, bounds = 0, [None]
     for m in range(1, count + 1):
         acc = sum((norms[k - 1] * bounds[m - k] for k in range(1, m)), norms[m - 1])
         top = max(top, *acc.rows)
         bounds.append(_Rows([v // m for v in acc.rows]))
     width = (top.bit_length() + 8) // 8  # bytes, with a sign bit
-    images = [_Rows.pack(image, t * k, nmax + 1, width) for k, image in enumerate(images, 1)]
+    images = [_Rows.pack(image, layouts[k], nmax + 1, width) for k, image in enumerate(images, 1)]
     out, packed = [{(0, 0): 1}], [None]
     for m in range(1, count + 1):
         acc = sum((images[k - 1] * packed[m - k] for k in range(1, m)), images[m - 1])
-        terms = _row_over(_unpack_rows(acc.rows, t * m, width), m, sign)
+        terms = _row_over(_unpack_rows(acc.rows, layouts[m], width), m, sign)
         out.append(terms)
         if m < count:
-            packed.append(_Rows.pack(terms, t * m, nmax + 1, width))
+            packed.append(_Rows.pack(terms, layouts[m], nmax + 1, width))
     if form.index2 % 2:
         out = [{(nq, ly // 2): c for (nq, ly), c in row.items()} for row in out]
     return [Series(DEN2, row, qprec, _clean=True) for row in out]

@@ -90,6 +90,8 @@ def theta_constant(a, b, qprec, scale=1):
         raise ValidationError("theta constant with characteristic (1,1) vanishes")
     if a not in (0, 1) or b not in (0, 1):
         raise ValidationError("theta characteristics must be 0 or 1")
+    if qprec is None:
+        raise ValidationError("theta constants are infinite series; give a qprec")
     terms = {}
     bound = isqrt(max(qprec, 0) // (3 * scale)) + 2
     for n in range(-bound, bound + 1):
@@ -115,5 +117,7 @@ def sigma1(n):
 def e2_series(qprec):
     """E2(tau) = 1 - 24 sum sigma_1(n) q**n = -24 G2(tau), to qprec (1/24
     units): the weight-two Eisenstein series, normalised to be integral."""
+    if qprec is None:
+        raise ValidationError("E2 is an infinite series; give a qprec")
     terms = {(24 * n, 0): -24 * sigma1(n) for n in range(1, (qprec + 23) // 24)}
     return Series(DEN2, {(0, 0): 1, **terms}, qprec)

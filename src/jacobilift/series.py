@@ -11,16 +11,20 @@ denominator tuple ``den``:
 all terms with nq < qprec are exact and complete; nothing is stored at or
 above it.  qprec=None marks an exact (polynomial) object with no missing
 tail.  Every coefficient is a Python int: the package works over Z alone.
+
+Sums, scalings, products, exponent substitutions and truncations take
+both arities; a (q, y, s) product is the dict loop.  Powers and exact
+division take (q, y) series only: the package assembles its Siegel series
+from (q, y) rows and never divides them.
 """
 
-import heapq
 import sys
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from itertools import accumulate, groupby, product
-from math import gcd, prod
-from operator import add, itemgetter, mul, sub
+from itertools import accumulate, groupby
+from math import gcd
+from operator import add, itemgetter, mul
 
 from .errors import (
     InexactDivisionError,
@@ -188,7 +192,7 @@ class Series:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b, qa, qb = b, a, qb, qa
-        if len(a) >= PACK_MIN_TERMS and len(a) ** 2 > len(b):
+        if self.den == DEN2 and len(a) >= PACK_MIN_TERMS and len(a) ** 2 > len(b):
             packing = _Kronecker(a, b, qa, qb, qprec)
             if packing.pays():
                 return Series(self.den, packing.multiply(), qprec, _clean=True)
@@ -197,14 +201,15 @@ class Series:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        """self**k by ``_miller`` on packed q-rows, to qprec + (k - 1) q0; k < 0
-        needs a lowest q-row +-y**a, else InexactDivisionError.  With (q0, y0)
-        the lowest key and g, h the gcd steps, q**(q0 + g n) y**(y0 + h u) is
-        slot u + s n of row n, Y = 2**bits, with s >= 0 the least slope that
-        keeps slots >= 0, so origins add; each step divides by n b_0(Y) exactly,
-        as evaluation at Y is a ring map.  bits holds the majorant (sum
-        |b_j|_1 t**j)**k, for k < 0 (1 - sum_{j>=1} |b_j|_1 t**j)**k; y-free
-        series are the one-slot case."""
+        """self**k by ``_miller`` on q-rows packed in the ``_Rows`` layout
+        (q0, g, y0, h, s), to qprec + (k - 1) q0; k < 0 needs a lowest q-row
+        +-y**a, else InexactDivisionError.  (q0, y0) is the lowest key, g and
+        h are the gcd steps and s >= 0 is the least slope that keeps slots
+        >= 0, so b**j lies in the layout with origin (j q0, j y0); each step
+        divides by n b_0(Y) exactly, as evaluation at Y is a ring map.  The
+        slot width holds the majorant (sum |b_j|_1 t**j)**k, for k < 0
+        (1 - sum_{j>=1} |b_j|_1 t**j)**k; y-free series are the one-slot
+        case."""
         if not isinstance(k, int) or self.den != DEN2:
             raise ValidationError("powers take an integer exponent of a two-variable series")
         if k == 0 or not self.terms:
@@ -215,7 +220,7 @@ class Series:
         g, h = (gcd(*(v - low for v in col)) for low, col in zip((q0, y0), zip(*self.terms)))
         places = [((nq - q0) // (g or 1), (ly - y0) // (h or 1)) for nq, ly in self.terms]
         last = max(n for n, _ in places)
-        norms, rows = [0] * (last + 1), [0] * (last + 1)
+        norms = [0] * (last + 1)
         for (n, _), c in zip(places, coeffs):
             norms[n] += abs(c)
         if k < 0 and (norms[0] != 1 or self.qprec is None and last):
@@ -224,26 +229,26 @@ class Series:
         s = max([0] + [-(u // n) for n, u in places if n])
         norms = norms if k > 0 else [1] + [-v for v in norms[1:]]
         top = max(_miller(norms, k, count, norms[0] ** abs(k))) if h else 0
-        bits = 8 * ((top.bit_length() + 8) // 8)  # with a sign bit
-        for (n, u), c in zip(places, coeffs):
-            rows[n] += c << (bits * (u + s * n))
+        width = (top.bit_length() + 8) // 8  # bytes, with a sign bit
+        rows = _Rows.pack(self.terms, (q0, g or 1, y0, h or 1, s), last + 1, width).rows
         out = _miller(rows, k, count, rows[0] ** abs(k))
-        terms = (_unpack_rows(out, 0, bits // 8, lambda n: (k * q0 + g * n, k * y0 - h * s * n, h))
+        terms = (_unpack_rows(out, (k * q0, g or 1, k * y0, h, s), width)
                  if h else {(k * q0 + g * n, k * y0): c for n, c in enumerate(out) if c})
         qprec = None if self.qprec is None else self.qprec + (k - 1) * q0
         return Series(DEN2, terms, qprec, _clean=True)
 
     def exact_div(self, other):
-        """Exact division by q-rows.  With alpha and beta the operands'
-        lowest q-levels and g the gcd of their level offsets, quotient row
-        c_n for n = alpha - beta, alpha - beta + g, ... below the quotient's
-        qprec is the remainder row a_{beta+n} - sum_{j>0} b_{beta+j} c_{n-j}
-        divided by the divisor's lowest row b_beta (``_divide_row``, which
-        raises InexactDivisionError at once on a row that does not divide).
-        Between exact (qprec=None) series the quotient stops at q-level
-        max(a) - max(b), and a nonzero remainder row past it raises."""
-        if not isinstance(other, Series) or self.den != other.den:
-            raise ValidationError("division needs series over the same variables")
+        """Exact division of (q, y) series by q-rows.  With alpha and beta
+        the operands' lowest q-levels and g the gcd of their level offsets,
+        quotient row c_n for n = alpha - beta, alpha - beta + g, ... below
+        the quotient's qprec is the remainder row a_{beta+n} - sum_{j>0}
+        b_{beta+j} c_{n-j} divided by the divisor's lowest row b_beta
+        (``_divide_row``, which raises InexactDivisionError at once on a
+        row that does not divide).  Between exact (qprec=None) series the
+        quotient stops at q-level max(a) - max(b), and a nonzero remainder
+        row past it raises.  A (q, y, s) operand raises ValidationError."""
+        if not isinstance(other, Series) or (self.den, other.den) != (DEN2, DEN2):
+            raise ValidationError("exact division takes two two-variable series")
         if other.is_zero():
             raise ZeroDivisionError("division by the zero series")
         alpha, beta = self.min_nq(), other.min_nq()
@@ -252,37 +257,36 @@ class Series:
             None if other.qprec is None else other.qprec - 2 * beta + alpha,
         )
         if self.is_zero():
-            return Series.zero(self.den, qprec)
+            return Series.zero(DEN2, qprec)
         rem, rows = {}, {}
         for terms, out in ((self.terms, rem), (other.terms, rows)):
-            for k, c in terms.items():
-                out.setdefault(k[0], {})[k] = c
+            for (nq, ly), c in terms.items():
+                out.setdefault(nq, {})[ly] = c
         stop = qprec if qprec is not None else max(rem) - max(rows) + 1
         lead = rows.pop(beta)
         rest = [(nq, list(row.items())) for nq, row in sorted(rows.items())]
         step = gcd(*(nq - alpha for nq in rem), *(nq - beta for nq in rows)) or 1
         quot = {}
         for n in range(alpha - beta, stop, step):
-            row = {k: c for k, c in rem.pop(beta + n, {}).items() if c}
+            row = {ly: c for ly, c in rem.pop(beta + n, {}).items() if c}
             if not row:
                 continue
-            c = _divide_row(row, lead)
+            c = _divide_row(row, lead, n)
             for nq, b in rest:
                 if qprec is not None and n + nq >= qprec + beta:
                     break  # rows from qprec + beta on are never divided
                 target = rem.setdefault(n + nq, {})
-                for kc, cc in c.items():
-                    for kb, cb in b:
-                        key = tuple(map(add, kc, kb))
-                        target[key] = target.get(key, 0) - cc * cb
-            quot.update(c)
+                for yc, cc in c.items():
+                    for yb, cb in b:
+                        target[yc + yb] = target.get(yc + yb, 0) - cc * cb
+            quot.update(((n, ly), cq) for ly, cq in c.items())
         left = [nq - beta for nq, row in rem.items() if any(row.values())] if qprec is None else []
         if left:
             raise InexactDivisionError(
                 f"division is not exact: quotient q-level {min(left)} lies past "
                 f"{stop - 1}, the dividend's top q-level minus the divisor's"
             )
-        return Series(self.den, quot, qprec, _clean=True)
+        return Series(DEN2, quot, qprec, _clean=True)
 
     # ---- exponent substitutions ---------------------------------------
 
@@ -298,9 +302,7 @@ class Series:
             raise ValidationError("substitution matrix has wrong shape")
         out = {}
         for key, coeff in self.terms.items():
-            new_key = tuple(
-                sum(matrix[i][j] * key[j] for j in range(nvars)) for i in range(nvars)
-            )
+            new_key = tuple(sum(map(mul, row, key)) for row in matrix)
             if qprec is not None and new_key[0] >= qprec:
                 continue
             new = out.get(new_key, 0) + coeff
@@ -314,25 +316,17 @@ class Series:
         """y -> y**factor (factor a nonzero integer)."""
         if factor == 0:
             raise ValidationError("y-scaling factor must be nonzero")
-        nvars = len(self.den)
-        matrix = [[0] * nvars for _ in range(nvars)]
-        matrix[0][0] = 1
+        matrix = [[int(i == j) for j in range(len(self.den))] for i in range(len(self.den))]
         matrix[1][1] = factor
-        for i in range(2, nvars):
-            matrix[i][i] = 1
         return self.substitute(matrix, self.qprec)
 
     def shift(self, key):
         """Multiply by the monomial with the given exponent key."""
         key = tuple(key)
-        nvars = len(self.den)
-        if len(key) != nvars:
+        if len(key) != len(self.den):
             raise ValidationError("shift key has wrong arity")
         qprec = None if self.qprec is None else self.qprec + key[0]
-        terms = {
-            tuple(k[i] + key[i] for i in range(nvars)): c
-            for k, c in self.terms.items()
-        }
+        terms = {tuple(map(add, k, key)): c for k, c in self.terms.items()}
         return Series(self.den, terms, qprec, _clean=True)
 
     # ---- three-variable helpers ---------------------------------------
@@ -381,45 +375,40 @@ def _miller(rows, k, count, first, divide=None, zero=0):
     return out
 
 
-def _divide_row(row, divisor):
-    """The quotient of two q-rows, finite polynomials given as Series terms
-    {key: c} at one q-level each, by long division in increasing key order.
-    An exact quotient fills the box of the row's extent minus the divisor's
-    on each axis after q, so a quotient term outside it, or a coefficient
-    that does not divide, raises InexactDivisionError naming the quotient's
-    q-level and the box."""
-    cols = list(zip(zip(*row), zip(*divisor)))
-    lo = [min(r) - min(d) for r, d in cols]
-    hi = [max(r) - max(d) for r, d in cols]
-    (kd, cd), *rest = sorted(divisor.items())
-    rem = dict(row)
-    heap = list(rem)
-    heapq.heapify(heap)
+def _divide_row(row, divisor, level):
+    """The quotient of two q-rows, finite y-polynomials {ly: c} with
+    nonzero coefficients, the quotient's at q-level ``level``, by long
+    division from the lowest term up, one slot per gcd step of the
+    exponents.  An exact quotient fills the y-box of the row's extent minus
+    the divisor's, so a quotient term past its top, or a coefficient that
+    does not divide, raises InexactDivisionError naming the q-level and the
+    y-box."""
+    (low, cd), *rest = sorted(divisor.items())
+    base, top = min(row), max(row)
+    lo, hi = base - low, top - max(divisor)
+    step = gcd(*(y - base for y in row), *(y - low for y, _ in rest)) or 1
+    rem = [0] * ((top - base) // step + 1)
+    for y, c in row.items():
+        rem[(y - base) // step] = c
+    rest = [((y - low) // step, c) for y, c in rest]
     quot = {}
-    while heap:
-        k = heapq.heappop(heap)
-        c = rem.pop(k)
+    for i, c in enumerate(rem):  # rem[i] is final once i is reached
         if not c:
             continue
-        qk = tuple(map(sub, k, kd))
-        if any(not a <= v <= b for v, a, b in zip(qk, lo, hi)):
+        y = lo + step * i
+        if y > hi:
             raise InexactDivisionError(
-                f"division is not exact at q-level {qk[0]}: quotient term {qk} leaves the box "
-                f"{lo[1:]} to {hi[1:]} (per axis after q, the row's extent minus the divisor's)"
+                f"division is not exact at q-level {level}: quotient term {(level, y)} leaves "
+                f"the y-box [{lo}] to [{hi}] (the row's extent minus the divisor's)"
             )
         qc, r = divmod(c, cd)
         if r:
             raise InexactDivisionError(
-                f"division is not exact at q-level {qk[0]}: {c} is not divisible by {cd} over Z"
+                f"division is not exact at q-level {level}: {c} is not divisible by {cd} over Z"
             )
-        quot[qk] = qc
-        for kr, cr in rest:
-            key = tuple(map(add, qk, kr))
-            if key in rem:
-                rem[key] -= qc * cr
-            else:
-                rem[key] = -qc * cr
-                heapq.heappush(heap, key)
+        quot[y] = qc
+        for j, cr in rest:
+            rem[i + j] -= qc * cr
     return quot
 
 
@@ -438,10 +427,7 @@ def _mul_dict(a, b, qprec, nvars):
             nq = nqa + kb[0]
             if qprec is not None and nq >= qprec:
                 break
-            if nvars == 2:
-                key = (nq, ka[1] + kb[1])
-            else:
-                key = (nq, ka[1] + kb[1], ka[2] + kb[2])
+            key = (nq, ka[1] + kb[1]) if nvars == 2 else (nq, ka[1] + kb[1], ka[2] + kb[2])
             new = out.get(key, 0) + ca * cb
             if new == 0:
                 out.pop(key, None)
@@ -496,21 +482,23 @@ def _below(terms, qprec):
 
 
 class _Kronecker:
-    """The product of two Z term dicts by Kronecker substitution: each
-    operand becomes a single integer, and one big-integer multiplication
-    (Karatsuba in CPython) yields every coefficient (D. Harvey, J. Symb.
-    Comp. 2009), read back once.
+    """The product of two (q, y) Z term dicts by Kronecker substitution:
+    each operand becomes a single integer, and one big-integer
+    multiplication (Karatsuba in CPython) yields every coefficient (D.
+    Harvey, J. Symb. Comp. 2009), read back once.
 
-    Terms that cannot reach qprec are dropped first.  Each exponent axis is
-    divided by one gcd stride of both operands' exponents measured from
-    their minima (forms use only q in 24Z and y in 4Z or 4Z + 2).  The
-    product's bounding box is laid out row-major with q slowest.  A slot
-    holds width bytes, signed, wide enough for every operand coefficient
-    and every coefficient of the product below qprec (``_window_bound``).
-    qa and qb are the operands' lowest q-exponents.
+    Terms that cannot reach qprec are dropped first.  Each axis is divided
+    by one gcd stride of both operands' exponents measured from their
+    minima, g for q and h for y (forms use only q in 24Z and y in 4Z or
+    4Z + 2).  The product's bounding box is laid out as q-rows of ``cols``
+    y-slots: slot u of row n is the key (q0 + g n, y0 + h u).  A slot holds
+    width bytes, signed, wide enough for every operand coefficient and every
+    coefficient of the product below qprec (``_window_bound``).  qa and qb
+    are the operands' lowest q-exponents.
     """
 
-    __slots__ = ("a", "b", "cols_a", "cols_b", "lo", "step", "shape", "rows", "width", "pairs")
+    __slots__ = ("a", "b", "cols_a", "cols_b", "q0", "g", "y0", "h", "height", "rows", "cols",
+                 "width", "pairs")
 
     def __init__(self, a, b, qa, qb, qprec):
         self.pairs = 0
@@ -520,23 +508,20 @@ class _Kronecker:
         a, cols_a = _below(a, None if qprec is None else qprec - qb)
         b, cols_b = (a, cols_a) if square else _below(b, None if qprec is None else qprec - qa)
         self.a, self.b, self.cols_a, self.cols_b = a, b, cols_a, cols_b
-        self.lo, self.step, self.shape = [], [], []
+        box = []
         for ca, cb in zip(cols_a, cols_b):
             va, vb = set(ca), set(cb)
             la, lb = min(va), min(vb)
             g = gcd(*[v - la for v in va], *[v - lb for v in vb]) or 1
-            self.lo.append(la + lb)
-            self.step.append(g)
-            self.shape.append((max(va) + max(vb) - la - lb) // g + 1)
-        self.rows = self.shape[0]
+            box.append((la + lb, g, (max(va) + max(vb) - la - lb) // g + 1))
+        (self.q0, self.g, self.height), (self.y0, self.h, self.cols) = box
         if qprec is None:
-            self.pairs = len(a) * len(b)
+            self.rows, self.pairs = self.height, len(a) * len(b)
         else:
-            self.rows = min(self.rows, (qprec - self.lo[0] - 1) // self.step[0] + 1)
+            self.rows = min(self.height, (qprec - self.q0 - 1) // self.g + 1)
             qs = sorted(cols_b[0])
-            self.pairs = sum(
-                n * bisect_left(qs, qprec - nq) for nq, n in Counter(cols_a[0]).items()
-            )
+            self.pairs = sum(n * bisect_left(qs, qprec - nq)
+                             for nq, n in Counter(cols_a[0]).items())
         self.width = (_window_bound(a, b, cols_a, cols_b, qprec).bit_length() + 2 + 7) // 8
 
     def pays(self):
@@ -548,9 +533,8 @@ class _Kronecker:
         of one dict-loop pair."""
         if not self.pairs:
             return False
-        row = prod(self.shape[1:])
-        kbytes = self.shape[0] * row * self.width / 1000
-        cost = 64 + 3 * (len(self.a) + len(self.b)) + self.rows * row
+        kbytes = self.height * self.cols * self.width / 1000
+        cost = 64 + 3 * (len(self.a) + len(self.b)) + self.rows * self.cols
         return self.pairs > cost + 40 * kbytes**1.585
 
     def multiply(self):
@@ -563,10 +547,9 @@ class _Kronecker:
         back by the reverse copies."""
         if not self.pairs:
             return {}
-        width, step = self.width, self.step
+        width, g, h, cols = self.width, self.g, self.h, self.cols
         words = -(-width // 8)
         wide = 8 * words
-        stride = [prod(self.shape[i + 1:]) for i in range(len(self.shape))]
 
         def narrow(staged):
             if width == wide:
@@ -577,11 +560,10 @@ class _Kronecker:
                 out[j::width] = staged[j::wide]
             return int.from_bytes(out, "little")
 
-        def pack(terms, cols):
-            offset = [0] * len(terms)  # in words
-            for col, lo, g, s in zip(cols, map(min, cols), step, stride):
-                s *= words
-                offset = [i + (v - lo) // g * s for i, v in zip(offset, col)]
+        def pack(terms, exponents):
+            qs, ys = exponents
+            lq, ly, row = min(qs), min(ys), cols * words
+            offset = [(q - lq) // g * row + (y - ly) // h * words for q, y in zip(qs, ys)]
             pos = array("Q", bytes(8 * (max(offset) + words)))
             neg = array("Q", bytes(len(pos) * 8))
             if words == 1:
@@ -605,13 +587,11 @@ class _Kronecker:
 
         packed = pack(self.a, self.cols_a)
         packed *= packed if self.b is self.a else pack(self.b, self.cols_b)
-        values = _read_slots(packed, self.rows * stride[0], width)
+        values = _read_slots(packed, self.rows * cols, width)
         half = 1 << (8 * width - 1)
-        axes = [
-            range(lo, lo + g * n, g)
-            for lo, g, n in zip(self.lo, step, [self.rows] + self.shape[1:])
-        ]
-        return {key: v - half for key, v in zip(product(*axes), values) if v != half}
+        ys = range(self.y0, self.y0 + h * cols, h)
+        keys = ((nq, y) for nq in range(self.q0, self.q0 + g * self.rows, g) for y in ys)
+        return {key: v - half for key, v in zip(keys, values) if v != half}
 
 
 def _read_slots(packed, slots, width):
@@ -640,15 +620,23 @@ def _read_slots(packed, slots, width):
 # ---- packed q-rows of Jacobi forms ----------------------------------------
 
 
+def _weak_layout(m):
+    """The ``_Rows`` layout of an index-m weak form: row n from y**-(m + 2n)."""
+    return (0, 24, -4 * m, 4, 2)
+
+
 class _Rows:
-    """The first q-rows of a Jacobi form, one integer per row: row n of an
-    index-m form is its y-polynomial read from y**-(m + 2n) upward, at
-    y = 2**(8 width) for a slot width of width bytes.  Those origins add
-    under products and agree under sums, so the ring operations on rows
-    below the precision are those of the forms: a product row is a
+    """The first q-rows of a (q, y) series, one integer per row.  In the
+    layout (q0, g, y0, h, s), row n is the y-polynomial at q-key q0 + g n
+    read from the y-key y0 - h s n upward in steps of h, at Y = 2**(8 width)
+    for a slot width of width bytes: slot u holds the term at
+    (q0 + g n, y0 + h (u - s n)).  The origins of layouts with one g, h and
+    s add under products and agree under sums, so the ring operations on
+    rows below the precision are those of the series: a product row is a
     schoolbook sum over the row pairs, and no row past the last is formed.
-    The layout holds the weak-form support 0 <= n, |l| <= m + 2n, which
-    every weak form of index m has (4mn - l**2 >= -m**2)."""
+    The weak layout of index m (``_weak_layout``) holds the weak-form
+    support 0 <= n, |l| <= m + 2n, which every weak form of index m has
+    (4mn - l**2 >= -m**2)."""
 
     __slots__ = ("rows",)
 
@@ -656,27 +644,29 @@ class _Rows:
         self.rows = rows
 
     @staticmethod
-    def norms(terms, m, orders):
-        """The l1 norms of the rows n < orders of an index-m form given by
-        its terms {(24 n, 4 l): c}, or None when a term lies outside the
-        layout: n < 0, n >= orders or |l| > m + 2n."""
+    def norms(terms, layout, orders):
+        """The l1 norms of the rows n < orders of terms {(nq, ly): c}, or
+        None when a term lies outside them or outside its row's band, from
+        the row's origin y0 - h s n to its mirror (|l| <= m + 2n in the
+        weak layout of index m)."""
+        q0, g, y0, h, s = layout
         rows = [0] * orders
         for (nq, ly), c in terms.items():
-            n = nq // 24
-            if n < 0 or n >= orders or abs(ly) > 4 * (m + 2 * n):
+            n = (nq - q0) // g
+            if n < 0 or n >= orders or abs(ly) > h * s * n - y0:
                 return None
             rows[n] += abs(c)
         return rows
 
     @classmethod
-    def pack(cls, terms, m, orders, width):
-        """The rows n < orders of an index-m form given by its terms
-        {(24 n, 4 l): c}, each in the layout (``norms`` is not None)."""
+    def pack(cls, terms, layout, orders, width):
+        """The rows n < orders of terms {(nq, ly): c}, each in the layout."""
+        q0, g, y0, h, s = layout
         rows = [0] * orders
         bits = 8 * width
         for (nq, ly), c in terms.items():
-            n = nq // 24
-            rows[n] += c << (bits * (ly // 4 + m + 2 * n))
+            n = (nq - q0) // g
+            rows[n] += c << (bits * ((ly - y0) // h + s * n))
         return cls(rows)
 
     def __add__(self, other):
@@ -692,16 +682,15 @@ class _Rows:
     __rmul__ = __mul__
 
 
-def _unpack_rows(rows, m, width, origin=None):
-    """The terms of packed rows whose coefficients lie below
-    2**(8 width - 1) in absolute value: with origin(n) = (nq, ly, h), slot
-    u of row n is the key (nq, ly + h u), by default of an index-m form from
-    y**-(m + 2n).  A row's top nonzero slot is its bit length // (8 width)."""
-    origin = origin or (lambda n: (24 * n, -4 * (m + 2 * n), 4))
+def _unpack_rows(rows, layout, width):
+    """The terms of packed rows in layout (q0, g, y0, h, s) whose
+    coefficients lie below 2**(8 width - 1) in absolute value.  A row's top
+    nonzero slot is its bit length // (8 width)."""
+    q0, g, y0, h, s = layout
     bits, joined, keys = 8 * width, 0, []
     for n, row in enumerate(rows):
         joined += row << (bits * len(keys))
-        nq, ly, h = origin(n)
+        nq, ly = q0 + g * n, y0 - h * s * n
         keys += [(nq, ly + h * u) for u in range(row.bit_length() // bits + 1 if row else 0)]
     half = 1 << (bits - 1)
     values = _read_slots(joined, len(keys), width)

@@ -149,3 +149,16 @@ def test_d3_genus_is_a_multiple_of_phi_threehalf(h):
     form = elliptic_genus(CYInvariants(3, (0, -h, h, 0)), qprec=72)
     assert (form.weight2, form.index2) == (0, 3)
     assert form.series == phi_threehalf(72).series.scale(h)
+
+
+@pytest.mark.parametrize("inv", [
+    CYInvariants.from_euler(5, 24), CYInvariants.from_euler(5, 0),
+    CYInvariants(7, (0, 1, 3, 2, -2, -3, -1, 0)),
+])
+def test_odd_genus_gives_its_chi_vector_back(inv):
+    """Odd d divides the q**0 row by y**(1/2) + y**(-1/2) (Series.exact_div);
+    the genus gives the chi vector back, and chi = 0, whose row is empty,
+    the zero form."""
+    genus = elliptic_genus(inv, qprec=48)
+    assert chi_y_polynomial(genus, inv.d) == inv
+    assert genus.series.is_zero() == (not any(inv.chi))

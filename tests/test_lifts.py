@@ -508,8 +508,8 @@ def test_engine_packs_each_operand_once(monkeypatch):
     pack, mul, unpack = series._Rows.pack.__func__, series._Rows.__mul__, lifts._unpack_rows
     init, series_mul = series._Kronecker.__init__, Series.__mul__
 
-    def counted_pack(cls, terms, m, orders, width):
-        packs.append((m, pack(cls, terms, m, orders, width)))
+    def counted_pack(cls, terms, layout, orders, width):  # index m = -layout[2] // 4
+        packs.append((-layout[2] // 4, pack(cls, terms, layout, orders, width)))
         return packs[-1][1]
 
     def counted_mul(a, b):
@@ -519,7 +519,8 @@ def test_engine_packs_each_operand_once(monkeypatch):
     monkeypatch.setattr(series._Rows, "pack", classmethod(counted_pack))
     monkeypatch.setattr(series._Rows, "__mul__", counted_mul)
     monkeypatch.setattr(lifts, "_unpack_rows",
-                        lambda rows, m, width: reads.append(m) or unpack(rows, m, width))
+                        lambda rows, layout, width: reads.append(-layout[2] // 4)
+                        or unpack(rows, layout, width))
     monkeypatch.setattr(series._Kronecker, "__init__",
                         lambda self, *args: kroneckers.append(1) or init(self, *args))
     monkeypatch.setattr(Series, "__mul__", lambda a, b: series_products.append(1) or series_mul(a, b))

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jacobilift.errors import ValidationError
+from jacobilift.jacobi import theta_jacobi
 from jacobilift.modular import (
     discriminant_form,
+    e2_series,
     eta_power,
     eta_quotient,
     euler_product,
@@ -45,6 +47,17 @@ def test_eta_negative_power_inverse():
 def test_eta_series_need_a_qprec(build):
     """eta powers are infinite series: qprec=None is an input error naming
     the missing qprec, not a TypeError from comparing with None."""
+    with pytest.raises(ValidationError, match="infinite series; give a qprec"):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: theta_constant(0, 0, None), lambda: theta_constant(1, 0, None, scale=2),
+    lambda: e2_series(None), lambda: theta_jacobi(None), lambda: theta_jacobi(None, y_scale=2),
+])
+def test_theta_and_e2_series_need_a_qprec(build):
+    """Theta constants, E2 and theta(tau, z) are infinite series too:
+    qprec=None names the missing qprec instead of raising a TypeError."""
     with pytest.raises(ValidationError, match="infinite series; give a qprec"):
         build()
 

@@ -11,6 +11,7 @@ from jacobilift.series import (
     DEN2,
     DEN3,
     Series,
+    _divide_row,
     _Kronecker,
     _min_prec,
     _mul_dict,
@@ -194,22 +195,55 @@ def test_inexact_division_of_exact_series_raises_at_once():
         one.exact_div(Series(DEN2, {(0, 0): 1, (24, 0): -1}, None))
 
 
-def test_exact_division_of_exact_series():
+def test_exact_div_refuses_three_variables():
+    """Division takes (q, y) series only, as powers do: a (q, y, s)
+    dividend, divisor or both raise ValidationError, the exact quotient
+    b c / b and the endless 1/(1 - s) alike."""
     b = Series(DEN2, {(0, 0): 1, (24, 0): -1}, None)
     c = Series(DEN3, {(0, -2, 0): 3, (0, 2, 24): -1, (48, 6, 0): 2}, None)
-    assert (b.lift_to_three() * c).exact_div(b.lift_to_three()) == c
+    one = Series.const(1, DEN3, 24 * 40)
+    for a, d in [(b.lift_to_three() * c, b.lift_to_three()), (c, b), (b, c),
+                 (one, Series(DEN3, {(0, 0, 0): 1, (0, 0, 24): -1}, None))]:
+        with pytest.raises(ValidationError, match="two two-variable series"):
+            a.exact_div(d)
 
 
 @pytest.mark.parametrize("den, tail, top", [
     (DEN2, (0, 4), r"\[-4\]"),  # 1/(1 - y)
-    (DEN3, (0, 0, 24), r"\[0, -24\]"),  # 1/(1 - s), once an endless loop
 ])
 def test_inexact_division_with_an_endless_tail_raises_at_once(den, tail, top):
-    # the first quotient term already lies above the top of the box an
+    # the first quotient term already lies above the top of the y-box an
     # exact quotient's q**0 row fills: the row's top minus the divisor's
     one = Series.const(1, den, 24 * 40)
     with pytest.raises(InexactDivisionError, match=r"at q-level 0: .* to " + top):
         one.exact_div(Series(den, {(0,) * len(den): 1, tail: -1}, None))
+
+
+@pytest.mark.parametrize("row, divisor, want", [
+    # y**(3/2) + y**(-3/2) over y**(1/2) + y**(-1/2): y-offset 2 mod 4, and
+    # the row's empty slots in between fill in
+    ({-6: 1, 6: 1}, {-2: 1, 2: 1}, {-4: 1, 0: -1, 4: 1}),
+    # (1 + y**2)/(1 + y): the third quotient term y**2 passes the top y**1
+    ({0: 1, 8: 1}, {0: 1, 4: 1}, r"quotient term \(5, 8\) leaves the y-box \[0\] to \[4\]"),
+    # (2 + 3y + y**2)/(2 + 2y): the remainder y inside the y-box is not
+    # divisible by 2
+    ({0: 2, 4: 3, 8: 1}, {0: 2, 4: 2}, "1 is not divisible by 2 over Z"),
+], ids=["y-offset 2 mod 4", "past the top of the y-box", "not divisible"])
+def test_row_division_edge_cases(row, divisor, want):
+    if isinstance(want, dict):
+        assert _divide_row(row, divisor, 5) == want
+    else:
+        with pytest.raises(InexactDivisionError, match=r"at q-level 5: .*" + want):
+            _divide_row(row, divisor, 5)
+
+
+def test_division_skips_empty_rows():
+    """An empty dividend, or a remainder row that cancels to nothing, gives
+    no quotient row, and no division of an empty row is tried."""
+    b = Series(DEN2, {(0, -2): 1, (0, 2): 1, (24, 6): 3}, None)
+    assert Series.zero(DEN2, None).exact_div(b) == Series.zero(DEN2, None)
+    c = Series(DEN2, {(0, 0): 2, (48, 4): -1}, 24 * 5)  # q**1 row of b c / b is empty
+    assert (b * c).exact_div(b) == c
 
 
 def test_inexact_division_deep_in_q_raises_at_that_level():
@@ -324,7 +358,7 @@ def test_power_refuses_three_variables_and_the_zero_inverse():
     assert Series.zero(DEN2, 24) ** 0 == Series.const(1, DEN2, 24)
 
 
-# ---- heap-driven division against the min-scan long division ---------------
+# ---- row division against the min-scan long division ----------------------
 
 
 def reference_exact_div(a, b):
@@ -385,39 +419,29 @@ def division_or_error(a, b, divide):
 
 @st.composite
 def division_case(draw):
-    """A dividend and a divisor in 2 or 3 variables, truncated or exact: the
-    dividend is the divisor times a random quotient, sometimes with one term
-    changed, or unrelated to it.  In 3 variables the divisor's lowest
-    (q, y) pair has one s-term, so the min-scan's y-guard stops every
-    non-terminating division."""
-    nvars = draw(st.sampled_from([2, 3]))
-    axes = [st.integers(-1, 4).map(lambda i: 24 * i), st.integers(-8, 8)]
-    if nvars == 3:
-        axes.append(st.integers(0, 2).map(lambda m: 24 * m))
-    key = st.tuples(*axes)
-    den = DEN3 if nvars == 3 else DEN2
+    """A (q, y) dividend and divisor, truncated or exact: the dividend is
+    the divisor times a random quotient, sometimes with one term changed,
+    or unrelated to it."""
+    key = st.tuples(st.integers(-1, 4).map(lambda i: 24 * i), st.integers(-8, 8))
     precs = st.one_of(st.none(), st.integers(-24, 24 * 6))
     b = draw(st.dictionaries(key, COEFFS.filter(bool), min_size=1, max_size=5))
-    kb = min(b)
-    b[kb] = draw(st.sampled_from([1, -1, 2, -3]))
-    if nvars == 3:
-        b = {k: c for k, c in b.items() if k[:2] != kb[:2] or k == kb}
-    b = Series(den, b, draw(precs))
+    b[min(b)] = draw(st.sampled_from([1, -1, 2, -3]))
+    b = Series(DEN2, b, draw(precs))
     assume(b.terms)
-    c = Series(den, draw(st.dictionaries(key, COEFFS, max_size=5)), draw(precs))
+    c = Series(DEN2, draw(st.dictionaries(key, COEFFS, max_size=5)), draw(precs))
     kind = draw(st.sampled_from(["exact", "changed", "unrelated"]))
     a = b * c if kind != "unrelated" else c
     if kind == "changed":
-        a = a + Series(den, {draw(key): draw(COEFFS.filter(bool))}, None)
+        a = a + Series(DEN2, {draw(key): draw(COEFFS.filter(bool))}, None)
     a = a.truncate(draw(precs)) if draw(st.booleans()) else a
     if b.qprec is None and a.qprec is not None and draw(st.booleans()):
-        a = Series(den, a.terms, None)  # an exact dividend over an exact divisor
+        a = Series(DEN2, a.terms, None)  # an exact dividend over an exact divisor
     return a, b
 
 
 @given(division_case())
 @settings(max_examples=200, deadline=None)
-def test_heap_division_equals_min_scan_division(case):
+def test_row_division_equals_min_scan_division(case):
     a, b = case
     got = division_or_error(a, b, Series.exact_div)
     want = division_or_error(a, b, reference_exact_div)
@@ -449,13 +473,40 @@ def lattice_series(draw, nvars, min_size=1, max_size=40):
     return Series(DEN3 if nvars == 3 else DEN2, terms, qprec)
 
 
+def s_levels(terms):
+    """{ms: (q, y) terms at s**(ms/24)} of a (q, y, s) term dict."""
+    levels = {}
+    for (nq, ly, ms), c in terms.items():
+        levels.setdefault(ms, {})[(nq, ly)] = c
+    return levels
+
+
+def kronecker(a, b, qprec):
+    """The packed product of two term dicts below qprec and its slot width
+    in bytes (0 when no pair reaches qprec).  (q, y, s) products are never
+    packed: theirs is the sum over pairs of s-levels of packed (q, y)
+    products, the widest slot counted, an independent route to the dict
+    loop they take."""
+    if len(next(iter(a))) == 2:
+        packing = _Kronecker(a, b, min(a)[0], min(b)[0], qprec)
+        return packing.multiply(), packing.width if packing.pairs else 0
+    levels_a = s_levels(a)
+    levels_b = levels_a if b is a else s_levels(b)
+    out, width = {}, 0
+    for ms, level_a in levels_a.items():
+        for mt, level_b in levels_b.items():
+            terms, w = kronecker(level_a, level_b, qprec)
+            width = max(width, w)
+            for (nq, ly), c in terms.items():
+                out[(nq, ly, ms + mt)] = out.get((nq, ly, ms + mt), 0) + c
+    return {key: c for key, c in out.items() if c}, width
+
+
 def both_routes(a, b, qprec):
     """The packed and the dict product of two term dicts below qprec."""
     small, large = sorted((a, b), key=len)
-    qs, ql = min(k[0] for k in small), min(k[0] for k in large)
     nvars = len(next(iter(a)))
-    packed = _Kronecker(small, large, qs, ql, qprec).multiply()
-    return packed, _mul_dict(small, large, qprec, nvars)
+    return kronecker(small, large, qprec)[0], _mul_dict(small, large, qprec, nvars)
 
 
 @given(st.data())
@@ -474,15 +525,14 @@ def test_packed_product_equals_dict_product(data):
     window = data.draw(st.one_of(st.none(), st.integers(low - 48, low + 48)))
     packed, plain = both_routes(a.terms, b.terms, window)
     assert packed == plain
-    qa = min(k[0] for k in a.terms)
-    assert _Kronecker(a.terms, a.terms, qa, qa, window).multiply() == _mul_dict(
-        a.terms, a.terms, window, nvars
-    )
+    assert kronecker(a.terms, a.terms, window)[0] == _mul_dict(a.terms, a.terms, window, nvars)
 
 
-def grid(rows, cols, coeff=1, yoff=0):
-    """rows x cols terms on the (24Z, 4Z + yoff) lattice."""
-    return {(24 * i, 4 * j + yoff): coeff * (i + j + 1) for i in range(rows) for j in range(cols)}
+def grid(rows, cols, coeff=1, yoff=0, s=None):
+    """rows x cols terms on the (24Z, 4Z + yoff) lattice, at s**(s/24)
+    when s is given."""
+    terms = {(24 * i, 4 * j + yoff): coeff * (i + j + 1) for i in range(rows) for j in range(cols)}
+    return terms if s is None else {key + (s,): c for key, c in terms.items()}
 
 
 def test_packed_product_cancels_and_keeps_no_zero_terms():
@@ -509,9 +559,7 @@ def test_packed_product_at_slot_widths_around_whole_words(width, sign, nvars, sq
     a = sized(width, sign, nvars)
     b = a if square else sized(width, sign, nvars, yoff=2)
     for qprec in (None, 49):
-        packing = _Kronecker(a, b, 0, 0, qprec)
-        assert packing.width == width
-        assert packing.multiply() == _mul_dict(a, b, qprec, nvars)
+        assert kronecker(a, b, qprec) == (_mul_dict(a, b, qprec, nvars), width)
 
 
 @pytest.mark.parametrize("nvars", [2, 3])
@@ -522,10 +570,8 @@ def test_packed_product_slots_past_the_window_overflow_harmlessly(nvars):
     a = {(0, 0, 0): 1, (0, 4, 0): -3, (24, 0, 24): big, (24, 8, 0): -big}
     b = {(0, 2, 0): 5, (24, 2, 24): -big, (24, -2, 0): big - 1}
     a, b = ({k[:nvars]: c for k, c in t.items()} for t in (a, b))
-    packing = _Kronecker(a, b, 0, 0, 25)
-    assert packing.width == 51
-    assert packing.multiply() == _mul_dict(a, b, 25, nvars)
-    assert packing.width < (max(map(abs, _mul_dict(a, b, None, nvars).values())).bit_length() + 2) // 8
+    assert kronecker(a, b, 25) == (_mul_dict(a, b, 25, nvars), 51)
+    assert 51 < (max(map(abs, _mul_dict(a, b, None, nvars).values())).bit_length() + 2) // 8
 
 
 @pytest.mark.parametrize("c, d", [(3, -5), (-(2**70), -(2**70)), (2**63 - 1, 1), (-(2**69), 1)])
@@ -541,14 +587,17 @@ def test_packed_product_of_one_slot(c, d):
     (grid(4, 4), grid(15, 17), None, "packed"),  # 16 > sqrt(255)
     (grid(4, 4), grid(4, 4, -1, 2), 25, "dict"),  # the window keeps 48 of 256 pairs
     (grid(16, 3, BIG), grid(16, 3, -BIG), None, "packed"),  # 52-byte slots
+    (grid(4, 4, s=24), grid(4, 4, s=0), None, "dict"),  # 16 x 16 dense in (q, y, s)
 ])
 def test_product_route_at_the_rule_boundary(monkeypatch, small, large, qprec, route):
     calls = []
     multiply = _Kronecker.multiply
     monkeypatch.setattr(_Kronecker, "multiply", lambda self: calls.append(1) or multiply(self))
-    a, b = Series(DEN2, small, qprec), Series(DEN2, large, qprec)
+    nvars = len(next(iter(small)))
+    den = DEN3 if nvars == 3 else DEN2
+    a, b = Series(den, small, qprec), Series(den, large, qprec)
     prod = a * b
-    assert prod.terms == _mul_dict(a.terms, b.terms, prod.qprec, 2)
+    assert prod.terms == _mul_dict(a.terms, b.terms, prod.qprec, nvars)
     assert ("packed" if calls else "dict") == route
 
 
@@ -588,8 +637,7 @@ def packed_sum(pairs, qprec):
     out = {}
     for a, b in pairs:
         if a and b:
-            a, b = sorted((a, b), key=len)
-            for key, c in _Kronecker(a, b, min(a)[0], min(b)[0], qprec).multiply().items():
+            for key, c in kronecker(*sorted((a, b), key=len), qprec)[0].items():
                 out[key] = out.get(key, 0) + c
     return {key: c for key, c in out.items() if c}
 
@@ -621,12 +669,11 @@ def test_packed_sum_at_slot_widths_with_offsets_apart_mod_4(width, nvars):
     Series.__mul__ and by the packed route equals the dict loop, and the
     sums cancel to nothing."""
     wide = (sized(width, 1, nvars), sized(width, -1, nvars))
-    narrow = (grid(3, 5, -1, 2), grid(4, 2, 3))
-    if nvars == 3:
-        narrow = tuple({k + (24,): c for k, c in t.items()} for t in narrow)
+    s = 24 if nvars == 3 else None
+    narrow = (grid(3, 5, -1, 2, s), grid(4, 2, 3, s=s))
     pairs = [wide, narrow]
     for qprec in (None, 49):
-        assert _Kronecker(*wide, 0, 0, qprec).width == width
+        assert kronecker(*wide, qprec)[1] == width
         want = dict_sum(pairs, qprec, nvars)
         assert series_sum(pairs, qprec, nvars) == want == packed_sum(pairs, qprec)
         cancel = pairs + [(a, {k: -c for k, c in b.items()}) for a, b in pairs]
