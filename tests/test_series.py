@@ -195,6 +195,12 @@ def test_inexact_division_of_exact_series_raises_at_once():
         one.exact_div(Series(DEN2, {(0, 0): 1, (24, 0): -1}, None))
 
 
+def test_exact_division_of_exact_series():
+    b = Series(DEN2, {(0, 0): 1, (24, 0): -1}, None)
+    c = Series(DEN2, {(0, -2): 3, (0, 2): -1, (48, 6): 2}, None)
+    assert (b * c).exact_div(b) == c
+
+
 def test_exact_div_refuses_three_variables():
     """Division takes (q, y) series only, as powers do: a (q, y, s)
     dividend, divisor or both raise ValidationError, the exact quotient
