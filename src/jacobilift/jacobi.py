@@ -186,8 +186,9 @@ def unit_form(qprec):
 
 # evaluate_packed takes values of at most this many whole q-orders.  Fitted
 # by timing it against nested Horner on forms for the four random
-# polynomials (index 4, 7, 9 and 12) of a forms round, on the generators.
-PACKED_MAX_ORDERS = 24
+# polynomials (index 4, 7, 9 and 12) of a forms round, on the generators:
+# the most orders at which it is faster for three of the four.
+PACKED_MAX_ORDERS = 16
 
 
 def evaluate_packed(poly, values):

@@ -20,11 +20,8 @@ from (q, y) rows and never divides them.
 
 import sys
 from array import array
-from bisect import bisect_left
-from collections import Counter
-from itertools import accumulate, groupby
 from math import gcd
-from operator import add, itemgetter, mul
+from operator import add, mul
 
 from .errors import (
     InexactDivisionError,
@@ -88,11 +85,6 @@ class Series:
     def min_nq(self):
         """Smallest stored q-exponent (0 for the empty series)."""
         return min(self.terms)[0] if self.terms else 0
-
-    def min_key(self):
-        if not self.terms:
-            raise ValidationError("empty series has no minimal key")
-        return min(self.terms)
 
     def coeff(self, key):
         return self.terms.get(tuple(key), 0)
@@ -193,9 +185,7 @@ class Series:
         if len(a) > len(b):
             a, b, qa, qb = b, a, qb, qa
         if self.den == DEN2 and len(a) >= PACK_MIN_TERMS and len(a) ** 2 > len(b):
-            packing = _Kronecker(a, b, qa, qb, qprec)
-            if packing.pays():
-                return Series(self.den, packing.multiply(), qprec, _clean=True)
+            return Series(DEN2, _mul_rows(a, b, qa, qb, qprec), qprec, _clean=True)
         return Series(self.den, _mul_dict(a, b, qprec, len(self.den)), qprec, _clean=True)
 
     __rmul__ = __mul__
@@ -331,13 +321,6 @@ class Series:
 
     # ---- three-variable helpers ---------------------------------------
 
-    def lift_to_three(self, ms=0):
-        """Embed a (q, y) series into (q, y, s) at a fixed s-exponent."""
-        if self.den != DEN2:
-            raise ValidationError("lift_to_three needs a two-variable series")
-        terms = {(k[0], k[1], ms): c for k, c in self.terms.items()}
-        return Series(DEN3, terms, self.qprec, _clean=True)
-
     def s_slice(self, ms):
         """Extract the (q, y) coefficient series of s**(ms/24)."""
         if self.den != DEN3:
@@ -413,7 +396,8 @@ def _divide_row(row, divisor, level):
 
 
 # A Z-product whose smaller operand has fewer terms, or at most the square
-# root of the larger's (a sparse factor), stays on the dict loop.
+# root of the larger's (a sparse factor), stays on the dict loop; every
+# other (q, y) product runs on packed q-rows (``_mul_rows``).
 PACK_MIN_TERMS = 16
 
 
@@ -434,164 +418,6 @@ def _mul_dict(a, b, qprec, nvars):
             else:
                 out[key] = new
     return out
-
-
-def _row_norms(terms, cols):
-    """[(nq, sum of |c|, max of |c|)] over the q-rows of terms, in q order."""
-    norms = {}
-    for nq, row in groupby(zip(cols[0], map(abs, terms.values())), itemgetter(0)):
-        row = list(map(itemgetter(1), row))
-        total, top = norms.get(nq, (0, 0))
-        norms[nq] = (total + sum(row), max(top, *row))
-    return sorted((nq, total, top) for nq, (total, top) in norms.items())
-
-
-def _window_bound(a, b, cols_a, cols_b, qprec):
-    """A bound on |c| over the operands' terms and the coefficients of
-    their product below qprec.  Below qprec, row a_i of a meets only rows
-    b_j of b with i + j < qprec, so the product's coefficients there are
-    at most the sum over i of |a_i|_1 times the largest |c| in those rows
-    of b (or the same with a and b swapped).  Slots past qprec are never
-    read, and a carry only moves to higher slots, so they need no room."""
-    rows_a = _row_norms(a, cols_a)
-    rows_b = rows_a if b is a else _row_norms(b, cols_b)
-    top = max(t for _, _, t in rows_a + rows_b)
-    return max(top, min(_meet(rows_a, rows_b, qprec), _meet(rows_b, rows_a, qprec)))
-
-
-def _meet(rows, other, qprec):
-    """The sum over rows i of |row i|_1 times the largest |c| in the rows j
-    of other with i + j < qprec."""
-    qs = [j for j, _, _ in other]
-    peaks = list(accumulate((t for _, _, t in other), max))
-    total = 0
-    for i, norm, _ in rows:
-        reach = len(qs) if qprec is None else bisect_left(qs, qprec - i)
-        if reach:
-            total += norm * peaks[reach - 1]
-    return total
-
-
-def _below(terms, qprec):
-    """The terms below qprec, and their exponent columns."""
-    cols = list(zip(*terms))
-    if qprec is None or max(cols[0]) < qprec:
-        return terms, cols
-    terms = {k: c for k, c in terms.items() if k[0] < qprec}
-    return terms, list(zip(*terms))
-
-
-class _Kronecker:
-    """The product of two (q, y) Z term dicts by Kronecker substitution:
-    each operand becomes a single integer, and one big-integer
-    multiplication (Karatsuba in CPython) yields every coefficient (D.
-    Harvey, J. Symb. Comp. 2009), read back once.
-
-    Terms that cannot reach qprec are dropped first.  Each axis is divided
-    by one gcd stride of both operands' exponents measured from their
-    minima, g for q and h for y (forms use only q in 24Z and y in 4Z or
-    4Z + 2).  The product's bounding box is laid out as q-rows of ``cols``
-    y-slots: slot u of row n is the key (q0 + g n, y0 + h u).  A slot holds
-    width bytes, signed, wide enough for every operand coefficient and every
-    coefficient of the product below qprec (``_window_bound``).  qa and qb
-    are the operands' lowest q-exponents.
-    """
-
-    __slots__ = ("a", "b", "cols_a", "cols_b", "q0", "g", "y0", "h", "height", "rows", "cols",
-                 "width", "pairs")
-
-    def __init__(self, a, b, qa, qb, qprec):
-        self.pairs = 0
-        if qprec is not None and qa + qb >= qprec:
-            return
-        square = a is b
-        a, cols_a = _below(a, None if qprec is None else qprec - qb)
-        b, cols_b = (a, cols_a) if square else _below(b, None if qprec is None else qprec - qa)
-        self.a, self.b, self.cols_a, self.cols_b = a, b, cols_a, cols_b
-        box = []
-        for ca, cb in zip(cols_a, cols_b):
-            va, vb = set(ca), set(cb)
-            la, lb = min(va), min(vb)
-            g = gcd(*[v - la for v in va], *[v - lb for v in vb]) or 1
-            box.append((la + lb, g, (max(va) + max(vb) - la - lb) // g + 1))
-        (self.q0, self.g, self.height), (self.y0, self.h, self.cols) = box
-        if qprec is None:
-            self.rows, self.pairs = self.height, len(a) * len(b)
-        else:
-            self.rows = min(self.height, (qprec - self.q0 - 1) // self.g + 1)
-            qs = sorted(cols_b[0])
-            self.pairs = sum(n * bisect_left(qs, qprec - nq)
-                             for nq, n in Counter(cols_a[0]).items())
-        self.width = (_window_bound(a, b, cols_a, cols_b, qprec).bit_length() + 2 + 7) // 8
-
-    def pays(self):
-        """The route rule: pack when the in-window pairs of the dict loop
-        cost more than packing the terms, reading the window's slots and
-        the multiplication (the product's size in kB to the power
-        log2(3)), with a fixed cost.  Fitted by timing both routes on every
-        Z product of a forms round, a lifts round and verify all, in units
-        of one dict-loop pair."""
-        if not self.pairs:
-            return False
-        kbytes = self.height * self.cols * self.width / 1000
-        cost = 64 + 3 * (len(self.a) + len(self.b)) + self.rows * self.cols
-        return self.pairs > cost + 40 * kbytes**1.585
-
-    def multiply(self):
-        """The product's terms below qprec.
-
-        Each operand is staged in array('Q'), one slot of ``words``
-        little-endian 64-bit limbs per grid point and one store per term
-        (byte-swapped on a big-endian host), then narrowed to
-        width-byte slots by width strided byte copies; the product is read
-        back by the reverse copies."""
-        if not self.pairs:
-            return {}
-        width, g, h, cols = self.width, self.g, self.h, self.cols
-        words = -(-width // 8)
-        wide = 8 * words
-
-        def narrow(staged):
-            if width == wide:
-                return int.from_bytes(staged, "little")
-            staged = staged.tobytes()
-            out = bytearray(len(staged) // wide * width)
-            for j in range(width):
-                out[j::width] = staged[j::wide]
-            return int.from_bytes(out, "little")
-
-        def pack(terms, exponents):
-            qs, ys = exponents
-            lq, ly, row = min(qs), min(ys), cols * words
-            offset = [(q - lq) // g * row + (y - ly) // h * words for q, y in zip(qs, ys)]
-            pos = array("Q", bytes(8 * (max(offset) + words)))
-            neg = array("Q", bytes(len(pos) * 8))
-            if words == 1:
-                for i, c in zip(offset, terms.values()):
-                    if c > 0:
-                        pos[i] = c
-                    else:
-                        neg[i] = -c
-                if sys.byteorder == "big":
-                    pos.byteswap()
-                    neg.byteswap()
-            else:
-                pos_bytes, neg_bytes = memoryview(pos).cast("B"), memoryview(neg).cast("B")
-                for i, c in zip(offset, terms.values()):
-                    i *= 8
-                    if c > 0:
-                        pos_bytes[i:i + wide] = c.to_bytes(wide, "little")
-                    else:
-                        neg_bytes[i:i + wide] = (-c).to_bytes(wide, "little")
-            return narrow(pos) - narrow(neg)
-
-        packed = pack(self.a, self.cols_a)
-        packed *= packed if self.b is self.a else pack(self.b, self.cols_b)
-        values = _read_slots(packed, self.rows * cols, width)
-        half = 1 << (8 * width - 1)
-        ys = range(self.y0, self.y0 + h * cols, h)
-        keys = ((nq, y) for nq in range(self.q0, self.q0 + g * self.rows, g) for y in ys)
-        return {key: v - half for key, v in zip(keys, values) if v != half}
 
 
 def _read_slots(packed, slots, width):
@@ -617,7 +443,7 @@ def _read_slots(packed, slots, width):
     return values
 
 
-# ---- packed q-rows of Jacobi forms ----------------------------------------
+# ---- packed q-rows ---------------------------------------------------------
 
 
 def _weak_layout(m):
@@ -666,7 +492,8 @@ class _Rows:
         bits = 8 * width
         for (nq, ly), c in terms.items():
             n = (nq - q0) // g
-            rows[n] += c << (bits * ((ly - y0) // h + s * n))
+            if n < orders:
+                rows[n] += c << (bits * ((ly - y0) // h + s * n))
         return cls(rows)
 
     def __add__(self, other):
@@ -695,6 +522,36 @@ def _unpack_rows(rows, layout, width):
     half = 1 << (bits - 1)
     values = _read_slots(joined, len(keys), width)
     return {key: v - half for key, v in zip(keys, values) if v != half}
+
+
+def _mul_rows(a, b, qa, qb, qprec):
+    """The product below qprec of (q, y) term dicts a and b, whose lowest
+    q-keys are qa and qb, on ``_Rows``.  Each operand takes the layout
+    (its lowest q, g, its lowest y, h, 0), with g and h the gcd steps of
+    both operands' exponents, and the product the sum of the two layouts;
+    only its rows below qprec are formed.  A coefficient of product row k
+    is at most sum_{i+j=k} |a_i|_1 |b_j|_1, the product of the operands'
+    row l1 norms, and the slot width holds that."""
+    if qprec is not None and qa + qb >= qprec:
+        return {}
+    lows = [(qa, min(ly for _, ly in a)), (qb, min(ly for _, ly in b))]
+    g, h = (gcd(*(key[i] - low[i] for terms, low in zip((a, b), lows) for key in terms)) or 1
+            for i in (0, 1))
+    orders = (max(a)[0] - qa + max(b)[0] - qb) // g + 1
+    if qprec is not None:
+        orders = min(orders, (qprec - qa - qb - 1) // g + 1)
+    norms = []
+    for terms, (q0, _) in zip((a, b), lows):
+        rows = [0] * orders
+        for (nq, _), c in terms.items():
+            if (n := (nq - q0) // g) < orders:
+                rows[n] += abs(c)
+        norms.append(_Rows(rows))
+    width = (max((norms[0] * norms[1]).rows).bit_length() + 8) // 8
+    (q0a, y0a), (q0b, y0b) = lows
+    rows = _Rows.pack(a, (q0a, g, y0a, h, 0), orders, width)
+    rows *= rows if b is a else _Rows.pack(b, (q0b, g, y0b, h, 0), orders, width)
+    return _unpack_rows(rows.rows, (qa + qb, g, y0a + y0b, h, 0), width)
 
 
 # ---- serialization -----------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from jacobilift.cli import main
 from jacobilift.jacobi import JacobiForm
-from jacobilift.series import DEN2, Series
+from jacobilift.series import DEN2, DEN3, Series
 
 RESULTS = []
 
@@ -67,6 +67,12 @@ def hecke_tminus_scan(form, m):
             key = (24 * big_n, 4 * l * a)
             out[key] = out.get(key, 0) + (m // a) * c
     return JacobiForm(Series(DEN2, out, 24 * orders_out), 0, form.index2 * m, None)
+
+
+def lift_to_three(series, ms=0):
+    """A (q, y) series embedded into (q, y, s) at the s-exponent ms."""
+    terms = {(nq, ly, ms): c for (nq, ly), c in series.terms.items()}
+    return Series(DEN3, terms, series.qprec)
 
 
 def plain_power(b, k):

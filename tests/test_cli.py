@@ -38,7 +38,7 @@ def test_expand_xi06_json(capsys):
     assert code == 0
     data = json.loads(out)
     series = series_from_dict(data["series"])
-    assert series.min_key()[0] == 24  # first key at q^1
+    assert min(series.terms)[0] == 24  # first key at q^1
 
 
 def test_expand_parse_failure(capsys):

@@ -496,17 +496,18 @@ def test_packed_engine_equals_oracle_at_14(monkeypatch, kind):
 
 
 def test_engine_packs_each_operand_once(monkeypatch):
-    """exp_lift(phi01) at q,s <= 9: the recursion makes no Series product
-    and no _Kronecker.  It packs each of the 9 images once, reads each
-    M H_M back once, packs each H_M with M < 9 once, and multiplies the
-    packed I_k by the packed H_(M-k) once for each M and k < M."""
+    """exp_lift(phi01) at q,s <= 9: the recursion makes no Series product,
+    so no dense product by _mul_rows either.  It packs each of the 9 images
+    once, reads each M H_M back once, packs each H_M with M < 9 once, and
+    multiplies the packed I_k by the packed H_(M-k) once for each M and
+    k < M."""
     qp, sp, inq = lift_window_for(generator(1, 24), 9, 9)
     form = generator(1, inq)
     nq, _, ms = _prefactor_key(form)
     count = (sp - ms - 1) // 24
-    packs, products, reads, series_products, kroneckers = [], [], [], [], []
+    packs, products, reads, series_products = [], [], [], []
     pack, mul, unpack = series._Rows.pack.__func__, series._Rows.__mul__, lifts._unpack_rows
-    init, series_mul = series._Kronecker.__init__, Series.__mul__
+    series_mul = Series.__mul__
 
     def counted_pack(cls, terms, layout, orders, width):  # index m = -layout[2] // 4
         packs.append((-layout[2] // 4, pack(cls, terms, layout, orders, width)))
@@ -521,12 +522,10 @@ def test_engine_packs_each_operand_once(monkeypatch):
     monkeypatch.setattr(lifts, "_unpack_rows",
                         lambda rows, layout, width: reads.append(-layout[2] // 4)
                         or unpack(rows, layout, width))
-    monkeypatch.setattr(series._Kronecker, "__init__",
-                        lambda self, *args: kroneckers.append(1) or init(self, *args))
     monkeypatch.setattr(Series, "__mul__", lambda a, b: series_products.append(1) or series_mul(a, b))
     rows = lifts._fj_rows(form, -1, qp - nq, count)
     assert len(rows) == count + 1 == 10
-    assert series_products == [] and kroneckers == []
+    assert series_products == []
     assert [m for m, _ in packs] == list(range(1, count + 1)) + list(range(1, count))
     assert reads == list(range(1, count + 1))
     images = [packed for _, packed in packs[:count]]

@@ -73,4 +73,4 @@ def test_int_byte_conversions_name_length_and_byteorder():
             missing = [name for name in names if name not in given]
             assert not missing, f"{path.name}:{node.lineno} {node.func.attr} lacks {missing}"
             checked += 1
-    assert checked >= 4
+    assert checked >= 2  # the two in series._read_slots

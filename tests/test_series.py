@@ -1,20 +1,24 @@
 """Ring laws, precision contracts and serialization of sparse series."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from conftest import plain_power
+from conftest import lift_to_three, plain_power
 from hypothesis import assume, given, settings, strategies as st
 
+from jacobilift import series
 from jacobilift.errors import InexactDivisionError, ValidationError
+from jacobilift.jacobi import _phi01_series
 from jacobilift.series import (
     DEN2,
     DEN3,
     Series,
     _divide_row,
-    _Kronecker,
     _min_prec,
     _mul_dict,
+    _mul_rows,
+    _unpack_rows,
     series_from_dict,
     series_to_dict,
 )
@@ -208,7 +212,7 @@ def test_exact_div_refuses_three_variables():
     b = Series(DEN2, {(0, 0): 1, (24, 0): -1}, None)
     c = Series(DEN3, {(0, -2, 0): 3, (0, 2, 24): -1, (48, 6, 0): 2}, None)
     one = Series.const(1, DEN3, 24 * 40)
-    for a, d in [(b.lift_to_three() * c, b.lift_to_three()), (c, b), (b, c),
+    for a, d in [(lift_to_three(b) * c, lift_to_three(b)), (c, b), (b, c),
                  (one, Series(DEN3, {(0, 0, 0): 1, (0, 0, 24): -1}, None))]:
         with pytest.raises(ValidationError, match="two two-variable series"):
             a.exact_div(d)
@@ -370,7 +374,7 @@ def test_power_refuses_three_variables_and_the_zero_inverse():
 def reference_exact_div(a, b):
     """Long division that picks each step's key by a scan of the whole
     remainder, with a constant y-guard: the route exact_div replaced."""
-    kb = b.min_key()
+    kb = min(b.terms)
     cb = b.terms[kb]
     alpha, beta = a.min_nq(), kb[0]
     qprec = _min_prec(
@@ -456,7 +460,7 @@ def test_row_division_equals_min_scan_division(case):
         assert got.qprec == want.qprec
 
 
-# ---- packed (Kronecker) products against the dict loop --------------------
+# ---- packed (q, y) products on _Rows against the dict loop ----------------
 
 BIG = 2**200
 
@@ -487,21 +491,27 @@ def s_levels(terms):
     return levels
 
 
-def kronecker(a, b, qprec):
-    """The packed product of two term dicts below qprec and its slot width
-    in bytes (0 when no pair reaches qprec).  (q, y, s) products are never
-    packed: theirs is the sum over pairs of s-levels of packed (q, y)
-    products, the widest slot counted, an independent route to the dict
-    loop they take."""
+def rows_product(a, b, qprec):
+    """The rows product of two term dicts below qprec, whatever the route
+    gate says, and its slot width in bytes (0 when no pair reaches qprec).
+    (q, y, s) products are never packed: theirs is the sum over pairs of
+    s-levels of rows products of (q, y) levels, the widest slot counted, an
+    independent route to the dict loop they take."""
     if len(next(iter(a))) == 2:
-        packing = _Kronecker(a, b, min(a)[0], min(b)[0], qprec)
-        return packing.multiply(), packing.width if packing.pairs else 0
+        widths = [0]
+
+        def unpack(rows, layout, width):
+            widths.append(width)
+            return _unpack_rows(rows, layout, width)
+
+        with mock.patch.object(series, "_unpack_rows", unpack):
+            return _mul_rows(a, b, min(a)[0], min(b)[0], qprec), widths[-1]
     levels_a = s_levels(a)
     levels_b = levels_a if b is a else s_levels(b)
     out, width = {}, 0
     for ms, level_a in levels_a.items():
         for mt, level_b in levels_b.items():
-            terms, w = kronecker(level_a, level_b, qprec)
+            terms, w = rows_product(level_a, level_b, qprec)
             width = max(width, w)
             for (nq, ly), c in terms.items():
                 out[(nq, ly, ms + mt)] = out.get((nq, ly, ms + mt), 0) + c
@@ -512,7 +522,7 @@ def both_routes(a, b, qprec):
     """The packed and the dict product of two term dicts below qprec."""
     small, large = sorted((a, b), key=len)
     nvars = len(next(iter(a)))
-    return kronecker(small, large, qprec)[0], _mul_dict(small, large, qprec, nvars)
+    return rows_product(small, large, qprec)[0], _mul_dict(small, large, qprec, nvars)
 
 
 @given(st.data())
@@ -531,7 +541,7 @@ def test_packed_product_equals_dict_product(data):
     window = data.draw(st.one_of(st.none(), st.integers(low - 48, low + 48)))
     packed, plain = both_routes(a.terms, b.terms, window)
     assert packed == plain
-    assert kronecker(a.terms, a.terms, window)[0] == _mul_dict(a.terms, a.terms, window, nvars)
+    assert rows_product(a.terms, a.terms, window)[0] == _mul_dict(a.terms, a.terms, window, nvars)
 
 
 def grid(rows, cols, coeff=1, yoff=0, s=None):
@@ -565,25 +575,69 @@ def test_packed_product_at_slot_widths_around_whole_words(width, sign, nvars, sq
     a = sized(width, sign, nvars)
     b = a if square else sized(width, sign, nvars, yoff=2)
     for qprec in (None, 49):
-        assert kronecker(a, b, qprec) == (_mul_dict(a, b, qprec, nvars), width)
+        assert rows_product(a, b, qprec) == (_mul_dict(a, b, qprec, nvars), width)
 
 
 @pytest.mark.parametrize("nvars", [2, 3])
 def test_packed_product_slots_past_the_window_overflow_harmlessly(nvars):
-    """Slots are sized for the window and the operands (2**400, 51 bytes):
-    the q**2 terms, about 2**800, overflow into the unread slots above."""
+    """Slots are sized for the rows below the window (2**400, 51 bytes):
+    the q**2 row, with terms about 2**800, is never formed."""
     big = 2**400
     a = {(0, 0, 0): 1, (0, 4, 0): -3, (24, 0, 24): big, (24, 8, 0): -big}
     b = {(0, 2, 0): 5, (24, 2, 24): -big, (24, -2, 0): big - 1}
     a, b = ({k[:nvars]: c for k, c in t.items()} for t in (a, b))
-    assert kronecker(a, b, 25) == (_mul_dict(a, b, 25, nvars), 51)
+    assert rows_product(a, b, 25) == (_mul_dict(a, b, 25, nvars), 51)
     assert 51 < (max(map(abs, _mul_dict(a, b, None, nvars).values())).bit_length() + 2) // 8
 
 
 @pytest.mark.parametrize("c, d", [(3, -5), (-(2**70), -(2**70)), (2**63 - 1, 1), (-(2**69), 1)])
 def test_packed_product_of_one_slot(c, d):
     key = (24, 6)
-    assert _Kronecker({key: c}, {key: d}, 24, 24, None).multiply() == {(48, 12): c * d}
+    assert _mul_rows({key: c}, {key: d}, 24, 24, None) == {(48, 12): c * d}
+
+
+def y_free(rows, start=0):
+    """A y-free series of rows terms from q**(start/24), like an eta power."""
+    return {(start + 24 * i, 0): (-1) ** i * (i + 1) for i in range(rows)}
+
+
+@pytest.mark.parametrize("a, b", [
+    # the lowest-q term is not the lowest y: the y origin is the lowest y of all terms
+    (grid(4, 4) | {(96, -40): 7, (120, -60): -5}, grid(3, 6, 2, 2) | {(72, -24): 3}),
+    (y_free(20), grid(4, 5, -3, 2)),  # a y-free operand on the left
+    (grid(4, 5, -3, 2), y_free(20, -24)),  # and on the right
+    # q-gaps, g = 48 from origins 5 and -19, and half-integral y on one side
+    ({(5 + 48 * i, 4 * j + 2): i - j for i in range(5) for j in range(5)},
+     {(-19 + 96 * i, 8 * j): i + j + 1 for i in range(4) for j in range(4)}),
+])
+@pytest.mark.parametrize("cut", [None, 2, 5])  # None: qprec=None; else rows below the window
+def test_packed_product_of_skewed_operands(a, b, cut):
+    """The rows route, forced and through Series.__mul__, equals the dict
+    loop on operands that are not weak-form shaped, on their exact product
+    and on windows that cut both operands."""
+    qprec = None if cut is None else min(a)[0] + min(b)[0] + 24 * cut
+    small, large = sorted((a, b), key=len)
+    want = _mul_dict(small, large, qprec, 2)
+    assert rows_product(a, b, qprec)[0] == want == rows_product(b, a, qprec)[0]
+    assert (Series(DEN2, a, None) * Series(DEN2, b, None)).truncate(qprec).terms == want
+
+
+def test_packed_products_of_the_phi01_build_equal_the_dict_loop(monkeypatch):
+    """Every rows product that _phi01_series makes at 100 q-orders, the
+    heat series times eta**-6 (a y-free factor) among them, equals the
+    dict loop."""
+    products = []
+    mul_rows = series._mul_rows
+
+    def recorded(a, b, qa, qb, qprec):
+        products.append((a, b, qprec, mul_rows(a, b, qa, qb, qprec)))
+        return products[-1][-1]
+
+    monkeypatch.setattr(series, "_mul_rows", recorded)
+    _phi01_series(24 * 100)
+    assert any(all(ly == 0 for _, ly in a) and len(b) > 2000 for a, b, _, _ in products)
+    for a, b, qprec, got in products:
+        assert got == _mul_dict(a, b, qprec, 2)
 
 
 @pytest.mark.parametrize("small, large, qprec, route", [
@@ -591,14 +645,17 @@ def test_packed_product_of_one_slot(c, d):
     (grid(4, 4), grid(4, 4), None, "packed"),  # 16 x 16 dense
     (grid(4, 4), grid(16, 16), None, "dict"),  # 16 <= sqrt(256): a sparse factor
     (grid(4, 4), grid(15, 17), None, "packed"),  # 16 > sqrt(255)
-    (grid(4, 4), grid(4, 4, -1, 2), 25, "dict"),  # the window keeps 48 of 256 pairs
+    (grid(4, 4), grid(4, 4, -1, 2), 25, "dict"),  # qprec 25 leaves 8 terms: below the gate
     (grid(16, 3, BIG), grid(16, 3, -BIG), None, "packed"),  # 52-byte slots
     (grid(4, 4, s=24), grid(4, 4, s=0), None, "dict"),  # 16 x 16 dense in (q, y, s)
+    # 256 pairs in a row of 481 y-slots: packed, as no cost rule declines a product
+    ({(0, 4 * j * j): j + 1 for j in range(16)}, {(0, 4 * j * j): -j for j in range(16, 0, -1)},
+     None, "packed"),
 ])
 def test_product_route_at_the_rule_boundary(monkeypatch, small, large, qprec, route):
     calls = []
-    multiply = _Kronecker.multiply
-    monkeypatch.setattr(_Kronecker, "multiply", lambda self: calls.append(1) or multiply(self))
+    mul_rows = series._mul_rows
+    monkeypatch.setattr(series, "_mul_rows", lambda *args: calls.append(1) or mul_rows(*args))
     nvars = len(next(iter(small)))
     den = DEN3 if nvars == 3 else DEN2
     a, b = Series(den, small, qprec), Series(den, large, qprec)
@@ -638,12 +695,12 @@ def series_sum(pairs, qprec, nvars):
 
 
 def packed_sum(pairs, qprec):
-    """The packed route for each product, whatever the route rule says,
+    """The rows route for each product, whatever the route gate says,
     added in a dict."""
     out = {}
     for a, b in pairs:
         if a and b:
-            for key, c in kronecker(*sorted((a, b), key=len), qprec)[0].items():
+            for key, c in rows_product(*sorted((a, b), key=len), qprec)[0].items():
                 out[key] = out.get(key, 0) + c
     return {key: c for key, c in out.items() if c}
 
@@ -679,7 +736,7 @@ def test_packed_sum_at_slot_widths_with_offsets_apart_mod_4(width, nvars):
     narrow = (grid(3, 5, -1, 2, s), grid(4, 2, 3, s=s))
     pairs = [wide, narrow]
     for qprec in (None, 49):
-        assert kronecker(*wide, qprec)[1] == width
+        assert rows_product(*wide, qprec)[1] == width
         want = dict_sum(pairs, qprec, nvars)
         assert series_sum(pairs, qprec, nvars) == want == packed_sum(pairs, qprec)
         cancel = pairs + [(a, {k: -c for k, c in b.items()}) for a, b in pairs]
