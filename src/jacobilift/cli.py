@@ -160,6 +160,10 @@ def _invariants_from_args(args):
 
 
 def cmd_genus(args):
+    # A chi vector that is not one of a CY d-fold's (Serre duality, the row
+    # shape: CYInvariants raises) is an input error, exit 2.  A well-formed
+    # one that fails a relation of relation_check is an identity failure,
+    # exit 3, with --json too.
     inv = _invariants_from_args(args)
     relations = relation_check(inv)
     broken = [k for k, (ok, _) in relations.items() if not ok]

@@ -16,7 +16,7 @@ from math import factorial, gcd, isqrt
 from .errors import PrecisionError, ValidationError
 from .genpoly import GeneratorPolynomial, _horner
 from .modular import e2_series, eta_power, kronecker
-from .series import DEN2, Series, _Rows, _unpack_rows, _weak_layout
+from .series import DEN2, Series, _min_prec, _Rows, _unpack_rows, _weak_layout
 
 
 class JacobiForm:
@@ -330,6 +330,11 @@ def _phi_threehalf_series(qprec):
     return Series(DEN2, terms, qprec + 1, _clean=True) * eta_power(-1, qprec)
 
 
+def _phi03_series(qprec):
+    form = phi_threehalf(qprec).series
+    return form * form
+
+
 def _phi04_series(qprec):
     num = theta_jacobi(qprec + 6, y_scale=3)
     den = theta_jacobi(qprec + 6)
@@ -417,33 +422,28 @@ def xi06(qprec):
 @_form_store
 def generator(m, qprec):
     """The canonical weight-0 generator of index m in {1,2,3,4,6,8,12}."""
-    if m == 1:
-        return JacobiForm(
-            _phi01_series(qprec), 0, 2, GeneratorPolynomial.generator(1)
-        )
-    if m == 2:
-        return JacobiForm(
-            _phi02_series(qprec), 0, 4, GeneratorPolynomial.generator(2)
-        )
-    if m == 3:
-        form = phi_threehalf(qprec)
-        return JacobiForm(
-            (form * form).series, 0, 6, GeneratorPolynomial.generator(3)
-        )
-    if m == 4:
-        return JacobiForm(
-            _phi04_series(qprec), 0, 8, GeneratorPolynomial.generator(4)
-        )
-    if m == 6:
-        p2, p3, p4 = (generator(i, qprec) for i in (2, 3, 4))
-        return p2 * p4 - p3 * p3
-    if m == 8:
-        p2, p4, p6 = (generator(i, qprec) for i in (2, 4, 6))
-        return p2 * p6 - p4 * p4
-    if m == 12:
-        p4, p6, p8 = (generator(i, qprec) for i in (4, 6, 8))
-        return p4 * p8 - p6 * p6 * 2
+    if m in (1, 2, 3, 4):
+        build = {1: _phi01_series, 2: _phi02_series, 3: _phi03_series, 4: _phi04_series}[m]
+        return JacobiForm(build(qprec), 0, 2 * m, GeneratorPolynomial.generator(m))
+    if m in (6, 8, 12):
+        *parts, x = {6: (2, 3, 4, 1), 8: (2, 4, 6, 1), 12: (4, 6, 8, 2)}[m]
+        return _packed_quadratic(*(generator(i, qprec) for i in parts), x)
     raise ValidationError(f"no canonical generator of index {m}")
+
+
+def _packed_quadratic(a, b, c, x):
+    """a c - x b**2 for weak forms of integral index and one precision, on
+    packed q-rows in the weak layouts (``_Rows``): each form is packed once
+    and the result read back once.  The slot width holds the same quadratic
+    of the forms' row l1 norms, |a||c| + x|b|**2."""
+    qprec, index2 = a.series.qprec, a.index2 + c.index2
+    packs = [(f.series.terms, _weak_layout(f.index2 // 2), -(-qprec // 24)) for f in (a, b, c)]
+    na, nb, nc = (_Rows(_Rows.norms(*p)) for p in packs)
+    width = (max((na * nc + nb * nb * x).rows).bit_length() + 8) // 8  # bytes, with a sign bit
+    ra, rb, rc = (_Rows.pack(*p, width) for p in packs)
+    terms = _unpack_rows((ra * rc + rb * rb * -x).rows, _weak_layout(index2 // 2), width)
+    poly = a.poly * c.poly - b.poly * b.poly * x
+    return JacobiForm._trusted(Series(DEN2, terms, qprec, _clean=True), 0, index2, poly)
 
 
 def polynomial_form(poly, qprec):
@@ -467,8 +467,23 @@ def polynomial_form(poly, qprec):
 # ---- the canonical basis (weight 0, integral index) ----------------------
 
 
-def _psi_tilde(m, qprec):
-    return basis_psi(m, 1, qprec) * gcd(12, m)
+def _combination(parts, m, qprec=None):
+    """sum x f over parts [(f, x)] of weight-0 forms of index m, below
+    the least of qprec and the parts' precisions, in one pass over the
+    terms; its polynomial is sum x f.poly, None when a part has none."""
+    qprec = _min_prec(qprec, *(f.series.qprec for f, _ in parts))
+    terms, poly = {}, GeneratorPolynomial()
+    for f, x in parts:
+        items = f.series.truncate(qprec).terms.items()
+        if not terms:
+            terms = {k: x * c for k, c in items}
+        else:
+            get = terms.get
+            for k, c in items:
+                terms[k] = get(k, 0) + x * c
+        poly = None if poly is None or f.poly is None else poly + f.poly * x
+    series = Series(DEN2, {k: c for k, c in terms.items() if c}, qprec, _clean=True)
+    return JacobiForm._trusted(series, 0, 2 * m, poly)
 
 
 # psi_m^(1) off the generators is sum_k x_k psi~_{m-k} phi_0k / d, with
@@ -481,13 +496,17 @@ _PSI1_LADDER = {
 }
 
 
+def _tilde_part(j, k, x, qprec):
+    """(psi~_j phi_0k, x) as a part of ``_combination``, gcd(12, j) taken into x."""
+    return basis_psi(j, 1, qprec) * generator(k, qprec), gcd(12, j) * x
+
+
 def _psi1_raw(m, qprec):
     if m in (1, 2, 3, 4, 6, 8, 12):
         return generator(m, qprec)
     d = gcd(12, m)
-    terms = [_psi_tilde(m - k, qprec) * (generator(k, qprec) * x)
-             for k, x in _PSI1_LADDER[d].items()]
-    return sum(terms[1:], terms[0]).scale_div(d)
+    parts = [_tilde_part(m - k, k, x, qprec) for k, x in _PSI1_LADDER[d].items()]
+    return _combination(parts, m, qprec).scale_div(d)
 
 
 def psi2_variant(m, qprec, variant="B"):
@@ -510,12 +529,9 @@ def psi2_variant(m, qprec, variant="B"):
 def _psi2_raw(m, qprec):
     if m in (2, 3, 4):
         return psi2_variant(m, qprec, "B")
-    t3 = _psi_tilde(m - 3, qprec)
-    t4 = _psi_tilde(m - 4, qprec)
-    tm = _psi_tilde(m, qprec)
-    p3 = generator(3, qprec)
-    p4 = generator(4, qprec)
-    return t3 * p3 - t4 * p4 - tm
+    parts = [_tilde_part(m - 3, 3, 1, qprec), _tilde_part(m - 4, 4, -1, qprec),
+             (basis_psi(m, 1, qprec), -gcd(12, m))]
+    return _combination(parts, m, qprec)
 
 
 def _psi_raw(m, n, qprec):
@@ -551,27 +567,23 @@ def basis_psi(m, n, qprec):
     row = raw.q_row(0)
     if row.get(4 * n, 0) != 1:
         raise ValidationError(f"raw basis element ({m},{n}) is not monic")
-    current = raw
+    parts = [(raw, 1)]
     for j in range(n - 1, 0, -1):
-        coeff = current.q_row(0).get(4 * j, 0)
-        lower = basis_psi(m, j, qprec)
+        coeff = row.get(4 * j, 0)
         if j == 1:
-            pivot = m // gcd(12, m)
-            k = coeff // pivot
-            if k:
-                current = current - k * lower
-        elif coeff:
-            current = current - coeff * lower
-    return current
+            coeff //= m // gcd(12, m)
+        if coeff:
+            lower = basis_psi(m, j, qprec)
+            parts.append((lower, -coeff))
+            for l4, c in lower.q_row(0).items():
+                row[l4] = row.get(l4, 0) - coeff * c
+    return _combination(parts, m)
 
 
 def basis_sum(m, coords, qprec):
     """sum_n coords[n] psi_m^(n) at qprec, its polynomial included."""
-    form = JacobiForm._trusted(Series.zero(DEN2, qprec), 0, 2 * m, GeneratorPolynomial())
-    for n, x in coords.items():
-        if x:
-            form = form + basis_psi(m, n, qprec) * x
-    return form
+    parts = [(basis_psi(m, n, qprec), x) for n, x in coords.items() if x]
+    return _combination(parts, m, qprec)
 
 
 # ---- the theta decomposition and Hecke operators ---------------------------

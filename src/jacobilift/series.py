@@ -460,6 +460,7 @@ class _Rows:
     s add under products and agree under sums, so the ring operations on
     rows below the precision are those of the series: a product row is a
     schoolbook sum over the row pairs, and no row past the last is formed.
+    A square (the same row list twice) forms each cross product once.
     The weak layout of index m (``_weak_layout``) holds the weak-form
     support 0 <= n, |l| <= m + 2n, which every weak form of index m has
     (4mn - l**2 >= -m**2)."""
@@ -504,6 +505,9 @@ class _Rows:
         if isinstance(other, int):
             return _Rows([other * r for r in a])
         b = other.rows
+        if b is a:  # a square: each cross product once, doubled, and the middle square
+            return _Rows([2 * sum(map(mul, a, a[k:k // 2:-1])) + (0 if k % 2 else a[k // 2] ** 2)
+                          for k in range(len(a))])
         return _Rows([sum(map(mul, a[:k + 1], b[k::-1])) for k in range(len(a))])
 
     __rmul__ = __mul__
@@ -512,16 +516,29 @@ class _Rows:
 def _unpack_rows(rows, layout, width):
     """The terms of packed rows in layout (q0, g, y0, h, s) whose
     coefficients lie below 2**(8 width - 1) in absolute value.  A row's top
-    nonzero slot is its bit length // (8 width)."""
+    nonzero slot is its bit length // (8 width).  The rows are joined on a
+    stack of runs, each run merged into the next one that is no shorter, so
+    that a slot is copied O(log rows) times, not once per row; a key is
+    built only for a nonzero slot."""
     q0, g, y0, h, s = layout
-    bits, joined, keys = 8 * width, 0, []
+    bits = 8 * width
+    stack, spans, total = [], [], 0
     for n, row in enumerate(rows):
-        joined += row << (bits * len(keys))
-        nq, ly = q0 + g * n, y0 - h * s * n
-        keys += [(nq, ly + h * u) for u in range(row.bit_length() // bits + 1 if row else 0)]
+        count = row.bit_length() // bits + 1 if row else 0
+        spans.append((q0 + g * n, y0 - h * s * n, total, total + count))
+        total += count
+        run, size = row, bits * count
+        while stack and stack[-1][1] <= size:
+            low, low_size = stack.pop()
+            run, size = low + (run << low_size), low_size + size
+        stack.append((run, size))
+    joined = 0
+    for low, low_size in reversed(stack):
+        joined = low + (joined << low_size)
     half = 1 << (bits - 1)
-    values = _read_slots(joined, len(keys), width)
-    return {key: v - half for key, v in zip(keys, values) if v != half}
+    values = _read_slots(joined, total, width)
+    return {(nq, ly + h * u): v - half for nq, ly, start, stop in spans
+            for u, v in enumerate(values[start:stop]) if v != half}
 
 
 def _mul_rows(a, b, qa, qb, qprec):

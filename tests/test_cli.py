@@ -64,6 +64,19 @@ def test_genus_d4_rejection(capsys):
     assert "e(M4) mod 6" in err
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_genus_invalid_chi_exit_codes(capsys, json_flag):
+    """A chi vector that breaks Serre duality is input (exit 2); a
+    well-formed one that fails a relation_check relation is an identity
+    failure (exit 3), with --json too."""
+    code, out, err = run(capsys, "genus", "--d", "3", "--chi", "1,0,0,1", *json_flag)
+    assert code == 2 and "Serre duality" in out + err
+    code, out, err = run(capsys, "genus", "--d", "4", "--chi", "1,0,0,0,1", *json_flag)
+    assert code == 3 and "second_moment" in out + err
+    if json_flag:
+        assert json.loads(out)["error"] == "identity"
+
+
 def test_genus_d5_euler(capsys):
     code, out, _ = run(capsys, "genus", "--d", "5", "--euler", "24",
                        "--qmax", "1", "--json")

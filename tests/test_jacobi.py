@@ -14,8 +14,11 @@ from jacobilift.errors import PrecisionError, ValidationError
 from jacobilift.genpoly import GeneratorPolynomial, _horner, parse_generator_polynomial
 from jacobilift.jacobi import (
     PACKED_MAX_ORDERS,
+    _PSI1_LADDER,
     JacobiForm,
+    _combination,
     _form_store,
+    _packed_quadratic,
     _phi_threehalf_series,
     basis_psi,
     decompose,
@@ -309,6 +312,160 @@ def test_basis_polynomials_evaluate_back():
     for m, n in cases:
         psi = basis_psi(m, n, 48)
         assert polynomial_form(psi.poly, 48).series == psi.series, (m, n)
+
+
+# ---- phi06/phi08/phi012 as one packed quadratic, and the Hermite reduction --
+
+QUADRATICS = {6: (2, 3, 4, 1), 8: (2, 4, 6, 1), 12: (4, 6, 8, 2)}
+
+
+@pytest.mark.parametrize("m", sorted(QUADRATICS))
+@pytest.mark.parametrize("orders", [1, 2, 10, 17, 40])
+def test_packed_quadratic_equals_series_products(m, orders):
+    """phi_0m = a c - x b**2 on packed q-rows equals the same quadratic by
+    Series.__mul__ and Series.__sub__ (b times a copy of itself, so that no
+    square route is taken): terms, q-precision and polynomial."""
+    qprec = 24 * orders
+    i, j, k, x = QUADRATICS[m]
+    a, b, c = (generator(n, qprec) for n in (i, j, k))
+    copy = Series(DEN2, dict(b.series.terms), b.series.qprec)
+    want = a.series * c.series - (b.series * copy).scale(x)
+    got = generator(m, qprec)
+    assert got.series.terms == want.terms and got.series.qprec == want.qprec == qprec
+    assert got.poly == a.poly * c.poly - b.poly * b.poly * x
+    assert (got.weight2, got.index2) == (0, 2 * m)
+
+
+@pytest.mark.parametrize("bits", [7, 15, 63, 71])
+@pytest.mark.parametrize("x", [1, 2])
+def test_packed_quadratic_slot_width_holds_the_extreme(bits, x):
+    """One-term forms a = K, c = -K and b = K with K**2 just below 2**bits:
+    a c - x b**2 = -(1 + x) K**2 is the extreme the slot width must hold,
+    past a width taken from |a||c| alone."""
+    k = isqrt((1 << bits) - 1)
+    a, b, c = (JacobiForm(Series(DEN2, {(0, 0): v}, 24), 0, 2, GEN(1)) for v in (k, k, -k))
+    got = _packed_quadratic(a, b, c, x)
+    assert got.series.terms == {(0, 0): -(1 + x) * k * k} and got.series.qprec == 24
+    assert got.poly == GEN(1) ** 2 * (1 - x)
+
+
+def test_quadratic_generators_make_no_series_product(monkeypatch):
+    """With its three operands stored, generator(6 | 8 | 12) makes no
+    Series product and reads its rows back once."""
+    from jacobilift import jacobi
+
+    clear_stores()
+    for n in (1, 2, 3, 4):
+        generator(n, QP)
+    products, reads = [], []
+    series_mul, unpack = Series.__mul__, jacobi._unpack_rows
+    monkeypatch.setattr(Series, "__mul__", lambda a, b: products.append(1) or series_mul(a, b))
+    monkeypatch.setattr(jacobi, "_unpack_rows",
+                        lambda *args: reads.append(args[1]) or unpack(*args))
+    for m in (6, 8, 12):
+        generator(m, QP)
+        assert products == [] and len(reads) == 1, m
+        reads.clear()
+    clear_stores()
+
+
+def old_basis(m, n, qprec, memo):
+    """psi_m^(n) by the sequential Hermite chain, an oracle for basis_psi:
+    the ladder and psi^(2) as sums of products, then one full-series scale
+    and subtraction per reduced coefficient, reading the q**0 row afresh
+    after each."""
+    if (m, n) in memo:
+        return memo[m, n]
+
+    def tilde(j):
+        return old_basis(j, 1, qprec, memo) * gcd(12, j)
+
+    if n == 1 and m not in (1, 2, 3, 4, 6, 8, 12):
+        d = gcd(12, m)
+        terms = [tilde(m - k) * (generator(k, qprec) * x) for k, x in _PSI1_LADDER[d].items()]
+        raw = sum(terms[1:], terms[0]).scale_div(d)
+    elif n == 1:
+        raw = generator(m, qprec)
+    elif n == 2 and m > 4:
+        raw = tilde(m - 3) * generator(3, qprec) - tilde(m - 4) * generator(4, qprec) - tilde(m)
+    elif n == 2:
+        raw = psi2_variant(m, qprec, "B")
+    elif n == m:
+        raw = polynomial_form(GEN(1) ** m, qprec)
+    elif n == m - 1:
+        raw = polynomial_form(GEN(1) ** (m - 2) * GEN(2), qprec)
+    else:
+        raw = generator(3, qprec) * old_basis(m - 3, n - 1, qprec, memo)
+    current = raw
+    for j in range(n - 1, 0, -1) if n >= 3 else ():
+        coeff = current.q_row(0).get(4 * j, 0)
+        if j == 1:
+            coeff //= m // gcd(12, m)
+        if coeff:
+            current = current - coeff * old_basis(m, j, qprec, memo)
+    memo[m, n] = current
+    return current
+
+
+@pytest.mark.parametrize("orders", [3, 6, 8])
+def test_basis_equals_the_sequential_hermite_chain(orders):
+    """Every psi_m^(n), m <= 12: terms, q-precision and polynomial."""
+    qprec, memo = 24 * orders, {}
+    for m in range(1, 13):
+        for n in range(1, m + 1):
+            got, want = basis_psi(m, n, qprec), old_basis(m, n, qprec, memo)
+            assert got.series == want.series and got.poly == want.poly, (m, n)
+            assert (got.weight2, got.index2) == (want.weight2, want.index2)
+
+
+def test_basis_makes_no_form_subtraction(monkeypatch):
+    """The basis is reduced on its q**0 row and each element built in one
+    pass: no JacobiForm.__sub__ call."""
+    clear_stores()
+    subtractions = []
+    sub = JacobiForm.__sub__
+    monkeypatch.setattr(JacobiForm, "__sub__", lambda a, b: subtractions.append(1) or sub(a, b))
+    for m in range(1, 16):
+        for n in range(1, m + 1):
+            basis_psi(m, n, 48)
+    assert subtractions == []
+    clear_stores()
+
+
+@st.composite
+def combination_parts(draw):
+    """Parts (form, x) of one index: q-precisions apart (or None), some
+    forms without a polynomial, scalars 0 and +-1 among them, and at times
+    the parts again with -x, which cancels the sum to nothing."""
+    m = draw(st.integers(1, 3))
+    keys = st.tuples(st.integers(0, 4).map(lambda n: 24 * n), st.integers(-5, 5).map(lambda l: 4 * l))
+    polys = st.one_of(st.none(), st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * 4), st.integers(-5, 5), max_size=3).map(GeneratorPolynomial))
+    parts = [
+        (JacobiForm(Series(DEN2, draw(st.dictionaries(keys, st.integers(-50, 50), max_size=12)),
+                           draw(st.one_of(st.none(), st.integers(1, 5).map(lambda n: 24 * n)))),
+                    0, 2 * m, draw(polys)),
+         draw(st.integers(-3, 3)))
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    if draw(st.booleans()):
+        parts += [(f, -x) for f, x in parts]
+    return m, parts, draw(st.one_of(st.none(), st.integers(1, 5).map(lambda n: 24 * n)))
+
+
+@given(combination_parts())
+@settings(max_examples=150, deadline=None)
+def test_combination_equals_sequential_sums(case):
+    """_combination(parts, m, qprec) equals the zero form at qprec plus
+    each x f in turn by JacobiForm + and *: terms, q-precision and
+    polynomial (None as soon as one part has none)."""
+    m, parts, qprec = case
+    want = JacobiForm._trusted(Series.zero(DEN2, qprec), 0, 2 * m, GeneratorPolynomial())
+    for f, x in parts:
+        want = want + f * x
+    got = _combination(parts, m, qprec)
+    assert got.series == want.series and got.poly == want.poly
+    assert (got.weight2, got.index2) == (0, 2 * m)
 
 
 def test_polynomial_reduction_keeps_the_form():

@@ -18,6 +18,7 @@ from jacobilift.series import (
     _min_prec,
     _mul_dict,
     _mul_rows,
+    _Rows,
     _unpack_rows,
     series_from_dict,
     series_to_dict,
@@ -741,3 +742,39 @@ def test_packed_sum_at_slot_widths_with_offsets_apart_mod_4(width, nvars):
         assert series_sum(pairs, qprec, nvars) == want == packed_sum(pairs, qprec)
         cancel = pairs + [(a, {k: -c for k, c in b.items()}) for a, b in pairs]
         assert series_sum(cancel, qprec, nvars) == {} == packed_sum(cancel, qprec)
+
+
+# ---- the _Rows square and the row read-back ----------------------------------
+
+ROW_VALUES = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-BIG, BIG))
+
+
+@given(st.lists(ROW_VALUES, max_size=6))
+def test_rows_square_equals_the_general_product(rows):
+    """A row list times itself (each cross product once, doubled) equals
+    the product of two equal lists and the plain convolution, for lists of
+    length 0 to 6 with zero and negative rows."""
+    a = _Rows(rows)
+    square = (a * a).rows
+    assert square == (a * _Rows(list(rows))).rows
+    assert square == [sum(rows[i] * rows[k - i] for i in range(k + 1)) for k in range(len(rows))]
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_unpack_rows_reads_back_what_was_packed(data):
+    """Terms packed on q-rows, some rows empty, slots of either sign at
+    every width from one byte to past a 64-bit word, read back to the same
+    terms; a key is built only for a nonzero slot."""
+    width = data.draw(st.integers(1, 10))
+    top = 1 << (8 * width - 1)
+    s = data.draw(st.integers(0, 2))
+    orders = data.draw(st.integers(1, 9))
+    terms = data.draw(st.dictionaries(
+        st.integers(0, orders - 1).flatmap(
+            lambda n: st.tuples(st.just(24 * n), st.integers(-8 - s * n, 8 + s * n))),
+        st.integers(-top + 1, top - 1).filter(bool), max_size=30))
+    layout = (0, 24, -8, 1, s)
+    rows = _Rows.pack(terms, layout, orders, width).rows
+    assert _unpack_rows(rows, layout, width) == terms
+
