@@ -126,13 +126,14 @@ class GeneratorPolynomial:
 
     def evaluate(self, values):
         """Evaluate against a 4-tuple of ring elements supporting + and *,
-        by nested Horner: the terms are grouped by their exponent of Phi1,
-        each group is evaluated in Phi2..Phi4 the same way, and the groups
-        are folded from the top exponent down, one product by Phi1 per
-        step.  At index 12 with every monomial present that is 61 products.
-        The empty polynomial gives None and a constant its int.
+        None for a generator the polynomial does not use, by nested Horner:
+        the terms are grouped by their exponent of Phi1, each group is
+        evaluated in Phi2..Phi4 the same way, and the groups are folded
+        from the top exponent down, one product by Phi1 per step.  At index
+        12 with every monomial present that is 61 products.  The empty
+        polynomial gives None and a constant its int.
 
-        Four JacobiForms go to jacobi.evaluate_packed, which runs the same
+        JacobiForms go to jacobi.evaluate_packed, which runs the same
         Horner on packed q-rows when it applies (weak forms of integral
         index at few enough q-orders) and gives the same form.
         jacobi.polynomial_form takes this route at the generators."""
@@ -140,7 +141,7 @@ class GeneratorPolynomial:
             return None
         from .jacobi import JacobiForm, evaluate_packed  # jacobi imports this module
 
-        if all(isinstance(v, JacobiForm) for v in values):
+        if all(v is None or isinstance(v, JacobiForm) for v in values):
             form = evaluate_packed(self, values)
             if form is not None:
                 return form

@@ -67,8 +67,12 @@ class JacobiForm:
         return max((self.series.qprec + 23) // 24, 0)
 
     def q_row(self, n):
-        """The q**n row as a dict {l4: coeff}."""
-        return {k[1]: c for k, c in self.series.q_slice(24 * n)}
+        """The q**n row as a dict {l4: coeff}, read in one pass over the
+        terms; PrecisionError at or past the form's precision."""
+        nq, qprec = 24 * n, self.series.qprec
+        if qprec is not None and nq >= qprec:
+            raise PrecisionError(f"q-exponent {nq} is beyond qprec {qprec}")
+        return {ly: c for (q, ly), c in self.series.terms.items() if q == nq}
 
     def theta_table(self):
         """The form's ``ThetaTable``, built on first use; forms do not change."""
@@ -228,18 +232,17 @@ def evaluate_packed(poly, values):
     norms = [None] * 4
     for i in used:
         form = values[i]
-        if form.series.qprec != qprec or form.index2 < 2 or form.index2 % 2:
+        m = form.index2 // 2
+        if (form.series.qprec != qprec or form.index2 < 2 or form.index2 % 2
+                or any(nq < 0 or abs(ly) > 4 * (m + 2 * (nq // 24)) for nq, ly in form.series.terms)):
             return None
-        norms[i] = rows = _Rows.norms(form.series.terms, _weak_layout(form.index2 // 2), orders)
-        if not rows or not rows[0]:
+        norms[i] = _Rows.norms(form.series.terms, _weak_layout(m), orders)
+        if not norms[i].rows[0]:
             return None
     size = {k: abs(c) for k, c in terms.items()}
-    bound = max(_horner(size, [None if rows is None else _Rows(rows) for rows in norms]).rows)
-    width = (bound.bit_length() + 8) // 8  # bytes, with a sign bit
-    packed = [None] * 4
-    for i in used:
-        form = values[i]
-        packed[i] = _Rows.pack(form.series.terms, _weak_layout(form.index2 // 2), orders, width)
+    width = _Rows.width(max(_horner(size, norms).rows))
+    packed = [_Rows.pack(v.series.terms, _weak_layout(v.index2 // 2), orders, width)
+              if i in used else None for i, v in enumerate(values)]
     (weight2, index2), = types
     series_terms = _unpack_rows(_horner(terms, packed).rows, _weak_layout(index2 // 2), width)
     polys = [None if v is None else v.poly for v in values]
@@ -438,8 +441,8 @@ def _packed_quadratic(a, b, c, x):
     of the forms' row l1 norms, |a||c| + x|b|**2."""
     qprec, index2 = a.series.qprec, a.index2 + c.index2
     packs = [(f.series.terms, _weak_layout(f.index2 // 2), -(-qprec // 24)) for f in (a, b, c)]
-    na, nb, nc = (_Rows(_Rows.norms(*p)) for p in packs)
-    width = (max((na * nc + nb * nb * x).rows).bit_length() + 8) // 8  # bytes, with a sign bit
+    na, nb, nc = (_Rows.norms(*p) for p in packs)
+    width = _Rows.width(max((na * nc + nb * nb * x).rows))
     ra, rb, rc = (_Rows.pack(*p, width) for p in packs)
     terms = _unpack_rows((ra * rc + rb * rb * -x).rows, _weak_layout(index2 // 2), width)
     poly = a.poly * c.poly - b.poly * b.poly * x
@@ -450,8 +453,7 @@ def polynomial_form(poly, qprec):
     """The weight-0 form poly(phi01, ..., phi04) at qprec, whose ``poly``
     is poly, which must be nonzero and index-homogeneous.  It is the nested
     Horner of GeneratorPolynomial.evaluate at the generators poly uses, no
-    other one built: on packed q-rows when evaluate_packed takes it, on the
-    forms otherwise.  The values carry no polynomial, so none is rebuilt."""
+    other one built.  The values carry no polynomial, so none is rebuilt."""
     index = poly.index()
     if not index:
         return unit_form(qprec) * poly.terms[(0, 0, 0, 0)]
@@ -460,8 +462,7 @@ def polynomial_form(poly, qprec):
         JacobiForm._trusted(generator(i + 1, qprec).series, 0, 2 * i + 2) if i in used else None
         for i in range(4)
     )
-    form = evaluate_packed(poly, values) or _horner(poly.terms, values)
-    return JacobiForm._trusted(form.series, 0, 2 * index, poly)
+    return JacobiForm._trusted(poly.evaluate(values).series, 0, 2 * index, poly)
 
 
 # ---- the canonical basis (weight 0, integral index) ----------------------

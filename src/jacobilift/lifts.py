@@ -210,7 +210,7 @@ def _lift_block(form):
         raise ValidationError("exponential lifts take integral-index forms")
     if form.index2 <= 0:
         raise ValidationError("exponential lifts need positive index")
-    q0 = {k[1]: c for k, c in form.series.q_slice(0)}
+    q0 = form.q_row(0)
     if any(q0.get(-ly) != c for ly, c in q0.items()):
         raise ValidationError("the q**0 row of a lift input must be even in y")
     thetas = {ly: c for ly, c in q0.items() if ly > 0}
@@ -256,13 +256,13 @@ def _fj_rows(form, sign, qprec, count):
     images = [table.tminus(k, nmax) for k in range(1, count + 1)]
     layouts = [_weak_layout(t * m) for m in range(count + 1)]
     # per-row l1 norms through the recursion bound every M H_M and image
-    norms = [_Rows(_Rows.norms(image, layouts[k], nmax + 1)) for k, image in enumerate(images, 1)]
+    norms = [_Rows.norms(image, layouts[k], nmax + 1) for k, image in enumerate(images, 1)]
     top, bounds = 0, [None]
     for m in range(1, count + 1):
         acc = sum((norms[k - 1] * bounds[m - k] for k in range(1, m)), norms[m - 1])
         top = max(top, *acc.rows)
         bounds.append(_Rows([v // m for v in acc.rows]))
-    width = (top.bit_length() + 8) // 8  # bytes, with a sign bit
+    width = _Rows.width(top)
     images = [_Rows.pack(image, layouts[k], nmax + 1, width) for k, image in enumerate(images, 1)]
     out, packed = [{(0, 0): 1}], [None]
     for m in range(1, count + 1):

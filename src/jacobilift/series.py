@@ -184,7 +184,7 @@ class Series:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b, qa, qb = b, a, qb, qa
-        if self.den == DEN2 and len(a) >= PACK_MIN_TERMS and len(a) ** 2 > len(b):
+        if self.den == DEN2 and len(a) >= PACK_MIN_TERMS:
             return Series(DEN2, _mul_rows(a, b, qa, qb, qprec), qprec, _clean=True)
         return Series(self.den, _mul_dict(a, b, qprec, len(self.den)), qprec, _clean=True)
 
@@ -206,21 +206,19 @@ class Series:
             if k < 0:
                 raise ZeroDivisionError("division by the zero series")
             return self if k else Series.const(1).truncate(self.qprec)
-        (q0, y0), coeffs = min(self.terms), self.terms.values()
+        q0, y0 = min(self.terms)
         g, h = (gcd(*(v - low for v in col)) for low, col in zip((q0, y0), zip(*self.terms)))
         places = [((nq - q0) // (g or 1), (ly - y0) // (h or 1)) for nq, ly in self.terms]
         last = max(n for n, _ in places)
-        norms = [0] * (last + 1)
-        for (n, _), c in zip(places, coeffs):
-            norms[n] += abs(c)
+        s = max([0] + [-(u // n) for n, u in places if n])
+        layout = (q0, g or 1, y0, h or 1, s)
+        norms = _Rows.norms(self.terms, layout, last + 1).rows
         if k < 0 and (norms[0] != 1 or self.qprec is None and last):
             raise InexactDivisionError(f"power {k} needs a lowest q-row +-y**a, one if exact")
         count = last * k + 1 if self.qprec is None or not g else (self.qprec - q0 - 1) // g + 1
-        s = max([0] + [-(u // n) for n, u in places if n])
         norms = norms if k > 0 else [1] + [-v for v in norms[1:]]
-        top = max(_miller(norms, k, count, norms[0] ** abs(k))) if h else 0
-        width = (top.bit_length() + 8) // 8  # bytes, with a sign bit
-        rows = _Rows.pack(self.terms, (q0, g or 1, y0, h or 1, s), last + 1, width).rows
+        width = _Rows.width(max(_miller(norms, k, count, norms[0] ** abs(k))) if h else 0)
+        rows = _Rows.pack(self.terms, layout, last + 1, width).rows
         out = _miller(rows, k, count, rows[0] ** abs(k))
         terms = (_unpack_rows(out, (k * q0, g or 1, k * y0, h, s), width)
                  if h else {(k * q0 + g * n, k * y0): c for n, c in enumerate(out) if c})
@@ -395,9 +393,11 @@ def _divide_row(row, divisor, level):
     return quot
 
 
-# A Z-product whose smaller operand has fewer terms, or at most the square
-# root of the larger's (a sparse factor), stays on the dict loop; every
-# other (q, y) product runs on packed q-rows (``_mul_rows``).
+# A Z-product whose smaller operand has fewer terms stays on the dict loop;
+# every other (q, y) product runs on packed q-rows (``_mul_rows``).  A sparse
+# factor can lose there (theta times phi01 at 401 orders: 0.87 s, 0.74 s on
+# the dict loop, shared 2-core host), but the package's own products with one
+# are rare and gain (in e_form under a wide y-window: 0.57 against 0.87 ms).
 PACK_MIN_TERMS = 16
 
 
@@ -471,19 +471,21 @@ class _Rows:
         self.rows = rows
 
     @staticmethod
-    def norms(terms, layout, orders):
-        """The l1 norms of the rows n < orders of terms {(nq, ly): c}, or
-        None when a term lies outside them or outside its row's band, from
-        the row's origin y0 - h s n to its mirror (|l| <= m + 2n in the
-        weak layout of index m)."""
-        q0, g, y0, h, s = layout
+    def width(bound):
+        """The slot width in bytes, with a sign bit, for |coefficients| <= bound."""
+        return (bound.bit_length() + 8) // 8
+
+    @classmethod
+    def norms(cls, terms, layout, orders):
+        """The l1 norms of the rows n < orders of terms {(nq, ly): c} in the
+        layout, as rows: a sum or product of rows has at most the sum or
+        product of their norms, which bounds its coefficients."""
+        q0, g = layout[:2]
         rows = [0] * orders
-        for (nq, ly), c in terms.items():
-            n = (nq - q0) // g
-            if n < 0 or n >= orders or abs(ly) > h * s * n - y0:
-                return None
-            rows[n] += abs(c)
-        return rows
+        for (nq, _), c in terms.items():
+            if (n := (nq - q0) // g) < orders:
+                rows[n] += abs(c)
+        return cls(rows)
 
     @classmethod
     def pack(cls, terms, layout, orders, width):
@@ -557,17 +559,11 @@ def _mul_rows(a, b, qa, qb, qprec):
     orders = (max(a)[0] - qa + max(b)[0] - qb) // g + 1
     if qprec is not None:
         orders = min(orders, (qprec - qa - qb - 1) // g + 1)
-    norms = []
-    for terms, (q0, _) in zip((a, b), lows):
-        rows = [0] * orders
-        for (nq, _), c in terms.items():
-            if (n := (nq - q0) // g) < orders:
-                rows[n] += abs(c)
-        norms.append(_Rows(rows))
-    width = (max((norms[0] * norms[1]).rows).bit_length() + 8) // 8
     (q0a, y0a), (q0b, y0b) = lows
-    rows = _Rows.pack(a, (q0a, g, y0a, h, 0), orders, width)
-    rows *= rows if b is a else _Rows.pack(b, (q0b, g, y0b, h, 0), orders, width)
+    la, lb = (q0a, g, y0a, h, 0), (q0b, g, y0b, h, 0)
+    width = _Rows.width(max((_Rows.norms(a, la, orders) * _Rows.norms(b, lb, orders)).rows))
+    rows = _Rows.pack(a, la, orders, width)
+    rows *= rows if b is a else _Rows.pack(b, lb, orders, width)
     return _unpack_rows(rows.rows, (qa + qb, g, y0a + y0b, h, 0), width)
 
 

@@ -270,6 +270,25 @@ def test_phi01_q1_row():
     assert generator(1, QP).q_row(1) == GOLDEN_Q1_ROWS[1]
 
 
+@pytest.mark.parametrize("qprec", [1, 67, 72, None])
+def test_q_row_below_and_at_the_precision(qprec):
+    """Below the form's precision q_row(n) is the q**n row filtered from
+    the terms, as Series.q_slice reads it, and the rows together are the
+    whole series; at or past the precision it raises PrecisionError, and an
+    exact form has empty rows past its last."""
+    form = JacobiForm(Series(DEN2, generator(2, 72).series.terms, qprec), 0, 4)
+    stop = 3 if qprec is None else -(-qprec // 24)
+    rows = [form.q_row(n) for n in range(stop)]
+    assert rows == [{k[1]: c for k, c in form.series.q_slice(24 * n)} for n in range(stop)]
+    assert {(24 * n, ly): c for n, row in enumerate(rows) for ly, c in row.items()} == form.series.terms
+    if qprec is None:
+        assert form.q_row(stop) == {}
+        return
+    for n in (stop, stop + 1):
+        with pytest.raises(PrecisionError, match=f"q-exponent {24 * n} is beyond qprec {qprec}"):
+            form.q_row(n)
+
+
 def test_ring_relation_phi04():
     p1, p2, p3, p4 = (generator(m, QP) for m in (1, 2, 3, 4))
     assert (p1 * p3 - p2 * p2).same_terms(4 * p4)
@@ -874,6 +893,12 @@ def outside_support(qprec):
     return JacobiForm(Series(DEN2, {(0, 0): 1, (24, 16): 1}, qprec), 0, 2)
 
 
+def below_q0(qprec):
+    """An index-2 'form' with a term at q**-1, outside n >= 0 though inside
+    |l| <= m + 2n."""
+    return JacobiForm(Series(DEN2, {(-24, 0): 1, (0, 0): 1}, qprec), 0, 4)
+
+
 def exact_phi01(qprec):
     return JacobiForm(Series(DEN2, generator(1, qprec).series.terms, None), 0, 2)
 
@@ -885,6 +910,7 @@ PACKED_FALLBACKS = {
     "half-integral index": (GEN(1) ** 2, lambda: {0: phi_threehalf(48)}),
     "index 0": (GEN(1) * GEN(2), lambda: {0: unit_form(48)}),
     "term outside the support": (GEN(1) ** 2 * GEN(2), lambda: {0: outside_support(48)}),
+    "term below q^0": (GEN(1) * GEN(2), lambda: {1: below_q0(48)}),
     "no q^0 row": (GEN(1) * GEN(2), lambda: {0: xi06(48)}),
     "more than PACKED_MAX_ORDERS rows": (
         GEN(1) * GEN(2),

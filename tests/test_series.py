@@ -641,11 +641,43 @@ def test_packed_products_of_the_phi01_build_equal_the_dict_loop(monkeypatch):
         assert got == _mul_dict(a, b, qprec, 2)
 
 
+def test_sparse_factor_products_pack(monkeypatch):
+    """theta times phi01 at 40 orders, a sparse factor of 18 terms (at
+    least 16, its square at most the other's 678), goes through
+    Series.__mul__ on the rows and equals the dict loop."""
+    from jacobilift.jacobi import theta_jacobi
+
+    theta, phi = theta_jacobi(24 * 40), _phi01_series(24 * 40)
+    calls = []
+    mul_rows = series._mul_rows
+    monkeypatch.setattr(series, "_mul_rows", lambda *args: calls.append(1) or mul_rows(*args))
+    assert 16 <= len(theta.terms) and len(theta.terms) ** 2 <= len(phi.terms)
+    for prod in (theta * phi, phi * theta):
+        assert prod.terms == _mul_dict(theta.terms, phi.terms, prod.qprec, 2)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("bound", [0, 1, 127, 128, 255, 2**15 - 1, 2**15, 3**200])
+def test_slot_width_holds_the_bound_with_a_sign_bit(bound):
+    """The least whole number of bytes whose signed range holds +-bound."""
+    width = _Rows.width(bound)
+    assert bound < 2 ** (8 * width - 1)
+    assert width == 1 or bound >= 2 ** (8 * width - 9)
+
+
+def test_row_norms_skip_rows_past_orders():
+    """Row l1 norms in a layout, rows from its origin q0 in steps of g,
+    with no band test: a term far out in y counts, a row past orders does not."""
+    terms = {(5, 0): 3, (5, 400): -4, (53, -8): -1, (53, 8): 2, (101, 0): 7}
+    assert _Rows.norms(terms, (5, 48, 0, 4, 0), 2).rows == [7, 3]
+    assert _Rows.norms(terms, (5, 48, 0, 4, 0), 4).rows == [7, 3, 7, 0]
+
+
 @pytest.mark.parametrize("small, large, qprec, route", [
     (grid(3, 5), grid(3, 5), None, "dict"),  # 15 terms: below the size gate
     (grid(4, 4), grid(4, 4), None, "packed"),  # 16 x 16 dense
-    (grid(4, 4), grid(16, 16), None, "dict"),  # 16 <= sqrt(256): a sparse factor
-    (grid(4, 4), grid(15, 17), None, "packed"),  # 16 > sqrt(255)
+    (grid(4, 4), grid(16, 16), None, "packed"),  # 16 = sqrt(256): a sparse factor packs too
+    (grid(4, 4), grid(15, 17), None, "packed"),  # 16 x 255
     (grid(4, 4), grid(4, 4, -1, 2), 25, "dict"),  # qprec 25 leaves 8 terms: below the gate
     (grid(16, 3, BIG), grid(16, 3, -BIG), None, "packed"),  # 52-byte slots
     (grid(4, 4, s=24), grid(4, 4, s=0), None, "dict"),  # 16 x 16 dense in (q, y, s)
