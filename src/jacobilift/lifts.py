@@ -20,19 +20,18 @@ image is read, on the window's rows only, from the input's
 theta-decomposition table (``jacobi.ThetaTable``: c(n, l) by
 D = 4tn - l**2 and l mod 2t), which each form builds once, and the
 recursion runs on packed q-rows (``series._Rows``), one integer per
-q-row, with each image and each H_M packed once.  That layout holds the
-weak-form support n >= 0, l**2 <= 4tn + t**2, and the table refuses an
-input term outside it.  The s**0 part F_0 of the lift is the theta block
-eta^(c(0,0) - sum_{l>0} c(0,l)) prod_{l>0} theta(tau, l z)^c(0,l)
+q-row: each image is packed once, and each H_M stays packed.  That layout
+holds the weak-form support n >= 0, l**2 <= 4tn + t**2, and the table
+refuses an input term outside it.  The s**0 part F_0 of the lift is the
+theta block eta^(c(0,0) - sum_{l>0} c(0,l)) prod_{l>0} theta(tau, l z)^c(0,l)
 (Gritsenko-Nikulin), and the Hodge anomaly is one too.  By the triple
 product each theta unit is (1 - y^-lam) B_lam with B_lam finite at each
 q-order (``_theta_rest``), so every lift, F_0 and anomaly here is the
 monomial of ``_block_lead`` times R = prod (1 - y^-lam)^c_lam times an
 exact series, built by one route (``_block_rest``, ``_assemble``); its
 theta powers are keyed by the y-step 4 lam.  R is infinite when some
-c_lam < 0; ``_y_factor`` multiplies it in, clipped to |ly| <= ``ywindow``
-around the monomial, and is the one place a y-window is applied.  Every
-term it returns is exact.
+c_lam < 0; ``_assemble`` then clips it to |ly| <= ``ywindow`` around the
+monomial, the one place a y-window is applied.  Every term is exact.
 """
 
 from fractions import Fraction
@@ -142,21 +141,15 @@ def _block_rest(eta_exp, thetas, rel):
     return g
 
 
-def _y_factor(series, thetas, ywindow):
-    """The (q, y) series times R = prod_lam (1 - y^-lam)^thetas[4 lam],
-    clipped to |ly| <= ywindow: the one step that applies a y-window.  R
-    only lowers ly, so the terms below -ywindow are dropped first and R is
-    expanded by binomials down to ywindow past the top ly of the series;
-    each returned term then sums every product that reaches it, so it is
-    exact.  Without a window R must be a polynomial, else PrecisionError."""
-    if ywindow is None:
+def _y_factor(thetas, depth=None):
+    """R = prod_lam (1 - y^-lam)^thetas[4 lam] on ly >= -depth, expanded by
+    binomials factor by factor.  R only lowers ly, so each partial product
+    clipped to that depth is exact on it.  With no depth R must be a
+    polynomial, and is returned whole; else PrecisionError."""
+    if depth is None:
         if any(c < 0 for c in thetas.values()):
             raise PrecisionError("a negative theta power has unbounded y-support; supply a ywindow")
         depth = sum(step * c for step, c in thetas.items())
-    else:
-        terms = {k: c for k, c in series.terms.items() if k[1] >= -ywindow}
-        series = Series(DEN2, terms, series.qprec, _clean=True)
-        depth = ywindow + max((k[1] for k in terms), default=0)
     factor = Series.const(1)
     for step, c in thetas.items():
         binomial, a, j = {}, 1, 0
@@ -165,8 +158,7 @@ def _y_factor(series, thetas, ywindow):
             j += 1
             a = a * (j - 1 - c) // j
         factor = (factor * Series(DEN2, binomial, None, _clean=True)).clip_y(depth)
-    product = series * factor
-    return product if ywindow is None else product.clip_y(ywindow)
+    return factor
 
 
 def _block_lead(eta_exp, thetas):
@@ -222,9 +214,10 @@ def _prefactor_key(form):
     return _block_lead(*_lift_block(form)[1:])
 
 
-def _fj_rows(form, sign, qprec, count):
+def _fj_rows(form, sign, qprec, count, factor=None):
     """The s-rows H_0..H_count of exp(sign * sum_k s^k (form|T_-(k))/k),
-    as (q, y) series below qprec (none when count < 0):
+    each times the (q, y) series factor when one is given, as (q, y) series
+    below qprec (none when count < 0):
 
         H_0 = 1,    H_M = (sign/M) sum_{k=1..M} (form|T_-(k)) H_{M-k}
 
@@ -233,11 +226,15 @@ def _fj_rows(form, sign, qprec, count):
     ``jacobi.ThetaTable``, built once per form; its furthest class sits at
     q-order k*nmax, so the input must reach that q-order, else
     PrecisionError.  Each I_k, of index tk, is packed once; M H_M, the
-    schoolbook sum of the row products I_k H_{M-k}, is read back once,
-    divided by M exactly coefficient by coefficient (else
-    InexactDivisionError naming the row and the key), and H_M is packed
-    once.  One slot width serves the recursion: the images' per-row l1
-    norms, carried through the same recursion, bound every M H_M.
+    schoolbook sum of the row products I_k H_{M-k}, is read back once and
+    checked to divide by M slot by slot (else InexactDivisionError naming
+    the row and the key), so its packed rows divided by M as integers are
+    H_M's, in the same layout and width.  A factor (integral index, q-keys
+    24n with n >= 0, y-keys in 4Z) is packed once in the slope-2 layout
+    from y0 = min(ly + 8n), which adds to the weak layouts, and each
+    factor H_M is read back once.  One slot width serves the call: the
+    images' per-row l1 norms, carried through the recursion, bound every
+    M H_M and, times the factor's, every factor H_M.
 
     The table refuses an input term outside the weak-form support n >= 0,
     l**2 <= 4tn + t**2 of index t, and two terms of one class with
@@ -257,20 +254,26 @@ def _fj_rows(form, sign, qprec, count):
     layouts = [_weak_layout(t * m) for m in range(count + 1)]
     # per-row l1 norms through the recursion bound every M H_M and image
     norms = [_Rows.norms(image, layouts[k], nmax + 1) for k, image in enumerate(images, 1)]
+    if factor is not None:
+        factor = factor.truncate(qprec).terms
+        y0 = min(ly + nq // 3 for nq, ly in factor)
+        fnorms = _Rows.norms(factor, (0, 24, y0, 4, 2), nmax + 1)
     top, bounds = 0, [None]
     for m in range(1, count + 1):
         acc = sum((norms[k - 1] * bounds[m - k] for k in range(1, m)), norms[m - 1])
-        top = max(top, *acc.rows)
         bounds.append(_Rows([v // m for v in acc.rows]))
+        top = max(top, *acc.rows, *(() if factor is None else (fnorms * bounds[m]).rows))
     width = _Rows.width(top)
     images = [_Rows.pack(image, layouts[k], nmax + 1, width) for k, image in enumerate(images, 1)]
     out, packed = [{(0, 0): 1}], [None]
+    if factor is not None:
+        out[0], factor = factor, _Rows.pack(factor, (0, 24, y0, 4, 2), nmax + 1, width)
     for m in range(1, count + 1):
         acc = sum((images[k - 1] * packed[m - k] for k in range(1, m)), images[m - 1])
         terms = _row_over(_unpack_rows(acc.rows, layouts[m], width), m, sign)
-        out.append(terms)
-        if m < count:
-            packed.append(_Rows.pack(terms, layouts[m], nmax + 1, width))
+        packed.append(_Rows([sign * (v // m) for v in acc.rows]))
+        out.append(terms if factor is None else
+                   _unpack_rows((factor * packed[m]).rows, (0, 24, y0 - 4 * t * m, 4, 2), width))
     if form.index2 % 2:
         out = [{(nq, ly // 2): c for (nq, ly), c in row.items()} for row in out]
     return [Series(DEN2, row, qprec, _clean=True) for row in out]
@@ -279,38 +282,58 @@ def _fj_rows(form, sign, qprec, count):
 def _row_over(terms, m, sign=1):
     """sign * terms / m for Fourier-Jacobi row m, exactly, else
     InexactDivisionError naming the row and the key."""
-    quots = {key: divmod(c, m) for key, c in terms.items()}
-    for key, (_, rem) in quots.items():
-        if rem:
-            raise InexactDivisionError(f"Fourier-Jacobi row {m}: coefficient {terms[key]} at "
+    for key, c in terms.items():
+        if c % m:
+            raise InexactDivisionError(f"Fourier-Jacobi row {m}: coefficient {c} at "
                                        f"{key} is not divisible by {m}")
-    return {key: sign * quot for key, (quot, _) in quots.items()}
+    return {key: sign * (c // m) for key, c in terms.items()}
 
 
 def _lift_parts(form, qprec, sprec):
     """exp_lift(form) = q^A y^B s^C R G sum_M H_M s^{tM} taken apart as
     (pref, thetas, G, rows, t): the key of q^A y^B s^C, the powers
-    thetas[4l] = c(0, l) of R = prod_{l>0} (1 - y^-l)^c(0,l), and G and the
-    rows H_M below the q-precision left past q^A."""
+    thetas[4l] = c(0, l) of R = prod_{l>0} (1 - y^-l)^c(0,l), G and
+    rows(factor) = [factor H_M] below the q-precision left past q^A."""
     t, eta_exp, thetas = _lift_block(form)
     pref = _block_lead(eta_exp, thetas)
     pq, ps = qprec - pref[0], sprec - pref[2]
     if pq <= 0 or ps <= 0:
         raise PrecisionError("requested precision does not reach the leading term")
     g = _block_rest(eta_exp, thetas, pq)
-    return pref, thetas, g, _fj_rows(form, -1, pq, (ps - 1) // (24 * t)), t
+    return pref, thetas, g, lambda factor: _fj_rows(form, -1, pq, (ps - 1) // (24 * t), factor), t
 
 
 def _assemble(lead, thetas, g, rows, t, ywindow):
-    """The triple series q^lead R G sum_M rows[M] s^{tM}, with the
-    y-factor R = prod (1 - y^-lam)^thetas[4 lam] multiplied into each G H_M
-    by ``_y_factor``; its q-precision is that of G past the lead."""
+    """The triple series q^lead R G sum_M H_M s^{tM}, R = prod
+    (1 - y^-lam)^thetas[4 lam], rows(factor) the rows factor H_M (H_M for
+    None), with the q-precision of G past the lead.  With no ywindow R must
+    be a polynomial (``_y_factor``), and F_0 = R G goes to rows.  Under one,
+    R is expanded once, to ywindow past the top ly of G plus that of the
+    rows, and each G H_M takes its clip of it (``_clipped``), one at a
+    time."""
+    if ywindow is None:
+        parts = rows(g * _y_factor(thetas))
+    else:
+        hs = rows(None)
+        tops = [max((ly for _, ly in row.terms), default=0) for row in (g, *hs)]
+        r = _y_factor(thetas, ywindow + tops[0] + max(tops[1:], default=0))
+        parts = (_clipped(g * row, r, ywindow) for row in hs)
     terms = {}
-    for m, row in enumerate(rows):
-        part = _y_factor(g * row, thetas, ywindow)
+    for m, part in enumerate(parts):
         ms = 24 * t * m + lead[2]
         terms.update({(nq + lead[0], ly + lead[1], ms): c for (nq, ly), c in part.terms.items()})
     return Series(DEN3, terms, g.qprec + lead[0], _clean=True)
+
+
+def _clipped(product, r, ywindow):
+    """product R on |ly| <= ywindow, with r = R on ly >= -depth for a depth
+    at least ywindow past product's top ly.  R only lowers ly, so the terms
+    of product below -ywindow are dropped and r is clipped to ywindow past
+    the top ly left; each term returned sums every product that reaches it,
+    so it is exact."""
+    terms = {k: c for k, c in product.terms.items() if k[1] >= -ywindow}
+    depth = ywindow + max((k[1] for k in terms), default=0)
+    return (Series(DEN2, terms, product.qprec, _clean=True) * r.clip_y(depth)).clip_y(ywindow)
 
 
 def exp_lift(form, qprec, sprec, ywindow=None):
@@ -326,10 +349,10 @@ def exp_lift(form, qprec, sprec, ywindow=None):
     part, the theta block eta^(c(0,0) - sum_{l>0} c(0,l))
     prod_{l>0} theta(tau, l z)^c(0,l) divided by q^A y^B, and H_M are the
     Fourier-Jacobi rows of the module's recursion, exact and finite.
-    F_0 = R G with R = prod_{l>0} (1 - y^-l)^c(0,l), and ``_y_factor``
-    multiplies R into each exact product G H_M: with a negative c(0, l) it
-    takes a ``ywindow``, and every term on |ly| <= ywindow around q^A y^B is
-    returned exact.
+    With no ``ywindow``, F_0 = R G, R = prod_{l>0} (1 - y^-l)^c(0,l), is
+    multiplied into the rows on packed rows (``_fj_rows``).  R is infinite
+    when some c(0, l) < 0, and then a ywindow is needed: each term on
+    |ly| <= ywindow around q^A y^B is returned exact (``_assemble``).
     """
     _check_ywindow(ywindow)
     pref, thetas, g, rows, t = _lift_parts(form, qprec, sprec)
@@ -403,12 +426,14 @@ def exp_lift_homomorphic(pairs, qprec, sprec, ywindow=None):
         pref = tuple(v + a * w for v, w in zip(pref, pref_i))
         for step, c in thetas_i.items():
             thetas[step] = thetas.get(step, 0) + a * c
+        rows_i = rows_i(None)
         g, rows_i = g * g_i ** a, _miller(rows_i, a, len(rows_i), rows_i[0], lambda acc, m: Series(
             DEN2, _row_over(acc.terms, m), acc.qprec, _clean=True), Series.zero(DEN2))
         rows = rows_i if rows is None else _rows_mul(rows, rows_i)
     thetas = {step: c for step, c in thetas.items() if c}
-    count = (sprec - pref[2] - 1) // (24 * t)
-    series = _assemble(pref, thetas, g, rows[:max(count + 1, 0)], t, ywindow)
+    rows = rows[:max((sprec - pref[2] - 1) // (24 * t) + 1, 0)]
+    series = _assemble(pref, thetas, g, lambda factor: rows if factor is None else [
+        factor * row for row in rows], t, ywindow)
     weight2 = sum(a * form.series.coeff((0, 0)) for form, a in pairs)
     return SiegelSeries(series, weight2, 24 // gcd(24, pref[0]), t)
 
@@ -476,7 +501,7 @@ def _anomaly_block(inv):
 def _anomaly_times(inv, qprec, sprec, ywindow, t, genus):
     """The Hodge anomaly of inv, times the second-quantized genus of its
     elliptic genus (p -> s^t) when genus is set, as a SiegelSeries of index
-    t: q^lead R G sum_M rows[M] s^(tM) (``_assemble``) with the rows [1] or
+    t: q^lead R G sum_M H_M s^(tM) (``_assemble``) with the one row 1 or
     those of ``sqeg`` below the windows past the lead; empty when the lead
     does not lie below (qprec, sprec)."""
     _check_ywindow(ywindow)
@@ -485,10 +510,12 @@ def _anomaly_times(inv, qprec, sprec, ywindow, t, genus):
     rel, ps = qprec - lead[0], sprec - lead[2]
     series = Series(DEN3, {}, qprec, _clean=True)
     if rel > 0 and ps > 0:
-        rows = [1]
-        if genus:
+        def rows(factor):
+            if not genus:
+                return [Series.const(1) if factor is None else factor]
             chi = elliptic_genus(inv, qprec=_input_qprec(rel, ps, t))
-            rows = _fj_rows(chi, 1, rel, (ps - 1) // (24 * t))
+            return _fj_rows(chi, 1, rel, (ps - 1) // (24 * t), factor)
+
         series = _assemble(lead, thetas, _block_rest(eta_exp, thetas, rel), rows, t, ywindow)
     return SiegelSeries(series, *meta, t)
 
@@ -509,7 +536,7 @@ def hodge_anomaly(inv, qprec, sprec, ywindow=None):
     by requiring that H times the second-quantized genus reproduce the
     exponential lift of minus the elliptic genus; see the factorization
     check.)  Under a ``ywindow`` the terms on |ly| <= ywindow around the
-    leading monomial are returned, each exact (``_y_factor``).  The
+    leading monomial are returned, each exact (``_assemble``).  The
     series is empty when its s-exponent ms is not below sprec."""
     index_t = inv.d // 2 if inv.d % 2 == 0 else 2 * inv.d
     return _anomaly_times(inv, qprec, sprec, ywindow, index_t, False)
@@ -538,9 +565,8 @@ def e_form(inv, qprec, sprec, ywindow=None):
 
 def factorization_product(inv, qprec, sprec, ywindow=None):
     """Hodge anomaly times the second-quantized genus, with the p-grading
-    rescaled to the paramodular s-lattice (p -> s^t).  The anomaly's
-    y-factor is multiplied once (``_y_factor``) into the exact product of
-    its G with the rows of ``sqeg``, on the windows past its monomial."""
+    rescaled to the paramodular s-lattice (p -> s^t), on the windows past
+    the anomaly's monomial (``_assemble``)."""
     if inv.d % 2 != 0:
         raise ValidationError("the factorization product is assembled for even d")
     return _anomaly_times(inv, qprec, sprec, ywindow, inv.d // 2, True)

@@ -547,20 +547,21 @@ def _mul_rows(a, b, qa, qb, qprec):
     """The product below qprec of (q, y) term dicts a and b, whose lowest
     q-keys are qa and qb, on ``_Rows``.  Each operand takes the layout
     (its lowest q, g, its lowest y, h, 0), with g and h the gcd steps of
-    both operands' exponents, and the product the sum of the two layouts;
+    both operands' exponents, read off their distinct q-levels and
+    y-exponents, and the product the sum of the two layouts;
     only its rows below qprec are formed.  A coefficient of product row k
     is at most sum_{i+j=k} |a_i|_1 |b_j|_1, the product of the operands'
     row l1 norms, and the slot width holds that."""
     if qprec is not None and qa + qb >= qprec:
         return {}
-    lows = [(qa, min(ly for _, ly in a)), (qb, min(ly for _, ly in b))]
-    g, h = (gcd(*(key[i] - low[i] for terms, low in zip((a, b), lows) for key in terms)) or 1
-            for i in (0, 1))
-    orders = (max(a)[0] - qa + max(b)[0] - qb) // g + 1
+    (qsa, ysa), (qsb, ysb) = (({nq for nq, _ in t}, {ly for _, ly in t}) for t in (a, b))
+    y0a, y0b = min(ysa), min(ysb)
+    g = gcd(*(v - qa for v in qsa), *(v - qb for v in qsb)) or 1
+    h = gcd(*(v - y0a for v in ysa), *(v - y0b for v in ysb)) or 1
+    orders = (max(qsa) - qa + max(qsb) - qb) // g + 1
     if qprec is not None:
         orders = min(orders, (qprec - qa - qb - 1) // g + 1)
-    (q0a, y0a), (q0b, y0b) = lows
-    la, lb = (q0a, g, y0a, h, 0), (q0b, g, y0b, h, 0)
+    la, lb = (qa, g, y0a, h, 0), (qb, g, y0b, h, 0)
     width = _Rows.width(max((_Rows.norms(a, la, orders) * _Rows.norms(b, lb, orders)).rows))
     rows = _Rows.pack(a, la, orders, width)
     rows *= rows if b is a else _Rows.pack(b, lb, orders, width)

@@ -421,10 +421,11 @@ def test_lifts_refuse_an_input_one_order_short():
         sqeg(elliptic_genus(K3, qprec=need - 24), qprec, pprec)
 
 
-def fj_rows_oracle(form, sign, qprec, count):
+def fj_rows_oracle(form, sign, qprec, count, factor=None):
     """The Fourier-Jacobi rows H_0..H_count by the engine the packed rows
     replaced: each T_-(k) image the per-term scan, each H_M a Series, each
-    row's sum over k a sum of Series products, divided by M exactly."""
+    row's sum over k a sum of Series products, divided by M exactly; with
+    a factor, each row times it as a Series product."""
     half = form.index2 % 2
     if half:
         form = form.double_z()
@@ -445,7 +446,7 @@ def fj_rows_oracle(form, sign, qprec, count):
     if half:
         rows = [Series(DEN2, {(nq, ly // 2): c for (nq, ly), c in row.terms.items()}, qprec)
                 for row in rows]
-    return rows
+    return rows if factor is None else [factor * row for row in rows]
 
 
 ORACLE_ORDERS = 5 * 4 + 1  # count 5 at qprec 97 reads 21 q-orders
@@ -461,20 +462,25 @@ ORACLE_INPUTS = {
 
 @given(st.sampled_from(sorted(ORACLE_INPUTS) + ["a phi02 + b psiA"]), st.integers(-3, 3),
        st.integers(-3, 3), st.sampled_from([-1, 1]), st.integers(0, 5),
-       st.sampled_from([1, 24, 25, 73, 97]))
+       st.sampled_from([1, 24, 25, 73, 97]), st.sampled_from([None, 2, -10 ** 12]))
 @settings(max_examples=100, deadline=None)
-def test_packed_engine_equals_oracle(name, a, b, sign, count, qprec):
+def test_packed_engine_equals_oracle(name, a, b, sign, count, qprec, big):
     """On a phi02 + b psi_A, on K3, CY4 and CY3 genera and on phi_{0,3/2}
     (the half-index path): the same rows, term for term, and the same
-    q-precision."""
+    q-precision; at integral index also each row times a factor with
+    coefficients of both signs, one of them big, taken on packed rows:
+    the slot width holds the factor's products too."""
     if name in ORACLE_INPUTS:
         form = ORACLE_INPUTS[name]()
     else:
         inq = 24 * ORACLE_ORDERS
         form = JacobiForm(generator(2, inq).series.scale(a)
                           + psi2_variant(2, inq, variant="A").series.scale(b), 0, 4)
-    got = lifts._fj_rows(form, sign, qprec, count)
-    assert got == fj_rows_oracle(form, sign, qprec, count)
+    factor = None
+    if big is not None and form.index2 % 2 == 0:
+        factor = lifts._theta_rest(qprec, 8) * Series(DEN2, {(0, 0): 1, (0, -4): -3, (0, 8): big}, None)
+    got = lifts._fj_rows(form, sign, qprec, count, factor)
+    assert got == fj_rows_oracle(form, sign, qprec, count, factor)
 
 
 @pytest.mark.parametrize("kind", ["exp_lift(phi01)", "sqeg(K3)"])
@@ -495,22 +501,126 @@ def test_packed_engine_equals_oracle_at_14(monkeypatch, kind):
     assert got.qprec == want.qprec and got.terms == want.terms
 
 
+def y_factor_oracle(series, thetas, ywindow):
+    """The (q, y) series times R = prod_lam (1 - y^-lam)^thetas[4 lam],
+    clipped to |ly| <= ywindow, R expanded from binomials for this series
+    alone: the per-s-row step of the assembly the lift engine replaced.
+    The terms below -ywindow are dropped first and R is expanded down to
+    ywindow past the top ly left; without a window R must be a polynomial."""
+    if ywindow is None:
+        if any(c < 0 for c in thetas.values()):
+            raise PrecisionError("a negative theta power has unbounded y-support; supply a ywindow")
+        depth = sum(step * c for step, c in thetas.items())
+    else:
+        terms = {k: c for k, c in series.terms.items() if k[1] >= -ywindow}
+        series = Series(DEN2, terms, series.qprec)
+        depth = ywindow + max((k[1] for k in terms), default=0)
+    factor = Series.const(1)
+    for step, c in thetas.items():
+        binomial = {(0, -step * j): (-1) ** j * comb(c, j) if c >= 0 else comb(j - c - 1, j)
+                    for j in range(depth // step + 1)}
+        factor = (factor * Series(DEN2, binomial, None)).clip_y(depth)
+    product = series * factor
+    return product if ywindow is None else product.clip_y(ywindow)
+
+
+def assemble_oracle(lead, thetas, g, rows, t, ywindow):
+    """The per-s-row assembly the lift engine replaced: each row H_M, with
+    no factor, times G as a Series product, which packs it again, and R
+    multiplied in by ``y_factor_oracle`` for each row."""
+    terms = {}
+    for m, row in enumerate(rows(None)):
+        part = y_factor_oracle(g * row, thetas, ywindow)
+        ms = 24 * t * m + lead[2]
+        terms.update({(nq + lead[0], ly + lead[1], ms): c for (nq, ly), c in part.terms.items()})
+    return Series(DEN3, terms, g.qprec + lead[0])
+
+
+def old_route_cases():
+    """name -> a lift run through the package's entry points, each small
+    enough for the oracle's Series products."""
+    cases = {}
+
+    def make(m, a=1):
+        return lambda qp: JacobiForm(generator(m, qp).series.scale(a), 0, 2 * m)
+
+    def lift(name, builder, ywindow=None, lead_only=False):
+        qp, sp, _ = lift_window_for(builder(24), 3, 3)
+        if lead_only:  # the s-window ends at the lead: only s^C, the row H_0
+            sp = _prefactor_key(builder(24))[2] + 1
+        cases[name] = lambda: lifts._lift_at(builder, qp, sp, ywindow)
+
+    def combo(qp):
+        return JacobiForm(generator(2, qp).series.scale(2)
+                          - psi2_variant(2, qp, variant="A").series, 0, 4)
+
+    for m in (1, 2, 3, 4):
+        lift(f"exp_lift(phi0{m})", make(m))
+    for ywindow in (20, 80):
+        lift(f"exp_lift(-phi01), ywindow {ywindow}", make(1, -1), ywindow)
+        lift(f"exp_lift(2 phi02 - psi_A), ywindow {ywindow}", combo, ywindow)
+    lift("exp_lift(phi01), s-window ends at the lead", make(1), lead_only=True)
+    lift("exp_lift(-phi01), s-window ends at the lead, ywindow 20", make(1, -1), 20, lead_only=True)
+    phi1, phi2 = generator(1, 24 * 20), generator(2, 24 * 20)
+    psi = psi2_variant(2, 24 * 20, variant="A")
+    cases["exp_lift_homomorphic(phi01^2)"] = lambda: exp_lift_homomorphic([(phi1, 2)], 73, 73)
+    cases["exp_lift_homomorphic(phi02^-1 psi_A^2), ywindow 40"] = lambda: exp_lift_homomorphic(
+        [(phi2, -1), (psi, 2)], 73, 121, ywindow=40)
+    genera = {"K3": K3, "CY3(e=40)": CYInvariants.from_euler(3, 40),
+              "CY4(1,4,6,4,1)": CYInvariants(4, (1, 4, 6, 4, 1))}
+    for label, inv in genera.items():
+        for run in (hodge_anomaly, lifts.e_form, lifts.factorization_product):
+            if run is lifts.factorization_product and inv.d % 2:
+                continue  # assembled for even d only
+            cases[f"{run.__name__}({label}), ywindow 40"] = lambda run=run, inv=inv: run(
+                inv, 49, 73, ywindow=40)
+    # -K3: every theta power of its anomaly and of its lift is positive, so
+    # no window is needed and F_0 multiplies the rows on packed rows
+    minus_k3 = CYInvariants(2, (-2, 20, -2))
+    for run in (hodge_anomaly, lifts.e_form, lifts.factorization_product):
+        cases[f"{run.__name__}(-K3)"] = lambda run=run: run(minus_k3, 49, 73)
+    cases["factorization_product(K3), s-window ends at the lead, ywindow 40"] = (
+        lambda: lifts.factorization_product(K3, 49, -23, ywindow=40))
+    return cases
+
+
+OLD_ROUTE_CASES = old_route_cases()
+
+
+@pytest.mark.parametrize("name", sorted(OLD_ROUTE_CASES))
+def test_lift_engine_equals_the_per_row_route(monkeypatch, name):
+    """Every lift equals, term for term and in its metadata, the route the
+    engine replaced: the oracle's rows, each times G as a Series and times
+    R rebuilt for that row."""
+    got = OLD_ROUTE_CASES[name]()
+    monkeypatch.setattr(lifts, "_fj_rows", fj_rows_oracle)
+    monkeypatch.setattr(lifts, "_assemble", assemble_oracle)
+    want = OLD_ROUTE_CASES[name]()
+    assert got.series.terms and got.series.terms == want.series.terms
+    assert got.series.qprec == want.series.qprec
+    assert ((got.weight2, got.character_order, got.index_t)
+            == (want.weight2, want.character_order, want.index_t))
+
+
 def test_engine_packs_each_operand_once(monkeypatch):
-    """exp_lift(phi01) at q,s <= 9: the recursion makes no Series product,
-    so no dense product by _mul_rows either.  It packs each of the 9 images
-    once, reads each M H_M back once, packs each H_M with M < 9 once, and
-    multiplies the packed I_k by the packed H_(M-k) once for each M and
-    k < M."""
+    """exp_lift(phi01) at q,s <= 9, its rows H_M alone and times its
+    F_0 = R G: the recursion makes no Series product, so no dense product
+    by _mul_rows either.  It packs each of the 9 images once, and the
+    factor once when one is given, but no H_M: each packed H_M is the
+    packed M H_M divided by M.  It reads each M H_M back once, and each
+    factor H_M once after it, and multiplies the packed I_k by the packed
+    H_(M-k) once for each M and k < M, and the factor by each H_M once."""
     qp, sp, inq = lift_window_for(generator(1, 24), 9, 9)
     form = generator(1, inq)
-    nq, _, ms = _prefactor_key(form)
-    count = (sp - ms - 1) // 24
+    pref, thetas, g, _, _ = lifts._lift_parts(form, qp, sp)
+    count = (sp - pref[2] - 1) // 24
+    f0 = g * lifts._y_factor(thetas)
     packs, products, reads, series_products = [], [], [], []
     pack, mul, unpack = series._Rows.pack.__func__, series._Rows.__mul__, lifts._unpack_rows
     series_mul = Series.__mul__
 
-    def counted_pack(cls, terms, layout, orders, width):  # index m = -layout[2] // 4
-        packs.append((-layout[2] // 4, pack(cls, terms, layout, orders, width)))
+    def counted_pack(cls, terms, layout, orders, width):
+        packs.append((layout, pack(cls, terms, layout, orders, width)))
         return packs[-1][1]
 
     def counted_mul(a, b):
@@ -520,22 +630,35 @@ def test_engine_packs_each_operand_once(monkeypatch):
     monkeypatch.setattr(series._Rows, "pack", classmethod(counted_pack))
     monkeypatch.setattr(series._Rows, "__mul__", counted_mul)
     monkeypatch.setattr(lifts, "_unpack_rows",
-                        lambda rows, layout, width: reads.append(-layout[2] // 4)
-                        or unpack(rows, layout, width))
+                        lambda rows, layout, width: reads.append(layout) or unpack(rows, layout, width))
     monkeypatch.setattr(Series, "__mul__", lambda a, b: series_products.append(1) or series_mul(a, b))
-    rows = lifts._fj_rows(form, -1, qp - nq, count)
-    assert len(rows) == count + 1 == 10
-    assert series_products == []
-    assert [m for m, _ in packs] == list(range(1, count + 1)) + list(range(1, count))
-    assert reads == list(range(1, count + 1))
-    images = [packed for _, packed in packs[:count]]
-    hs = [packed for _, packed in packs[count:]]  # H_1 .. H_(count-1)
-    engine = [(a, b) for a, b in products if any(a is image for image in images)]
-    assert [
-        ([i for i, image in enumerate(images) if a is image],
-         [j for j, h in enumerate(hs) if b is h])
-        for a, b in engine
-    ] == [([k - 1], [m - k - 1]) for m in range(2, count + 1) for k in range(1, m)]
+    weak = [series._weak_layout(m) for m in range(count + 1)]
+    y0 = min(ly + nq // 3 for nq, ly in f0.terms)
+    for factor in (None, f0):
+        for log in (packs, products, reads):
+            log.clear()
+        rows = lifts._fj_rows(form, -1, qp - pref[0], count, factor)
+        scale = factor is not None
+        assert len(rows) == count + 1 == 10
+        assert series_products == []
+        assert [layout for layout, _ in packs] == weak[1:] + [(0, 24, y0, 4, 2)] * scale
+        assert reads == [layout for m in range(1, count + 1)
+                         for layout in [weak[m]] + [(0, 24, y0 - 4 * m, 4, 2)] * scale]
+        images = [packed for _, packed in packs[:count]]
+        engine = [(a, b) for a, b in products if any(a is image for image in images)]
+        hs = []  # H_1 .. H_(count-1), each where the recursion first multiplies by it
+        for _, b in engine:
+            if not any(b is h for h in hs):
+                hs.append(b)
+        assert not any(h is packed for h in hs for _, packed in packs)
+        assert [
+            ([i for i, image in enumerate(images) if a is image],
+             [j for j, h in enumerate(hs) if b is h])
+            for a, b in engine
+        ] == [([k - 1], [m - k - 1]) for m in range(2, count + 1) for k in range(1, m)]
+        scaled = [b for a, b in products if scale and a is packs[-1][1]]
+        assert len(scaled) == count * scale
+        assert all(b is h for b, h in zip(scaled, hs))
 
 
 def plus_term(form, key, c):
@@ -639,7 +762,9 @@ def test_inexact_row_names_the_row_and_the_key(monkeypatch):
     """Every integral input in the weak support divides exactly (the
     product formula has integral coefficients), so a fault stands in for
     an inexact row: the T_-(2) image of phi01 with 1 added at q**0 y**0
-    makes that coefficient of 2 H_2 odd."""
+    makes that coefficient of 2 H_2 odd.  sqeg and exp_lift with no
+    window (whose rows times F_0 are read off H_M's packed rows) both
+    raise, so no H_M is taken from a row that does not divide."""
     tminus = jacobi.ThetaTable.tminus
 
     def faulty(table, m, top):
@@ -650,10 +775,13 @@ def test_inexact_row_names_the_row_and_the_key(monkeypatch):
 
     monkeypatch.setattr(jacobi.ThetaTable, "tminus", faulty)
     form = generator(1, 24 * 10)
-    with pytest.raises(InexactDivisionError,
-                       match=re.escape("Fourier-Jacobi row 2: coefficient ") + r"-?\d+"
-                       + re.escape(" at (0, 0) is not divisible by 2")):
-        sqeg(form, 73, 73)
+    qp, sp, inq = lift_window_for(form, 3, 3)
+    assert inq <= 24 * 10
+    for run in (lambda: sqeg(form, 73, 73), lambda: exp_lift(form, qp, sp)):
+        with pytest.raises(InexactDivisionError,
+                           match=re.escape("Fourier-Jacobi row 2: coefficient ") + r"-?\d+"
+                           + re.escape(" at (0, 0) is not divisible by 2")):
+            run()
 
 
 def test_empty_p_window_and_negative_symmetric_power():
