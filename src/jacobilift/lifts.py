@@ -214,10 +214,9 @@ def _prefactor_key(form):
     return _block_lead(*_lift_block(form)[1:])
 
 
-def _fj_rows(form, sign, qprec, count, factor=None):
+def _fj_rows(form, sign, qprec, count):
     """The s-rows H_0..H_count of exp(sign * sum_k s^k (form|T_-(k))/k),
-    each times the (q, y) series factor when one is given, as (q, y) series
-    below qprec (none when count < 0):
+    as (q, y) series below qprec (none when count < 0):
 
         H_0 = 1,    H_M = (sign/M) sum_{k=1..M} (form|T_-(k)) H_{M-k}
 
@@ -229,12 +228,9 @@ def _fj_rows(form, sign, qprec, count, factor=None):
     schoolbook sum of the row products I_k H_{M-k}, is read back once and
     checked to divide by M slot by slot (else InexactDivisionError naming
     the row and the key), so its packed rows divided by M as integers are
-    H_M's, in the same layout and width.  A factor (integral index, q-keys
-    24n with n >= 0, y-keys in 4Z) is packed once in the slope-2 layout
-    from y0 = min(ly + 8n), which adds to the weak layouts, and each
-    factor H_M is read back once.  One slot width serves the call: the
-    images' per-row l1 norms, carried through the recursion, bound every
-    M H_M and, times the factor's, every factor H_M.
+    H_M's, in the same layout and width: no H_M is packed.  One slot width
+    serves the recursion: the images' per-row l1 norms, carried through
+    the same recursion, bound every M H_M.
 
     The table refuses an input term outside the weak-form support n >= 0,
     l**2 <= 4tn + t**2 of index t, and two terms of one class with
@@ -254,26 +250,19 @@ def _fj_rows(form, sign, qprec, count, factor=None):
     layouts = [_weak_layout(t * m) for m in range(count + 1)]
     # per-row l1 norms through the recursion bound every M H_M and image
     norms = [_Rows.norms(image, layouts[k], nmax + 1) for k, image in enumerate(images, 1)]
-    if factor is not None:
-        factor = factor.truncate(qprec).terms
-        y0 = min(ly + nq // 3 for nq, ly in factor)
-        fnorms = _Rows.norms(factor, (0, 24, y0, 4, 2), nmax + 1)
     top, bounds = 0, [None]
     for m in range(1, count + 1):
         acc = sum((norms[k - 1] * bounds[m - k] for k in range(1, m)), norms[m - 1])
+        top = max(top, *acc.rows)
         bounds.append(_Rows([v // m for v in acc.rows]))
-        top = max(top, *acc.rows, *(() if factor is None else (fnorms * bounds[m]).rows))
     width = _Rows.width(top)
     images = [_Rows.pack(image, layouts[k], nmax + 1, width) for k, image in enumerate(images, 1)]
     out, packed = [{(0, 0): 1}], [None]
-    if factor is not None:
-        out[0], factor = factor, _Rows.pack(factor, (0, 24, y0, 4, 2), nmax + 1, width)
     for m in range(1, count + 1):
         acc = sum((images[k - 1] * packed[m - k] for k in range(1, m)), images[m - 1])
-        terms = _row_over(_unpack_rows(acc.rows, layouts[m], width), m, sign)
-        packed.append(_Rows([sign * (v // m) for v in acc.rows]))
-        out.append(terms if factor is None else
-                   _unpack_rows((factor * packed[m]).rows, (0, 24, y0 - 4 * t * m, 4, 2), width))
+        out.append(_row_over(_unpack_rows(acc.rows, layouts[m], width), m, sign))
+        if m < count:
+            packed.append(_Rows([sign * (v // m) for v in acc.rows]))
     if form.index2 % 2:
         out = [{(nq, ly // 2): c for (nq, ly), c in row.items()} for row in out]
     return [Series(DEN2, row, qprec, _clean=True) for row in out]
@@ -292,32 +281,31 @@ def _row_over(terms, m, sign=1):
 def _lift_parts(form, qprec, sprec):
     """exp_lift(form) = q^A y^B s^C R G sum_M H_M s^{tM} taken apart as
     (pref, thetas, G, rows, t): the key of q^A y^B s^C, the powers
-    thetas[4l] = c(0, l) of R = prod_{l>0} (1 - y^-l)^c(0,l), G and
-    rows(factor) = [factor H_M] below the q-precision left past q^A."""
+    thetas[4l] = c(0, l) of R = prod_{l>0} (1 - y^-l)^c(0,l), and G and the
+    rows H_M below the q-precision left past q^A."""
     t, eta_exp, thetas = _lift_block(form)
     pref = _block_lead(eta_exp, thetas)
     pq, ps = qprec - pref[0], sprec - pref[2]
     if pq <= 0 or ps <= 0:
         raise PrecisionError("requested precision does not reach the leading term")
     g = _block_rest(eta_exp, thetas, pq)
-    return pref, thetas, g, lambda factor: _fj_rows(form, -1, pq, (ps - 1) // (24 * t), factor), t
+    return pref, thetas, g, _fj_rows(form, -1, pq, (ps - 1) // (24 * t)), t
 
 
 def _assemble(lead, thetas, g, rows, t, ywindow):
-    """The triple series q^lead R G sum_M H_M s^{tM}, R = prod
-    (1 - y^-lam)^thetas[4 lam], rows(factor) the rows factor H_M (H_M for
-    None), with the q-precision of G past the lead.  With no ywindow R must
-    be a polynomial (``_y_factor``), and F_0 = R G goes to rows.  Under one,
-    R is expanded once, to ywindow past the top ly of G plus that of the
-    rows, and each G H_M takes its clip of it (``_clipped``), one at a
-    time."""
+    """The triple series q^lead R G sum_M rows[M] s^{tM}, R = prod
+    (1 - y^-lam)^thetas[4 lam], with the q-precision of G past the lead.
+    R is expanded once per call (``_y_factor``).  With no ywindow it must
+    be a polynomial, and F_0 = R G is formed once and multiplies each row.
+    Under one, R reaches ywindow past the top ly of G plus that of the
+    rows, and each G H_M takes its clip of it (``_clipped``)."""
     if ywindow is None:
-        parts = rows(g * _y_factor(thetas))
+        f0 = g * _y_factor(thetas)
+        parts = (f0 * row for row in rows)
     else:
-        hs = rows(None)
-        tops = [max((ly for _, ly in row.terms), default=0) for row in (g, *hs)]
+        tops = [max((ly for _, ly in row.terms), default=0) for row in (g, *rows)]
         r = _y_factor(thetas, ywindow + tops[0] + max(tops[1:], default=0))
-        parts = (_clipped(g * row, r, ywindow) for row in hs)
+        parts = (_clipped(g * row, r, ywindow) for row in rows)
     terms = {}
     for m, part in enumerate(parts):
         ms = 24 * t * m + lead[2]
@@ -350,7 +338,7 @@ def exp_lift(form, qprec, sprec, ywindow=None):
     prod_{l>0} theta(tau, l z)^c(0,l) divided by q^A y^B, and H_M are the
     Fourier-Jacobi rows of the module's recursion, exact and finite.
     With no ``ywindow``, F_0 = R G, R = prod_{l>0} (1 - y^-l)^c(0,l), is
-    multiplied into the rows on packed rows (``_fj_rows``).  R is infinite
+    formed once and multiplies each row (``_assemble``).  R is infinite
     when some c(0, l) < 0, and then a ywindow is needed: each term on
     |ly| <= ywindow around q^A y^B is returned exact (``_assemble``).
     """
@@ -426,14 +414,12 @@ def exp_lift_homomorphic(pairs, qprec, sprec, ywindow=None):
         pref = tuple(v + a * w for v, w in zip(pref, pref_i))
         for step, c in thetas_i.items():
             thetas[step] = thetas.get(step, 0) + a * c
-        rows_i = rows_i(None)
         g, rows_i = g * g_i ** a, _miller(rows_i, a, len(rows_i), rows_i[0], lambda acc, m: Series(
             DEN2, _row_over(acc.terms, m), acc.qprec, _clean=True), Series.zero(DEN2))
         rows = rows_i if rows is None else _rows_mul(rows, rows_i)
     thetas = {step: c for step, c in thetas.items() if c}
-    rows = rows[:max((sprec - pref[2] - 1) // (24 * t) + 1, 0)]
-    series = _assemble(pref, thetas, g, lambda factor: rows if factor is None else [
-        factor * row for row in rows], t, ywindow)
+    count = (sprec - pref[2] - 1) // (24 * t)
+    series = _assemble(pref, thetas, g, rows[:max(count + 1, 0)], t, ywindow)
     weight2 = sum(a * form.series.coeff((0, 0)) for form, a in pairs)
     return SiegelSeries(series, weight2, 24 // gcd(24, pref[0]), t)
 
@@ -510,12 +496,10 @@ def _anomaly_times(inv, qprec, sprec, ywindow, t, genus):
     rel, ps = qprec - lead[0], sprec - lead[2]
     series = Series(DEN3, {}, qprec, _clean=True)
     if rel > 0 and ps > 0:
-        def rows(factor):
-            if not genus:
-                return [Series.const(1) if factor is None else factor]
+        rows = [Series.const(1)]
+        if genus:
             chi = elliptic_genus(inv, qprec=_input_qprec(rel, ps, t))
-            return _fj_rows(chi, 1, rel, (ps - 1) // (24 * t), factor)
-
+            rows = _fj_rows(chi, 1, rel, (ps - 1) // (24 * t))
         series = _assemble(lead, thetas, _block_rest(eta_exp, thetas, rel), rows, t, ywindow)
     return SiegelSeries(series, *meta, t)
 

@@ -421,11 +421,10 @@ def test_lifts_refuse_an_input_one_order_short():
         sqeg(elliptic_genus(K3, qprec=need - 24), qprec, pprec)
 
 
-def fj_rows_oracle(form, sign, qprec, count, factor=None):
+def fj_rows_oracle(form, sign, qprec, count):
     """The Fourier-Jacobi rows H_0..H_count by the engine the packed rows
     replaced: each T_-(k) image the per-term scan, each H_M a Series, each
-    row's sum over k a sum of Series products, divided by M exactly; with
-    a factor, each row times it as a Series product."""
+    row's sum over k a sum of Series products, divided by M exactly."""
     half = form.index2 % 2
     if half:
         form = form.double_z()
@@ -446,7 +445,7 @@ def fj_rows_oracle(form, sign, qprec, count, factor=None):
     if half:
         rows = [Series(DEN2, {(nq, ly // 2): c for (nq, ly), c in row.terms.items()}, qprec)
                 for row in rows]
-    return rows if factor is None else [factor * row for row in rows]
+    return rows
 
 
 ORACLE_ORDERS = 5 * 4 + 1  # count 5 at qprec 97 reads 21 q-orders
@@ -462,25 +461,20 @@ ORACLE_INPUTS = {
 
 @given(st.sampled_from(sorted(ORACLE_INPUTS) + ["a phi02 + b psiA"]), st.integers(-3, 3),
        st.integers(-3, 3), st.sampled_from([-1, 1]), st.integers(0, 5),
-       st.sampled_from([1, 24, 25, 73, 97]), st.sampled_from([None, 2, -10 ** 12]))
+       st.sampled_from([1, 24, 25, 73, 97]))
 @settings(max_examples=100, deadline=None)
-def test_packed_engine_equals_oracle(name, a, b, sign, count, qprec, big):
+def test_packed_engine_equals_oracle(name, a, b, sign, count, qprec):
     """On a phi02 + b psi_A, on K3, CY4 and CY3 genera and on phi_{0,3/2}
     (the half-index path): the same rows, term for term, and the same
-    q-precision; at integral index also each row times a factor with
-    coefficients of both signs, one of them big, taken on packed rows:
-    the slot width holds the factor's products too."""
+    q-precision."""
     if name in ORACLE_INPUTS:
         form = ORACLE_INPUTS[name]()
     else:
         inq = 24 * ORACLE_ORDERS
         form = JacobiForm(generator(2, inq).series.scale(a)
                           + psi2_variant(2, inq, variant="A").series.scale(b), 0, 4)
-    factor = None
-    if big is not None and form.index2 % 2 == 0:
-        factor = lifts._theta_rest(qprec, 8) * Series(DEN2, {(0, 0): 1, (0, -4): -3, (0, 8): big}, None)
-    got = lifts._fj_rows(form, sign, qprec, count, factor)
-    assert got == fj_rows_oracle(form, sign, qprec, count, factor)
+    got = lifts._fj_rows(form, sign, qprec, count)
+    assert got == fj_rows_oracle(form, sign, qprec, count)
 
 
 @pytest.mark.parametrize("kind", ["exp_lift(phi01)", "sqeg(K3)"])
@@ -525,11 +519,11 @@ def y_factor_oracle(series, thetas, ywindow):
 
 
 def assemble_oracle(lead, thetas, g, rows, t, ywindow):
-    """The per-s-row assembly the lift engine replaced: each row H_M, with
-    no factor, times G as a Series product, which packs it again, and R
-    multiplied in by ``y_factor_oracle`` for each row."""
+    """The per-s-row assembly the lift engine replaced: each row H_M times
+    G as a Series product, and R multiplied in by ``y_factor_oracle``,
+    rebuilt for each row."""
     terms = {}
-    for m, row in enumerate(rows(None)):
+    for m, row in enumerate(rows):
         part = y_factor_oracle(g * row, thetas, ywindow)
         ms = 24 * t * m + lead[2]
         terms.update({(nq + lead[0], ly + lead[1], ms): c for (nq, ly), c in part.terms.items()})
@@ -575,7 +569,7 @@ def old_route_cases():
             cases[f"{run.__name__}({label}), ywindow 40"] = lambda run=run, inv=inv: run(
                 inv, 49, 73, ywindow=40)
     # -K3: every theta power of its anomaly and of its lift is positive, so
-    # no window is needed and F_0 multiplies the rows on packed rows
+    # no window is needed and F_0 = R G multiplies each row
     minus_k3 = CYInvariants(2, (-2, 20, -2))
     for run in (hodge_anomaly, lifts.e_form, lifts.factorization_product):
         cases[f"{run.__name__}(-K3)"] = lambda run=run: run(minus_k3, 49, 73)
@@ -603,24 +597,21 @@ def test_lift_engine_equals_the_per_row_route(monkeypatch, name):
 
 
 def test_engine_packs_each_operand_once(monkeypatch):
-    """exp_lift(phi01) at q,s <= 9, its rows H_M alone and times its
-    F_0 = R G: the recursion makes no Series product, so no dense product
-    by _mul_rows either.  It packs each of the 9 images once, and the
-    factor once when one is given, but no H_M: each packed H_M is the
-    packed M H_M divided by M.  It reads each M H_M back once, and each
-    factor H_M once after it, and multiplies the packed I_k by the packed
-    H_(M-k) once for each M and k < M, and the factor by each H_M once."""
+    """exp_lift(phi01) at q,s <= 9: the recursion makes no Series product,
+    so no dense product by _mul_rows either.  It packs each of the 9 images
+    once and no H_M: each packed H_M is the packed M H_M divided by M.  It
+    reads each M H_M back once, and multiplies the packed I_k by the
+    packed H_(M-k) once for each M and k < M."""
     qp, sp, inq = lift_window_for(generator(1, 24), 9, 9)
     form = generator(1, inq)
-    pref, thetas, g, _, _ = lifts._lift_parts(form, qp, sp)
-    count = (sp - pref[2] - 1) // 24
-    f0 = g * lifts._y_factor(thetas)
+    nq, _, ms = _prefactor_key(form)
+    count = (sp - ms - 1) // 24
     packs, products, reads, series_products = [], [], [], []
     pack, mul, unpack = series._Rows.pack.__func__, series._Rows.__mul__, lifts._unpack_rows
     series_mul = Series.__mul__
 
-    def counted_pack(cls, terms, layout, orders, width):
-        packs.append((layout, pack(cls, terms, layout, orders, width)))
+    def counted_pack(cls, terms, layout, orders, width):  # index m = -layout[2] // 4
+        packs.append((-layout[2] // 4, pack(cls, terms, layout, orders, width)))
         return packs[-1][1]
 
     def counted_mul(a, b):
@@ -630,35 +621,26 @@ def test_engine_packs_each_operand_once(monkeypatch):
     monkeypatch.setattr(series._Rows, "pack", classmethod(counted_pack))
     monkeypatch.setattr(series._Rows, "__mul__", counted_mul)
     monkeypatch.setattr(lifts, "_unpack_rows",
-                        lambda rows, layout, width: reads.append(layout) or unpack(rows, layout, width))
+                        lambda rows, layout, width: reads.append(-layout[2] // 4)
+                        or unpack(rows, layout, width))
     monkeypatch.setattr(Series, "__mul__", lambda a, b: series_products.append(1) or series_mul(a, b))
-    weak = [series._weak_layout(m) for m in range(count + 1)]
-    y0 = min(ly + nq // 3 for nq, ly in f0.terms)
-    for factor in (None, f0):
-        for log in (packs, products, reads):
-            log.clear()
-        rows = lifts._fj_rows(form, -1, qp - pref[0], count, factor)
-        scale = factor is not None
-        assert len(rows) == count + 1 == 10
-        assert series_products == []
-        assert [layout for layout, _ in packs] == weak[1:] + [(0, 24, y0, 4, 2)] * scale
-        assert reads == [layout for m in range(1, count + 1)
-                         for layout in [weak[m]] + [(0, 24, y0 - 4 * m, 4, 2)] * scale]
-        images = [packed for _, packed in packs[:count]]
-        engine = [(a, b) for a, b in products if any(a is image for image in images)]
-        hs = []  # H_1 .. H_(count-1), each where the recursion first multiplies by it
-        for _, b in engine:
-            if not any(b is h for h in hs):
-                hs.append(b)
-        assert not any(h is packed for h in hs for _, packed in packs)
-        assert [
-            ([i for i, image in enumerate(images) if a is image],
-             [j for j, h in enumerate(hs) if b is h])
-            for a, b in engine
-        ] == [([k - 1], [m - k - 1]) for m in range(2, count + 1) for k in range(1, m)]
-        scaled = [b for a, b in products if scale and a is packs[-1][1]]
-        assert len(scaled) == count * scale
-        assert all(b is h for b, h in zip(scaled, hs))
+    rows = lifts._fj_rows(form, -1, qp - nq, count)
+    assert len(rows) == count + 1 == 10
+    assert series_products == []
+    assert [m for m, _ in packs] == list(range(1, count + 1))
+    assert reads == list(range(1, count + 1))
+    images = [packed for _, packed in packs]
+    engine = [(a, b) for a, b in products if any(a is image for image in images)]
+    hs = []  # H_1 .. H_(count-1), each where the recursion first multiplies by it
+    for _, b in engine:
+        if not any(b is h for h in hs):
+            hs.append(b)
+    assert len(hs) == count - 1 and not any(h is image for h in hs for image in images)
+    assert [
+        ([i for i, image in enumerate(images) if a is image],
+         [j for j, h in enumerate(hs) if b is h])
+        for a, b in engine
+    ] == [([k - 1], [m - k - 1]) for m in range(2, count + 1) for k in range(1, m)]
 
 
 def plus_term(form, key, c):
@@ -763,8 +745,8 @@ def test_inexact_row_names_the_row_and_the_key(monkeypatch):
     product formula has integral coefficients), so a fault stands in for
     an inexact row: the T_-(2) image of phi01 with 1 added at q**0 y**0
     makes that coefficient of 2 H_2 odd.  sqeg and exp_lift with no
-    window (whose rows times F_0 are read off H_M's packed rows) both
-    raise, so no H_M is taken from a row that does not divide."""
+    window both raise, so no packed H_M is taken from a row that does not
+    divide."""
     tminus = jacobi.ThetaTable.tminus
 
     def faulty(table, m, top):
