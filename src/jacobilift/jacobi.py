@@ -12,6 +12,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import wraps
 from math import factorial, gcd, isqrt
+from operator import add
 
 from .errors import PrecisionError, ValidationError
 from .genpoly import GeneratorPolynomial, _horner
@@ -592,9 +593,11 @@ def basis_sum(m, coords, qprec):
 
 class ThetaTable:
     """A Jacobi form of index t by class: c(n, l) depends only on
-    D = 4tn - l**2 and on l mod 2t (Eichler-Zagier, Thm 2.2), so ``classes``
-    maps (D, l mod 2t) -> c.  The one statement of that reduction, built
-    once per form (``JacobiForm.theta_table``) from all of its terms.
+    D = 4tn - l**2 and on l mod 2t (Eichler-Zagier, Thm 2.2).  The one
+    statement of that reduction, built once per form
+    (``JacobiForm.theta_table``) from all of its terms: the classes of
+    residue r = l mod 2t in one list, class D at (D + t**2) // 4t (D runs
+    in steps of 4t), 0 where no term meets it (terms are nonzero).
     * Domain: index t >= 1 and a finite precision of ``orders`` = P whole
       q-orders, else ValidationError.  A half-integral index h is read as
       phi(tau, 2z), of index 4h, terms named with the marker (z -> 2z).
@@ -612,7 +615,7 @@ class ThetaTable:
     * Images: f|T_-(m) at (N, L) is the sum over a | (N, L, m) of
       (m/a) C((4tmN - L**2)/a**2, (L/a) mod 2t) (``tminus``)."""
 
-    __slots__ = ("t", "orders", "classes")
+    __slots__ = ("t", "orders", "_rows")
 
     def __init__(self, form):
         half = form.index2 % 2
@@ -622,34 +625,39 @@ class ThetaTable:
             raise ValidationError("a theta decomposition needs a positive index and a finite "
                                   f"q-precision (Jacobi forms are infinite series), got {form!r}")
         unit, marker = (2, " (z -> 2z)") if half else (4, "")  # ly per unit of l
-        self.t, self.orders, self.classes = t, orders, {}
-        classes, first = self.classes, {}  # first: class -> its first term (n, l)
-        t4, t2, floor = 4 * t, 2 * t, -t * t
-        for (nq, ly), c in form.series.terms.items():
-            n, l = nq // 24, ly // unit
-            d = t4 * n - l * l
-            if n < 0 or d < floor:
-                raise ValidationError(f"input term {c} q^{n} y^{l}{marker} lies outside the "
-                                      f"weak-form support n >= 0, l^2 <= 4*{t}*n + {t}^2")
-            key = (d, l % t2)
-            known = classes.get(key)
-            if known is None:
-                classes[key], first[key] = c, (n, l)
-            elif known != c:
-                raise ValidationError(
-                    f"input terms {known} q^{first[key][0]} y^{first[key][1]} and {c} q^{n} y^{l}"
-                    f"{marker} differ in the class (D, l mod {t2}) = {key}, on which a "
-                    f"Jacobi form of index {t} is constant")
-        # each term is one of its class's representatives, so the terms fill
-        # every class they meet exactly when they are as many as those
-        top, terms = t4 * (orders - 1), form.series.terms
+        t4, t2, tt, top, count = 4 * t, 2 * t, t * t, 4 * t * (orders - 1), 0
+        self.t, self.orders, self._rows = t, orders, [[0] * (orders + t // 4) for _ in range(t2)]
+        rows, terms = self._rows, form.series.terms
+
+        def klass(key):  # the class (D, l mod 2t) of a term
+            l = key[1] // unit
+            return t4 * (key[0] // 24) - l * l, l % t2
 
         def reps(d, r):  # the l = r mod 2t with n = (D + l**2)/4t < P
             b = isqrt(top - d)
             return range(-b + (r + b) % t2, b + 1, t2)
 
-        if sum(len(reps(d, r)) for d, r in classes) != len(terms):
-            for d, r in classes:
+        for (nq, ly), c in terms.items():
+            n, l = nq // 24, ly // unit
+            d = t4 * n - l * l
+            if n < 0 or d < -tt:
+                raise ValidationError(f"input term {c} q^{n} y^{l}{marker} lies outside the "
+                                      f"weak-form support n >= 0, l^2 <= 4*{t}*n + {t}^2")
+            row, i = rows[l % t2], (d + tt) // t4
+            known = row[i]
+            if not known:
+                row[i] = c
+                count += len(reps(d, l % t2))
+            elif known != c:
+                n1, l1 = next((k[0] // 24, k[1] // unit) for k in terms if klass(k) == (d, l % t2))
+                raise ValidationError(
+                    f"input terms {known} q^{n1} y^{l1} and {c} q^{n} y^{l}{marker} differ in the "
+                    f"class (D, l mod {t2}) = {(d, l % t2)}, on which a Jacobi form of index {t} "
+                    "is constant")
+        # each term is one of its class's representatives, so the terms fill
+        # every class they meet exactly when they are as many as those
+        if count != len(terms):
+            for d, r in dict.fromkeys(map(klass, terms)):  # in the order of their first terms
                 for l in reps(d, r):
                     n = (d + l * l) // t4
                     if (24 * n, unit * l) not in terms:
@@ -657,6 +665,12 @@ class ThetaTable:
                             f"input class (D, l mod {t2}) = {(d, r)} lacks its term q^{n} y^{l}"
                             f"{marker} below the precision of {orders} q-orders: a Jacobi form "
                             f"of index {t} is constant on the class")
+
+    def classes(self):
+        """Each class a term meets, as ((D, l mod 2t), c), D from its list index."""
+        t = self.t
+        return (((4 * t * i + (t * t - r * r) % (4 * t) - t * t, r), c)
+                for r, row in enumerate(self._rows) for i, c in enumerate(row) if c)
 
     def coeff(self, d, l):
         """The coefficient of class (d, l mod 2t)."""
@@ -669,41 +683,46 @@ class ThetaTable:
             raise PrecisionError(f"class (D, l mod {2 * t}) = ({d}, {l % (2 * t)}) sits at q-order "
                                  f"{n0}, which reads {n0 + 1} q-orders of the input form; it has "
                                  f"{self.orders}")
-        return self.classes.get((d, l % (2 * t)), 0)
+        return self._rows[l % (2 * t)][(d + t * t) // (4 * t)]
 
     def tminus(self, m, top):
-        """The terms {(24N, 4L): c} of f|T_-(m) at q-orders N <= top.  Part a
-        at (a*n, a*l) reads class (4t(m/a)n - l**2, l), 0 unless
+        """f|T_-(m) at q-orders N <= top, as one list per N over the weak
+        band |L| <= tm + 2N, entry L + tm + 2N the coefficient of q^N y^L.
+        Part a at (a*n, a*l) reads class (4t(m/a)n - l**2, l), 0 unless
         l**2 <= 4t(m/a)n + t**2, and (4tm*top, 0) sits furthest, at m*top."""
-        t, t2, classes = self.t, 2 * self.t, self.classes
-        if top >= 0:
-            self.coeff(4 * t * m * top, 0)  # PrecisionError past the input
-        out = {}
-        for a in (a for a in range(1, m + 1) if m % a == 0):
-            w = m // a
+        t, t2, t4 = self.t, 2 * self.t, 4 * self.t
+        if top < 0:
+            return []
+        self.coeff(t4 * m * top, 0)  # PrecisionError past the input
+        reach = isqrt(t4 * m * top + t * t)  # class 4twn - l**2 sits at w*n + e in l's list
+        cols = [(self._rows[l % t2], (t * t - l * l) // t4) for l in range(-reach, reach + 1)]
+        out = []
+        for a, w in ((a, m // a) for a in range(1, m + 1) if m % a == 0):
             for n in range(top // a + 1):
-                d = 4 * t * w * n
-                bound = isqrt(d + t * t)
-                for l in range(-bound, bound + 1):
-                    c = classes.get((d - l * l, l % t2))
-                    if c:
-                        key = (24 * a * n, 4 * a * l)
-                        out[key] = out.get(key, 0) + w * c
-        return {key: c for key, c in out.items() if c}
+                b, base = isqrt(t4 * w * n + t * t), w * n
+                part = [w * row[base + e] for row, e in cols[reach - b:reach + b + 1]]
+                if a == 1:
+                    pad = [0] * (t * m + 2 * n - b)
+                    out.append(pad + part + pad)
+                else:  # at L = a*l, every a-th entry of row a*n
+                    row, lo = out[a * n], t * m + 2 * a * n - a * b
+                    row[lo:lo + 2 * a * b + 1:a] = map(add, row[lo:lo + 2 * a * b + 1:a], part)
+        return out
 
 
 def hecke_tminus(form, m):
     """The index-raising Hecke operator T_-(m) on weight-0 integral-index
     forms, on every q-order its input determines: (P - 1)//m + 1 of the
-    input's P (``ThetaTable.tminus``)."""
+    input's P, read off the rows of ``ThetaTable.tminus``."""
     if form.weight2 != 0 or form.index2 % 2:
         raise ValidationError("T_-(m) needs a weight-0 form of integral index")
     if m < 1:
         raise ValidationError("Hecke parameter must be positive")
     table = form.theta_table()
-    top = (table.orders - 1) // m
-    series = Series(DEN2, table.tminus(m, top), 24 * (top + 1), _clean=True)
-    return JacobiForm(series, 0, form.index2 * m, None)
+    top, tm = (table.orders - 1) // m, table.t * m
+    terms = {(24 * n, 4 * (u - tm - 2 * n)): c
+             for n, row in enumerate(table.tminus(m, top)) for u, c in enumerate(row) if c}
+    return JacobiForm(Series(DEN2, terms, 24 * (top + 1), _clean=True), 0, form.index2 * m, None)
 
 
 def hecke_t0_2(form):

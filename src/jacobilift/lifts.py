@@ -20,10 +20,11 @@ image is read, on the window's rows only, from the input's
 theta-decomposition table (``jacobi.ThetaTable``: c(n, l) by
 D = 4tn - l**2 and l mod 2t), which each form builds once, and the
 recursion runs on packed q-rows (``series._Rows``), one integer per
-q-row: each image is packed once, and each H_M stays packed.  That layout
-holds the weak-form support n >= 0, l**2 <= 4tn + t**2, and the table
-refuses an input term outside it.  The s**0 part F_0 of the lift is the
-theta block eta^(c(0,0) - sum_{l>0} c(0,l)) prod_{l>0} theta(tau, l z)^c(0,l)
+q-row: each image is packed once, from the table's rows, and each H_M
+stays packed.  That layout holds the weak-form support n >= 0,
+l**2 <= 4tn + t**2, and the table refuses an input term outside it.
+The s**0 part F_0 of the lift is the theta block
+eta^(c(0,0) - sum_{l>0} c(0,l)) prod_{l>0} theta(tau, l z)^c(0,l)
 (Gritsenko-Nikulin), and the Hodge anomaly is one too.  By the triple
 product each theta unit is (1 - y^-lam) B_lam with B_lam finite at each
 q-order (``_theta_rest``), so every lift, F_0 and anomaly here is the
@@ -224,21 +225,21 @@ def _fj_rows(form, sign, qprec, count):
     q-rows (``series._Rows``).  Each image I_k is read from the form's
     ``jacobi.ThetaTable``, built once per form; its furthest class sits at
     q-order k*nmax, so the input must reach that q-order, else
-    PrecisionError.  Each I_k, of index tk, is packed once; M H_M, the
-    schoolbook sum of the row products I_k H_{M-k}, is read back once and
-    checked to divide by M slot by slot (else InexactDivisionError naming
-    the row and the key), so its packed rows divided by M as integers are
-    H_M's, in the same layout and width: no H_M is packed.  One slot width
-    serves the recursion: the images' per-row l1 norms, carried through
-    the same recursion, bound every M H_M.
+    PrecisionError.  Each I_k, of index tk, comes as one list per q-row
+    (``ThetaTable.tminus``), entry u its slot u in the weak layout, and is
+    packed once; M H_M, the schoolbook sum of the row products
+    I_k H_{M-k}, is read back once and checked to divide by M slot by slot
+    (else InexactDivisionError naming the row and the key), so its packed
+    rows divided by M as integers are H_M's, in the same layout and width:
+    no H_M is packed.  One slot width serves the recursion: the images'
+    per-row l1 norms (the sums of the absolute values in each list),
+    carried through the same recursion, bound every M H_M.
 
-    The table refuses an input term outside the weak-form support n >= 0,
-    l**2 <= 4tn + t**2 of index t, and two terms of one class with
-    different coefficients, with ValidationError.  T_-(k) keeps that
+    The table refuses an input outside the weak-form support n >= 0,
+    l**2 <= 4tn + t**2 of index t (ValidationError).  T_-(k) keeps that
     support at index tk (4tkN - (al)**2 >= -(at)**2 >= -(tk)**2 for a | k),
     which puts every image in the layout |l| <= tk + 2N; products stay in
-    it.  The table reads a half-integral index through z -> 2z, and the
-    y-exponents are halved back at the end."""
+    it.  A half-integral index is read through z -> 2z and halved back."""
     if form.weight2:
         raise ValidationError("T_-(m) needs a weight-0 form of integral index")
     nmax = (qprec - 1) // 24
@@ -247,20 +248,19 @@ def _fj_rows(form, sign, qprec, count):
     table = form.theta_table()
     t = table.t
     images = [table.tminus(k, nmax) for k in range(1, count + 1)]
-    layouts = [_weak_layout(t * m) for m in range(count + 1)]
     # per-row l1 norms through the recursion bound every M H_M and image
-    norms = [_Rows.norms(image, layouts[k], nmax + 1) for k, image in enumerate(images, 1)]
+    norms = [_Rows([sum(map(abs, row)) for row in image]) for image in images]
     top, bounds = 0, [None]
     for m in range(1, count + 1):
         acc = sum((norms[k - 1] * bounds[m - k] for k in range(1, m)), norms[m - 1])
         top = max(top, *acc.rows)
         bounds.append(_Rows([v // m for v in acc.rows]))
     width = _Rows.width(top)
-    images = [_Rows.pack(image, layouts[k], nmax + 1, width) for k, image in enumerate(images, 1)]
+    images = [_Rows.slots(image, width) for image in images]
     out, packed = [{(0, 0): 1}], [None]
     for m in range(1, count + 1):
         acc = sum((images[k - 1] * packed[m - k] for k in range(1, m)), images[m - 1])
-        out.append(_row_over(_unpack_rows(acc.rows, layouts[m], width), m, sign))
+        out.append(_row_over(_unpack_rows(acc.rows, _weak_layout(t * m), width), m, sign))
         if m < count:
             packed.append(_Rows([sign * (v // m) for v in acc.rows]))
     if form.index2 % 2:

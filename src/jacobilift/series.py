@@ -21,7 +21,7 @@ from (q, y) rows and never divides them.
 import sys
 from array import array
 from math import gcd
-from operator import add, mul
+from operator import add, lshift, mul
 
 from .errors import (
     InexactDivisionError,
@@ -498,6 +498,12 @@ class _Rows:
             if n < orders:
                 rows[n] += c << (bits * ((ly - y0) // h + s * n))
         return cls(rows)
+
+    @classmethod
+    def slots(cls, rows, width):
+        """Rows given slot by slot: entry u of a row list is its slot u."""
+        bits = 8 * width
+        return cls([sum(map(lshift, row, range(0, bits * len(row), bits))) for row in rows])
 
     def __add__(self, other):
         return _Rows(list(map(add, self.rows, other.rows)))

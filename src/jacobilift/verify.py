@@ -288,10 +288,10 @@ def suite_hecke(qmax=6):
     )
     out = hecke_t0_2(generator(2, 24 * (4 * qmax + 2)))
     try:
-        classes = out.theta_table().classes
+        classes = list(out.theta_table().classes())
         norms = {}  # norm-determined: one coefficient per D over the classes
         structural = (out.weight2 == 0 and out.index2 == 4 and bool(classes)
-                      and all(norms.setdefault(d, c) == c for (d, _), c in classes.items()))
+                      and all(norms.setdefault(d, c) == c for (d, _), c in classes))
     except JacobiLiftError:
         structural = False
     checks.append(

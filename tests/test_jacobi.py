@@ -589,10 +589,10 @@ def hecke_t0_2_by_norms(form):
 def test_hecke_t0_2_norm_determined():
     out = hecke_t0_2(generator(2, 24 * 10))
     assert (out.weight2, out.index2) == (0, 4)
-    classes = out.theta_table().classes
+    classes = list(out.theta_table().classes())
     assert classes
     norms = {}
-    assert all(norms.setdefault(d, c) == c for (d, _), c in classes.items())
+    assert all(norms.setdefault(d, c) == c for (d, _), c in classes)
 
 
 @pytest.mark.parametrize("name, orders", [("phi02", o) for o in (1, 2, 5, 9, 10, 13)]
@@ -652,7 +652,9 @@ def test_table_readers_refuse_exact_and_index_0_forms():
 @settings(max_examples=80, deadline=None)
 def test_tminus_rows_equal_the_term_scan(data):
     """Whole and windowed T_-(m) images from the theta-decomposition table
-    equal the per-term scan."""
+    equal the per-term scan, which does not use the table: the table's
+    rows, one list per q-order N over the weak band |L| <= tm + 2N, read
+    back term by term, and the Series hecke_tminus reads off them."""
     index = data.draw(st.integers(1, 4))
     poly = {key: data.draw(st.integers(-3, 3)) for key in index_monomials(index)}
     poly = GeneratorPolynomial(poly) or GeneratorPolynomial({index_monomials(index)[0]: 1})
@@ -666,8 +668,43 @@ def test_tminus_rows_equal_the_term_scan(data):
     want = hecke_tminus_scan(form, m)
     assert hecke_tminus(form, m) == want
     top = data.draw(st.integers(-1, (orders - 1) // m))
-    window = form.theta_table().tminus(m, top)
-    assert window == {k: c for k, c in want.series.terms.items() if k[0] <= 24 * top}
+    assert tminus_rows_read_back(form, m, top) == {
+        k: c for k, c in want.series.terms.items() if k[0] <= 24 * top}
+
+
+def tminus_rows_read_back(form, m, top):
+    """The terms {(24N, 4L): c} of the rows ThetaTable.tminus(m, top),
+    each row asserted to span the weak band of index tm."""
+    rows, tm = form.theta_table().tminus(m, top), form.index2 // 2 * m
+    assert [len(row) for row in rows] == [2 * (tm + 2 * n) + 1 for n in range(top + 1)]
+    return {(24 * n, 4 * (u - tm - 2 * n)): c for n, row in enumerate(rows)
+            for u, c in enumerate(row) if c}
+
+
+@pytest.mark.parametrize("form", [generator(2, 24 * 5), generator(4, 24 * 4), phi_threehalf(24 * 6),
+                                  phi_threehalf(24 * 7).double_z()])
+def test_classes_are_the_terms_by_class(form):
+    """ThetaTable.classes yields each class a term meets once, with the
+    D that its list index stands for (a half-integral index read through
+    z -> 2z)."""
+    table = form.theta_table()
+    t, unit = table.t, 2 if form.index2 % 2 else 4
+    classes = list(table.classes())
+    assert len(classes) == len(dict(classes)) and dict(classes) == {
+        (4 * t * (nq // 24) - (ly // unit) ** 2, ly // unit % (2 * t)): c
+        for (nq, ly), c in form.series.terms.items()}
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_tminus_rows_read_classes_below_q_order_0_as_0(m):
+    """At index 6 a read can meet a class whose lowest representative sits
+    at q-order -1, such as (D, l mod 12) = (-24, 0), read by T_-(1) at
+    q^5 y^12; no term has such a class, so it reads 0."""
+    form = phi_threehalf(24 * 13).double_z()
+    table = form.theta_table()
+    assert table.t == 6 and table.coeff(-24, 12) == 0
+    top = 12 // m
+    assert tminus_rows_read_back(form, m, top) == hecke_tminus_scan(form, m).series.terms
 
 
 def test_table_precision_names_the_class():

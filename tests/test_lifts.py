@@ -598,27 +598,31 @@ def test_lift_engine_equals_the_per_row_route(monkeypatch, name):
 
 def test_engine_packs_each_operand_once(monkeypatch):
     """exp_lift(phi01) at q,s <= 9: the recursion makes no Series product,
-    so no dense product by _mul_rows either.  It packs each of the 9 images
-    once and no H_M: each packed H_M is the packed M H_M divided by M.  It
-    reads each M H_M back once, and multiplies the packed I_k by the
-    packed H_(M-k) once for each M and k < M."""
+    so no dense product by _mul_rows either, and packs no term dict.  It
+    packs each of the 9 images once, straight from the table's rows, and
+    no H_M: each packed H_M is the packed M H_M divided by M.  It reads
+    each M H_M back once, and multiplies the packed I_k by the packed
+    H_(M-k) once for each M and k < M."""
     qp, sp, inq = lift_window_for(generator(1, 24), 9, 9)
     form = generator(1, inq)
     nq, _, ms = _prefactor_key(form)
     count = (sp - ms - 1) // 24
-    packs, products, reads, series_products = [], [], [], []
-    pack, mul, unpack = series._Rows.pack.__func__, series._Rows.__mul__, lifts._unpack_rows
+    dict_packs, packs, products, reads, series_products = [], [], [], [], []
+    pack, slots = series._Rows.pack.__func__, series._Rows.slots.__func__
+    mul, unpack = series._Rows.__mul__, lifts._unpack_rows
     series_mul = Series.__mul__
 
-    def counted_pack(cls, terms, layout, orders, width):  # index m = -layout[2] // 4
-        packs.append((-layout[2] // 4, pack(cls, terms, layout, orders, width)))
+    def counted_slots(cls, rows, width):  # index m: row 0 spans |l| <= m
+        packs.append(((len(rows[0]) - 1) // 2, slots(cls, rows, width)))
         return packs[-1][1]
 
     def counted_mul(a, b):
         products.append((a, b))
         return mul(a, b)
 
-    monkeypatch.setattr(series._Rows, "pack", classmethod(counted_pack))
+    monkeypatch.setattr(series._Rows, "pack",
+                        classmethod(lambda cls, *args: dict_packs.append(args) or pack(cls, *args)))
+    monkeypatch.setattr(series._Rows, "slots", classmethod(counted_slots))
     monkeypatch.setattr(series._Rows, "__mul__", counted_mul)
     monkeypatch.setattr(lifts, "_unpack_rows",
                         lambda rows, layout, width: reads.append(-layout[2] // 4)
@@ -626,7 +630,7 @@ def test_engine_packs_each_operand_once(monkeypatch):
     monkeypatch.setattr(Series, "__mul__", lambda a, b: series_products.append(1) or series_mul(a, b))
     rows = lifts._fj_rows(form, -1, qp - nq, count)
     assert len(rows) == count + 1 == 10
-    assert series_products == []
+    assert series_products == [] and dict_packs == []
     assert [m for m, _ in packs] == list(range(1, count + 1))
     assert reads == list(range(1, count + 1))
     images = [packed for _, packed in packs]
@@ -750,10 +754,10 @@ def test_inexact_row_names_the_row_and_the_key(monkeypatch):
     tminus = jacobi.ThetaTable.tminus
 
     def faulty(table, m, top):
-        terms = tminus(table, m, top)
+        rows = tminus(table, m, top)
         if m == 2:
-            terms[(0, 0)] = terms.get((0, 0), 0) + 1
-        return terms
+            rows[0][table.t * m] += 1  # q^0 y^0: entry L + tm + 2N of row N
+        return rows
 
     monkeypatch.setattr(jacobi.ThetaTable, "tminus", faulty)
     form = generator(1, 24 * 10)
