@@ -156,15 +156,11 @@ class JacobiForm:
     __rmul__ = __mul__
 
     def scale_div(self, d):
-        """Exact division of every coefficient by d; the polynomial is
-        divided by ``GeneratorPolynomial.divide``, None when it does not."""
-        terms = {}
-        for k, c in self.series.terms.items():
-            q, r = divmod(c, d)
-            if r:
-                raise ValidationError(f"coefficient {c} at {k} not divisible by {d}")
-            terms[k] = q
-        series = Series(DEN2, terms, self.series.qprec, _clean=True)
+        """Exact division of every coefficient by the int d
+        (``Series.exact_div``: InexactDivisionError on a coefficient d does
+        not divide); the polynomial is divided by
+        ``GeneratorPolynomial.divide``, None when it does not."""
+        series = self.series._div_int(d)
         poly = None if self.poly is None else self.poly.divide(d)
         return JacobiForm._trusted(series, self.weight2, self.index2, poly)
 
@@ -310,15 +306,7 @@ def _phi02_series(qprec):
             key = (nq, 2 * (m + n))
             c = (3 * m - n) * km * kn
             terms[key] = terms.get(key, 0) + c
-    half = {}
-    for k, c in terms.items():
-        q, r = divmod(c, 2)
-        if r:
-            raise ValidationError("theta sum for the index-2 generator must be even")
-        if q:
-            half[k] = q
-    sum_series = Series(DEN2, half, pad, _clean=True)
-    return (sum_series * eta_power(-4, pad)).truncate(qprec)
+    return (Series(DEN2, terms, pad)._div_int(2) * eta_power(-4, pad)).truncate(qprec)
 
 
 def _phi_threehalf_series(qprec):
@@ -1006,9 +994,5 @@ def specialize_center(form):
             continue
         sign = -1 if l % 2 else 1
         key = (new_nq, 0)
-        new = terms.get(key, 0) + sign * c
-        if new == 0:
-            terms.pop(key, None)
-        else:
-            terms[key] = new
-    return Series(DEN2, terms, qout, _clean=True)
+        terms[key] = terms.get(key, 0) + sign * c
+    return Series(DEN2, terms, qout)

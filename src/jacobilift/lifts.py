@@ -227,19 +227,20 @@ def _fj_rows(form, sign, qprec, count):
     q-order k*nmax, so the input must reach that q-order, else
     PrecisionError.  Each I_k, of index tk, comes as one list per q-row
     (``ThetaTable.tminus``), entry u its slot u in the weak layout, and is
-    packed once; M H_M, the schoolbook sum of the row products
-    I_k H_{M-k}, is read back once and checked to divide by M slot by slot
-    (else InexactDivisionError naming the row and the key), so its packed
-    rows divided by M as integers are H_M's, in the same layout and width:
-    no H_M is packed.  One slot width serves the recursion: the images'
-    per-row l1 norms (the sums of the absolute values in each list),
-    carried through the same recursion, bound every M H_M.
+    packed once; M H_M, the schoolbook sum of the row products I_k H_{M-k},
+    is read back once and divided by sign M (``Series.exact_div``, else
+    InexactDivisionError naming the row and the key), so its packed rows
+    divided by M as integers are H_M's, in the same layout and width: no
+    H_M is packed.  One slot width serves the recursion: the images' per-row
+    l1 norms (the sums of the absolute values in each list), carried
+    through the same recursion, bound every M H_M.
 
     The table refuses an input outside the weak-form support n >= 0,
     l**2 <= 4tn + t**2 of index t (ValidationError).  T_-(k) keeps that
     support at index tk (4tkN - (al)**2 >= -(at)**2 >= -(tk)**2 for a | k),
     which puts every image in the layout |l| <= tk + 2N; products stay in
-    it.  A half-integral index is read through z -> 2z and halved back."""
+    it.  A half-integral index is read through z -> 2z, and its rows back
+    in its own y-units (``series._weak_layout`` with unit 2)."""
     if form.weight2:
         raise ValidationError("T_-(m) needs a weight-0 form of integral index")
     nmax = (qprec - 1) // 24
@@ -257,25 +258,18 @@ def _fj_rows(form, sign, qprec, count):
         bounds.append(_Rows([v // m for v in acc.rows]))
     width = _Rows.width(top)
     images = [_Rows.slots(image, width) for image in images]
-    out, packed = [{(0, 0): 1}], [None]
+    unit = 2 if form.index2 % 2 else 4
+    out, packed = [Series(DEN2, {(0, 0): 1}, qprec, _clean=True)], [None]
     for m in range(1, count + 1):
         acc = sum((images[k - 1] * packed[m - k] for k in range(1, m)), images[m - 1])
-        out.append(_row_over(_unpack_rows(acc.rows, _weak_layout(t * m), width), m, sign))
+        row = _unpack_rows(acc.rows, _weak_layout(t * m, unit), width)
+        try:
+            out.append(Series(DEN2, row, qprec, _clean=True)._div_int(sign * m))
+        except InexactDivisionError as exc:
+            raise InexactDivisionError(f"Fourier-Jacobi row {m}: {exc}") from None
         if m < count:
             packed.append(_Rows([sign * (v // m) for v in acc.rows]))
-    if form.index2 % 2:
-        out = [{(nq, ly // 2): c for (nq, ly), c in row.items()} for row in out]
-    return [Series(DEN2, row, qprec, _clean=True) for row in out]
-
-
-def _row_over(terms, m, sign=1):
-    """sign * terms / m for Fourier-Jacobi row m, exactly, else
-    InexactDivisionError naming the row and the key."""
-    for key, c in terms.items():
-        if c % m:
-            raise InexactDivisionError(f"Fourier-Jacobi row {m}: coefficient {c} at "
-                                       f"{key} is not divisible by {m}")
-    return {key: sign * (c // m) for key, c in terms.items()}
+    return out
 
 
 def _lift_parts(form, qprec, sprec):
@@ -389,7 +383,7 @@ def exp_lift_homomorphic(pairs, qprec, sprec, ywindow=None):
     checking the exponential homomorphism property.  Each exp_lift(phi_i)
     is taken apart (``_lift_parts``): the prefactors and the powers of R
     add, the G's and the row series multiply (powers by Miller's recurrence,
-    ``series._miller``, row M of the s-rows divided by M exactly), and R is applied once.
+    ``series._miller``, row M divided by M by ``Series.exact_div``), and R is applied once.
 
     With q^A_i s^C_i the prefactor of exp_lift(phi_i) and q^A s^C that of
     the product, exp_lift(phi_i) is taken apart at (qprec - A + A_i, sprec),
@@ -414,8 +408,8 @@ def exp_lift_homomorphic(pairs, qprec, sprec, ywindow=None):
         pref = tuple(v + a * w for v, w in zip(pref, pref_i))
         for step, c in thetas_i.items():
             thetas[step] = thetas.get(step, 0) + a * c
-        g, rows_i = g * g_i ** a, _miller(rows_i, a, len(rows_i), rows_i[0], lambda acc, m: Series(
-            DEN2, _row_over(acc.terms, m), acc.qprec, _clean=True), Series.zero(DEN2))
+        g, rows_i = g * g_i ** a, _miller(rows_i, a, len(rows_i), rows_i[0], Series._div_int,
+                                          Series.zero(DEN2))
         rows = rows_i if rows is None else _rows_mul(rows, rows_i)
     thetas = {step: c for step, c in thetas.items() if c}
     count = (sprec - pref[2] - 1) // (24 * t)

@@ -13,9 +13,9 @@ above it.  qprec=None marks an exact (polynomial) object with no missing
 tail.  Every coefficient is a Python int: the package works over Z alone.
 
 Sums, scalings, products, exponent substitutions and truncations take
-both arities; a (q, y, s) product is the dict loop.  Powers and exact
-division take (q, y) series only: the package assembles its Siegel series
-from (q, y) rows and never divides them.
+both arities, as does exact division by an int; a (q, y, s) product is the
+dict loop.  Powers and exact division by a series take (q, y) series only:
+the package assembles its Siegel series from (q, y) rows.
 """
 
 import sys
@@ -226,7 +226,10 @@ class Series:
         return Series(DEN2, terms, qprec, _clean=True)
 
     def exact_div(self, other):
-        """Exact division of (q, y) series by q-rows.  With alpha and beta
+        """The exact quotient by an int d (``_div_int``) or a (q, y) series.
+        d divides each coefficient of a (q, y) or (q, y, s) series, qprec
+        kept, else InexactDivisionError names the coefficient, its key and
+        |d|.  Two (q, y) series divide by q-rows.  With alpha and beta
         the operands' lowest q-levels and g the gcd of their level offsets,
         quotient row c_n for n = alpha - beta, alpha - beta + g, ... below
         the quotient's qprec is the remainder row a_{beta+n} - sum_{j>0}
@@ -235,6 +238,8 @@ class Series:
         row that does not divide).  Between exact (qprec=None) series the
         quotient stops at q-level max(a) - max(b), and a nonzero remainder
         row past it raises.  A (q, y, s) operand raises ValidationError."""
+        if isinstance(other, int):
+            return self._div_int(other)
         if not isinstance(other, Series) or (self.den, other.den) != (DEN2, DEN2):
             raise ValidationError("exact division takes two two-variable series")
         if other.is_zero():
@@ -275,6 +280,16 @@ class Series:
                 f"{stop - 1}, the dividend's top q-level minus the divisor's"
             )
         return Series(DEN2, quot, qprec, _clean=True)
+
+    def _div_int(self, d):
+        """``exact_div`` by the int d.  The package divides by an int through
+        this name: perfbench's tracer wraps ``exact_div`` for series divisors."""
+        if not d:
+            raise ZeroDivisionError("division of a series by 0")
+        for key, c in self.terms.items():
+            if c % d:
+                raise InexactDivisionError(f"coefficient {c} at {key} is not divisible by {abs(d)}")
+        return Series(self.den, {k: c // d for k, c in self.terms.items()}, self.qprec, _clean=True)
 
     # ---- exponent substitutions ---------------------------------------
 
@@ -343,7 +358,8 @@ def _miller(rows, k, count, first, divide=None, zero=0):
     """c_0 = first = rows[0]**k, ..., c_(count-1) of (sum_j rows[j] t**j)**k
     by J. C. P. Miller's recurrence (Knuth, TAOCP 2, 4.7): n rows[0] c_n =
     sum_{j>=1} ((k + 1) j - n) rows[j] c_(n-j) = S, c_n = divide(S, n), by
-    default S // (n rows[0]), which must be exact."""
+    default S // (n rows[0]), which must be exact; series rows with
+    rows[0] = 1 take ``Series._div_int``, exact or InexactDivisionError."""
     out = [first]
     rest = [(j, row) for j, row in enumerate(rows[:count]) if j and row != 0]
     for n in range(1, count):
@@ -446,9 +462,10 @@ def _read_slots(packed, slots, width):
 # ---- packed q-rows ---------------------------------------------------------
 
 
-def _weak_layout(m):
-    """The ``_Rows`` layout of an index-m weak form: row n from y**-(m + 2n)."""
-    return (0, 24, -4 * m, 4, 2)
+def _weak_layout(m, unit=4):
+    """The ``_Rows`` layout of an index-m weak form: row n from y**-(m + 2n),
+    unit y-keys to a unit of l (2 for a half-integral index read in z -> 2z)."""
+    return (0, 24, -unit * m, unit, 2)
 
 
 class _Rows:

@@ -18,7 +18,8 @@ import random
 import time
 from math import gcd, isqrt
 
-from .errors import IdentityError, JacobiLiftError, PrecisionError, ValidationError
+from .errors import (IdentityError, InexactDivisionError, JacobiLiftError, PrecisionError,
+                     ValidationError)
 from .genpoly import GeneratorPolynomial
 from .genus import (
     CY_RELATIONS,
@@ -451,33 +452,23 @@ def _siegel_theta_constant(a, b, qprec, sprec):
                 continue
             c = sign0 * (-1) ** ((n1 * b1 + n2 * b2) % 2)
             key = (nq, u * v, ms)
-            new = terms.get(key, 0) + c
-            if new:
-                terms[key] = new
-            else:
-                terms.pop(key, None)
-    return Series(DEN3, terms, qprec, _clean=True)
+            terms[key] = terms.get(key, 0) + c
+    return Series(DEN3, terms, qprec)
 
 
 def _theta_product_delta5_squared(qprec, sprec):
     """2^{-12} times the product of the squares of the ten even genus-2
-    theta constants; equals the square of the first weight-5 cusp form."""
+    theta constants; equals the square of the first weight-5 cusp form.
+    A coefficient that 2^12 does not divide is an IdentityError."""
     acc = Series.const(1, DEN3, qprec)
     for a, b in _even_characteristics():
         theta = _siegel_theta_constant(a, b, qprec, sprec)
         acc = (acc * theta).truncate_s(sprec)
         acc = (acc * theta).truncate_s(sprec)
-    terms = {}
-    for key, coeff in acc.terms.items():
-        quot, rem = divmod(coeff, 4096)
-        if rem:
-            raise IdentityError(
-                f"theta-constant product coefficient {coeff} at {key} "
-                "is not divisible by 2**12"
-            )
-        if quot:
-            terms[key] = quot
-    return Series(DEN3, terms, qprec, _clean=True)
+    try:
+        return acc._div_int(2 ** 12)
+    except InexactDivisionError as exc:
+        raise IdentityError(f"theta-constant product {exc}") from None
 
 
 def suite_lifts():
@@ -530,8 +521,7 @@ def suite_lifts():
     )
     # Delta_{1/2} = -(1/2) Theta_{(1,1),(1,1)}, substituted
     theta = _siegel_theta_constant((1, 1), (1, 1), 80, 200)
-    half = Series(DEN3, {k: -c // 2 for k, c in theta.terms.items()}, theta.qprec, _clean=True)
-    dh = siegel_scale(SiegelSeries(half, 1, 0, None), 2, 4)
+    dh = siegel_scale(SiegelSeries(theta._div_int(-2), 1, 0, None), 2, 4)
     e4 = exp_lift(generator(4, 24 * 12), 80, 80)
     checks.append(
         _check(

@@ -10,7 +10,7 @@ import pytest
 from conftest import hecke_tminus_scan, lift_to_three, plain_power
 from hypothesis import given, settings, strategies as st
 
-from jacobilift.errors import PrecisionError, ValidationError
+from jacobilift.errors import InexactDivisionError, PrecisionError, ValidationError
 from jacobilift.genpoly import GeneratorPolynomial, _horner, parse_generator_polynomial
 from jacobilift.jacobi import (
     PACKED_MAX_ORDERS,
@@ -1167,3 +1167,13 @@ def test_ring_results_pass_the_public_check(seed, k, cut):
                f.truncate(cut), half.truncate(cut), (f * 6).scale_div(3)]
     for form in results:
         assert JacobiForm(form.series, form.weight2, form.index2, form.poly) == form
+
+
+def test_scale_div_names_a_coefficient_it_cannot_divide():
+    """scale_div divides by Series.exact_div, so an inexact coefficient is
+    an InexactDivisionError naming it, its key and the divisor."""
+    phi = generator(1, 48) * 2
+    assert phi.scale_div(-2) == -generator(1, 48)
+    with pytest.raises(InexactDivisionError, match=r"coefficient -?\d+ at \(\d+, -?\d+\) is not "
+                       "divisible by 4"):
+        phi.scale_div(4)

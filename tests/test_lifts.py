@@ -379,6 +379,27 @@ def test_verify_homomorphism_check_compares_every_returned_s_row(monkeypatch):
     assert checks["exp_lift(a*phi + b*psi) == exp_lift(phi)^a exp_lift(psi)^b, |a|,|b| <= 2"] is False
 
 
+def test_verify_halves_the_theta_constant_exactly(monkeypatch):
+    """Delta_{1/2} is -1/2 Theta_{(1,1),(1,1)}: with one coefficient of that
+    theta constant made odd, suite_lifts raises InexactDivisionError naming
+    it and its key, where a floor would pass on a wrong Delta_{1/2}."""
+    from jacobilift import verify
+
+    original = verify._siegel_theta_constant
+    key = min(original((1, 1), (1, 1), 80, 200).terms)
+
+    def one_odd(a, b, qprec, sprec):  # only the Delta_{1/2} theta at (80, 200)
+        theta = original(a, b, qprec, sprec)
+        bump = (a, b, qprec, sprec) == ((1, 1), (1, 1), 80, 200)
+        return theta + Series(DEN3, {key: 1}, None) if bump else theta
+
+    monkeypatch.setattr(verify, "_siegel_theta_constant", one_odd)
+    odd = one_odd((1, 1), (1, 1), 80, 200).terms[key]
+    with pytest.raises(InexactDivisionError,
+                       match=re.escape(f"coefficient {odd} at {key} is not divisible by 2")):
+        verify.suite_lifts()
+
+
 def test_exp_lift_homomorphic_refuses_a_pair_past_sprec():
     """2 phi02 - psi_A at its q,s <= 1 window (25, 25): exp_lift of the sum
     reaches s^0, but psi_A's s-prefactor s^2 (ms = 48) lies past sprec, so

@@ -1,5 +1,6 @@
 """Ring laws, precision contracts and serialization of sparse series."""
 
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -810,3 +811,31 @@ def test_unpack_rows_reads_back_what_was_packed(data):
     rows = _Rows.pack(terms, layout, orders, width).rows
     assert _unpack_rows(rows, layout, width) == terms
 
+
+
+# ---- exact division by an int ---------------------------------------------
+
+
+@given(st.data(), st.integers(2, 3), st.one_of(st.integers(-9, 9), st.integers(-BIG, BIG)).filter(bool))
+@settings(max_examples=100, deadline=None)
+def test_exact_div_by_an_int_inverts_scaling(data, nvars, d):
+    """(s * d).exact_div(d) == s, qprec kept, for (q, y) and (q, y, s)
+    series, exact or not, and every nonzero d, negative and huge ones too."""
+    s = data.draw(lattice_series(nvars, min_size=0))
+    quotient = (s * d).exact_div(d)
+    assert quotient == s and quotient.qprec == s.qprec and quotient.den == s.den
+
+
+@pytest.mark.parametrize("den, key", [(DEN2, (24, -4)), (DEN3, (24, -4, 48))])
+def test_exact_div_by_an_int_names_the_coefficient_and_its_key(den, key):
+    s = Series(den, {(0,) * len(den): 6, key: 9}, 48)
+    with pytest.raises(InexactDivisionError, match=re.escape(f"coefficient 9 at {key} is not "
+                                                             "divisible by 6")):
+        s.exact_div(-6)
+    assert s.exact_div(3) == Series(den, {(0,) * len(den): 2, key: 3}, 48)
+
+
+def test_exact_div_by_zero_raises():
+    for s in (Series.const(2, DEN2, 24), Series.zero(DEN3, None)):
+        with pytest.raises(ZeroDivisionError):
+            s.exact_div(0)
