@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
+from math import gcd
 
 from .errors import (
     IdentityError,
@@ -66,12 +66,11 @@ def _resolve_form(text, qprec):
 def _monomial_str(num, den, var):
     if num == 0:
         return ""
-    e = Fraction(num, den)
-    if e == 1:
-        return var
-    if e.denominator == 1:
-        return f"{var}^{e.numerator}"
-    return f"{var}^({e.numerator}/{e.denominator})"
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    if den == 1:
+        return var if num == 1 else f"{var}^{num}"
+    return f"{var}^({num}/{den})"
 
 
 def _row_str(row):
@@ -149,7 +148,7 @@ def _emit(args, text_fn, json_obj):
 
 
 def cmd_expand(args):
-    form = _resolve_form(args.form, 24 * (args.qmax + 1)).truncate(24 * args.qmax)
+    form = _resolve_form(args.form, 24 * args.qmax)
     return _emit(args, lambda: _form_text(form), _form_json(form))
 
 

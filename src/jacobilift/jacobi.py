@@ -255,8 +255,8 @@ def theta_jacobi(qprec, y_scale=1):
     """The odd Jacobi theta function theta(tau, y_scale*z), as the series
     sum_m (-4/m) q**(m*m/8) y**(m*y_scale/2); y_scale is an integer or a
     half-integer."""
-    step = 2 * Fraction(y_scale)
-    if step.denominator != 1:
+    step = 2 * y_scale
+    if step % 1:
         raise ValidationError(f"theta_jacobi needs an integer or half-integer y_scale, got {y_scale}")
     if qprec is None:
         raise ValidationError("theta(tau, z) is an infinite series; give a qprec")

@@ -21,7 +21,7 @@ the package assembles its Siegel series from (q, y) rows.
 import sys
 from array import array
 from math import gcd
-from operator import add, lshift, mul
+from operator import add, lshift, mul, rshift
 
 from .errors import (
     InexactDivisionError,
@@ -416,6 +416,15 @@ def _divide_row(row, divisor, level):
 # are rare and gain (in e_form under a wide y-window: 0.57 against 0.87 ms).
 PACK_MIN_TERMS = 16
 
+# ``_Rows.__mul__`` shifts each row's trailing zero bits out before the row
+# products when both operands' last rows have more bits than this:
+# CPython's Karatsuba cutoff, 70 digits of 30 bits.  In a forms round that
+# route won 5 of 191 row products at 1 024-1 535 bits, 16 of 58 at
+# 1 536-2 047 (even in time) and all 6 past 4 600 bits, in half the time
+# (Python 3.11, shared 2-core host); no row product of a lifts round
+# reaches 2 048 bits.
+STRIP_MIN_BITS = 2100
+
 
 def _mul_dict(a, b, qprec, nvars):
     """Term dicts a (the smaller) times b, one dict update per pair."""
@@ -480,7 +489,14 @@ class _Rows:
     A square (the same row list twice) forms each cross product once.
     The weak layout of index m (``_weak_layout``) holds the weak-form
     support 0 <= n, |l| <= m + 2n, which every weak form of index m has
-    (4mn - l**2 >= -m**2)."""
+    (4mn - l**2 >= -m**2).
+
+    Rows start on a straight line (y0 - h s n), the terms of a weak form
+    on that parabola, so a long row has zero slots below its terms (at 40
+    orders phi02's rows average 53 slots, 24 of them spanning its terms).
+    Past STRIP_MIN_BITS each row's trailing zero bits are shifted out before
+    the row products and the products shifted back, exactly; below it the
+    shifts cost more than they save."""
 
     __slots__ = ("rows",)
 
@@ -530,12 +546,29 @@ class _Rows:
         if isinstance(other, int):
             return _Rows([other * r for r in a])
         b = other.rows
+        if a and min(a[-1].bit_length(), b[-1].bit_length()) > STRIP_MIN_BITS:
+            # rows r = r' << z, z the trailing zero bits of r: the r' multiply,
+            # and each pair product shifts back by the sum of its two z's
+            sa, za = _Rows._stripped(a)
+            if b is a:
+                return _Rows([2 * sum(map(lshift, map(mul, sa, sa[k:k // 2:-1]), map(add, za, za[k:k // 2:-1])))
+                              + (0 if k % 2 else sa[k // 2] ** 2 << 2 * za[k // 2]) for k in range(len(a))])
+            sb, zb = _Rows._stripped(b)
+            return _Rows([sum(map(lshift, map(mul, sa[:k + 1], sb[k::-1]), map(add, za[:k + 1], zb[k::-1])))
+                          for k in range(len(a))])
         if b is a:  # a square: each cross product once, doubled, and the middle square
             return _Rows([2 * sum(map(mul, a, a[k:k // 2:-1])) + (0 if k % 2 else a[k // 2] ** 2)
                           for k in range(len(a))])
         return _Rows([sum(map(mul, a[:k + 1], b[k::-1])) for k in range(len(a))])
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def _stripped(rows):
+        """The rows with their trailing zero bits shifted out, and the
+        shifts (0 for a zero row)."""
+        zeros = [((r & -r) or 1).bit_length() - 1 for r in rows]
+        return list(map(rshift, rows, zeros)), zeros
 
 
 def _unpack_rows(rows, layout, width):

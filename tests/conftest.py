@@ -6,7 +6,7 @@ import pytest
 
 from jacobilift.cli import main
 from jacobilift.jacobi import JacobiForm
-from jacobilift.series import DEN2, DEN3, Series
+from jacobilift.series import DEN2, DEN3, Series, _Rows
 
 RESULTS = []
 
@@ -21,6 +21,14 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_sep("-", "acceptance criteria")
         for line in RESULTS:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def strips(monkeypatch):
+    """The row lists _Rows.__mul__ strips of their trailing zero bits, recorded."""
+    seen, stripped = [], _Rows._stripped
+    monkeypatch.setattr(_Rows, "_stripped", staticmethod(lambda rows: seen.append(rows) or stripped(rows)))
+    return seen
 
 
 @pytest.fixture(scope="session")

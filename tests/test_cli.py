@@ -41,6 +41,24 @@ def test_expand_xi06_json(capsys):
     assert min(series.terms)[0] == 24  # first key at q^1
 
 
+@pytest.mark.parametrize("form", ["Phi1", "Phi1*Phi3-Phi2^2", "Phi4^2-7*Phi2*Phi3^2", "xi06"])
+def test_expand_builds_exactly_qmax_orders(capsys, monkeypatch, form):
+    """expand --qmax N asks for its form at N whole q-orders, and prints
+    the form a build one order longer gives, cut to N orders."""
+    import jacobilift.cli as cli
+
+    asked = []
+    for name in ("polynomial_form", "xi06"):
+        build = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, build=build: asked.append(args[-1]) or build(*args))
+    for qmax in (1, 2, 3, 6, 10):
+        code, out, _ = run(capsys, "expand", "--qmax", str(qmax), "--json", "--", form)
+        assert code == 0 and asked == [24 * qmax]
+        longer = cli._resolve_form(form, 24 * (qmax + 1)).truncate(24 * qmax)
+        assert json.loads(out) == json.loads(json.dumps(cli._form_json(longer)))
+        asked.clear()
+
+
 def test_expand_parse_failure(capsys):
     code, _, err = run(capsys, "expand", "Phi1*Phi9")
     assert code == 2 and "error" in err

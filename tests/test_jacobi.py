@@ -355,6 +355,25 @@ def test_packed_quadratic_equals_series_products(m, orders):
     assert (got.weight2, got.index2) == (0, 2 * m)
 
 
+@pytest.mark.parametrize("m", sorted(QUADRATICS))
+def test_packed_quadratic_past_the_strip_gate_equals_the_dict_loop(strips, m):
+    """At 40 q-orders the row products of phi_0m = a c - x b**2 pass
+    series.STRIP_MIN_BITS and multiply stripped rows; the terms equal the
+    same quadratic from the dict loop (series._mul_dict), which packs no row."""
+    from jacobilift import series
+
+    qprec = 24 * 40
+    i, j, k, x = QUADRATICS[m]
+    a, b, c = (generator(n, qprec).series.terms for n in (i, j, k))
+    strips.clear()  # building phi06 for phi08 or phi012 strips too
+    got = _packed_quadratic(*(generator(n, qprec) for n in (i, j, k)), x)
+    assert len(strips) == 3  # a, c, and b once for its square
+    want = series._mul_dict(a, c, qprec, 2)
+    for key, v in series._mul_dict(b, b, qprec, 2).items():
+        want[key] = want.get(key, 0) - x * v
+    assert got.series.terms == {key: v for key, v in want.items() if v}
+
+
 @pytest.mark.parametrize("bits", [7, 15, 63, 71])
 @pytest.mark.parametrize("x", [1, 2])
 def test_packed_quadratic_slot_width_holds_the_extreme(bits, x):

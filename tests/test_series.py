@@ -1,5 +1,6 @@
 """Ring laws, precision contracts and serialization of sparse series."""
 
+import random
 import re
 from fractions import Fraction
 from unittest import mock
@@ -14,6 +15,7 @@ from jacobilift.jacobi import _phi01_series
 from jacobilift.series import (
     DEN2,
     DEN3,
+    STRIP_MIN_BITS,
     Series,
     _divide_row,
     _min_prec,
@@ -791,6 +793,70 @@ def test_rows_square_equals_the_general_product(rows):
     square = (a * a).rows
     assert square == (a * _Rows(list(rows))).rows
     assert square == [sum(rows[i] * rows[k - i] for i in range(k + 1)) for k in range(len(rows))]
+
+
+def gate_rows(rng, count, top_bits):
+    """count rows for the stripped-route tests, the last exactly top_bits
+    bits long: zero rows (never the last), rows of either sign, rows whose
+    lowest bit is set and rows with up to bits - 1 trailing zero bits."""
+    rows = []
+    for n in range(count):
+        last = n == count - 1
+        bits = top_bits if last else rng.randint(1, top_bits)
+        kind = rng.choice(["low", "shifted"] if last else ["zero", "low", "shifted"])
+        if kind == "zero":
+            rows.append(0)
+            continue
+        zeros = rng.randint(1, bits - 1) if kind == "shifted" and bits > 1 else 0
+        odd = rng.getrandbits(bits - zeros) | 1 | 1 << (bits - zeros - 1)
+        rows.append(rng.choice([1, -1]) * (odd << zeros))
+    return rows
+
+
+def schoolbook(a, b):
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("bits_a, bits_b", [
+    (STRIP_MIN_BITS + 1, STRIP_MIN_BITS + 1),  # both just past the gate
+    (4 * STRIP_MIN_BITS, STRIP_MIN_BITS + 1),
+    (STRIP_MIN_BITS + 1, 4 * STRIP_MIN_BITS),
+    (STRIP_MIN_BITS, 4 * STRIP_MIN_BITS),  # one operand at the gate: plain rows
+    (4 * STRIP_MIN_BITS, 64),
+    (64, 64),
+])
+def test_rows_products_on_both_sides_of_the_gate_equal_the_schoolbook_sum(strips, seed, bits_a, bits_b):
+    """_Rows.__mul__ equals the plain schoolbook sum row by row, in the
+    general and the square branch, with zero, negative, odd and shifted
+    rows; it strips the rows exactly when the shorter of the operands'
+    last rows is past STRIP_MIN_BITS."""
+    rng = random.Random(f"{seed}:{bits_a}:{bits_b}")
+    count = rng.randint(1, 8)
+    a, b = (gate_rows(rng, count, bits) for bits in (bits_a, bits_b))
+    assert (_Rows(a) * _Rows(b)).rows == schoolbook(a, b)
+    assert strips == ([a, b] if min(bits_a, bits_b) > STRIP_MIN_BITS else [])
+    strips.clear()
+    square = _Rows(a)
+    assert (square * square).rows == schoolbook(a, a)
+    assert strips == ([a] if bits_a > STRIP_MIN_BITS else [])
+
+
+def test_stripped_rows_shift_out_trailing_zero_bits():
+    rows = [0, 1, -1, 12, -12, 5 << 3000, -(7 << 2101)]
+    assert _Rows._stripped(rows) == ([0, 1, -1, 3, -3, 5, -7], [0, 0, 0, 2, 2, 3000, 2101])
+
+
+@pytest.mark.parametrize("x, y", [(2, 4), (3, 3)])
+def test_series_products_past_the_gate_equal_the_dict_loop(strips, x, y):
+    """phi02 phi04 and the square phi03**2 at 48 q-orders take the stripped
+    rows in Series.__mul__ and equal the dict loop."""
+    from jacobilift.jacobi import generator
+
+    a, b = (generator(m, 24 * 48).series for m in (x, y))
+    prod = a * b
+    assert strips and prod.qprec == 24 * 48
+    assert prod.terms == _mul_dict(a.terms, b.terms, prod.qprec, 2)
 
 
 @given(st.data())
