@@ -165,15 +165,14 @@ def cmd_genus(args):
     # exit 3, with --json too.
     inv = _invariants_from_args(args)
     relations = relation_check(inv)
+    relation_lines = [f"{'ok  ' if ok else 'FAIL'} {k}  (residual {res})"
+                      for k, (ok, res) in relations.items()]
     broken = [k for k, (ok, _) in relations.items() if not ok]
     if broken:
         message = f"failed: {'; '.join(broken)}"
         if args.json:
             return _error(True, "identity", message)
-        for k, (ok, res) in relations.items():
-            status = "ok  " if ok else "FAIL"
-            print(f"{status} {k}  (residual {res})", file=sys.stderr)
-        print(message, file=sys.stderr)
+        print(*relation_lines, message, sep="\n", file=sys.stderr)
         return EXIT_IDENTITY
     genus = elliptic_genus(inv, qprec=24 * (args.qmax + 1))
     # the torsion congruences apply to integral-index forms (even d)
@@ -193,9 +192,8 @@ def cmd_genus(args):
         lines = [
             f"d = {inv.d}  chi = {inv.chi}  e = {inv.euler}",
             _form_text(genus.truncate(24 * args.qmax)),
+            *relation_lines,
         ]
-        for k, (ok, res) in relations.items():
-            lines.append(f"{'ok  ' if ok else 'FAIL'} {k}  (residual {res})")
         for k, (ok, _) in divis.items():
             lines.append(f"{'ok  ' if ok else 'FAIL'} {k}")
         return "\n".join(lines)

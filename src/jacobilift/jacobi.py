@@ -166,10 +166,7 @@ class JacobiForm:
 
     def double_z(self):
         """phi(tau, 2z): index quadruples, weight unchanged."""
-        poly = None
-        return JacobiForm(
-            self.series.scale_y(2), self.weight2, self.index2 * 4, poly
-        )
+        return JacobiForm(self.series.scale_y(2), self.weight2, self.index2 * 4)
 
     def truncate(self, qprec):
         return JacobiForm._trusted(
@@ -978,7 +975,6 @@ def specialize_center(form):
     if form.index2 % 2:
         raise ValidationError("center specialization needs integral index")
     m = form.index2 // 2
-    qin = form.series.qprec
     orders = form.qprec_orders()
     if orders is None:
         raise ValidationError("center specialization needs finite precision")

@@ -25,7 +25,9 @@ stays packed.  That layout holds the weak-form support n >= 0,
 l**2 <= 4tn + t**2, and the table refuses an input term outside it.
 The s**0 part F_0 of the lift is the theta block
 eta^(c(0,0) - sum_{l>0} c(0,l)) prod_{l>0} theta(tau, l z)^c(0,l)
-(Gritsenko-Nikulin), and the Hodge anomaly is one too.  By the triple
+of the input's q**0 row (Gritsenko-Nikulin), and the Hodge anomaly is the
+theta block of minus the elliptic genus's q**0 row: one rule reads both
+(``_row_block``).  By the triple
 product each theta unit is (1 - y^-lam) B_lam with B_lam finite at each
 q-order (``_theta_rest``), so every lift, F_0 and anomaly here is the
 monomial of ``_block_lead`` times R = prod (1 - y^-lam)^c_lam times an
@@ -192,11 +194,17 @@ def abc_exponents(form):
     return Fraction(a, 24), Fraction(b, 8), Fraction(c, 64)
 
 
+def _row_block(row):
+    """A q**0 row {4l: c(l)}, even in y, read as the theta block
+    eta^(c(0) - sum_{l>0} c(l)) prod_{l>0} theta(tau, l z)^c(l), as
+    (eta_exp, thetas) with thetas[4l] = c(l) (Gritsenko-Nikulin)."""
+    thetas = {ly: c for ly, c in row.items() if ly > 0}
+    return row.get(0, 0) - sum(thetas.values()), thetas
+
+
 def _lift_block(form):
     """A lift input, a weight-0 form of positive integral index t, as
-    (t, eta_exp, thetas): its q**0 row, even in y, read as the theta block
-    eta^(c(0,0) - sum_{l>0} c(0,l)) prod_{l>0} theta(tau, l z)^c(0,l) with
-    thetas[4l] = c(0, l)."""
+    (t, eta_exp, thetas): the theta block of its q**0 row (``_row_block``)."""
     if form.weight2 != 0:
         raise ValidationError("exponential lifts take weight-0 forms")
     if form.index2 % 2 != 0:
@@ -206,8 +214,7 @@ def _lift_block(form):
     q0 = form.q_row(0)
     if any(q0.get(-ly) != c for ly, c in q0.items()):
         raise ValidationError("the q**0 row of a lift input must be even in y")
-    thetas = {ly: c for ly, c in q0.items() if ly > 0}
-    return form.index2 // 2, q0.get(0, 0) - sum(thetas.values()), thetas
+    return (form.index2 // 2, *_row_block(q0))
 
 
 def _prefactor_key(form):
@@ -352,23 +359,16 @@ def _input_qprec(pq, ps, t=1):
     return 24 * (nmax * mmax + 1)
 
 
-def _lift_input_for(form, qprec, sprec):
-    """The input q-precision of exp_lift(form, qprec, sprec); only the
-    q**0 row of form is read, so a one-order form serves."""
-    t, eta_exp, thetas = _lift_block(form)
-    pref = _block_lead(eta_exp, thetas)
-    return _input_qprec(qprec - pref[0], sprec - pref[2], t)
-
-
 def lift_window_for(form, qmax, smax):
     """Precisions (qprec, sprec, input_qprec) so that exp_lift(form)
     covers qmax whole q-orders and smax whole s-orders past its leading
     term, and the input form is expanded far enough to serve every
     exponent lookup."""
-    pref = _prefactor_key(form)
+    t, *block = _lift_block(form)
+    pref = _block_lead(*block)
     qprec = 24 * qmax + 1 + max(pref[0], 0)
     sprec = 24 * smax + 1 + max(pref[2], 0)
-    return qprec, sprec, _lift_input_for(form, qprec, sprec)
+    return qprec, sprec, _input_qprec(qprec - pref[0], sprec - pref[2], t)
 
 
 def _rows_mul(x, y):
@@ -447,45 +447,16 @@ def symmetric_product_genus(form, n, qprec):
 # ---- the Hodge anomaly -----------------------------------------------------
 
 
-def _anomaly_block(inv):
-    """The Hodge anomaly of inv as (eta_exp, thetas, meta): the theta
-    block eta^eta_exp prod theta(tau, lam z)^thetas[4 lam] and (weight2,
-    character order) (``hodge_anomaly``)."""
-    d, chi, e = inv.d, inv.chi, inv.euler
-
-    def chip(p):
-        return (-1) ** p * chi[p]
-
-    thetas = {}
-    if d % 2 == 0:
-        d0 = d // 2
-        num = e - 3 * chip(d0)
-        if num % 2 != 0:
-            raise ValidationError("eta exponent (e - 3 chi'_{d0})/2 is not integral")
-        eta_exp = num // 2
-        weight2 = -chip(d0)
-        for p in range(1, d0 + 1):
-            thetas[4 * p] = -chip(d0 - p)
-    else:
-        d0 = (d - 1) // 2
-        if e % 2 != 0:
-            raise ValidationError("odd-dimensional Euler numbers must be even")
-        eta_exp = e // 2
-        weight2 = 0
-        for p in range(1, d0 + 2):
-            thetas[4 * p - 2] = -chip(d0 - p + 1)
-    meta = (weight2, 24 // gcd(24, e) if e else 1)
-    return eta_exp, {step: c for step, c in thetas.items() if c}, meta
-
-
 def _anomaly_times(inv, qprec, sprec, ywindow, t, genus):
     """The Hodge anomaly of inv, times the second-quantized genus of its
     elliptic genus (p -> s^t) when genus is set, as a SiegelSeries of index
-    t: q^lead R G sum_M H_M s^(tM) (``_assemble``) with the one row 1 or
+    t: q^lead R G sum_M H_M s^(tM) (``_assemble``), q^lead R G the theta
+    block of minus inv's q**0 row (``_row_block``), with the one row 1 or
     those of ``sqeg`` below the windows past the lead; empty when the lead
     does not lie below (qprec, sprec)."""
     _check_ywindow(ywindow)
-    eta_exp, thetas, meta = _anomaly_block(inv)
+    row = {ly: -c for ly, c in inv.q0_row().items()}
+    eta_exp, thetas = _row_block(row)
     lead = _block_lead(eta_exp, thetas)
     rel, ps = qprec - lead[0], sprec - lead[2]
     series = Series(DEN3, {}, qprec, _clean=True)
@@ -495,7 +466,7 @@ def _anomaly_times(inv, qprec, sprec, ywindow, t, genus):
             chi = elliptic_genus(inv, qprec=_input_qprec(rel, ps, t))
             rows = _fj_rows(chi, 1, rel, (ps - 1) // (24 * t))
         series = _assemble(lead, thetas, _block_rest(eta_exp, thetas, rel), rows, t, ywindow)
-    return SiegelSeries(series, *meta, t)
+    return SiegelSeries(series, row.get(0, 0), 24 // gcd(24, lead[0]), t)
 
 
 def hodge_anomaly(inv, qprec, sprec, ywindow=None):
@@ -510,12 +481,17 @@ def hodge_anomaly(inv, qprec, sprec, ywindow=None):
                       prod_{p=1..d0+1} theta(tau, (2p-1) z / 2)^{-chi'_{d0-p+1}}
                       s^{-(1/8) sum (2p-1)^2 chi'_{d0-p+1}}
 
-    with chi'_p = (-1)^p chi_p.  (The eta exponent signs here are fixed
+    with chi'_p = (-1)^p chi_p, of weight2 -chi'_{d0} (0 for odd d) and
+    character order 24/gcd(24, e).  (The eta exponent signs here are fixed
     by requiring that H times the second-quantized genus reproduce the
     exponential lift of minus the elliptic genus; see the factorization
-    check.)  Under a ``ywindow`` the terms on |ly| <= ywindow around the
-    leading monomial are returned, each exact (``_assemble``).  The
-    series is empty when its s-exponent ms is not below sprec."""
+    check.)  It is computed as the theta block of minus the q**0 row
+    sum chi'_p y^(d/2 - p) (``_row_block``, as for the F_0 of a lift):
+    by Serre duality, chi'_p = chi'_{d-p}, that block's eta power
+    c(0) - sum_{l>0} c(l) is the one above on both parities, and its
+    weight2 is c(0).  Under a ``ywindow`` the terms on |ly| <= ywindow
+    around the leading monomial are returned, each exact (``_assemble``).
+    The series is empty when its s-exponent ms is not below sprec."""
     index_t = inv.d // 2 if inv.d % 2 == 0 else 2 * inv.d
     return _anomaly_times(inv, qprec, sprec, ywindow, index_t, False)
 
@@ -526,7 +502,9 @@ def hodge_anomaly(inv, qprec, sprec, ywindow=None):
 def _lift_at(make, qprec, sprec, ywindow=None):
     """exp_lift of make(input_qprec), where make builds the input form at
     a q-precision and input_qprec is as far as the lift reads it."""
-    need = _lift_input_for(make(24), qprec, sprec)
+    t, *block = _lift_block(make(24))
+    pref = _block_lead(*block)
+    need = _input_qprec(qprec - pref[0], sprec - pref[2], t)
     return exp_lift(make(need), qprec, sprec, ywindow=ywindow)
 
 

@@ -834,11 +834,24 @@ def test_abc_exponents_equal_the_fraction_sums(half, c0, row, q1):
     assert lifts.abc_exponents(form) == abc_exponents_fraction(form)
 
 
+# both parities, e = 0 on each, and d = 6, 7, 8 (realizable by relation_check)
+ANOMALY_META = {
+    "d1(0,0)": CYInvariants(1, (0, 0)),
+    "Enriques": ENRIQUES,
+    "CY3(e=0)": CYInvariants.from_euler(3, 0),
+    "CY3(e=-2)": CYInvariants.from_euler(3, -2),
+    "CY4(1,4,6,4,1)": CYInvariants(4, (1, 4, 6, 4, 1)),
+    "CY6(0,1,0,14,0,1,0)": CYInvariants(6, (0, 1, 0, 14, 0, 1, 0)),
+    "CY7(e=0)": CYInvariants(7, (0, 1, 3, 2, -2, -3, -1, 0)),
+    "CY8(1,2,3,4,22,4,3,2,1)": CYInvariants(8, (1, 2, 3, 4, 22, 4, 3, 2, 1)),
+}
+
+
 ANOMALY_DATA = {
     "K3": K3,
-    "CY4(1,4,6,4,1)": CYInvariants(4, (1, 4, 6, 4, 1)),
     "CY3(e=40)": CYInvariants.from_euler(3, 40),
     "CY5(e=24)": CYInvariants.from_euler(5, 24),
+    **ANOMALY_META,
 }
 
 
@@ -881,6 +894,27 @@ def test_hodge_anomaly_honours_sprec(name):
     assert not empty.series.terms and empty.series.qprec == 49
     meta = (row.weight2, row.character_order, row.index_t)
     assert (empty.weight2, empty.character_order, empty.index_t) == meta
+
+
+@pytest.mark.parametrize("name", sorted(ANOMALY_META))
+def test_hodge_anomaly_metadata_is_the_chi_prime_formula(name):
+    """weight2 -chi'_{d/2} (0 for odd d), character order 24/gcd(24, e),
+    index d/2 (2d for odd d) and the one s-row at
+    ms = -12 sum_{p=1..d0} p^2 chi'_{d0-p} (d = 2 d0) or
+    ms = -3 sum_{p=1..d0+1} (2p-1)^2 chi'_{d0-p+1} (d = 2 d0 + 1),
+    read off the paper's formula, chi'_p = (-1)^p chi_p."""
+    inv = ANOMALY_META[name]
+    d, d0, e = inv.d, inv.d // 2, inv.euler
+    chip = [(-1) ** p * c for p, c in enumerate(inv.chi)]
+    if d % 2 == 0:
+        weight2, index_t = -chip[d0], d0
+        ms = -12 * sum(p * p * chip[d0 - p] for p in range(1, d0 + 1))
+    else:
+        weight2, index_t = 0, 2 * d
+        ms = -3 * sum((2 * p - 1) ** 2 * chip[d0 - p + 1] for p in range(1, d0 + 2))
+    got = hodge_anomaly(inv, 25, ms + 24, ywindow=8)
+    assert (got.weight2, got.character_order, got.index_t) == (weight2, 24 // gcd(24, e), index_t)
+    assert got.series.terms and {k[2] for k in got.series.terms} == {ms}
 
 
 @pytest.mark.parametrize("name", ["K3", "CY4(1,4,6,4,1)"])
